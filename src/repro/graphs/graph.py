@@ -206,6 +206,20 @@ class CapacitatedGraph:
         return view
 
     @property
+    def tails(self) -> np.ndarray:
+        """Read-only array of edge tails (as constructed) indexed by edge id."""
+        view = self._tails.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def heads(self) -> np.ndarray:
+        """Read-only array of edge heads (as constructed) indexed by edge id."""
+        view = self._heads.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def min_capacity(self) -> float:
         """``B = min_e c_e`` — the capacity bound of the instance."""
         if self._m == 0:

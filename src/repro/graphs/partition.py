@@ -104,13 +104,8 @@ class GraphPartition:
         self._graph = graph
         self._labels = labels
         self._k = k
-        edge_list = graph.edge_list()
-        self._tails = np.fromiter(
-            (e[0] for e in edge_list), dtype=np.int64, count=len(edge_list)
-        )
-        self._heads = np.fromiter(
-            (e[1] for e in edge_list), dtype=np.int64, count=len(edge_list)
-        )
+        self._tails = graph.tails
+        self._heads = graph.heads
         self._cut_edge_ids: np.ndarray | None = None
         self._region_vertices: tuple[np.ndarray, ...] | None = None
         self._region_edge_ids: tuple[np.ndarray, ...] | None = None

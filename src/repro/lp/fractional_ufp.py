@@ -22,14 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import LPSolveError
 from repro.flows.instance import UFPInstance
-from repro.lp.model import LinearProgram, LPSolution
+from repro.graphs.graph import CapacitatedGraph
+from repro.lp.model import AssembledLP
 from repro.lp.solver import solve_lp
 from repro.types import SolverStatus
 
-__all__ = ["FractionalUFPResult", "solve_fractional_ufp"]
+__all__ = ["FractionalUFPResult", "edge_flow_program", "solve_fractional_ufp"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,107 @@ class FractionalUFPResult:
         return self.edge_flows.sum(axis=0)
 
 
+def _arcs(graph: CapacitatedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc table ``(tails, heads, edge ids)`` of the edge-flow model.
+
+    A directed edge is one arc; an undirected edge is two, the reverse arc
+    right after the forward one.  Disabled edges carry no arcs.
+    """
+    edges = np.arange(graph.num_edges)
+    if graph.disabled_edges:
+        edges = np.setdiff1d(edges, np.fromiter(graph.disabled_edges, dtype=np.int64))
+    tails, heads = graph.tails[edges], graph.heads[edges]
+    if graph.directed:
+        return tails, heads, edges
+    return (
+        np.column_stack((tails, heads)).ravel(),
+        np.column_stack((heads, tails)).ravel(),
+        np.repeat(edges, 2),
+    )
+
+
+def edge_flow_program(instance: UFPInstance, *, repetitions: bool = False) -> AssembledLP:
+    """Assemble the edge-flow relaxation of ``instance`` in solver form.
+
+    Variables are ``X_r`` for every request, then ``g_{r,a}`` request-major
+    over the arc table (see :func:`_arcs`).  The equality rows are flow
+    conservation, request-major then vertex-minor, skipping a vertex without
+    arcs unless it is a terminal of the request.  The inequality rows are one
+    capacity row per edge id; a disabled edge's row is empty, so the
+    capacity duals stay indexed by edge id.
+    """
+    graph = instance.graph
+    n, m = graph.num_vertices, graph.num_edges
+    num_requests = instance.num_requests
+    arc_tail, arc_head, arc_edge = _arcs(graph)
+    num_arcs = len(arc_edge)
+    num_variables = num_requests * (1 + num_arcs)
+    # g_cols[r, a] is the column of g_{r,a}.
+    g_cols = num_requests + np.arange(num_requests * num_arcs).reshape(num_requests, num_arcs)
+    demands = instance.demands_array()
+
+    c = np.zeros(num_variables)
+    c[:num_requests] = instance.values_array()
+    bounds = np.zeros((num_variables, 2))
+    bounds[:, 1] = np.inf if repetitions else 1.0
+
+    # Flow conservation: out - in - X_r = 0 at the source, out - in + X_r = 0
+    # at the target, out - in = 0 elsewhere.  One request's incidence block
+    # lists every vertex's arcs in arc order, +1 leaving and -1 entering.
+    ends = np.concatenate((arc_tail, arc_head))
+    incident = np.tile(np.arange(num_arcs), 2)
+    signs = np.repeat([1.0, -1.0], num_arcs)
+    order = np.lexsort((incident, ends))
+    degree = np.bincount(ends, minlength=n)
+    sources = np.array([req.source for req in instance.requests], dtype=np.int64)
+    targets = np.array([req.target for req in instance.requests], dtype=np.int64)
+    requests = np.arange(num_requests)
+    terminal = np.zeros((num_requests, n), dtype=bool)
+    terminal[requests, sources] = True
+    terminal[requests, targets] = True
+    row_request, row_vertex = np.nonzero(terminal | (degree > 0))
+    row_terminal = terminal[row_request, row_vertex]
+    indptr = np.zeros(len(row_request) + 1, dtype=np.int64)
+    np.cumsum(degree[row_vertex] + row_terminal, out=indptr[1:])
+    # A terminal row opens with its X_r entry, the lowest column.  The g
+    # entries fill the other slots: in row order that is the incidence block
+    # once per request, since every vertex with arcs has a row per request.
+    x_slots = indptr[:-1][row_terminal]
+    x_request = row_request[row_terminal]
+    g_slots = np.ones(indptr[-1], dtype=bool)
+    g_slots[x_slots] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[x_slots] = x_request
+    data[x_slots] = np.where(row_vertex[row_terminal] == sources[x_request], -1.0, 1.0)
+    indices[g_slots] = g_cols[:, incident[order]].ravel()
+    data[g_slots] = np.tile(signs[order], num_requests)
+    A_eq = sparse.csr_matrix((data, indices, indptr), shape=(len(row_request), num_variables))
+
+    # Capacity: sum_r d_r * sum_{arcs a of e} g_{r,a} <= c_e.  Every live
+    # edge has the same number of arcs, consecutive in the arc table.
+    per_edge = 1 if graph.directed else 2
+    num_live = num_arcs // per_edge
+    ub_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc_edge, minlength=m) * num_requests, out=ub_indptr[1:])
+    A_ub = sparse.csr_matrix(
+        (
+            np.repeat(np.tile(demands, num_live), per_edge),
+            g_cols.reshape(num_requests, num_live, per_edge).transpose(1, 0, 2).ravel(),
+            ub_indptr,
+        ),
+        shape=(m, num_variables),
+    )
+    return AssembledLP(
+        c=c,
+        bounds=bounds,
+        A_ub=A_ub,
+        b_ub=graph.capacities,
+        A_eq=A_eq,
+        b_eq=np.zeros(len(row_request)),
+    )
+
+
 def solve_fractional_ufp(
     instance: UFPInstance,
     *,
@@ -95,7 +198,6 @@ def solve_fractional_ufp(
     post-processing relies on their absence.
     """
     graph = instance.graph
-    n = graph.num_vertices
     m = graph.num_edges
     num_requests = instance.num_requests
 
@@ -110,77 +212,10 @@ def solve_fractional_ufp(
             status=SolverStatus.OPTIMAL,
         )
 
-    # Arc table: directed graphs use one arc per edge; undirected graphs two.
-    arc_tails: list[int] = []
-    arc_heads: list[int] = []
-    arc_edge: list[int] = []
-    for eid in range(m):
-        u, v = graph.edge_endpoints(eid)
-        arc_tails.append(u)
-        arc_heads.append(v)
-        arc_edge.append(eid)
-        if not graph.directed:
-            arc_tails.append(v)
-            arc_heads.append(u)
-            arc_edge.append(eid)
-    num_arcs = len(arc_edge)
-
-    lp = LinearProgram()
-
-    # Variables: X_r (routed fraction) then g_{r,a} (per-arc fractions).
-    x_upper = np.inf if repetitions else 1.0
-    x_vars = [
-        lp.add_variable(objective=req.value, lower=0.0, upper=x_upper, name=f"X_{r}")
-        for r, req in enumerate(instance.requests)
-    ]
-    g_vars = np.empty((num_requests, num_arcs), dtype=np.int64)
-    for r in range(num_requests):
-        g_upper = np.inf if repetitions else 1.0
-        for a in range(num_arcs):
-            g_vars[r, a] = lp.add_variable(
-                objective=0.0, lower=0.0, upper=g_upper, name=f"g_{r}_{a}"
-            )
-
-    # Flow conservation: out - in = X_r at the source, -X_r at the target,
-    # 0 elsewhere, for every request.
-    out_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    in_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    for a in range(num_arcs):
-        out_arcs_of[arc_tails[a]].append(a)
-        in_arcs_of[arc_heads[a]].append(a)
-
-    for r, req in enumerate(instance.requests):
-        for v in range(n):
-            terms: dict[int, float] = {}
-            for a in out_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) + 1.0
-            for a in in_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) - 1.0
-            if v == req.source:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) - 1.0
-                lp.add_eq_constraint(terms, 0.0)
-            elif v == req.target:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) + 1.0
-                lp.add_eq_constraint(terms, 0.0)
-            else:
-                if terms:
-                    lp.add_eq_constraint(terms, 0.0)
-
-    # Capacity constraints per logical edge:
-    #     sum_r d_r * sum_{arcs a of e} g_{r,a} <= c_e.
-    capacity_rows: list[int] = []
-    arcs_of_edge: list[list[int]] = [[] for _ in range(m)]
-    for a in range(num_arcs):
-        arcs_of_edge[arc_edge[a]].append(a)
-    for eid in range(m):
-        terms = {}
-        for r, req in enumerate(instance.requests):
-            for a in arcs_of_edge[eid]:
-                terms[int(g_vars[r, a])] = req.demand
-        row = lp.add_le_constraint(terms, graph.edge_capacity(eid))
-        capacity_rows.append(row)
-
-    solution: LPSolution = solve_lp(lp, raise_on_failure=raise_on_failure)
+    solution = solve_lp(
+        edge_flow_program(instance, repetitions=repetitions),
+        raise_on_failure=raise_on_failure,
+    )
 
     if not solution.ok:
         return FractionalUFPResult(
@@ -191,20 +226,17 @@ def solve_fractional_ufp(
             status=solution.status,
         )
 
-    routed = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
-    edge_flows = np.zeros((num_requests, m), dtype=np.float64)
-    for r, req in enumerate(instance.requests):
-        for eid in range(m):
-            total = 0.0
-            for a in arcs_of_edge[eid]:
-                total += float(solution.x[int(g_vars[r, a])])
-            edge_flows[r, eid] = req.demand * total
-    capacity_duals = solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
+    # Each (request, edge) total adds the edge's arcs up from 0.0 in arc
+    # order: bincount accumulates its weights in input order.
+    flat_edge = np.arange(num_requests)[:, None] * m + _arcs(graph)[2]
+    totals = np.bincount(
+        flat_edge.ravel(), weights=solution.x[num_requests:], minlength=num_requests * m
+    ).reshape(num_requests, m)
 
     return FractionalUFPResult(
         objective=float(solution.objective),
-        routed_fraction=routed,
-        edge_flows=edge_flows,
-        capacity_duals=capacity_duals,
+        routed_fraction=solution.x[:num_requests],
+        edge_flows=instance.demands_array()[:, None] * totals,
+        capacity_duals=solution.ineq_duals,
         status=solution.status,
     )

@@ -1,11 +1,14 @@
-"""A small sparse linear-program builder.
+"""Linear programs in solver form, and a small sparse builder for them.
 
-The builder exists so that LP assembly code reads like the mathematical
-formulation (named variables, one constraint per call) while the matrices
-handed to the solver are sparse CSR from the start — per the hpc-parallel
-guides, no dense intermediate is ever materialized.
+:class:`AssembledLP` is what the solver takes: the objective, the variable
+bounds and CSR constraint blocks, already assembled.  Structured models
+with many variables (the edge-flow relaxation) build it directly from
+arrays.  :class:`LinearProgram` is the builder for small models: assembly
+code reads like the mathematical formulation (named variables, one
+constraint per call) and :meth:`LinearProgram.assemble` turns the collected
+terms into CSR — no dense intermediate is ever materialized.
 
-The canonical form used internally is::
+The canonical form used throughout is::
 
     maximize     c @ x
     subject to   A_ub @ x <= b_ub
@@ -24,7 +27,58 @@ from scipy import sparse
 from repro.exceptions import LPSolveError
 from repro.types import SolverStatus
 
-__all__ = ["LinearProgram", "LPSolution"]
+__all__ = ["AssembledLP", "LinearProgram", "LPSolution"]
+
+
+@dataclass(frozen=True)
+class AssembledLP:
+    """A linear program in solver form (maximization).
+
+    Attributes
+    ----------
+    c:
+        Objective coefficients, one per variable.
+    bounds:
+        Array of shape ``(num_variables, 2)``: lower then upper bound of each
+        variable (``inf`` where unbounded).
+    A_ub, b_ub:
+        The ``<=`` block as a CSR matrix and its right-hand side; ``None``
+        when there are no such constraints, as :func:`scipy.optimize.linprog`
+        expects.
+    A_eq, b_eq:
+        The ``==`` block, likewise.
+    """
+
+    c: np.ndarray
+    bounds: np.ndarray
+    A_ub: sparse.csr_matrix | None = None
+    b_ub: np.ndarray | None = None
+    A_eq: sparse.csr_matrix | None = None
+    b_eq: np.ndarray | None = None
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.c)
+
+    @property
+    def num_le_constraints(self) -> int:
+        return 0 if self.b_ub is None else len(self.b_ub)
+
+    @property
+    def num_eq_constraints(self) -> int:
+        return 0 if self.b_eq is None else len(self.b_eq)
+
+    def matrices(self) -> dict:
+        """The program as :func:`scipy.optimize.linprog` keyword arguments
+        (``c`` in the maximization sense)."""
+        return {
+            "c": self.c,
+            "A_ub": self.A_ub,
+            "b_ub": self.b_ub,
+            "A_eq": self.A_eq,
+            "b_eq": self.b_eq,
+            "bounds": self.bounds,
+        }
 
 
 @dataclass(frozen=True)
@@ -177,13 +231,9 @@ class LinearProgram:
     # ------------------------------------------------------------------ #
     # Assembly / solving
     # ------------------------------------------------------------------ #
-    def matrices(self) -> dict:
-        """Return the assembled sparse matrices and vectors.
-
-        Keys: ``c`` (maximization objective), ``A_ub``, ``b_ub``, ``A_eq``,
-        ``b_eq``, ``bounds`` (list of ``(lb, ub)`` pairs).  Empty constraint
-        blocks are returned as ``None`` to match :func:`scipy.optimize.linprog`.
-        """
+    def assemble(self) -> AssembledLP:
+        """The program in solver form, with canonical CSR constraint blocks
+        (empty blocks are ``None``)."""
         n = self.num_variables
         c = np.asarray(self._objective, dtype=np.float64)
         A_ub = None
@@ -202,8 +252,13 @@ class LinearProgram:
                 shape=(len(self._eq_rhs), n),
             ).tocsr()
             b_eq = np.asarray(self._eq_rhs, dtype=np.float64)
-        bounds = list(zip(self._lower, self._upper))
-        return {"c": c, "A_ub": A_ub, "b_ub": b_ub, "A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
+        bounds = np.column_stack((self._lower, self._upper)).astype(np.float64, copy=False)
+        return AssembledLP(c=c, bounds=bounds, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+
+    def matrices(self) -> dict:
+        """The assembled program as :func:`scipy.optimize.linprog` keyword
+        arguments; see :meth:`AssembledLP.matrices`."""
+        return self.assemble().matrices()
 
     def solve(self, **solver_options) -> LPSolution:
         """Solve the LP with HiGHS; see :func:`repro.lp.solver.solve_lp`."""

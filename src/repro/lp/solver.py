@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.exceptions import LPSolveError
-from repro.lp.model import LinearProgram, LPSolution
+from repro.lp.model import AssembledLP, LinearProgram, LPSolution
 from repro.types import SolverStatus
 
 __all__ = ["solve_lp"]
@@ -21,18 +21,19 @@ _STATUS_MAP = {
 
 
 def solve_lp(
-    program: LinearProgram,
+    program: AssembledLP | LinearProgram,
     *,
     method: str = "highs",
     raise_on_failure: bool = True,
     **options,
 ) -> LPSolution:
-    """Solve a :class:`~repro.lp.model.LinearProgram` (maximization form).
+    """Solve a program in maximization form.
 
     Parameters
     ----------
     program:
-        The assembled program.
+        An :class:`~repro.lp.model.AssembledLP`, or a
+        :class:`~repro.lp.model.LinearProgram` builder (assembled here).
     method:
         scipy ``linprog`` method; HiGHS (the default) is the only one the
         library is tested with.

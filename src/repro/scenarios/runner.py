@@ -106,11 +106,14 @@ class CampaignResult:
 # One cell
 # ---------------------------------------------------------------------- #
 def _lp_bound(instance: UFPInstance, mode: Mapping[str, Any]) -> float | None:
+    """The cell's fractional LP bound: the Figure 1 relaxation, or the
+    Figure 5 one (no per-request cap) for a ``repeated`` cell."""
     if mode.get("bound", "lp") == "none":
         return None
     from repro.lp.fractional_ufp import solve_fractional_ufp
 
-    return float(solve_fractional_ufp(instance).objective)
+    repetitions = mode.get("kind") == "repeated"
+    return float(solve_fractional_ufp(instance, repetitions=repetitions).objective)
 
 
 def _resolve_epsilon(mode: Mapping[str, Any], instance: UFPInstance) -> float:

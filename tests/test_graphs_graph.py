@@ -103,6 +103,14 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             diamond_graph.capacities[0] = 99.0
 
+    def test_endpoint_arrays_match_edges_and_are_readonly(self, diamond_graph):
+        pairs = [diamond_graph.edge_endpoints(e) for e in range(diamond_graph.num_edges)]
+        assert list(zip(diamond_graph.tails.tolist(), diamond_graph.heads.tolist())) == pairs
+        with pytest.raises(ValueError):
+            diamond_graph.tails[0] = 3
+        with pytest.raises(ValueError):
+            diamond_graph.heads[0] = 3
+
     def test_csr_indptr_consistency(self, diamond_graph):
         indptr = diamond_graph.indptr
         assert indptr[0] == 0

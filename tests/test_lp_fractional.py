@@ -8,13 +8,116 @@ import pytest
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.lp import (
+    LinearProgram,
     check_weak_duality,
     solve_fractional_muca,
     solve_fractional_ufp,
+    solve_lp,
     solve_path_lp,
     ufp_dual_objective,
 )
 from repro.lp.duality import minimum_normalized_path_length, ufp_dual_is_feasible
+from repro.lp.fractional_ufp import edge_flow_program
+from repro.scenarios import enumerate_cells, get_suite
+from repro.scenarios.regimes import build_cell_instance
+
+
+def _per_term_fractional_ufp(instance, repetitions=False):
+    """The edge-flow relaxation built one term at a time through
+    :class:`LinearProgram` and read back with Python loops: the reference
+    the array assembly in :func:`edge_flow_program` must match bit for bit.
+
+    Returns the program and a function mapping its solution to
+    ``(routed_fraction, edge_flows, capacity_duals)``.
+    """
+    graph = instance.graph
+    n = graph.num_vertices
+    m = graph.num_edges
+    num_requests = instance.num_requests
+
+    # Arc table: directed graphs use one arc per edge; undirected graphs two.
+    arc_tails: list[int] = []
+    arc_heads: list[int] = []
+    arc_edge: list[int] = []
+    for eid in range(m):
+        u, v = graph.edge_endpoints(eid)
+        arc_tails.append(u)
+        arc_heads.append(v)
+        arc_edge.append(eid)
+        if not graph.directed:
+            arc_tails.append(v)
+            arc_heads.append(u)
+            arc_edge.append(eid)
+    num_arcs = len(arc_edge)
+
+    lp = LinearProgram()
+
+    # Variables: X_r (routed fraction) then g_{r,a} (per-arc fractions).
+    x_upper = np.inf if repetitions else 1.0
+    x_vars = [
+        lp.add_variable(objective=req.value, lower=0.0, upper=x_upper, name=f"X_{r}")
+        for r, req in enumerate(instance.requests)
+    ]
+    g_vars = np.empty((num_requests, num_arcs), dtype=np.int64)
+    for r in range(num_requests):
+        g_upper = np.inf if repetitions else 1.0
+        for a in range(num_arcs):
+            g_vars[r, a] = lp.add_variable(
+                objective=0.0, lower=0.0, upper=g_upper, name=f"g_{r}_{a}"
+            )
+
+    # Flow conservation: out - in = X_r at the source, -X_r at the target,
+    # 0 elsewhere, for every request.
+    out_arcs_of: list[list[int]] = [[] for _ in range(n)]
+    in_arcs_of: list[list[int]] = [[] for _ in range(n)]
+    for a in range(num_arcs):
+        out_arcs_of[arc_tails[a]].append(a)
+        in_arcs_of[arc_heads[a]].append(a)
+
+    for r, req in enumerate(instance.requests):
+        for v in range(n):
+            terms: dict[int, float] = {}
+            for a in out_arcs_of[v]:
+                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) + 1.0
+            for a in in_arcs_of[v]:
+                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) - 1.0
+            if v == req.source:
+                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) - 1.0
+                lp.add_eq_constraint(terms, 0.0)
+            elif v == req.target:
+                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) + 1.0
+                lp.add_eq_constraint(terms, 0.0)
+            else:
+                if terms:
+                    lp.add_eq_constraint(terms, 0.0)
+
+    # Capacity constraints per logical edge:
+    #     sum_r d_r * sum_{arcs a of e} g_{r,a} <= c_e.
+    capacity_rows: list[int] = []
+    arcs_of_edge: list[list[int]] = [[] for _ in range(m)]
+    for a in range(num_arcs):
+        arcs_of_edge[arc_edge[a]].append(a)
+    for eid in range(m):
+        terms = {}
+        for r, req in enumerate(instance.requests):
+            for a in arcs_of_edge[eid]:
+                terms[int(g_vars[r, a])] = req.demand
+        row = lp.add_le_constraint(terms, graph.edge_capacity(eid))
+        capacity_rows.append(row)
+
+    def read(solution):
+        routed = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
+        edge_flows = np.zeros((num_requests, m), dtype=np.float64)
+        for r, req in enumerate(instance.requests):
+            for eid in range(m):
+                total = 0.0
+                for a in arcs_of_edge[eid]:
+                    total += float(solution.x[int(g_vars[r, a])])
+                edge_flows[r, eid] = req.demand * total
+        capacity_duals = solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
+        return routed, edge_flows, capacity_duals
+
+    return lp, read
 
 
 class TestFractionalUFP:
@@ -78,14 +181,111 @@ class TestFractionalUFP:
         # Both directions share the single unit of capacity.
         assert result.objective == pytest.approx(1.0)
 
+    def test_disabled_edge_carries_no_flow(self):
+        instance = _disabled_shortcut_instance()
+        result = solve_fractional_ufp(instance)
+        # Only the unit-capacity detour 0-1-2 is live: the value-4 request.
+        assert result.objective == pytest.approx(4.0)
+        assert result.capacity_duals.shape == (3,)
+        assert result.capacity_duals[2] == 0.0
+        assert not result.edge_flows[:, 2].any()
+
+
+def _disabled_shortcut_instance() -> UFPInstance:
+    """A triangle whose roomy shortcut 0-2 is disabled."""
+    graph = CapacitatedGraph(
+        3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)], directed=False, disabled_edges=[2]
+    )
+    return UFPInstance(
+        graph,
+        [Request(0, 2, 1.0, 4.0), Request(0, 2, 1.0, 3.0), Request(2, 0, 1.0, 2.0)],
+    )
+
+
+def _demo_cell_instance(index: int) -> UFPInstance:
+    return build_cell_instance(enumerate_cells(get_suite("demo"))[index])[0]
+
+
+def _multigraph_instance(seed: int, directed: bool) -> UFPInstance:
+    """A small random multigraph with parallel edges and one isolated
+    vertex, which some requests may use as a terminal."""
+    rng = np.random.default_rng(seed)
+    n = 7
+    isolated = int(rng.integers(n))
+    others = [v for v in range(n) if v != isolated]
+    edges = []
+    for _ in range(int(rng.integers(6, 14))):
+        u, v = rng.choice(others, size=2, replace=False)
+        edges.append((int(u), int(v), float(rng.uniform(0.5, 3.0))))
+    for u, v, _ in edges[:2]:
+        edges.append((u, v, float(rng.uniform(0.5, 3.0))))
+    requests = []
+    for _ in range(int(rng.integers(3, 9))):
+        s, t = rng.choice(n, size=2, replace=False)
+        requests.append(
+            Request(int(s), int(t), float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.5, 3.0)))
+        )
+    return UFPInstance(CapacitatedGraph(n, edges, directed=directed), requests)
+
+
+class TestEdgeFlowAssembly:
+    """The array assembly is bit-identical to the per-term reference: the
+    same matrices reach HiGHS, so the same bits come back."""
+
+    @staticmethod
+    def _assert_bit_identical(instance, repetitions):
+        reference, read = _per_term_fractional_ufp(instance, repetitions)
+        want = reference.matrices()
+        got = edge_flow_program(instance, repetitions=repetitions).matrices()
+        for key in ("c", "bounds", "b_ub", "b_eq"):
+            assert got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for key in ("A_ub", "A_eq"):
+            assert got[key].shape == want[key].shape, key
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(got[key], part), getattr(want[key], part), err_msg=f"{key}.{part}"
+                )
+
+        solution = solve_lp(reference)
+        routed, edge_flows, capacity_duals = read(solution)
+        result = solve_fractional_ufp(instance, repetitions=repetitions)
+        assert result.objective.hex() == float(solution.objective).hex()
+        for name, want_array in (
+            ("routed_fraction", routed),
+            ("edge_flows", edge_flows),
+            ("capacity_duals", capacity_duals),
+        ):
+            got_array = getattr(result, name)
+            assert got_array.shape == want_array.shape, name
+            assert got_array.tobytes() == want_array.tobytes(), name
+
+    @pytest.mark.parametrize("index", range(24))
+    def test_demo_campaign_cells(self, index):
+        self._assert_bit_identical(_demo_cell_instance(index), repetitions=False)
+
+    @pytest.mark.parametrize("index", range(0, 24, 3))
+    def test_demo_campaign_cells_with_repetitions(self, index):
+        self._assert_bit_identical(_demo_cell_instance(index), repetitions=True)
+
+    @pytest.mark.parametrize("repetitions", [False, True])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_multigraphs(self, seed, directed, repetitions):
+        self._assert_bit_identical(_multigraph_instance(seed, directed), repetitions)
+
 
 class TestPathLP:
     def test_matches_edge_formulation_on_random_instances(self):
-        for seed in range(3):
-            instance = random_instance(
+        instances = [
+            random_instance(
                 num_vertices=8, edge_probability=0.35, capacity=3.0,
                 num_requests=12, demand_range=(0.5, 1.0), seed=seed,
             )
+            for seed in range(3)
+        ]
+        instances.append(_disabled_shortcut_instance())
+        for instance in instances:
             edge_form = solve_fractional_ufp(instance)
             path_form = solve_path_lp(instance)
             assert path_form.objective == pytest.approx(edge_form.objective, rel=1e-5, abs=1e-6)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import scenarios
 from repro.exceptions import InvalidInstanceError
+from repro.lp import solve_fractional_ufp
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.regimes import build_cell_instance, resolve_base_capacity
 from repro.scenarios.runner import run_cell
@@ -319,6 +320,31 @@ class TestRunner:
         fresh = ResultStore(tmp_path / "fresh")
         scenarios.run_campaign(suite, store=fresh)
         assert store.content_hash(resumed.records) == fresh.content_hash()
+
+    def test_repeated_cells_are_bounded_by_the_repetitions_lp(self):
+        """A ``repeated`` cell runs Bounded-UFP with repetitions, so its
+        bound is the Figure 5 relaxation; the Figure 1 one (each request at
+        most once) sits far below the large-capacity cells' values."""
+        demo = scenarios.get_suite("demo")
+        suite = {
+            "name": "repeated-demo",
+            "seed": demo["seed"],
+            "topologies": demo["topologies"],
+            "regimes": demo["regimes"],
+            "modes": [{"name": "repeat", "kind": "repeated"}],
+        }
+        result = scenarios.run_campaign(suite, jobs=1)
+        assert result.num_cells == 12
+        assert result.all_cells_ok, [
+            key for key, record in result.records.items() if not record["claims_ok"]
+        ]
+        cell = next(
+            c for c in scenarios.enumerate_cells(suite) if c.key == "wan/large-cap-mix/repeat"
+        )
+        record = result.records[cell.key]
+        instance = build_cell_instance(cell)[0]
+        assert record["bound"] == solve_fractional_ufp(instance, repetitions=True).objective
+        assert record["value"] > solve_fractional_ufp(instance).objective
 
     def test_failed_claims_surface_in_record(self):
         # An online cell comparing against offline cannot fail its claims on
