@@ -5,22 +5,22 @@ building blocks (Dijkstra pricing, one Bounded-UFP run, the fractional LP,
 the Garg–Könemann FPTAS, critical-value payment computation) so regressions
 in the substrates are visible independently of the experiment sweeps.
 
-The ``*_kernel`` rows sweep the same workload across the compute-kernel
-tiers of :mod:`repro.kernels` (``lists`` / ``numpy`` / ``numba``); all
-tiers are bit-identical, so any timing difference is pure implementation
-speed.  Record them with::
+The ``test_bench_tree_path`` rows time one shortest-path tree on the
+Python loop and on the C path, on a 64-vertex grid and on the 360-vertex
+ISP composite: the pair on either side of the size threshold of
+:func:`repro.graphs.shortest_path.shortest_path_tree`.  Record them with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_micro_primitives.py -q \
-        -k kernel --benchmark-json=benchmarks/BENCH_KERNELS.json
+        -k tree_path --benchmark-json=benchmarks/BENCH_KERNELS.json
 
-The committed ``benchmarks/BENCH_KERNELS.json`` documents the measured
-tier speedups on the reference machine (the perf gate itself stays on the
-lists tier; see ``bench_pr4_gate.py``).
+The committed ``benchmarks/BENCH_KERNELS.json`` documents them on the
+reference machine.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -29,30 +29,15 @@ from repro.core import bounded_muca, bounded_ufp
 from repro.flows import random_instance
 from repro.auctions import random_auction
 from repro.fractional import garg_konemann_fractional_ufp
-from repro.graphs import random_digraph, single_source_dijkstra
-from repro.kernels import get_kernel, kernel_available, use_kernel
+from repro.graphs import grid_graph, random_digraph, single_source_dijkstra
+from repro.graphs.generators import multi_region_topology
 from repro.lp import solve_fractional_ufp
 from repro.mechanism import compute_ufp_payments
 
 
-def _kernel_tier_params():
-    """All compute-kernel tiers, with the numba row skipped (not failed)
-    when the optional dependency is absent."""
-    params = []
-    for name in ("lists", "numpy", "numba"):
-        marks = []
-        if name == "numba" and not kernel_available("numba"):
-            marks.append(
-                pytest.mark.skip(
-                    reason="the numba kernel tier needs the optional numba "
-                    "dependency (pip install 'repro-bounded-ufp[numba]')"
-                )
-            )
-        params.append(pytest.param(name, marks=marks))
-    return params
-
-
-KERNEL_TIERS = _kernel_tier_params()
+# repro.graphs re-exports a function named shortest_path that shadows the
+# module attribute; import the module itself.
+_sp = importlib.import_module("repro.graphs.shortest_path")
 
 
 @pytest.fixture(scope="module")
@@ -109,85 +94,32 @@ def test_bench_garg_konemann(benchmark, medium_instance):
     assert result.objective > 0.0
 
 
-@pytest.mark.parametrize("kernel_name", KERNEL_TIERS)
-def test_bench_dijkstra_kernel_micro(benchmark, kernel_name):
-    """One shortest-path tree through each compute-kernel tier directly.
+def _tree_graph(size):
+    if size == "grid64":
+        return grid_graph(8, 8, (1.0, 5.0), seed=5)
+    # The isp_clearing workload's 360-vertex, 10-region composite.
+    return multi_region_topology(10, 6, 5, 30.0, 30.0, 15.0, seed=5)
 
-    Same 300-vertex digraph as ``test_bench_dijkstra_pricing``, but calling
-    ``kernel.dijkstra`` without the backend wrapper so the rows isolate the
-    tiers' inner loops (pure-Python array heap vs the numba JIT heap).  One
-    warm-up call outside the timed region absorbs the one-off costs the
-    tiers amortize in real runs (CSR materialization, JIT compilation)."""
-    graph = random_digraph(300, 0.03, 10.0, seed=5)
+
+@pytest.mark.parametrize("path", ["loop", "c_tree"])
+@pytest.mark.parametrize("size", ["grid64", "isp360"])
+def test_bench_tree_path(benchmark, monkeypatch, size, path):
+    """One shortest-path tree through ``shortest_path_tree``, forced onto
+    the Python loop or the C path, on either side of the vertex threshold.
+
+    Dual-shaped weights (``1/c`` grown by a few exponential updates).  The
+    rows set :data:`~repro.graphs.shortest_path.C_TREE_MIN_VERTICES`: the
+    loop must win on the 64-vertex grid and the C tree on the ISP composite.
+    One warm-up call outside the timed region builds the per-graph CSR
+    caches, as the first tree of a real run does."""
+    graph = _tree_graph(size)
     rng = np.random.default_rng(5)
-    weights = rng.uniform(0.01, 1.0, size=graph.num_edges)
-    with use_kernel(kernel_name):
-        kernel = get_kernel()
-        wlist = weights.tolist() if kernel.wants_weights_list else None
-        kernel.dijkstra(graph, weights, wlist, 0)  # warm-up
-        dist, _pv, _pe = benchmark(
-            lambda: kernel.dijkstra(graph, weights, wlist, 0)
-        )
-    assert dist[0] == 0.0
-
-
-@pytest.mark.parametrize("kernel_name", KERNEL_TIERS)
-def test_bench_payments_replay_medium_kernel(benchmark, kernel_name, jobs):
-    """Trace-replay payments on the contended medium instance, per tier.
-
-    The same workload as the gate's ``payments_replay_medium`` row (which
-    stays on the default lists tier so ``compare_bench.py`` keeps gating
-    single-core reference performance).  The instance is rebuilt inside each
-    parametrization so one tier's per-graph tree memo cannot warm another's
-    timing."""
-    instance = random_instance(
-        num_vertices=12, edge_probability=0.25, capacity=15.0,
-        num_requests=120, demand_range=(0.5, 1.0), seed=13,
-    )
-    with use_kernel(kernel_name):
-        algorithm = partial(bounded_ufp, epsilon=0.3)
-        allocation = bounded_ufp(instance, 0.3)
-        payments = benchmark.pedantic(
-            lambda: compute_ufp_payments(
-                algorithm, instance, allocation, jobs=jobs, use_trace=True
-            ),
-            rounds=3,
-            iterations=1,
-        )
-    assert (payments > 0).sum() == allocation.num_selected
-
-
-@pytest.mark.parametrize("kernel_name", KERNEL_TIERS)
-def test_bench_campaign_cell_small_kernel(benchmark, kernel_name):
-    """One small scenario-campaign cell end to end, per kernel tier.
-
-    Mirrors the gate's ``campaign_cell_small`` row.  This cell is
-    LP-dominated, so the tiers are expected to sit close together — the row
-    pair documents that the kernel layer adds no dispatch overhead where it
-    cannot win."""
-    from repro.scenarios import enumerate_cells, run_cell
-
-    suite = {
-        "name": "bench",
-        "seed": 17,
-        "topologies": [{"name": "wan", "family": "waxman", "num_vertices": 16}],
-        "regimes": [
-            {
-                "name": "stress",
-                "capacity": {"scale_log_m": 3.0, "min": 2.0},
-                "num_requests": 30,
-            }
-        ],
-        "modes": [{"name": "offline", "kind": "offline", "bound": "lp"}],
-    }
-    (cell,) = enumerate_cells(suite)
-
-    with use_kernel(kernel_name):
-        outcome = benchmark.pedantic(
-            lambda: run_cell(cell), rounds=3, iterations=1
-        )
-    record = outcome.rows[0]
-    assert record["claims_ok"] and record["admitted"] > 0
+    weights = np.exp(rng.uniform(0.0, 2.0, size=graph.num_edges)) / graph.capacities
+    threshold = sys.maxsize if path == "loop" else 0
+    monkeypatch.setattr(_sp, "C_TREE_MIN_VERTICES", threshold)
+    _sp.shortest_path_tree(graph, weights, 0)  # warm-up
+    tree = benchmark(lambda: _sp.shortest_path_tree(graph, weights, 0))
+    assert tree.dist[0] == 0.0
 
 
 def test_bench_critical_value_payments(benchmark, jobs):

@@ -150,7 +150,6 @@ def bounded_muca(
             "dual_budget_limit": duals.budget_limit,
             "epsilon": float(epsilon),
             "capacity_bound": duals.capacity_bound,
-            "kernel_name": engine.stats.kernel_name,
             **engine.stats.as_extra(prefix="pricing_bundle_"),
             **(trace.extra_stats() if trace is not None else {}),
         },

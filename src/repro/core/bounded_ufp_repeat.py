@@ -160,7 +160,6 @@ def bounded_ufp_repeat(
             "dual_budget_limit": duals.budget_limit,
             "epsilon": float(epsilon),
             "capacity_bound": duals.capacity_bound,
-            "kernel_name": engine.stats.kernel_name,
             **engine.stats.as_extra(),
             **(trace.extra_stats() if trace is not None else {}),
         },

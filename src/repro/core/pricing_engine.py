@@ -47,8 +47,8 @@ valid — not merely as a bound:
 hence a fresh Dijkstra run would reproduce the cached tree *bit for bit*,
 including tie-breaking — which is what keeps the engine's selected paths
 byte-identical to the reference implementation.  Each cached tree carries
-its parent-edge set; a selection evicts exactly the trees whose set
-intersects the selected path.
+its parent-edge set as a bitmask; a selection evicts exactly the trees whose
+set intersects the selected path.
 
 Because the initial weights ``y_e = 1/c_e`` are a function of the graph
 alone, the trees priced at the start of a run are additionally memoized on
@@ -89,8 +89,8 @@ import numpy as np
 
 from repro.core.dual_state import DualWeights
 from repro.graphs.graph import CapacitatedGraph
-from repro.graphs.shortest_path import get_backend
-from repro.kernels import get_kernel
+from repro.graphs.shortest_path import CompactTree
+from repro.kernels import BitmaskIndex, get_kernel
 
 __all__ = [
     "PathPricingEngine",
@@ -118,12 +118,13 @@ _TREE_MEMO_KEY = "pricing_engine/tree_memo"
 #: mid-run trees never discards them.
 _INITIAL_TREE_MEMO_KEY = "pricing_engine/tree_memo_initial"
 
-#: Approximate memory budget for one graph's tree memo.  Each entry costs
-#: roughly ``8m`` bytes for the weight-vector key plus three ``n``-slot
-#: Python lists for the tree; the entry cap is derived from this budget (and
-#: clamped to [8, 4096]) so huge graphs keep only a handful of memoized
-#: trees while the small mechanism-design instances that motivate the memo
-#: (payment bisections re-run the solver dozens of times) keep them all.
+#: Approximate memory budget for one graph's tree memo.  Each entry is
+#: budgeted at ``8m`` bytes for the weight-vector key plus ``120n`` bytes
+#: for the tree (generous: a compact tree takes about ``16n``); the entry
+#: cap is derived from this budget (and clamped to [8, 4096]) so huge
+#: graphs keep only a handful of memoized trees while the small
+#: mechanism-design instances that motivate the memo (payment bisections
+#: re-run the solver dozens of times) keep them all.
 _TREE_MEMO_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -208,14 +209,10 @@ class PricingStats:
     eager_equivalent_calls: int = 0
     memo_misses: int = 0
     memo_evictions: int = 0
-    #: Compute-kernel dispatch accounting (see :mod:`repro.kernels`):
-    #: ``kernel_name`` is the tier this engine resolved at construction;
-    #: ``kernel_calls`` counts kernel-shaped work units — shortest-path
-    #: trees computed, dual updates applied, bundle-score sweeps — and is
-    #: *tier- and backend-invariant* (the scipy backend's batched trees
-    #: count one call per tree, exactly like ``dijkstra_calls``), so bench
+    #: Compute-kernel work units (see :mod:`repro.kernels`): shortest-path
+    #: trees computed, dual updates applied, bundle-score sweeps.  The
+    #: count does not depend on which tree implementation ran, so bench
     #: regressions are attributable without perturbing any pinned output.
-    kernel_name: str = "lists"
     kernel_calls: int = 0
 
     @property
@@ -226,8 +223,7 @@ class PricingStats:
         """Flatten into :class:`~repro.types.RunStats`-style ``extra`` keys.
 
         Numeric-only by contract (scenario records coerce every value with
-        ``float``); the kernel *name* travels separately, via the solvers'
-        ``extra["kernel_name"]`` and the report header, never through here.
+        ``float``).
         """
         return {
             f"{prefix}dijkstra_calls": float(self.dijkstra_calls),
@@ -255,59 +251,6 @@ class Selection:
 
 
 _INF = math.inf
-
-
-class _PricedTree:
-    """A shortest-path tree as raw Python lists.
-
-    The engine prices requests thousands of times on graphs that are often
-    tiny; keeping the :func:`~repro.graphs.shortest_path.dijkstra_lists`
-    output unwrapped (no numpy array construction, no dataclass) keeps the
-    per-pricing cost at a couple of list indexings.  Contents are identical
-    to the corresponding :class:`ShortestPathResult`.
-    """
-
-    __slots__ = (
-        "source",
-        "dist",
-        "parent_vertex",
-        "parent_edge",
-        "edge_set",
-        "edge_mask",
-    )
-
-    def __init__(
-        self,
-        source: int,
-        dist: list[float],
-        parent_vertex: list[int],
-        parent_edge: list[int],
-    ) -> None:
-        self.source = source
-        self.dist = dist
-        self.parent_vertex = parent_vertex
-        self.parent_edge = parent_edge
-        used = set(parent_edge)
-        used.discard(-1)
-        self.edge_set = frozenset(used)
-        # Bitmask form of edge_set, filled lazily by the numpy kernel's
-        # invalidation index (and then shared: trees are immutable, so the
-        # mask is valid for the tree's whole lifetime, memo included).
-        self.edge_mask: int | None = None
-
-    def path_to(self, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        vertices = [target]
-        edges: list[int] = []
-        v = target
-        parent_edge = self.parent_edge
-        parent_vertex = self.parent_vertex
-        while v != self.source:
-            edges.append(parent_edge[v])
-            v = parent_vertex[v]
-            vertices.append(v)
-        vertices.reverse()
-        edges.reverse()
-        return tuple(vertices), tuple(edges)
 
 
 def _default_score(index: int, request, distance: float) -> float:
@@ -381,8 +324,6 @@ class PathPricingEngine:
         self._duals = duals
         self._weights = duals.weights if duals is not None else weights
         self._n = graph.num_vertices
-        # The compute kernel is resolved once per engine (construction time)
-        # so one run never mixes tiers; all tiers are bit-identical anyway.
         self._kernel = get_kernel()
         # weights.tolist() / weights.tobytes() memoized between weight
         # updates (cleared by invalidate_path); tree computations and memo
@@ -409,7 +350,7 @@ class PathPricingEngine:
         self._index_tie_break = bool(index_tie_break)
         self._remove_selected = bool(remove_selected)
         self._score = score if score is not None else _default_score
-        self.stats = PricingStats(kernel_name=self._kernel.name)
+        self.stats = PricingStats()
 
         n = len(self._requests)
         self._selected = bytearray(n)
@@ -420,10 +361,9 @@ class PathPricingEngine:
         self._source_live: dict[int, int] = {}
         # source -> tree; all registered trees are exact under the current
         # weights.
-        self._trees: dict[int, _PricedTree] = {}
-        # Kernel-provided invalidation index: which cached trees use which
-        # edges (edge-sets under lists, bitmasks under numpy/numba).
-        self._index = self._kernel.make_invalidation_index()
+        self._trees: dict[int, CompactTree] = {}
+        # Which cached trees use which edges.
+        self._index = BitmaskIndex()
         # Bumped whenever a source's tree is evicted; heap entries carry the
         # epoch their score was computed at, so staleness is an int compare.
         self._source_epoch: dict[int, int] = {}
@@ -471,11 +411,11 @@ class PathPricingEngine:
             wl = self._w_list = self._weights.tolist()
         return wl
 
-    def _register_tree(self, source: int, tree: _PricedTree) -> None:
+    def _register_tree(self, source: int, tree: CompactTree) -> None:
         self._trees[source] = tree
         self._index.register(source, tree)
 
-    def _memo_get(self, source: int) -> tuple[tuple | None, _PricedTree | None]:
+    def _memo_get(self, source: int) -> tuple[tuple | None, CompactTree | None]:
         """Tree-memo lookup: ``(key, tree)``; ``key`` is ``None`` when the
         memo is disabled, ``tree`` is ``None`` on a miss."""
         memo = self._tree_memo
@@ -492,7 +432,7 @@ class PathPricingEngine:
                 self.stats.memo_misses += 1
         return key, tree
 
-    def _memo_put(self, key: tuple | None, tree: _PricedTree) -> None:
+    def _memo_put(self, key: tuple | None, tree: CompactTree) -> None:
         memo = self._tree_memo
         if memo is None or key is None:
             return
@@ -503,29 +443,31 @@ class PathPricingEngine:
         elif memo.put(key, tree):
             self.stats.memo_evictions += 1
 
-    def _compute_tree(self, source: int) -> _PricedTree:
+    def _new_tree(self, source: int) -> CompactTree:
+        tree = self._kernel.dijkstra(
+            self._graph, self._weights, source,
+            get_weights_list=self._weights_list,
+        )
+        self.stats.dijkstra_calls += 1
+        self.stats.kernel_calls += 1
+        return tree
+
+    def _compute_tree(self, source: int) -> CompactTree:
         key, tree = self._memo_get(source)
         if tree is not None:
             self.stats.warm_start_hits += 1
             return tree
-        kernel = self._kernel
-        wl = self._weights_list() if kernel.wants_weights_list else None
-        dist, pv, pe = kernel.dijkstra(self._graph, self._weights, wl, source)
-        self.stats.dijkstra_calls += 1
-        self.stats.kernel_calls += 1
-        tree = _PricedTree(source, dist, pv, pe)
+        tree = self._new_tree(source)
         self._memo_put(key, tree)
         return tree
 
-    def _get_trees_batch(self, sources: Sequence[int]) -> dict[int, _PricedTree]:
+    def _get_trees_batch(self, sources: Sequence[int]) -> dict[int, CompactTree]:
         """Fetch/compute the trees of several sources, registering each.
 
-        Cache and memo bookkeeping mirrors per-source :meth:`_get_tree`
-        exactly; only the misses change code path — under a batch-capable
-        backend (scipy) all missing trees come from **one** vectorized
-        multi-source call instead of one kernel run per source.
+        All cache and memo lookups happen before the first computation, so
+        a tree computed here never serves a lookup of the same batch.
         """
-        result: dict[int, _PricedTree] = {}
+        result: dict[int, CompactTree] = {}
         missing: list[tuple[int, tuple | None]] = []
         for source in sources:
             tree = self._trees.get(source)
@@ -540,33 +482,14 @@ class PathPricingEngine:
                 result[source] = tree
             else:
                 missing.append((source, key))
-        if missing:
-            srcs = [source for source, _ in missing]
-            backend = get_backend()
-            kernel = self._kernel
-            if backend.supports_batch and len(srcs) > 1:
-                raw = backend.trees(
-                    self._graph, srcs, self._weights,
-                    weights_list=self._weights_list(),
-                )
-            else:
-                wl = self._weights_list() if kernel.wants_weights_list else None
-                raw = [
-                    kernel.dijkstra(self._graph, self._weights, wl, s)
-                    for s in srcs
-                ]
-            for (source, key), (dist, pv, pe) in zip(missing, raw):
-                # kernel_calls counts per *tree* in both branches so the
-                # counter is backend-invariant (like dijkstra_calls).
-                self.stats.dijkstra_calls += 1
-                self.stats.kernel_calls += 1
-                tree = _PricedTree(source, dist, pv, pe)
-                self._memo_put(key, tree)
-                self._register_tree(source, tree)
-                result[source] = tree
+        for source, key in missing:
+            tree = self._new_tree(source)
+            self._memo_put(key, tree)
+            self._register_tree(source, tree)
+            result[source] = tree
         return result
 
-    def _get_tree(self, source: int) -> _PricedTree:
+    def _get_tree(self, source: int) -> CompactTree:
         tree = self._trees.get(source)
         if tree is None:
             tree = self._compute_tree(source)
@@ -667,28 +590,19 @@ class PathPricingEngine:
         :meth:`commit` (duals mode) or :meth:`invalidate_path` (external
         weights mode) with the result.
 
-        Stale entries are refreshed in one of two ways with identical
-        results: under the default lists backend each is re-priced the
-        moment it pops; under a batch-capable backend (scipy) the pop phase
-        collects every stale entry within the refresh band and one
-        multi-source backend call refreshes all their trees at once.  The
-        fixpoint — which entries end up fresh, and the fold over their
-        exact scores — does not depend on the refresh order, so selections
-        (hence allocations) are bit-identical across backends.
+        A stale entry is re-priced the moment it pops and pushed back.
         """
         if not self._pending:
             return None
         self.stats.eager_equivalent_calls += len(self._source_live)
-        batched = get_backend().supports_batch
         heap = self._heap
         stats = self.stats
         fresh: list[tuple[int, int, float]] = []  # (source, index, exact score)
         fresh_scores: dict[int, float] = {}
-        fresh_trees: dict[int, _PricedTree] = {}
+        fresh_trees: dict[int, CompactTree] = {}
         anchor = math.inf
         band = self._band
         while True:
-            stale: dict[int, list[int]] = {}  # source -> popped stale indices
             while heap and heap[0][0] <= anchor + band:
                 score, idx, epoch = heapq.heappop(heap)
                 if self._selected[idx] or self._dropped[idx]:
@@ -702,12 +616,6 @@ class PathPricingEngine:
                     fresh_trees[idx] = self._trees[source]
                     if score < anchor:
                         anchor = score
-                elif batched:
-                    stale.setdefault(source, []).append(idx)
-                    if anchor == math.inf:
-                        # No fresh minimum yet: refresh before draining the
-                        # whole heap (laziness over batching).
-                        break
                 else:
                     tree = self._get_tree(source)
                     stats.repricings += 1
@@ -718,24 +626,6 @@ class PathPricingEngine:
                         continue
                     s = self._score(idx, req, d)
                     heapq.heappush(heap, (s, idx, self._source_epoch.get(source, 0)))
-            if stale:
-                trees = self._get_trees_batch(list(stale))
-                for source, idxs in stale.items():
-                    tree = trees[source]
-                    epoch = self._source_epoch.get(source, 0)
-                    for position, idx in enumerate(idxs):
-                        if position:
-                            # Mirror the sequential path's counters: the
-                            # second+ entry of a source hits its live tree.
-                            stats.tree_reuses += 1
-                        stats.repricings += 1
-                        req = self._requests[idx]
-                        d = tree.dist[req.target]
-                        if d == _INF:
-                            self._drop(idx)
-                            continue
-                        heapq.heappush(heap, (self._score(idx, req, d), idx, epoch))
-                continue
             if not fresh:
                 return None
             winner = self._fold(fresh)
@@ -929,7 +819,7 @@ class PathPricingEngine:
                 _INITIAL_TREE_MEMO_KEY, {}
             )
         self._trees = {}
-        self._index = self._kernel.make_invalidation_index()
+        self._index = BitmaskIndex()
         for source in list(self._source_epoch):
             self._source_epoch[source] += 1
         by_source: dict[int, list[int]] = {}
@@ -959,7 +849,8 @@ class PathPricingEngine:
     def fork(self) -> "PathEngineCheckpoint":
         """Snapshot the engine's mutable state into an immutable checkpoint.
 
-        Cached :class:`_PricedTree` objects are immutable, so the snapshot
+        Cached :class:`~repro.graphs.shortest_path.CompactTree` objects are
+        immutable, so the snapshot
         shares them by reference (copy-on-write for free: a later eviction
         replaces dict entries, never mutates a tree) — only the heap, the
         flag arrays and the bookkeeping dicts are copied.  The owning
@@ -974,8 +865,6 @@ class PathPricingEngine:
             pending=self._pending,
             source_live=tuple(self._source_live.items()),
             trees=tuple(self._trees.items()),
-            # Tagged, kernel-agnostic payload: either index flavor restores
-            # from either snapshot (replays may cross kernel tiers).
             edge_sources=self._index.snapshot(),
             source_epoch=tuple(self._source_epoch.items()),
         )
@@ -1006,7 +895,7 @@ class PathPricingEngine:
         self._pending = checkpoint.pending
         self._source_live = dict(checkpoint.source_live)
         self._trees = dict(checkpoint.trees)
-        self._index = self._kernel.make_invalidation_index()
+        self._index = BitmaskIndex()
         self._index.restore(checkpoint.edge_sources)
         self._source_epoch = dict(checkpoint.source_epoch)
         self._w_list = None
@@ -1182,7 +1071,7 @@ class BundlePricingEngine:
         self._dirty = bytearray(b"\x01") * n
         self._pending = n
         self._kernel = get_kernel()
-        self.stats = PricingStats(kernel_name=self._kernel.name)
+        self.stats = PricingStats()
 
         item_to_bids: dict[int, list[int]] = {}
         for i, bundle in enumerate(self._bundles):
@@ -1195,14 +1084,14 @@ class BundlePricingEngine:
             sizes = np.array([b.size for b in self._bundles], dtype=np.int64)
             starts = np.zeros(n, dtype=np.int64)
             np.cumsum(sizes[:-1], out=starts[1:])
-            # Kernel-dispatched CSR sweep (np.add.reduceat in every tier).
-            # reduceat sums sequentially while the reference ndarray.sum is
-            # pairwise, so for large bundles the two can differ by a few ulps
-            # in either direction.  Heap keys must be true lower bounds of
-            # the reference scores; the kernel shaves a relative 1e-9 (orders
-            # of magnitude above the worst-case summation error, which is
-            # bounded by ~bundle_size * 2^-52 relative) to guarantee it, at
-            # the cost of at most one extra heap pop per bid.
+            # One CSR sweep.  reduceat sums sequentially while the reference
+            # ndarray.sum is pairwise, so for large bundles the two can
+            # differ by a few ulps in either direction.  Heap keys must be
+            # true lower bounds of the reference scores; the kernel shaves a
+            # relative 1e-9 (orders of magnitude above the worst-case
+            # summation error, which is bounded by ~bundle_size * 2^-52
+            # relative) to guarantee it, at the cost of at most one extra
+            # heap pop per bid.
             scores = self._kernel.bundle_scores(
                 duals.weights, flat, starts,
                 np.asarray(self._values, dtype=np.float64),

@@ -51,21 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serial; 0 = all cores; results are bit-identical at any --jobs)",
     )
     run_parser.add_argument(
-        "--backend",
-        default=None,
-        help="shortest-path backend for this run (e.g. 'lists', 'scipy'); an "
-        "explicit choice always beats an inherited REPRO_SP_BACKEND env var, "
-        "including inside --jobs worker processes",
-    )
-    run_parser.add_argument(
-        "--kernel",
-        default=None,
-        help="compute kernel for this run ('lists', 'numpy', 'numba'); an "
-        "explicit choice always beats an inherited REPRO_KERNEL env var, "
-        "including inside --jobs worker processes; all kernels are "
-        "bit-identical",
-    )
-    run_parser.add_argument(
         "--no-trace",
         action="store_true",
         help="answer payment/audit probe runs from scratch instead of by "
@@ -96,16 +81,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             spec = get_experiment(experiment_id)
             print(f"{experiment_id}  [{spec.paper_artifact}]  {spec.title}")
         return 0
-
-    if getattr(args, "backend", None):
-        from repro.graphs.shortest_path import set_backend_from_cli
-
-        set_backend_from_cli(args.backend, parser)
-
-    if getattr(args, "kernel", None):
-        from repro.kernels import set_kernel_from_cli
-
-        set_kernel_from_cli(args.kernel, parser)
 
     quick = not args.full
     use_trace = not args.no_trace

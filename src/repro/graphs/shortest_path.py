@@ -6,61 +6,60 @@ under the *current* dual weights ``y_e >= 0``.  Weights are always
 non-negative, so Dijkstra with a binary heap is correct; Bellman-Ford is
 provided as an independent oracle for differential testing.
 
-Two Dijkstra implementations are offered with identical semantics:
+One compute path
+----------------
+Every shortest-path tree of the program — the pricing engine's, the
+partition shards' and :func:`single_source_dijkstra`'s — comes from
+:func:`shortest_path_tree`, which picks its implementation by graph size:
 
-* :func:`single_source_dijkstra` — the production hot loop.  It runs over
-  flat Python lists (the CSR adjacency pre-extracted once per graph via
-  :meth:`~repro.graphs.graph.CapacitatedGraph.csr_lists`, the weight vector
-  converted once per call) and an array-backed binary heap of ``(dist,
-  vertex)`` pairs, so the inner relaxation performs no per-edge numpy scalar
-  boxing.  Its output — distances, parents and therefore extracted paths —
-  is bit-for-bit identical to :func:`reference_dijkstra`.
-* :func:`reference_dijkstra` — the original straightforward numpy-indexing
-  implementation, kept as the differential-testing oracle for the fast one.
+* on graphs with at least :data:`C_TREE_MIN_VERTICES` vertices it runs
+  ``scipy.sparse.csgraph.dijkstra`` for the one source and rebuilds the
+  parents with numpy (see below);
+* on smaller graphs, where one scipy call costs more than the whole Python
+  loop, it runs :func:`dijkstra_lists`, an array-heap Dijkstra over flat
+  Python lists (the CSR adjacency pre-extracted once per graph via
+  :meth:`~repro.graphs.graph.CapacitatedGraph.csr_lists`).
 
-Both tie-break identically: heap entries are ``(dist, vertex)`` tuples (so
-equal distances settle in vertex order), and a relaxation only overwrites a
-parent on a strict improvement (so the first arc, in CSR order from the
-earliest-settled tail, that attains the final distance is the parent).
+Both return the same :class:`CompactTree`, bit for bit.  The loop breaks
+ties like :func:`reference_dijkstra`, the differential-testing oracle: heap
+entries are ``(dist, vertex)`` tuples (so equal distances settle in vertex
+order), and a relaxation only overwrites a parent on a strict improvement
+(so the first arc, in CSR order from the earliest-settled tail, that
+attains the final distance is the parent).
 
-Pluggable backends
-------------------
-Full-tree computations (no ``targets`` early exit) are routed through a
-process-global **backend registry**:
+Why the C tree has the loop's bits
+----------------------------------
+*Distances.*  With non-negative weights, ``x -> fl(x + w)`` is monotone and
+never decreases ``x``, so any correct Dijkstra computes, at every vertex,
+the minimum over all paths of the left-to-right rounded path sum — one
+well-defined double, whatever the heap or the tie-breaking.
 
-* ``"lists"`` — the flat-Python-list kernel above (the default);
-* ``"scipy"`` — batched ``scipy.sparse.csgraph.dijkstra`` over CSR arrays
-  cached on :attr:`CapacitatedGraph.substrate_cache`, with parent extraction
-  replaying the lists kernel's exact tie-breaking, so distances, parents and
-  therefore every downstream allocation are **bit-identical** to the lists
-  backend (enforced by the differential backend-parity suite).  Its batched
-  entry point :func:`multi_source_dijkstra` computes several source trees in
-  one vectorized C call — the pricing engine uses it to prime and to refresh
-  invalidated trees.
+*Parents.*  The loop's parent of ``v`` is the first relaxation, tails in
+settle order and arcs in CSR order within a tail, whose sum equals
+``dist[v]`` bit for bit.  Call an arc *attaining* when its sum equals
+``dist[head]`` and ``dist[tail] < dist[head]``.  When every reached vertex
+has an attaining arc, each one is in the heap at its final distance before
+any vertex at that distance settles, so vertices settle in ``(dist,
+vertex)`` order, and attaining arcs relax ``v`` before any arc whose tail
+is as far as ``v``.  CSR groups arcs by ascending tail, so the winner is the
+attaining arc first in ``(dist[tail], CSR position)`` order: the only one
+when there are no ties, else the first of its head's run after one stable
+sort.
 
-Select with :func:`set_backend`/:func:`use_backend` or the
-``REPRO_SP_BACKEND`` environment variable.  The scipy backend transparently
-falls back to the lists kernel for the cases outside its contract (graphs
-with parallel edges, non-positive weights, explicit ``targets``), so
-selecting it is always safe.
-
-Why the scipy distances are bit-identical: with strictly positive weights
-the Dijkstra fixpoint over IEEE doubles is tie-break independent — every
-settled vertex satisfies ``dist[v] = min_u (dist[u] + w(u, v))`` over the
-tails with strictly smaller distance, and induction over the settle order
-shows any two conforming implementations compute the same double at every
-vertex.  Parents are then *reconstructed* under the lists kernel's rule (the
-first arc, in ``(settle rank of tail, CSR position)`` order, whose relaxation
-attains the final distance bit-for-bit), rather than trusting scipy's own
-predecessor tie-breaking.
+*Fallbacks.*  The C path needs scipy, all weights ``> 0`` on the graph's
+arcs and no parallel arcs (scipy's CSR canonicalization sums duplicate
+entries).  A reached vertex without an attaining arc — reached only through
+a weight absorbed by rounding, ``fl(d + w) == d`` — leaves the settle order
+unprovable, and the tree is recomputed by the loop.  Outside these cases
+the two are equal by the argument above; ``tests/test_tree_parity.py``
+checks it array for array.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
-import os
-import warnings
-from contextlib import contextmanager
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,22 +68,26 @@ from repro.exceptions import NoPathError
 from repro.graphs.graph import CapacitatedGraph
 
 __all__ = [
+    "C_TREE_MIN_VERTICES",
+    "CompactTree",
     "ShortestPathResult",
     "dijkstra_lists",
+    "shortest_path_tree",
     "single_source_dijkstra",
-    "multi_source_dijkstra",
     "reference_dijkstra",
     "shortest_path",
     "bellman_ford",
-    "set_backend",
-    "get_backend",
-    "use_backend",
-    "available_backends",
-    "BACKEND_ENV_VAR",
 ]
 
-#: Environment variable consulted for the initial backend selection.
-BACKEND_ENV_VAR = "REPRO_SP_BACKEND"
+#: Graphs with at least this many vertices get C trees.  Measured per tree
+#: under dual-shaped weights on square grids: the loop wins on 36 vertices,
+#: the two are even on 64 and the C path wins from 100 on (about 2x, and
+#: 3.5x or more on the 360-vertex ISP composite; the loop and C rows of
+#: ``benchmarks/bench_micro_primitives.py`` bracket the threshold).  The
+#: campaign, service and auction graphs have at most 36 vertices.
+C_TREE_MIN_VERTICES = 100
+
+_CSGRAPH_KEY = "shortest_path/csgraph_arrays"
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,43 @@ class ShortestPathResult:
         return used
 
 
+class CompactTree:
+    """A shortest-path tree in the form the hot paths keep it.
+
+    ``dist`` is an ``array('d')`` and the parents are ``array('i')``: their
+    items index as Python ``float`` and ``int`` (no numpy scalar boxing) at
+    a quarter of a list's memory.  ``edge_mask`` has bit ``e`` set for
+    every parent edge ``e`` — the footprint the pricing engine's
+    invalidation index keys on.  Trees are immutable once built, so caches
+    and checkpoints share them by reference.
+    """
+
+    __slots__ = ("source", "dist", "parent_vertex", "parent_edge", "edge_mask")
+
+    def __init__(self, source, dist, parent_vertex, parent_edge, edge_mask):
+        self.source = source
+        self.dist = dist
+        self.parent_vertex = parent_vertex
+        self.parent_edge = parent_edge
+        self.edge_mask = edge_mask
+
+    def path_to(self, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(vertex_path, edge_id_path)`` from the source to a reachable
+        ``target``."""
+        vertices = [target]
+        edges: list[int] = []
+        v = target
+        parent_edge = self.parent_edge
+        parent_vertex = self.parent_vertex
+        while v != self.source:
+            edges.append(parent_edge[v])
+            v = parent_vertex[v]
+            vertices.append(v)
+        vertices.reverse()
+        edges.reverse()
+        return tuple(vertices), tuple(edges)
+
+
 def _validate_weights(graph: CapacitatedGraph, weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (graph.num_edges,):
@@ -171,15 +211,13 @@ def dijkstra_lists(
     source: int,
     targets: set[int] | None = None,
 ) -> tuple[list[float], list[int], list[int]]:
-    """The Dijkstra hot loop over flat Python lists.
+    """The Dijkstra loop over flat Python lists.
 
     Returns ``(dist, parent_vertex, parent_edge)`` as plain lists
-    (unreachable vertices carry ``inf`` / ``-1``).  This is the shared core
-    of :func:`single_source_dijkstra` (which wraps it in numpy arrays and
-    input validation) and of the pricing engine's tree cache (which keeps
-    the raw lists to avoid per-call array construction on small graphs).
-    Arithmetic and tie-breaking are bit-identical to
-    :func:`reference_dijkstra`.
+    (unreachable vertices carry ``inf`` / ``-1``).  With ``targets`` the
+    loop stops once all of them are settled: only their entries are then
+    exact, other vertices may keep tentative values.  Arithmetic and
+    tie-breaking are bit-identical to :func:`reference_dijkstra`.
     """
     inf = float("inf")
     dist = [inf] * n
@@ -218,249 +256,127 @@ def dijkstra_lists(
     return dist, parent_vertex, parent_edge
 
 
-# --------------------------------------------------------------------- #
-# Backend registry
-# --------------------------------------------------------------------- #
-class ListsBackend:
-    """The default backend: the flat-Python-list Dijkstra kernel."""
-
-    name = "lists"
-    #: Whether :meth:`trees` computes several sources in one vectorized call
-    #: (the lists kernel just loops, so batching buys nothing).
-    supports_batch = False
-
-    def trees(
-        self,
-        graph: CapacitatedGraph,
-        sources: list[int],
-        weights: np.ndarray,
-        *,
-        weights_list: list[float] | None = None,
-    ) -> list[tuple[list[float], list[int], list[int]]]:
-        """Full shortest-path trees ``(dist, parent_vertex, parent_edge)``
-        as raw lists, one per source, in ``sources`` order.
-
-        Per-tree computation dispatches through the active compute kernel
-        (:mod:`repro.kernels`), so ``REPRO_KERNEL=numba`` accelerates this
-        backend too; every kernel tier is bit-identical to the lists loop.
-        """
-        from repro.kernels import get_kernel
-
-        kernel = get_kernel()
-        if kernel.wants_weights_list and weights_list is None:
-            weights_list = weights.tolist()
-        return [
-            kernel.dijkstra(graph, weights, weights_list, s) for s in sources
-        ]
-
-
-class ScipyBackend:
-    """Batched ``scipy.sparse.csgraph.dijkstra`` with lists-kernel parents.
-
-    Distances for all requested sources come from one vectorized call on a
-    CSR matrix whose structure (``indptr``/``indices``/arc edge ids/arc
-    tails) is cached on the graph's substrate cache; only the per-arc data
-    vector ``weights[arc_edge_ids]`` is rebuilt per call.  Parents are then
-    reconstructed under the exact tie-breaking of :func:`dijkstra_lists`
-    (see the module docstring), keeping the output bit-identical.
-
-    Outside its contract — parallel edges (scipy's CSR canonicalization
-    sums duplicate entries), non-positive weights (the tie-break-independence
-    argument needs ``w > 0``) — it silently delegates to the lists kernel.
-    """
-
-    name = "scipy"
-    supports_batch = True
-
-    _CACHE_KEY = "shortest_path/scipy_csr"
-
-    def __init__(self) -> None:
-        from scipy.sparse import csr_matrix  # noqa: F401 - fail fast if absent
-        from scipy.sparse.csgraph import dijkstra  # noqa: F401
-
-    def _structure(self, graph: CapacitatedGraph):
-        cached = graph.substrate_cache.get(self._CACHE_KEY)
-        if cached is None:
-            indptr = graph.indptr
-            arc_heads = graph.adjacency_heads
-            arc_eids = graph.adjacency_edge_ids
-            arc_tails = np.repeat(
-                np.arange(graph.num_vertices, dtype=np.int64), np.diff(indptr)
-            )
-            # Parallel arcs (same tail and head) would be summed by scipy's
-            # duplicate canonicalization; detect once and delegate forever.
-            pair_keys = arc_tails * graph.num_vertices + arc_heads
-            has_parallel = bool(np.unique(pair_keys).size < pair_keys.size)
-            cached = (
-                indptr.astype(np.int32),
-                arc_heads.astype(np.int32),
-                arc_eids,
-                arc_tails,
-                has_parallel,
-            )
-            graph.substrate_cache[self._CACHE_KEY] = cached
-        return cached
-
-    def trees(
-        self,
-        graph: CapacitatedGraph,
-        sources: list[int],
-        weights: np.ndarray,
-        *,
-        weights_list: list[float] | None = None,
-    ) -> list[tuple[list[float], list[int], list[int]]]:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
-
-        indptr, arc_heads, arc_eids, arc_tails, has_parallel = self._structure(graph)
-        weights = np.asarray(weights, dtype=np.float64)
-        if has_parallel or (weights.size and float(weights.min()) <= 0.0):
-            return _LISTS_BACKEND.trees(
-                graph, sources, weights, weights_list=weights_list
-            )
-
-        n = graph.num_vertices
-        arc_w = weights[arc_eids]
-        matrix = csr_matrix((arc_w, arc_heads, indptr), shape=(n, n), copy=False)
-        dist_matrix = csgraph_dijkstra(matrix, directed=True, indices=sources)
-        dist_matrix = np.atleast_2d(dist_matrix)
-
-        results: list[tuple[list[float], list[int], list[int]]] = []
-        for row, source in enumerate(sources):
-            dist = dist_matrix[row]
-            parent_vertex, parent_edge = self._reconstruct_parents(
-                n, arc_tails, arc_heads, arc_eids, arc_w, dist, source
-            )
-            if parent_vertex is None:
-                # Bitwise inconsistency (cannot happen under the contract,
-                # but never emit a tree we cannot prove identical).
-                results.append(
-                    _LISTS_BACKEND.trees(
-                        graph, [source], weights, weights_list=weights_list
-                    )[0]
-                )
-                continue
-            results.append((dist.tolist(), parent_vertex, parent_edge))
-        return results
-
-    @staticmethod
-    def _reconstruct_parents(
-        n: int,
-        arc_tails: np.ndarray,
-        arc_heads: np.ndarray,
-        arc_eids: np.ndarray,
-        arc_w: np.ndarray,
-        dist: np.ndarray,
-        source: int,
-    ) -> tuple[list[int], list[int]] | tuple[None, None]:
-        """Parents under the lists kernel's tie-breaking, from distances.
-
-        The kernel's final parent of ``v`` is the first relaxation — tails
-        in settle order, arcs in CSR order within a tail — that attains the
-        final ``dist[v]`` exactly.  With strictly positive weights every
-        attaining tail has strictly smaller distance, so settle order among
-        candidates is the ``(dist, vertex)`` lexicographic order and the
-        winner is the candidate arc minimizing ``(settle_rank[tail],
-        csr_position)``.
-        """
-        finite_tail = np.isfinite(dist[arc_tails])
-        sums = dist[arc_tails] + arc_w
-        candidate = finite_tail & (sums == dist[arc_heads])
-
-        parent_vertex = np.full(n, -1, dtype=np.int64)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-
-        cidx = np.nonzero(candidate)[0]
-        if cidx.size:
-            # Settle rank: vertices sorted by (dist, vertex id).
-            rank = np.empty(n, dtype=np.int64)
-            rank[np.lexsort((np.arange(n), dist))] = np.arange(n)
-            heads_c = arc_heads[cidx].astype(np.int64)
-            order = np.lexsort((cidx, rank[arc_tails[cidx]], heads_c))
-            sorted_heads = heads_c[order]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = sorted_heads[1:] != sorted_heads[:-1]
-            winners = cidx[order[first]]
-            win_heads = arc_heads[winners].astype(np.int64)
-            parent_vertex[win_heads] = arc_tails[winners]
-            parent_edge[win_heads] = arc_eids[winners]
-
-        # Every finite, non-source vertex must have found a parent.
-        reachable = np.isfinite(dist)
-        reachable[source] = False
-        if np.any(reachable & (parent_edge < 0)):  # pragma: no cover - guard
-            return None, None
-        return parent_vertex.tolist(), parent_edge.tolist()
-
-
-_LISTS_BACKEND = ListsBackend()
-_BACKENDS: dict[str, type] = {"lists": ListsBackend, "scipy": ScipyBackend}
-_active_backend = None
-
-
-def available_backends() -> list[str]:
-    """Registered backend names (``"scipy"`` listed even if scipy is absent;
-    selecting it then raises)."""
-    return sorted(_BACKENDS)
-
-
-def get_backend():
-    """The active backend instance (resolving ``REPRO_SP_BACKEND`` on first
-    use; unknown or unavailable values warn and fall back to ``"lists"``)."""
-    global _active_backend
-    if _active_backend is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "lists").strip() or "lists"
+def _csgraph_arrays(graph: CapacitatedGraph):
+    """The graph's arcs as a scipy CSR template plus ``(tails, heads, edge
+    ids)`` for the parent rebuild, cached on the graph; ``None`` when the
+    graph has parallel arcs or scipy is missing."""
+    cache = graph.substrate_cache
+    if _CSGRAPH_KEY not in cache:
+        # scipy is imported on the first large graph, so programs whose
+        # graphs all stay on the loop never load its graph module.
         try:
-            set_backend(name)
-        except (KeyError, ImportError) as exc:
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}={name!r} unavailable ({exc}); using 'lists'",
-                stacklevel=2,
+            from scipy.sparse import csr_matrix
+        except ImportError:  # pragma: no cover - scipy is installed wherever tests run
+            cache[_CSGRAPH_KEY] = None
+            return None
+        n = graph.num_vertices
+        indptr = graph.indptr
+        heads = graph.adjacency_heads
+        tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        pairs = tails * n + heads
+        if heads.size == 0 or np.unique(pairs).size < pairs.size:
+            cache[_CSGRAPH_KEY] = None
+        else:
+            template = csr_matrix(
+                (np.ones(heads.size), heads.astype(np.int32), indptr.astype(np.int32)),
+                shape=(n, n),
             )
-            _active_backend = _LISTS_BACKEND
-    return _active_backend
+            cache[_CSGRAPH_KEY] = (template, tails, heads, graph.adjacency_edge_ids)
+    return cache[_CSGRAPH_KEY]
 
 
-def set_backend(name: str):
-    """Select the process-global shortest-path backend by name.
+def _csgraph_tree(graph, weights, source, arrays) -> CompactTree | None:
+    """The C tree of ``source``, or ``None`` when its parents are not
+    provably the loop's (see the module docstring)."""
+    from scipy.sparse.csgraph import dijkstra
 
-    Returns the backend instance.  Raises ``KeyError`` for unknown names and
-    ``ImportError`` when the scipy backend is requested without scipy.
+    template, tails, heads, eids = arrays
+    arc_w = weights[eids]
+    if not arc_w.min() > 0.0:
+        return None
+    # A shallow copy shares the template's index arrays and skips the
+    # constructor's format checks; only the weights are per call.
+    matrix = copy.copy(template)
+    matrix.data = arc_w
+    dist = dijkstra(matrix, directed=True, indices=source)
+
+    tail_d = dist[tails]
+    head_d = dist[heads]
+    # Attaining arcs with dist[tail] < dist[head] (so both are finite).  An
+    # arc attaining only by absorption (dist[tail] == dist[head]) is left
+    # out, so a vertex reached only through one gets no parent and the count
+    # check below falls back.
+    parent_arcs = np.flatnonzero((tail_d + arc_w == head_d) & (tail_d < head_d))
+    reached = np.count_nonzero(dist != np.inf) - 1  # the source has no parent
+    if parent_arcs.size != reached:
+        # Ties: stable sort by (head, dist[tail]) keeps CSR order within
+        # equal keys, so the first arc of each head's run is the loop's.
+        order = parent_arcs[np.lexsort((tail_d[parent_arcs], heads[parent_arcs]))]
+        sorted_heads = heads[order]
+        first = np.empty(order.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(sorted_heads[1:], sorted_heads[:-1], out=first[1:])
+        parent_arcs = order[first]
+
+    n = graph.num_vertices
+    children = heads[parent_arcs]
+    parent_vertex = np.full(n, -1, dtype=np.int32)
+    parent_vertex[children] = tails[parent_arcs]
+    # One parent per reached vertex: none missing, no head twice.
+    if np.count_nonzero(parent_vertex >= 0) != reached:
+        return None
+    parent_edge = np.full(n, -1, dtype=np.int32)
+    tree_edges = eids[parent_arcs]
+    parent_edge[children] = tree_edges
+    used = np.zeros(graph.num_edges, dtype=bool)
+    used[tree_edges] = True
+    mask = int.from_bytes(np.packbits(used, bitorder="little").tobytes(), "little")
+    return CompactTree(
+        source,
+        array("d", dist.tobytes()),
+        array("i", parent_vertex.tobytes()),
+        array("i", parent_edge.tobytes()),
+        mask,
+    )
+
+
+def shortest_path_tree(
+    graph: CapacitatedGraph,
+    weights: np.ndarray,
+    source: int,
+    targets: set[int] | None = None,
+    get_weights_list=None,
+) -> CompactTree:
+    """The shortest-path tree of ``source`` under ``weights`` (float64,
+    non-negative, one per edge): a C tree on graphs of at least
+    :data:`C_TREE_MIN_VERTICES` vertices, the loop otherwise or when the C
+    path cannot prove the loop's parents.
+
+    ``targets`` lets the loop stop early; only the targets' entries are
+    then guaranteed exact.  ``get_weights_list``, if given, returns
+    ``weights.tolist()`` for the loop — callers that build several trees
+    under one weight vector convert it once.
     """
-    global _active_backend
-    key = str(name).strip().lower()
-    if key not in _BACKENDS:
-        raise KeyError(
-            f"unknown shortest-path backend {name!r}; available: {available_backends()}"
-        )
-    _active_backend = _LISTS_BACKEND if key == "lists" else _BACKENDS[key]()
-    return _active_backend
-
-
-def set_backend_from_cli(name: str, parser) -> None:
-    """:func:`set_backend` with argparse-friendly error reporting.
-
-    Shared by the experiments and scenarios CLIs' ``--backend`` flags: an
-    explicit argument always beats an inherited ``REPRO_SP_BACKEND``; an
-    unknown or unavailable backend exits via ``parser.error``.
-    """
-    try:
-        set_backend(name)
-    except (KeyError, ImportError) as exc:
-        parser.error(str(exc))
-
-
-@contextmanager
-def use_backend(name: str):
-    """Context manager form of :func:`set_backend` (restores the previous
-    backend on exit) — the parity tests' workhorse."""
-    global _active_backend
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield _active_backend
-    finally:
-        _active_backend = previous
+    n = graph.num_vertices
+    if n >= C_TREE_MIN_VERTICES:
+        arrays = _csgraph_arrays(graph)
+        if arrays is not None:
+            tree = _csgraph_tree(graph, weights, source, arrays)
+            if tree is not None:
+                return tree
+    indptr, heads, eids = graph.csr_lists()
+    w = get_weights_list() if get_weights_list is not None else weights.tolist()
+    dist, parent_vertex, parent_edge = dijkstra_lists(
+        n, indptr, heads, eids, w, source, targets
+    )
+    mask = 0
+    for eid in parent_edge:
+        if eid >= 0:
+            mask |= 1 << eid
+    return CompactTree(
+        source, array("d", dist), array("i", parent_vertex),
+        array("i", parent_edge), mask,
+    )
 
 
 def single_source_dijkstra(
@@ -482,73 +398,34 @@ def single_source_dijkstra(
         Array of length ``graph.num_edges`` with the weight of each logical
         edge (undirected edges have one weight used in both directions).
     targets:
-        Optional early-exit set: once every vertex in ``targets`` has been
-        settled the search stops.  Distances of unsettled vertices are left
-        as ``inf`` even if they are reachable, so only use the result for the
-        requested targets in that case.
+        Optional early-exit set: the search may stop once every vertex in
+        ``targets`` has been settled.  Only the distances, parents and paths
+        of the requested targets are then exact; other vertices may keep
+        tentative distances and parents, or ``inf`` when never reached.
 
     Notes
     -----
-    The output is bit-for-bit identical to :func:`reference_dijkstra` —
-    same distances, same parents, same extracted paths — whichever backend
-    is active (the scipy backend replays the lists kernel's tie-breaking).
-    The ``targets`` early exit is a lists-kernel-only optimization, so
-    passing ``targets`` always uses the lists kernel.
+    The tree comes from :func:`shortest_path_tree` through the compute
+    kernel (:mod:`repro.kernels`).  Without ``targets`` it is bit-for-bit
+    identical to :func:`reference_dijkstra`; with ``targets`` the two agree
+    on the requested targets.
     """
+    from repro.kernels import get_kernel
+
     n = graph.num_vertices
     source = int(source)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
     weights = _validate_weights(graph, weights)
-
     if targets is not None:
-        from repro.kernels import get_kernel
-
-        remaining = set(int(t) for t in targets)
-        dist, parent_vertex, parent_edge = get_kernel().dijkstra(
-            graph, weights, None, source, remaining
-        )
-    else:
-        dist, parent_vertex, parent_edge = get_backend().trees(
-            graph, [source], weights
-        )[0]
-
+        targets = set(int(t) for t in targets)
+    tree = get_kernel().dijkstra(graph, weights, source, targets)
     return ShortestPathResult(
         source=source,
-        distances=np.asarray(dist, dtype=np.float64),
-        parent_vertex=np.asarray(parent_vertex, dtype=np.int64),
-        parent_edge=np.asarray(parent_edge, dtype=np.int64),
+        distances=np.asarray(tree.dist, dtype=np.float64),
+        parent_vertex=np.asarray(tree.parent_vertex, dtype=np.int64),
+        parent_edge=np.asarray(tree.parent_edge, dtype=np.int64),
     )
-
-
-def multi_source_dijkstra(
-    graph: CapacitatedGraph,
-    sources,
-    weights: np.ndarray,
-) -> list[ShortestPathResult]:
-    """Full shortest-path trees for several sources in one backend call.
-
-    Under the scipy backend all distance computations happen in a single
-    vectorized ``csgraph.dijkstra`` call; under the lists backend this is an
-    ordinary loop.  Each returned tree is bit-identical to the corresponding
-    :func:`single_source_dijkstra` result.
-    """
-    n = graph.num_vertices
-    sources = [int(s) for s in sources]
-    for s in sources:
-        if not 0 <= s < n:
-            raise ValueError(f"source {s} out of range")
-    weights = _validate_weights(graph, weights)
-    trees = get_backend().trees(graph, sources, weights) if sources else []
-    return [
-        ShortestPathResult(
-            source=s,
-            distances=np.asarray(dist, dtype=np.float64),
-            parent_vertex=np.asarray(pv, dtype=np.int64),
-            parent_edge=np.asarray(pe, dtype=np.int64),
-        )
-        for s, (dist, pv, pe) in zip(sources, trees)
-    ]
 
 
 def reference_dijkstra(
@@ -560,9 +437,10 @@ def reference_dijkstra(
 ) -> ShortestPathResult:
     """The original numpy-indexing Dijkstra, kept as a differential oracle.
 
-    Semantically (and bit-for-bit) equivalent to
-    :func:`single_source_dijkstra`; slower because the relaxation loop boxes
-    a numpy scalar per arc.
+    Bit-for-bit equal to :func:`single_source_dijkstra` without
+    ``targets``; slower because the relaxation loop boxes a numpy scalar
+    per arc.  With ``targets`` it stops once they are all settled, so, as
+    there, only the requested targets are exact.
     """
     n = graph.num_vertices
     source = int(source)

@@ -1,172 +1,169 @@
-"""The unified compute-kernel layer: hot loops behind one registry.
+"""The compute kernel: the three hot loops of every auction round.
 
-Three inner loops dominate every auction round of this reproduction — the
-array-heap Dijkstra (:func:`repro.graphs.shortest_path.dijkstra_lists`),
-the exponential dual update of the commit path
-(:meth:`repro.core.dual_state.DualWeights.apply_selection`) and the
-vectorized CSR bundle scoring of the MUCA engine.  This package hoists all
-three behind a process-global **kernel registry** mirroring the
-shortest-path backend registry of :mod:`repro.graphs.shortest_path`:
+Three inner loops dominate the solvers — the shortest-path tree
+(:func:`repro.graphs.shortest_path.shortest_path_tree`), the exponential
+dual update of the commit path
+(:meth:`repro.core.dual_state.DualWeights.apply_selection`) and the CSR
+bundle scoring of the MUCA engine.  :func:`get_kernel` returns the one
+:class:`Kernel` that runs them; there is no other implementation to select.
 
-* ``"lists"`` — today's pure-Python reference code, unchanged (the
-  default).  Every other tier is tested bit-identical against it.
-* ``"numpy"`` — always available.  Same Dijkstra loop (a sequential binary
-  heap gains nothing from numpy), but two vectorized wins on the commit
-  path: a *multiplier-table* dual update (the per-edge factors
-  ``exp(eps B d / c_e)`` are precomputed over the whole capacity vector
-  once per distinct demand and shared across runs on the same substrate —
-  payment bisections replay the same demands hundreds of times) and a
-  *bitmask invalidation index* for the pricing engine's tree cache
-  (per-source edge sets become Python-int bitmasks; registering a tree is
-  one dict store and invalidating a path is one AND-scan instead of
-  dict-of-sets churn).
-* ``"numba"`` — optional, auto-detected.  The array-heap Dijkstra is
-  JIT-compiled over int64/float64 CSR arrays with the exact relaxation
-  arithmetic and ``(dist, vertex)`` tie-breaking of the lists loop; the
-  commit path reuses the numpy tier's vectorized arithmetic (an
-  independently JIT-compiled ``exp``/dot could round differently, and the
-  determinism contract outranks the last factor of speed).  When numba is
-  not importable the registry **silently falls back to numpy** — selecting
-  ``REPRO_KERNEL=numba`` on a numba-less host must never fail a run.
+* ``dijkstra`` — C trees on large graphs, the Python loop on small ones
+  (see :mod:`repro.graphs.shortest_path` for the size rule and why both
+  give the same bits).
+* ``dual_update`` — a *multiplier table*: the per-edge factors
+  ``exp(eps B d / c_e)`` are computed once over the whole capacity vector
+  per distinct ``(eps, B, d)`` and gathered per committed path.  Payment
+  bisections and trace replays apply the same demands against the same
+  capacities hundreds of times.
+* the pricing engine's tree-cache invalidation index,
+  :class:`BitmaskIndex`: each cached tree's parent-edge set is one
+  Python-int bitmask, so invalidating a path is one OR and one AND-scan.
 
 Determinism contract
 --------------------
-All tiers are **bit-identical** on every output the test suite pins:
-allocations, payments, trace replays and campaign-store content hashes,
-across both shortest-path backends, with and without tracing, at any
-``jobs=``.  The numpy tier's two optimizations preserve bits by
-construction: IEEE division is correctly rounded per element and numpy's
-``exp`` ufunc is positionally stable (``np.exp(x)[ids] ==
-np.exp(x[ids])``, verified by the kernel test suite), so gathering from a
-full-vector multiplier table equals the reference's per-path computation;
-the bitmask index changes only *bookkeeping*, never which trees are
-evicted.  ``math.exp`` is forbidden in every tier — it disagrees with
-``np.exp`` in the last ulp on a few percent of inputs.
-
-Selection mirrors the SP-backend contract: :func:`set_kernel` /
-:func:`use_kernel` / the ``REPRO_KERNEL`` environment variable, with an
-explicit choice (programmatic or ``--kernel``) always beating the
-environment, including inside ``pmap`` workers (the parent resolves the
-kernel pre-fork and ships it, exactly as it ships the SP backend).
+The table is bit-identical to the per-path arithmetic of
+:func:`repro.kernels.oracles.reference_dual_update` by construction:
+IEEE division is correctly rounded per element, so ``(s / c)[ids] ==
+s / c[ids]``, and numpy's ``exp`` ufunc is positionally stable
+(``np.exp(x)[ids] == np.exp(x[ids])``; ``tests/test_kernels.py``
+re-verifies both).  The bitmask index evicts the same trees as the edge-set
+oracle :class:`repro.kernels.oracles.EdgeSetIndex`.  ``math.exp`` is
+forbidden here: it disagrees with ``np.exp`` in the last ulp on a few
+percent of inputs.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
+import weakref
 
-from repro.kernels.lists import ListsKernel
-from repro.kernels.numpy_tier import NumpyKernel
+import numpy as np
 
-__all__ = [
-    "KERNEL_ENV_VAR",
-    "available_kernels",
-    "get_kernel",
-    "set_kernel",
-    "set_kernel_from_cli",
-    "use_kernel",
-    "kernel_available",
-]
+from repro.graphs.shortest_path import shortest_path_tree
 
-#: Environment variable consulted for the initial kernel selection.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
+__all__ = ["BitmaskIndex", "Kernel", "get_kernel"]
 
-_LISTS_KERNEL = ListsKernel()
-_NUMPY_KERNEL = NumpyKernel()
+#: Above this edge count a full-vector exp table costs more than the
+#: per-path gathers it saves under typical path lengths; the update then
+#: computes the path's factors directly (the same bits either way).
+_TABLE_MAX_EDGES = 4096
+#: Per-capacity-vector cap on distinct (epsilon, B, demand) tables.
+_TABLE_MAX_ENTRIES = 128
 
-_active_kernel = None
+# capacity-array id -> (weakref to the array, {(eps, B, demand): table}).
+# Keyed by id() with a weakref finalizer so a freed capacity vector drops
+# its tables; the finalizer double-checks identity to survive id reuse.
+# A module-global store, because the hot consumers (payment probes) build a
+# fresh DualWeights per probe around a shared capacity array.
+_TABLE_STORE: dict[int, tuple[weakref.ref, dict]] = {}
 
 
-def _make_kernel(name: str):
-    if name == "lists":
-        return _LISTS_KERNEL
-    if name == "numpy":
-        return _NUMPY_KERNEL
-    if name == "numba":
-        from repro.kernels.numba_tier import load_numba_kernel
+def _multiplier_table(capacities, epsilon, B, demand):
+    key = id(capacities)
+    entry = _TABLE_STORE.get(key)
+    if entry is None or entry[0]() is not capacities:
+        def _evict(_ref, _key=key):
+            stored = _TABLE_STORE.get(_key)
+            if stored is not None and stored[0]() is None:
+                del _TABLE_STORE[_key]
 
-        return load_numba_kernel()  # raises ImportError when numba is absent
-    raise KeyError(
-        f"unknown compute kernel {name!r}; available: {available_kernels()}"
-    )
-
-
-def available_kernels() -> list[str]:
-    """Registered kernel names (``"numba"`` listed even if numba is absent;
-    explicitly selecting it then raises, env resolution falls back)."""
-    return ["lists", "numba", "numpy"]
-
-
-def kernel_available(name: str) -> bool:
-    """Whether ``set_kernel(name)`` would succeed in this environment."""
-    try:
-        _make_kernel(str(name).strip().lower())
-    except (KeyError, ImportError):
-        return False
-    return True
+        entry = (weakref.ref(capacities, _evict), {})
+        _TABLE_STORE[key] = entry
+    tables = entry[1]
+    tkey = (epsilon, B, demand)
+    table = tables.get(tkey)
+    if table is None:
+        if len(tables) >= _TABLE_MAX_ENTRIES:
+            tables.clear()
+        table = np.exp(epsilon * B * demand / capacities)
+        tables[tkey] = table
+    return table
 
 
-def get_kernel():
-    """The active kernel instance, resolving ``REPRO_KERNEL`` on first use.
+class BitmaskIndex:
+    """Which cached shortest-path trees use which edges, as int bitmasks.
 
-    Env-var resolution is forgiving, so an inherited environment can never
-    break a run: an unknown name warns and falls back to ``"lists"``;
-    ``"numba"`` without numba installed falls back **silently** to the
-    numpy tier (same bits, no JIT) — that silent downgrade is part of the
-    kernel contract and is exercised by the test suite.
+    The engine contract: a source is registered only while not indexed
+    (its previous tree was evicted through :meth:`invalidate` first).
     """
-    global _active_kernel
-    if _active_kernel is None:
-        name = os.environ.get(KERNEL_ENV_VAR, "lists").strip().lower() or "lists"
-        try:
-            set_kernel(name)
-        except KeyError as exc:
-            warnings.warn(
-                f"{KERNEL_ENV_VAR}={name!r} unknown ({exc}); using 'lists'",
-                stacklevel=2,
-            )
-            _active_kernel = _LISTS_KERNEL
-        except ImportError:
-            # numba requested but not importable: the numpy tier is the
-            # drop-in replacement (bit-identical, always available).
-            _active_kernel = _NUMPY_KERNEL
-    return _active_kernel
+
+    __slots__ = ("_tree_masks", "_union_mask")
+
+    def __init__(self):
+        self._tree_masks: dict[int, int] = {}
+        # OR of all registered masks: lets a miss (the common case for
+        # off-tree repricings) exit after one AND instead of a full scan.
+        self._union_mask = 0
+
+    def register(self, source: int, tree) -> None:
+        self._tree_masks[source] = tree.edge_mask
+        self._union_mask |= tree.edge_mask
+
+    def invalidate(self, edge_ids) -> list[int]:
+        """Sources whose trees touch any of ``edge_ids``, sorted; drops
+        them from the index.  The caller evicts the trees."""
+        probe = 0
+        for eid in edge_ids:
+            probe |= 1 << eid
+        if not (probe & self._union_mask):
+            return []
+        hit = [s for s, m in self._tree_masks.items() if m & probe]
+        for source in hit:
+            del self._tree_masks[source]
+        union = 0
+        for m in self._tree_masks.values():
+            union |= m
+        self._union_mask = union
+        return sorted(hit)
+
+    def snapshot(self) -> tuple:
+        """Immutable checkpoint payload for :meth:`restore`."""
+        return tuple(sorted(self._tree_masks.items()))
+
+    def restore(self, payload) -> None:
+        self._tree_masks = dict(payload)
+        union = 0
+        for m in self._tree_masks.values():
+            union |= m
+        self._union_mask = union
 
 
-def set_kernel(name: str):
-    """Select the process-global compute kernel by name.
+class Kernel:
+    """The one compute kernel (see the module docstring)."""
 
-    Returns the kernel instance.  Raises ``KeyError`` for unknown names and
-    ``ImportError`` when the numba tier is requested without numba — the
-    explicit API fails fast; only *env-var* resolution falls back.
-    """
-    global _active_kernel
-    _active_kernel = _make_kernel(str(name).strip().lower())
-    return _active_kernel
+    def dijkstra(self, graph, weights, source, targets=None, get_weights_list=None):
+        """One shortest-path tree as a
+        :class:`~repro.graphs.shortest_path.CompactTree`; the arguments are
+        those of :func:`~repro.graphs.shortest_path.shortest_path_tree`."""
+        return shortest_path_tree(graph, weights, source, targets, get_weights_list)
+
+    def dual_update(self, y, capacities, ids, epsilon, B, demand):
+        """Multiply ``y[ids]`` by ``exp(eps B d / c)`` in place; returns the
+        budget increment ``sum c_e (y_e' - y_e)`` as a float."""
+        if capacities.shape[0] > _TABLE_MAX_EDGES:
+            mult = np.exp(epsilon * B * demand / capacities[ids])
+        else:
+            mult = _multiplier_table(capacities, epsilon, B, demand)[ids]
+        old = y[ids]
+        new = old * mult
+        y[ids] = new
+        return float(capacities[ids] @ (new - old))
+
+    def bundle_scores(self, weights, flat, starts, values):
+        """Per-bundle price/value lower bounds over the flattened CSR
+        bundle layout (one ``np.add.reduceat`` pass).
+
+        ``reduceat`` sums sequentially while the reference ``ndarray.sum``
+        is pairwise, so the two can differ by a few ulps; the relative
+        ``1e-9`` shave keeps every score a true lower bound of the
+        reference score.
+        """
+        prices = np.add.reduceat(weights[flat], starts)
+        return (prices / values) * (1.0 - 1e-9)
 
 
-def set_kernel_from_cli(name: str, parser) -> None:
-    """:func:`set_kernel` with argparse-friendly error reporting.
-
-    Shared by the experiments and scenarios CLIs' ``--kernel`` flags: an
-    explicit argument always beats an inherited ``REPRO_KERNEL``; an
-    unknown or unavailable kernel exits via ``parser.error``.
-    """
-    try:
-        set_kernel(name)
-    except (KeyError, ImportError) as exc:
-        parser.error(str(exc))
+_KERNEL = Kernel()
 
 
-@contextmanager
-def use_kernel(name: str):
-    """Context manager form of :func:`set_kernel` (restores the previous
-    kernel on exit) — the parity tests' workhorse."""
-    global _active_kernel
-    previous = get_kernel()
-    set_kernel(name)
-    try:
-        yield _active_kernel
-    finally:
-        _active_kernel = previous
+def get_kernel() -> Kernel:
+    """The compute kernel."""
+    return _KERNEL

@@ -589,7 +589,6 @@ class OnlineAuction:
             "epsilon": self._epsilon,
             "capacity_bound": self._duals.capacity_bound,
             "num_batches": float(self._num_batches),
-            "kernel_name": self._engine.stats.kernel_name,
             **self._engine.stats.as_extra(),
         }
         if self._faults_active:

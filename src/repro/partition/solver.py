@@ -80,6 +80,7 @@ from repro.graphs.partition import (
     build_border_quotient,
     single_region_partition,
 )
+from repro.graphs.shortest_path import CompactTree
 from repro.kernels import get_kernel
 from repro.partition.shards import RegionShard, build_shards
 from repro.types import RunStats
@@ -332,44 +333,30 @@ class _LiveRegion:
             self.engine = None
         self._kernel = get_kernel()
         self._w_list: list[float] | None = None
-        self._trees: dict[int, tuple] = {}
+        self._trees: dict[int, CompactTree] = {}
         self.sp_calls = 0
 
     def invalidate(self) -> None:
         self._w_list = None
         self._trees = {}
 
-    def tree_from(self, local_source: int) -> tuple:
-        """``(dist, parent_vertex, parent_edge)`` rooted at ``local_source``
-        under the region's current dual weights (cached until invalidated)."""
+    def _weights_list(self) -> list[float]:
+        if self._w_list is None:
+            self._w_list = self.duals.weights.tolist()
+        return self._w_list
+
+    def tree_from(self, local_source: int) -> CompactTree:
+        """The shortest-path tree rooted at ``local_source`` under the
+        region's current dual weights (cached until invalidated)."""
         tree = self._trees.get(local_source)
         if tree is None:
-            kernel = self._kernel
-            if kernel.wants_weights_list and self._w_list is None:
-                self._w_list = self.duals.weights.tolist()
-            tree = kernel.dijkstra(
-                self.shard.graph, self.duals.weights, self._w_list, local_source
+            tree = self._kernel.dijkstra(
+                self.shard.graph, self.duals.weights, local_source,
+                get_weights_list=self._weights_list,
             )
             self._trees[local_source] = tree
             self.sp_calls += 1
         return tree
-
-
-def _walk_tree_path(
-    tree: tuple, source_local: int, target_local: int
-) -> tuple[list[int], list[int]]:
-    """Local-id path ``source -> target`` out of a (dist, pv, pe) tree."""
-    _dist, parent_vertex, parent_edge = tree
-    vertices = [target_local]
-    edges: list[int] = []
-    v = target_local
-    while v != source_local:
-        edges.append(parent_edge[v])
-        v = parent_vertex[v]
-        vertices.append(v)
-    vertices.reverse()
-    edges.reverse()
-    return vertices, edges
 
 
 def _splice_loops(
@@ -464,7 +451,7 @@ class _HierarchicalState:
         local = live.shard.local_vertex[vertex]
         seeds: dict[int, float] = {}
         if outbound:
-            dist = live.tree_from(local)[0]
+            dist = live.tree_from(local).dist
             for q in self.region_border_nodes[region]:
                 d = dist[live.shard.local_vertex[int(self.quotient.vertices[q])]]
                 if d != _INF:
@@ -474,7 +461,7 @@ class _HierarchicalState:
                 border_local = live.shard.local_vertex[
                     int(self.quotient.vertices[q])
                 ]
-                d = live.tree_from(border_local)[0][local]
+                d = live.tree_from(border_local).dist[local]
                 if d != _INF:
                     seeds[q] = d
         return seeds
@@ -488,7 +475,7 @@ class _HierarchicalState:
         shard = live.shard
         tail_local = shard.local_vertex[int(self.quotient.vertices[arc.tail])]
         head_local = shard.local_vertex[int(self.quotient.vertices[arc.head])]
-        return live.tree_from(tail_local)[0][head_local]
+        return live.tree_from(tail_local).dist[head_local]
 
     def price_cross(self, request) -> _CrossPlan | None:
         """Hierarchical distance + quotient route for one cross request, or
@@ -564,9 +551,7 @@ class _HierarchicalState:
             live = self.regions[region]
             shard = live.shard
             tree = live.tree_from(shard.local_vertex[g_from])
-            seg_v, seg_e = _walk_tree_path(
-                tree, shard.local_vertex[g_from], shard.local_vertex[g_to]
-            )
+            seg_v, seg_e = tree.path_to(shard.local_vertex[g_to])
             for v in seg_v[1:]:
                 vertices.append(int(shard.vertices[v]))
             for e in seg_e:

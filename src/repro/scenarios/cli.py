@@ -16,9 +16,8 @@ Subcommands
     Render the comparison table of a store without running anything.
 
 ``--jobs`` fans cells over worker processes (results bit-identical at any
-value); an explicit ``--jobs``/``--backend``/``--kernel`` always beats the
-inherited ``REPRO_JOBS``/``REPRO_SP_BACKEND``/``REPRO_KERNEL`` environment
-variables.
+value); an explicit ``--jobs`` always beats the inherited ``REPRO_JOBS``
+environment variable.
 """
 
 from __future__ import annotations
@@ -52,19 +51,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for the cell fan-out (default: REPRO_JOBS env "
         "or serial; 0 = all cores; results are bit-identical at any --jobs)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="shortest-path backend (e.g. 'lists', 'scipy'); an explicit "
-        "choice beats an inherited REPRO_SP_BACKEND env var",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help="compute kernel ('lists', 'numpy', 'numba'); an explicit choice "
-        "beats an inherited REPRO_KERNEL env var; all kernels are "
-        "bit-identical",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit JSON instead of the text report"
@@ -160,17 +146,8 @@ def _emit(result, store: ResultStore | None, as_json: bool) -> int:
         }
         print(dumps_strict(payload, indent=2))
     else:
-        from repro.kernels import get_kernel
-
         title = f"Scenario campaign: {result.suite['name']}"
-        print(
-            render_report(
-                result.records,
-                title=title,
-                content_hash=content_hash,
-                kernel=get_kernel().name,
-            )
-        )
+        print(render_report(result.records, title=title, content_hash=content_hash))
         print(f"  {result.summary_line()}")
     # Nonzero when any structural claim failed OR any cell was quarantined
     # (crashed/timed out through every retry) — a campaign that "completed"
@@ -189,20 +166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"  {name}: {get_suite(name).get('description', '')}")
         print("topology families: " + ", ".join(available_families()))
         return 0
-
-    if args.backend:
-        # Explicit argument beats any inherited REPRO_SP_BACKEND value
-        # (including inside --jobs worker processes, which inherit the
-        # parent's resolved backend).
-        from repro.graphs.shortest_path import set_backend_from_cli
-
-        set_backend_from_cli(args.backend, parser)
-
-    if getattr(args, "kernel", None):
-        # Same precedence contract as --backend, for the compute kernel.
-        from repro.kernels import set_kernel_from_cli
-
-        set_kernel_from_cli(args.kernel, parser)
 
     store = ResultStore(args.store) if args.store else None
 

@@ -35,9 +35,8 @@ DEFAULT_COLUMNS = (
     "ratio",
     "value_ratio",
     "revenue",
-    # Compute-kernel dispatch count (tier-invariant; see repro.kernels) —
-    # attributes bench regressions to kernel-shaped work without putting the
-    # tier *name* into the hashed records.
+    # Compute-kernel work units (trees computed, dual updates applied; see
+    # repro.kernels) — attributes bench regressions to kernel-shaped work.
     "kernel_calls",
     # Partitioned-solving columns (present only on offline cells whose mode
     # set a "partition" entry; see repro.partition).
@@ -119,19 +118,10 @@ def render_report(
     *,
     title: str = "Scenario campaign",
     content_hash: str | None = None,
-    kernel: str | None = None,
 ) -> str:
-    """The full text report: table, aggregates, optional store hash.
-
-    ``kernel`` names the compute-kernel tier the campaign ran under; it is
-    rendered as a header line only (never stored in the records), so the
-    store hash stays bit-identical across tiers while the report remains
-    attributable.
-    """
+    """The full text report: table, aggregates, optional store hash."""
     lines = [campaign_table(records, title=title).render()]
     lines.extend(_aggregate_lines(records))
-    if kernel is not None:
-        lines.append(f"  compute kernel: {kernel}")
     if content_hash is not None:
         lines.append(f"  store hash: {content_hash}")
     return "\n".join(lines)

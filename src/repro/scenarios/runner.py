@@ -289,8 +289,7 @@ def _offline_metrics(
         "admission_rate": allocation.num_selected / max(1, instance.num_requests),
         "stopped_by_budget": bool(allocation.stats.stopped_by_budget),
         "iterations": int(allocation.stats.iterations),
-        # Kernel-invariant dispatch count (never the kernel *name*: records
-        # feed the store content hash, which must not change across tiers).
+        # Compute-kernel work units (trees computed plus dual updates).
         "kernel_calls": float(
             allocation.stats.extra.get("pricing_kernel_calls", 0.0)
         ),

@@ -1,20 +1,16 @@
-"""Parity matrix: compute kernels × shortest-path backends vs the reference.
+"""Parity matrix: tree path × commit path vs the all-oracle reference.
 
-Two process-global registries can change *how* the hot loops run without
-being allowed to change a single output bit: the shortest-path backend
-registry of :mod:`repro.graphs.shortest_path` (``lists`` / ``scipy``) and
-the compute-kernel registry of :mod:`repro.kernels` (``lists`` / ``numpy``
-/ ``numba``).  This suite replays the differential-fuzz corpus (the same
-pinned-seed instance distribution as ``test_differential_fuzz``) once per
-(backend, kernel) combination and compares every run exactly against the
-memoized ``(lists, lists)`` reference.  Instances are rebuilt from the
-seed for each combination so the per-graph tree memo of one run cannot
-mask divergence in another.
-
-Combinations whose optional dependency is missing are skipped with a
-reason (scipy rows without scipy, numba rows without numba) — the *silent
-env fallback* path for a missing numba is covered separately in
-``test_env_precedence.py``.
+Two parts of the compute path have a second implementation kept as an
+oracle (see ``compute_paths.py``): shortest-path trees (``lists``, the
+Python loop, or ``scipy``, C trees with the threshold at 0 so even the
+small corpus graphs take them) and the commit path (``lists``, the per-path
+dual update and edge-set index, or ``numpy``, the production multiplier
+table and bitmask index).  This suite replays the differential-fuzz corpus
+(the same pinned-seed instance distribution as ``test_differential_fuzz``)
+once per combination and compares every run exactly against the memoized
+``(lists, lists)`` reference.  Instances are rebuilt from the seed for each
+combination so the per-graph tree memo of one run cannot mask divergence
+in another.
 """
 
 from __future__ import annotations
@@ -22,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from compute_paths import COMMIT_PATHS, TREE_PATHS, compute_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     DIJKSTRA_SEEDS,
     MUCA_SEEDS,
@@ -35,68 +32,34 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
 from repro.auctions import correlated_auction, random_auction  # noqa: E402
 from repro.core import bounded_muca, bounded_ufp, bounded_ufp_repeat  # noqa: E402
 from repro.graphs.generators import random_digraph, random_graph  # noqa: E402
-from repro.graphs.shortest_path import (  # noqa: E402
-    multi_source_dijkstra,
-    single_source_dijkstra,
-    use_backend,
-)
-from repro.kernels import kernel_available, use_kernel  # noqa: E402
+from repro.graphs.shortest_path import single_source_dijkstra  # noqa: E402
 from repro.online import Batch, OnlineAuction  # noqa: E402
 from repro.utils.prng import ensure_rng  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
 
-_HAVE_SCIPY = True
-try:
-    import scipy  # noqa: F401
-except ImportError:
-    _HAVE_SCIPY = False
-_HAVE_NUMBA = kernel_available("numba")
-
-
-def _combo_params():
-    """Every non-reference (backend, kernel) combination, each skipped with
-    a reason when its optional dependency is absent."""
-    params = []
-    for backend in ("lists", "scipy"):
-        for kernel in ("lists", "numpy", "numba"):
-            if (backend, kernel) == ("lists", "lists"):
-                continue  # the reference itself
-            marks = []
-            if backend == "scipy" and not _HAVE_SCIPY:
-                marks.append(
-                    pytest.mark.skip(reason="the scipy backend needs scipy")
-                )
-            if kernel == "numba" and not _HAVE_NUMBA:
-                marks.append(
-                    pytest.mark.skip(
-                        reason="the numba kernel needs numba (env resolution "
-                        "would fall back to numpy, covered elsewhere)"
-                    )
-                )
-            params.append(
-                pytest.param((backend, kernel), id=f"{backend}-{kernel}", marks=marks)
-            )
-    return params
-
-
-COMBOS = _combo_params()
+REFERENCE = ("lists", "lists")
+COMBOS = [
+    pytest.param((trees, commit), id=f"{trees}-{commit}")
+    for trees in TREE_PATHS
+    for commit in COMMIT_PATHS
+    if (trees, commit) != REFERENCE
+]
 
 
 # One memoized reference result per (family, seed): the reference run is
-# shared by every combination of that seed instead of recomputed five times
+# shared by every combination of that seed instead of recomputed per combo
 # (seeds are the outer parametrize, so a seed's combos run back to back).
 _REFERENCE_CACHE: dict = {}
 
 
 def _run_combo(family, seed, combo, make_instance, solve):
-    backend, kernel = combo
     key = (family, seed)
     expected = _REFERENCE_CACHE.get(key)
     if expected is None:
-        with use_backend("lists"), use_kernel("lists"):
+        with compute_path(*REFERENCE):
             expected = _REFERENCE_CACHE[key] = solve(make_instance())
-    with use_backend(backend), use_kernel(kernel):
+    with compute_path(*combo):
         actual = solve(make_instance())
     return actual, expected
 
@@ -149,9 +112,8 @@ def _muca_auction(seed):
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", MUCA_SEEDS)
 def test_bounded_muca_parity(seed, combo):
-    # MUCA never touches the graph backend (bundle sums, not paths), but it
-    # does run the kernel's bundle-scoring sweep and dual updates; either
-    # registry flipping must leave the auction untouched.
+    # MUCA never builds a tree (bundle sums, not paths), but it does run
+    # the dual updates; the commit path must leave the auction untouched.
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     actual, expected = _run_combo(
         "muca", seed, combo,
@@ -165,7 +127,6 @@ def test_bounded_muca_parity(seed, combo):
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", DIJKSTRA_SEEDS)
 def test_dijkstra_parity(seed, combo):
-    backend, kernel = combo
     rng = ensure_rng(seed)
     num_vertices = int(rng.integers(4, 20))
     build = random_digraph if seed % 2 else random_graph
@@ -178,15 +139,13 @@ def test_dijkstra_parity(seed, combo):
     )
     weights = rng.uniform(1e-6, 10.0, size=graph.num_edges)
     source = int(rng.integers(0, num_vertices))
-    with use_backend("lists"), use_kernel("lists"):
+    with compute_path(*REFERENCE):
         expected = single_source_dijkstra(graph, source, weights)
-    with use_backend(backend), use_kernel(kernel):
+    with compute_path(*combo):
         actual = single_source_dijkstra(graph, source, weights)
-        batch = multi_source_dijkstra(graph, range(num_vertices), weights)
-    for result in [actual, batch[source]]:
-        np.testing.assert_array_equal(result.distances, expected.distances)
-        np.testing.assert_array_equal(result.parent_vertex, expected.parent_vertex)
-        np.testing.assert_array_equal(result.parent_edge, expected.parent_edge)
+    np.testing.assert_array_equal(actual.distances, expected.distances)
+    np.testing.assert_array_equal(actual.parent_vertex, expected.parent_vertex)
+    np.testing.assert_array_equal(actual.parent_edge, expected.parent_edge)
 
 
 @pytest.mark.parametrize("combo", COMBOS)

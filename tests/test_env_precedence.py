@@ -1,35 +1,23 @@
 """Environment-knob precedence: explicit arguments beat inherited env vars.
 
-``REPRO_JOBS``, ``REPRO_SP_BACKEND`` and ``REPRO_KERNEL`` are convenience
-defaults; an explicit ``jobs=``/``--jobs``, ``set_backend()``/``--backend``
-or ``set_kernel()``/``--kernel`` must win everywhere — in-process, in the
-CLIs, and inside ``pmap`` worker processes (which inherit the parent's
-environment).
+``REPRO_JOBS`` is a convenience default; an explicit ``jobs=``/``--jobs``
+must win everywhere — in-process, in the CLIs, and inside ``pmap`` worker
+processes (which inherit the parent's environment).
+
+The shortest-path backend and the compute kernel are no longer selectable:
+their retired environment variables are ignored and their retired CLI flags
+are rejected.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
+import warnings
 
+import numpy as np
 import pytest
 
 from repro import kernels, parallel
-
-# The repro.graphs package re-exports a *function* called shortest_path
-# that shadows the module attribute; import the module itself.
-sp = importlib.import_module("repro.graphs.shortest_path")
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Pin and restore the process-global backend and kernel around each
-    test."""
-    previous = sp.get_backend()
-    previous_kernel = kernels.get_kernel()
-    yield
-    sp._active_backend = previous
-    kernels._active_kernel = previous_kernel
+from repro.graphs.generators import grid_graph
 
 
 class TestJobsPrecedence:
@@ -57,178 +45,34 @@ class TestJobsPrecedence:
         assert set(pids) == {parent}
 
 
-def _backend_name(_task):
-    return sp.get_backend().name
-
-
 class TestBackendPrecedence:
-    def test_explicit_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp.set_backend("lists")
-        assert sp.get_backend().name == "lists"
-
-    def test_workers_inherit_explicit_backend(self, monkeypatch):
-        """An explicit backend choice propagates into pmap workers even
-        when the inherited environment says otherwise."""
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp.set_backend("lists")
-        names = parallel.pmap(_backend_name, [0, 1, 2, 3], jobs=2)
-        assert names == ["lists"] * 4
-
-    def test_experiments_cli_backend_flag_beats_env(self, monkeypatch):
-        """--backend wins over REPRO_SP_BACKEND in the experiments CLI."""
-        from repro.experiments import cli as experiments_cli
-
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp._active_backend = None  # force lazy re-resolution from env
-
-        observed = {}
-
-        class _StubSpec:
-            def run(self, **kwargs):
-                observed["backend"] = sp.get_backend().name
-                from repro.experiments.harness import ExperimentResult
-
-                return ExperimentResult(experiment_id="EX", title="stub")
-
-        monkeypatch.setattr(
-            experiments_cli, "get_experiment", lambda _id: _StubSpec()
-        )
-        assert experiments_cli.main(["run", "EX", "--backend", "lists"]) == 0
-        assert observed["backend"] == "lists"
-
     def test_experiments_cli_unknown_backend_errors(self):
+        """There is no backend to select: ``--backend`` is an unknown flag."""
         from repro.experiments import cli as experiments_cli
 
-        with pytest.raises(SystemExit):
-            experiments_cli.main(["run", "E1", "--backend", "bogus"])
-
-    def test_scenarios_cli_backend_flag_beats_env(self, monkeypatch, tmp_path, capsys):
-        """--backend wins over REPRO_SP_BACKEND in the scenarios CLI, and
-        the campaign result is identical either way."""
-        from repro.scenarios.cli import main as scenarios_main
-
-        suite = {
-            "name": "tiny",
-            "seed": 5,
-            "topologies": [{"name": "g", "family": "grid", "rows": 3, "cols": 3}],
-            "regimes": [{"name": "r", "capacity": 6.0, "num_requests": 6}],
-            "modes": [{"name": "off", "kind": "offline", "bound": "none"}],
-        }
-        spec_path = tmp_path / "suite.json"
-        spec_path.write_text(json.dumps(suite))
-
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "bogus-backend")
-        sp._active_backend = None
-        assert (
-            scenarios_main(["run", str(spec_path), "--backend", "lists", "--json"])
-            == 0
-        )
-        # The bogus env var never got resolved: the explicit flag won
-        # without even a warning from the lazy env fallback.
-        assert sp.get_backend().name == "lists"
-        json.loads(capsys.readouterr().out)
-
-
-def _kernel_name(_task):
-    return kernels.get_kernel().name
-
-
-_TINY_SUITE = {
-    "name": "tiny",
-    "seed": 5,
-    "topologies": [{"name": "g", "family": "grid", "rows": 3, "cols": 3}],
-    "regimes": [{"name": "r", "capacity": 6.0, "num_requests": 6}],
-    "modes": [{"name": "off", "kind": "offline", "bound": "none"}],
-}
+        for name in ("bogus", "scipy"):
+            with pytest.raises(SystemExit):
+                experiments_cli.main(["run", "E1", "--backend", name])
 
 
 class TestKernelPrecedence:
-    def test_explicit_set_kernel_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        kernels.set_kernel("lists")
-        assert kernels.get_kernel().name == "lists"
-
-    def test_env_resolves_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        kernels._active_kernel = None
-        assert kernels.get_kernel().name == "numpy"
-
-    def test_unknown_env_kernel_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "bogus-kernel")
-        kernels._active_kernel = None
-        with pytest.warns(UserWarning, match="bogus-kernel"):
-            assert kernels.get_kernel().name == "lists"
-
     def test_numba_env_falls_back_silently_when_absent(self, monkeypatch):
-        """REPRO_KERNEL=numba on a numba-less host must resolve to the
-        numpy tier with zero warnings and zero failures (the kernel
-        contract's silent downgrade)."""
-        if kernels.kernel_available("numba"):
-            pytest.skip("numba is installed; the fallback path cannot fire")
-        import warnings as _warnings
-
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numba")
-        kernels._active_kernel = None
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert kernels.get_kernel().name == "numpy"
-
-    def test_explicit_numba_selection_fails_fast_when_absent(self):
-        if kernels.kernel_available("numba"):
-            pytest.skip("numba is installed; the failure path cannot fire")
-        with pytest.raises(ImportError):
-            kernels.set_kernel("numba")
-
-    def test_workers_inherit_explicit_kernel(self, monkeypatch):
-        """An explicit kernel choice propagates into pmap workers even when
-        the inherited environment says otherwise."""
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "lists")
-        kernels.set_kernel("numpy")
-        names = parallel.pmap(_kernel_name, [0, 1, 2, 3], jobs=2)
-        assert names == ["numpy"] * 4
-
-    def test_experiments_cli_kernel_flag_beats_env(self, monkeypatch):
-        """--kernel wins over REPRO_KERNEL in the experiments CLI."""
-        from repro.experiments import cli as experiments_cli
-
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        kernels._active_kernel = None  # force lazy re-resolution from env
-
-        observed = {}
-
-        class _StubSpec:
-            def run(self, **kwargs):
-                observed["kernel"] = kernels.get_kernel().name
-                from repro.experiments.harness import ExperimentResult
-
-                return ExperimentResult(experiment_id="EX", title="stub")
-
-        monkeypatch.setattr(
-            experiments_cli, "get_experiment", lambda _id: _StubSpec()
-        )
-        assert experiments_cli.main(["run", "EX", "--kernel", "lists"]) == 0
-        assert observed["kernel"] == "lists"
+        """An inherited ``REPRO_KERNEL=numba`` (or ``REPRO_SP_BACKEND``)
+        selects nothing: the one kernel runs, with zero warnings."""
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        monkeypatch.setenv("REPRO_SP_BACKEND", "bogus")
+        graph = grid_graph(3, 3, 1.0)
+        weights = np.linspace(0.5, 2.0, graph.num_edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = kernels.get_kernel()
+            assert kernel is kernels.get_kernel()
+            assert kernel.dijkstra(graph, weights, 0).dist[0] == 0.0
 
     def test_experiments_cli_unknown_kernel_errors(self):
+        """There is no kernel to select: ``--kernel`` is an unknown flag."""
         from repro.experiments import cli as experiments_cli
 
-        with pytest.raises(SystemExit):
-            experiments_cli.main(["run", "E1", "--kernel", "bogus"])
-
-    def test_scenarios_cli_kernel_flag_beats_env(self, monkeypatch, tmp_path, capsys):
-        """--kernel wins over REPRO_KERNEL in the scenarios CLI, and the
-        bogus env value is never resolved."""
-        from repro.scenarios.cli import main as scenarios_main
-
-        spec_path = tmp_path / "suite.json"
-        spec_path.write_text(json.dumps(_TINY_SUITE))
-
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "bogus-kernel")
-        kernels._active_kernel = None
-        assert (
-            scenarios_main(["run", str(spec_path), "--kernel", "numpy", "--json"])
-            == 0
-        )
-        assert kernels.get_kernel().name == "numpy"
-        json.loads(capsys.readouterr().out)
+        for name in ("bogus", "numpy"):
+            with pytest.raises(SystemExit):
+                experiments_cli.main(["run", "E1", "--kernel", name])

@@ -4,8 +4,8 @@ Four layers: spec/schedule unit tests (validation, determinism, zero
 intensity), the auction's degradation hooks (revocation, refund,
 requeue, LIFO shrink, exact revert), the ``run_with_faults`` driver with
 its jam/fee accounting, and the differential contract — a zero-intensity
-schedule must be bit-identical to the fault-free path across shortest-path
-backends and admission policies.
+schedule must be bit-identical to the fault-free path on loop trees and C
+trees and under both admission policies.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from compute_paths import TREE_PATHS, tree_path
 from repro.exceptions import InvalidInstanceError
 from repro.faults import (
     FaultEvent,
@@ -25,7 +26,6 @@ from repro.faults import (
 from repro.faults.schedule import _scripted_only
 from repro.flows import Request, random_instance
 from repro.graphs import CapacitatedGraph
-from repro.graphs.shortest_path import use_backend
 from repro.online import Batch, OnlineAuction, bursty_arrivals
 
 
@@ -448,11 +448,9 @@ class TestZeroIntensityDifferential:
         )
 
     @pytest.mark.parametrize("admission", ["greedy", "threshold"])
-    @pytest.mark.parametrize("backend", ["lists", "scipy"])
-    def test_bit_identity(self, admission, backend):
-        if backend == "scipy":
-            pytest.importorskip("scipy")
-        with use_backend(backend):
+    @pytest.mark.parametrize("trees", TREE_PATHS)
+    def test_bit_identity(self, admission, trees):
+        with tree_path(trees):
             base_instance = self._instance()
             baseline = self._auction(base_instance.graph, admission).run(
                 bursty_arrivals(

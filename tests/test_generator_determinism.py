@@ -163,22 +163,14 @@ def test_constant_capacity_generators_pass_rng_through(name):
     assert rng.integers(0, 2**31) == untouched.integers(0, 2**31)
 
 
-def _scipy_available() -> bool:
-    try:
-        import scipy  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a test dependency
-        return False
-    return True
-
-
-@pytest.mark.skipif(not _scipy_available(), reason="scipy backend unavailable")
 @pytest.mark.parametrize("family", ["waxman", "fat_tree"])
 def test_backend_parity_on_new_topologies(family):
-    """scipy and lists shortest-path backends must produce bit-identical
-    Bounded-UFP allocations on the new topology families."""
+    """Loop trees and C trees must produce bit-identical Bounded-UFP
+    allocations on the new topology families."""
+    from compute_paths import tree_path
+
     from repro.core import bounded_ufp
     from repro.flows import UFPInstance
-    from repro.graphs import use_backend
 
     if family == "waxman":
         graph = waxman_graph(16, 12.0, seed=21)
@@ -191,11 +183,12 @@ def test_backend_parity_on_new_topologies(family):
     requests = random_requests(
         graph, 40, seed=22, sources=terminals, targets=terminals
     )
-    instance = UFPInstance(graph, requests, name=f"parity-{family}")
-
     allocations = {}
     for backend in ("lists", "scipy"):
-        with use_backend(backend):
+        # A fresh graph per run, so the first run's tree memo cannot serve
+        # the second.
+        instance = UFPInstance(graph.scaled(1.0), requests, name=f"parity-{family}")
+        with tree_path(backend):
             allocation = bounded_ufp(instance, 0.4)
         allocations[backend] = [
             (item.request_index, tuple(item.vertices)) for item in allocation.routed

@@ -14,6 +14,7 @@ from repro.graphs import (
     bellman_ford,
     random_digraph,
     random_graph,
+    reference_dijkstra,
     shortest_path,
     single_source_dijkstra,
     to_networkx,
@@ -78,6 +79,22 @@ class TestDijkstraBasics:
         assert result.reachable(3)
         vertices, edges = result.path_to(3)
         assert vertices[0] == 0 and vertices[-1] == 3
+
+    def test_early_exit_makes_only_the_targets_exact(self):
+        """The search stops once vertex 1 settles; vertex 2 keeps the
+        tentative distance 5 of the direct edge although 0-1-2 costs 2."""
+        graph = CapacitatedGraph(
+            3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], directed=False
+        )
+        weights = np.array([1.0, 5.0, 1.0])
+        full = single_source_dijkstra(graph, 0, weights)
+        assert full.distance(2) == 2.0
+        for run in (single_source_dijkstra, reference_dijkstra):
+            early = run(graph, 0, weights, targets={1})
+            assert early.distance(1) == full.distance(1) == 1.0
+            assert early.path_to(1) == full.path_to(1) == ((0, 1), (0,))
+            assert early.distance(2) == 5.0
+            assert early.path_to(2) == ((0, 2), (1,))
 
     def test_path_to_unreachable_raises(self):
         graph = CapacitatedGraph(3, [(0, 1, 1.0)], directed=True)

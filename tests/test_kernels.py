@@ -1,20 +1,22 @@
-"""The compute-kernel layer: registry semantics and per-primitive parity.
+"""The compute kernel: its one instance and its commit-path primitives.
 
-The broad end-to-end parity matrix lives in ``test_backend_parity.py``;
-this module covers the kernel layer itself:
+The broad end-to-end parity matrix lives in ``test_backend_parity.py`` and
+the tree-level parity in ``test_tree_parity.py``; this module covers the
+kernel layer itself:
 
-* registry semantics — explicit selection beats env, unknown env names
-  warn-and-fall-back, a missing numba downgrades silently (covered in
-  ``test_env_precedence.py``), ``use_kernel`` restores;
-* the floating-point properties the numpy tier's bit-identity *proof*
-  rests on (positional stability of ``np.exp`` and scalar division) —
-  if a numpy build ever broke these, this is the test that should fail
-  first, with a message pointing at the right invariant;
-* per-primitive differential tests: ``dual_update`` against the reference
+* :func:`repro.kernels.get_kernel` returns one kernel, whose ``dijkstra``
+  is the size-selected tree (the retired selection knobs are covered in
+  ``test_env_precedence.py``);
+* the floating-point properties the multiplier table's bit-identity *proof*
+  rests on (positional stability of ``np.exp`` and scalar division) — if a
+  numpy build ever broke these, this is the test that should fail first,
+  with a message pointing at the right invariant;
+* per-primitive differential tests against the oracles of
+  :mod:`repro.kernels.oracles`: ``dual_update`` against the per-path
   arithmetic, the bitmask invalidation index against the edge-set index,
-  ``bundle_scores`` across tiers;
+  ``bundle_scores`` against per-bundle sums;
 * end-to-end: traced payments and campaign-store content hashes are
-  bit-identical across kernels and across ``jobs=``.
+  bit-identical across tree paths and commit paths and across ``jobs=``.
 """
 
 from __future__ import annotations
@@ -24,62 +26,43 @@ import json
 import numpy as np
 import pytest
 
+from compute_paths import COMMIT_PATHS, TREE_PATHS, commit_path, compute_path
 from repro import kernels
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.dual_state import DualWeights
 from repro.flows.generators import random_instance
-from repro.kernels.lists import ListsKernel, _EdgeSetIndex
-from repro.kernels.numpy_tier import NumpyKernel, _BitmaskIndex
+from repro.graphs.generators import grid_graph
+from repro.graphs.shortest_path import shortest_path_tree
+from repro.kernels import BitmaskIndex, Kernel
+from repro.kernels.oracles import EdgeSetIndex, reference_dual_update
 from repro.mechanism.payments import compute_ufp_payments
 from repro.utils.prng import ensure_rng
 
 
-@pytest.fixture(autouse=True)
-def _restore_kernel():
-    previous = kernels.get_kernel()
-    yield
-    kernels._active_kernel = previous
-
-
 # --------------------------------------------------------------------- #
-# Registry
+# What is left of the registry: one kernel
 # --------------------------------------------------------------------- #
 class TestRegistry:
-    def test_default_is_lists(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        kernels._active_kernel = None
-        assert kernels.get_kernel().name == "lists"
-
-    def test_set_and_use_kernel(self):
-        kernels.set_kernel("lists")
-        with kernels.use_kernel("numpy") as k:
-            assert k.name == "numpy"
-            assert kernels.get_kernel() is k
-        assert kernels.get_kernel().name == "lists"
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="bogus"):
-            kernels.set_kernel("bogus")
-
-    def test_available_kernels_listing(self):
-        assert kernels.available_kernels() == ["lists", "numba", "numpy"]
-        assert kernels.kernel_available("lists")
-        assert kernels.kernel_available("numpy")
-        assert not kernels.kernel_available("bogus")
-
     def test_kernel_instances_are_singletons(self):
-        assert kernels.set_kernel("numpy") is kernels.set_kernel("numpy")
+        assert kernels.get_kernel() is kernels.get_kernel()
+        assert isinstance(kernels.get_kernel(), Kernel)
 
-    def test_tier_inheritance(self):
-        # numpy extends lists (shared dijkstra + bundle scoring); if numba
-        # is present it must extend numpy (shared commit path).
-        assert isinstance(kernels.set_kernel("numpy"), ListsKernel)
-        if kernels.kernel_available("numba"):
-            assert isinstance(kernels.set_kernel("numba"), NumpyKernel)
+    @pytest.mark.parametrize("side", [4, 12])
+    def test_dijkstra_is_the_size_selected_tree(self, side):
+        """The kernel's dijkstra is :func:`shortest_path_tree` (loop trees
+        on the 16-vertex grid, C trees on the 144-vertex one)."""
+        graph = grid_graph(side, side, 1.0)
+        weights = ensure_rng(side).uniform(0.5, 2.0, size=graph.num_edges)
+        got = kernels.get_kernel().dijkstra(graph, weights, 3)
+        want = shortest_path_tree(graph, weights, 3)
+        assert list(got.dist) == list(want.dist)
+        assert list(got.parent_vertex) == list(want.parent_vertex)
+        assert list(got.parent_edge) == list(want.parent_edge)
+        assert got.edge_mask == want.edge_mask
 
 
 # --------------------------------------------------------------------- #
-# The floating-point invariants behind the numpy tier's bit-identity
+# The floating-point invariants behind the multiplier table
 # --------------------------------------------------------------------- #
 class TestBitIdentityInvariants:
     def test_np_exp_is_positionally_stable(self):
@@ -116,21 +99,18 @@ class TestDualUpdate:
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("m", [5, 64, 4096, 5000])
     def test_numpy_matches_lists_bit_for_bit(self, seed, m):
-        """Both the table path (m <= 4096) and the large-m fallback must
-        reproduce the reference update and delta exactly."""
+        """The multiplier table (m <= 4096) and the large-m direct path
+        must both reproduce the per-path oracle's update and delta."""
         capacities, y0, ids, demand = _random_dual_case(seed, m)
-        lists_k, numpy_k = ListsKernel(), NumpyKernel()
         y_a, y_b = y0.copy(), y0.copy()
-        delta_a = lists_k.dual_update(y_a, capacities, ids, 0.5, 3.0, demand)
-        delta_b = numpy_k.dual_update(y_b, capacities, ids, 0.5, 3.0, demand)
+        delta_a = reference_dual_update(y_a, capacities, ids, 0.5, 3.0, demand)
+        delta_b = Kernel().dual_update(y_b, capacities, ids, 0.5, 3.0, demand)
         np.testing.assert_array_equal(y_a, y_b)
         assert delta_a == delta_b
 
     def test_repeated_demands_hit_the_table(self, monkeypatch):
         """The multiplier table is shared across DualWeights instances on
         the same capacity array (the payment-probe access pattern)."""
-        from repro.kernels import numpy_tier
-
         calls = {"exp": 0}
         real_exp = np.exp
 
@@ -138,9 +118,9 @@ class TestDualUpdate:
             calls["exp"] += 1
             return real_exp(x, *a, **kw)
 
-        monkeypatch.setattr(numpy_tier.np, "exp", counting_exp)
+        monkeypatch.setattr(kernels.np, "exp", counting_exp)
         capacities = ensure_rng(7).uniform(1.0, 10.0, size=64)
-        k = NumpyKernel()
+        k = Kernel()
         for _ in range(5):
             y = 1.0 / capacities.copy()
             ids = np.arange(8)
@@ -148,12 +128,12 @@ class TestDualUpdate:
         assert calls["exp"] == 1  # one table build, four gathers
 
     def test_dualweights_dispatches_through_kernel(self):
-        """End to end through DualWeights: both tiers land on the same
-        weights, budget and last increment."""
+        """End to end through DualWeights: the production commit path and
+        the oracle land on the same weights, budget and last increment."""
         capacities = ensure_rng(11).uniform(1.0, 10.0, size=32)
         results = []
-        for name in ("lists", "numpy"):
-            with kernels.use_kernel(name):
+        for name in COMMIT_PATHS:
+            with commit_path(name):
                 d = DualWeights(capacities, 0.5)
                 for step in range(6):
                     d.apply_selection(
@@ -171,62 +151,58 @@ class TestDualUpdate:
 # Invalidation index
 # --------------------------------------------------------------------- #
 class _FakeTree:
-    def __init__(self, edge_set):
-        self.edge_set = frozenset(edge_set)
-        self.edge_mask = None
+    """A tree as the indexes read it: parent edges and their bitmask."""
+
+    def __init__(self, edges):
+        edges = sorted(set(edges))
+        self.parent_edge = [-1] + edges
+        self.edge_mask = sum(1 << e for e in edges)
 
 
 class TestInvalidationIndex:
     @pytest.mark.parametrize("seed", range(15))
     def test_bitmask_index_matches_edge_set_index(self, seed):
-        """Differential test: a random register/invalidate/discard workload
-        evicts the identical source sets from both index flavors."""
+        """Differential test: a random register/invalidate workload evicts
+        the identical source sets from the bitmask index and the oracle."""
         rng = ensure_rng(seed)
-        a, b = _EdgeSetIndex(), _BitmaskIndex()
+        a, b = EdgeSetIndex(), BitmaskIndex()
         live: dict[int, _FakeTree] = {}
+
+        def invalidate(edges):
+            hit = a.invalidate(edges)
+            assert b.invalidate(edges) == hit
+            for s in hit:
+                live.pop(s)
+
         for step in range(120):
-            op = int(rng.integers(0, 4))
+            op = int(rng.integers(0, 3))
             if op <= 1:  # register (engine contract: evict before re-register)
                 source = int(rng.integers(0, 12))
                 if source in live:
-                    a.discard(source)
-                    b.discard(source)
+                    invalidate(live[source].parent_edge[1:])
                 tree = _FakeTree(
                     int(e) for e in rng.integers(0, 64, size=rng.integers(1, 9))
                 )
                 live[source] = tree
                 a.register(source, tree)
                 b.register(source, tree)
-            elif op == 2:  # invalidate a random edge set
-                edges = [int(e) for e in rng.integers(0, 64, size=3)]
-                hit_a = a.invalidate(edges)
-                hit_b = b.invalidate(edges)
-                assert hit_a == hit_b
-                for s in hit_a:
-                    live.pop(s, None)
-            else:  # discard one source
-                source = int(rng.integers(0, 12))
-                a.discard(source)
-                b.discard(source)
-                live.pop(source, None)
+            else:  # invalidate a random edge set
+                invalidate([int(e) for e in rng.integers(0, 64, size=3)])
 
     def test_snapshots_restore_across_flavors(self):
-        """A checkpoint taken under one kernel restores under the other
-        (replays may cross tiers)."""
+        """A checkpoint restores into a fresh index of its own flavor, and
+        both flavors then evict the same sources."""
         trees = {1: _FakeTree({2, 5}), 3: _FakeTree({5, 9}), 7: _FakeTree({0})}
-        a, b = _EdgeSetIndex(), _BitmaskIndex()
+        a, b = EdgeSetIndex(), BitmaskIndex()
         for s, t in trees.items():
             a.register(s, t)
             b.register(s, t)
-        # sets-snapshot into a bitmask index and vice versa.
-        b2 = _BitmaskIndex()
-        b2.restore(a.snapshot())
-        a2 = _EdgeSetIndex()
-        a2.restore(b.snapshot())
-        assert b2.invalidate([5]) == [1, 3]
-        assert a2.invalidate([5]) == [1, 3]
-        assert b2.invalidate([0]) == [7]
-        assert a2.invalidate([0]) == [7]
+        a2, b2 = EdgeSetIndex(), BitmaskIndex()
+        a2.restore(a.snapshot())
+        b2.restore(b.snapshot())
+        assert b2.invalidate([5]) == a2.invalidate([5]) == [1, 3]
+        assert b2.invalidate([0]) == a2.invalidate([0]) == [7]
+        assert b2.invalidate([2, 9]) == a2.invalidate([2, 9]) == []
 
 
 # --------------------------------------------------------------------- #
@@ -235,6 +211,9 @@ class TestInvalidationIndex:
 class TestBundleScores:
     @pytest.mark.parametrize("seed", range(10))
     def test_tiers_agree_bit_for_bit(self, seed):
+        """The one-pass CSR sweep agrees bit for bit with the shaved
+        ``reduceat`` expression and never exceeds the per-bundle reference
+        score ``weights[bundle].sum() / value`` the fold compares."""
         rng = ensure_rng(seed)
         n = int(rng.integers(1, 30))
         sizes = rng.integers(1, 6, size=n)
@@ -243,46 +222,16 @@ class TestBundleScores:
         np.cumsum(sizes[:-1], out=starts[1:])
         weights = rng.uniform(0.01, 2.0, size=40)
         values = rng.uniform(0.5, 5.0, size=n)
-        out = [
-            k.bundle_scores(weights, flat, starts, values)
-            for k in (ListsKernel(), NumpyKernel())
-        ]
-        np.testing.assert_array_equal(out[0], out[1])
+        scores = Kernel().bundle_scores(weights, flat, starts, values)
+        expected = (np.add.reduceat(weights[flat], starts) / values) * (1.0 - 1e-9)
+        np.testing.assert_array_equal(scores, expected)
+        for i, start in enumerate(starts.tolist()):
+            bundle = flat[start : start + int(sizes[i])]
+            assert scores[i] <= weights[bundle].sum() / values[i]
 
 
 # --------------------------------------------------------------------- #
-# Dijkstra (numba tier, guarded)
-# --------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    not kernels.kernel_available("numba"), reason="the numba kernel needs numba"
-)
-class TestNumbaDijkstra:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_jit_tree_matches_lists_bit_for_bit(self, seed):
-        from repro.graphs.generators import random_digraph, random_graph
-
-        rng = ensure_rng(seed)
-        n = int(rng.integers(4, 24))
-        build = random_digraph if seed % 2 else random_graph
-        graph = build(
-            n,
-            float(rng.uniform(0.1, 0.6)),
-            (0.5, 5.0),
-            seed=rng,
-            ensure_connected=bool(rng.integers(0, 2)),
-        )
-        weights = rng.uniform(1e-6, 10.0, size=graph.num_edges)
-        source = int(rng.integers(0, n))
-        wl = weights.tolist()
-        ref = ListsKernel().dijkstra(graph, weights, wl, source)
-        jit = kernels.set_kernel("numba").dijkstra(graph, weights, None, source)
-        assert jit[0] == ref[0]
-        assert jit[1] == ref[1]
-        assert jit[2] == ref[2]
-
-
-# --------------------------------------------------------------------- #
-# End to end: payments and store hashes across kernels and jobs
+# End to end: payments and store hashes across compute paths and jobs
 # --------------------------------------------------------------------- #
 def _payment_instance(seed):
     return random_instance(
@@ -295,19 +244,15 @@ def _payment_instance(seed):
     )
 
 
-def _available_tiers():
-    tiers = ["lists", "numpy"]
-    if kernels.kernel_available("numba"):
-        tiers.append("numba")
-    return tiers
+_PATHS = [(trees, commit) for trees in TREE_PATHS for commit in COMMIT_PATHS]
 
 
 class TestEndToEndParity:
     @pytest.mark.parametrize("use_trace", [True, False])
     def test_traced_payments_identical_across_kernels(self, use_trace):
         outputs = []
-        for name in _available_tiers():
-            with kernels.use_kernel(name):
+        for path in _PATHS:
+            with compute_path(*path):
                 inst = _payment_instance(23)
                 allocation = bounded_ufp(inst, 0.3)
                 payments = compute_ufp_payments(
@@ -327,8 +272,8 @@ class TestEndToEndParity:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_store_content_hash_identical_across_kernels(self, tmp_path, jobs):
-        """The acceptance headline: a campaign's store hash is the same
-        under every kernel tier, at jobs=1 and jobs=4."""
+        """The acceptance headline: a campaign's store hash is the same on
+        every compute path, at jobs=1 and jobs=4."""
         from repro.scenarios.runner import run_campaign
         from repro.scenarios.store import ResultStore
 
@@ -356,51 +301,33 @@ class TestEndToEndParity:
             ],
         }
         hashes = []
-        for name in _available_tiers():
-            with kernels.use_kernel(name):
-                store = ResultStore(tmp_path / f"{name}-{jobs}")
+        for path in _PATHS:
+            with compute_path(*path):
+                store = ResultStore(tmp_path / f"{'-'.join(path)}-{jobs}")
                 result = run_campaign(suite, store=store, jobs=jobs)
                 assert result.all_cells_ok
                 hashes.append(store.content_hash(result.records))
         assert len(set(hashes)) == 1
 
-    def test_kernel_name_surfaces_in_stats_not_records(self):
-        """kernel_name rides RunStats.extra; records carry only the
-        tier-invariant kernel_calls count (store-hash safety)."""
+    def test_records_and_report_carry_kernel_calls(self):
+        """Solvers count kernel work in ``pricing_kernel_calls``; campaign
+        records and the text report carry it as ``kernel_calls``."""
+        from repro.scenarios.report import render_report
         from repro.scenarios.runner import run_campaign
 
-        with kernels.use_kernel("numpy"):
-            inst = _payment_instance(5)
-            allocation = bounded_ufp(inst, 0.5)
-            assert allocation.stats.extra["kernel_name"] == "numpy"
-            assert allocation.stats.extra["pricing_kernel_calls"] > 0
-
-            suite = {
-                "name": "tiny",
-                "seed": 5,
-                "topologies": [
-                    {"name": "g", "family": "grid", "rows": 3, "cols": 3}
-                ],
-                "regimes": [
-                    {"name": "r", "capacity": 6.0, "num_requests": 6}
-                ],
-                "modes": [{"name": "off", "kind": "offline", "bound": "none"}],
-            }
-            result = run_campaign(suite)
-            for record in result.records.values():
-                assert "kernel_calls" in record
-                assert not any("kernel_name" in k for k in record)
-                json.dumps(record["kernel_calls"])  # numeric, serializable
-
-    def test_report_kernel_header_line(self):
-        from repro.scenarios.report import render_report
-
-        text = render_report(
-            {"cell": {"topology": "g", "value": 1.0, "kernel_calls": 3.0}},
-            title="t",
-            kernel="numpy",
-            content_hash="abc123",
-        )
-        assert "compute kernel: numpy" in text
-        assert "store hash: abc123" in text
+        allocation = bounded_ufp(_payment_instance(5), 0.5)
+        assert allocation.stats.extra["pricing_kernel_calls"] > 0
+        suite = {
+            "name": "tiny",
+            "seed": 5,
+            "topologies": [{"name": "g", "family": "grid", "rows": 3, "cols": 3}],
+            "regimes": [{"name": "r", "capacity": 6.0, "num_requests": 6}],
+            "modes": [{"name": "off", "kind": "offline", "bound": "none"}],
+        }
+        result = run_campaign(suite)
+        for record in result.records.values():
+            assert record["kernel_calls"] > 0
+            json.dumps(record["kernel_calls"])  # numeric, serializable
+        text = render_report(result.records, title="t", content_hash="abc123")
         assert "kernel_calls" in text
+        assert "store hash: abc123" in text

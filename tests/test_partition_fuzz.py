@@ -15,7 +15,7 @@ pinned here on seed corpora:
   corpus does exactly that.
 
 The 1-region corpus replays the shared pinned-seed instances of
-``test_differential_fuzz`` on both shortest-path backends and at
+``test_differential_fuzz`` on loop trees and on C trees and at
 ``jobs=1`` vs ``jobs=4``.  Cross-region workloads get no exactness
 guarantee; for them the suite pins determinism and physical feasibility of
 the hierarchical mode instead.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from compute_paths import tree_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     UFP_SEEDS,
     _assert_same_allocation,
@@ -37,7 +38,6 @@ from repro.flows import Request, UFPInstance
 from repro.graphs import CapacitatedGraph
 from repro.graphs.generators import multi_region_leaves, multi_region_topology
 from repro.graphs.partition import multi_region_partition
-from repro.graphs.shortest_path import use_backend
 from repro.partition import partitioned_bounded_ufp
 from repro.utils.prng import ensure_rng
 
@@ -46,7 +46,7 @@ pytestmark = pytest.mark.fuzz
 #: Seeds for the multi-region corpora (derived from the shared corpus so
 #: the whole sweep remains pinned to one base seed).
 REGION_SEEDS = UFP_SEEDS[:12]
-#: Subset replayed under the scipy backend and under process fan-out —
+#: Subset replayed on C trees and under process fan-out —
 #: enough to catch a divergence, cheap enough for every CI pass.
 SMALL = UFP_SEEDS[:6]
 
@@ -145,11 +145,10 @@ def test_single_region_matches_global(seed):
 
 @pytest.mark.parametrize("seed", SMALL)
 def test_single_region_matches_global_scipy_backend(seed):
-    pytest.importorskip("scipy", reason="the scipy backend needs scipy")
     epsilon = [0.3, 0.5, 1.0][seed % 3]
-    # Instances are rebuilt per backend so one run's tree memos cannot mask
+    # Instances are rebuilt per run so one run's tree memos cannot mask
     # divergence in the other (same discipline as test_backend_parity).
-    with use_backend("scipy"):
+    with tree_path("scipy"):
         expected = bounded_ufp(_ufp_instance(seed), epsilon)
         actual = partitioned_bounded_ufp(
             _ufp_instance(seed), epsilon, partition=1
@@ -209,9 +208,8 @@ def test_multi_region_intra_only_matches_plain_global(seed):
 
 @pytest.mark.parametrize("seed", SMALL)
 def test_multi_region_intra_only_scipy_backend(seed):
-    pytest.importorskip("scipy", reason="the scipy backend needs scipy")
     epsilon = [0.3, 0.5, 1.0][seed % 3]
-    with use_backend("scipy"):
+    with tree_path("scipy"):
         instance = _intra_instance(seed)
         partition = _natural_partition(instance.graph)
         expected = bounded_ufp(_cut_disabled(instance, partition), epsilon)

@@ -10,7 +10,7 @@ seed derivation as ``test_differential_fuzz``) through the replayers:
 * single-probe allocations for ``bounded_ufp`` / ``bounded_ufp_repeat`` /
   ``bounded_muca`` vs the solvers run from scratch on the perturbed input;
 * critical-value payments with ``use_trace=True`` vs ``use_trace=False``,
-  on both shortest-path backends;
+  on loop trees and on C trees;
 * truthfulness audits with and without tracing;
 * online batch payments (greedy and threshold policies) with and without
   tracing, plus ``jobs=4 == jobs=1`` with tracing on.
@@ -23,6 +23,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from compute_paths import TREE_PATHS, tree_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     MUCA_SEEDS,
     ONLINE_SEEDS,
@@ -127,32 +128,15 @@ def test_muca_probe_replay_matches_scratch(seed):
 
 
 # --------------------------------------------------------------------- #
-# Payments: trace vs from-scratch, both shortest-path backends
+# Payments: trace vs from-scratch, loop trees and C trees
 # --------------------------------------------------------------------- #
 PAYMENT_SEEDS = UFP_SEEDS[::6]  # every 6th corpus case: payments cost ~|R| runs each
 
-try:
-    import scipy  # noqa: F401
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    _HAVE_SCIPY = False
-
-BACKENDS = [
-    "lists",
-    pytest.param(
-        "scipy",
-        marks=pytest.mark.skipif(not _HAVE_SCIPY, reason="scipy backend needs scipy"),
-    ),
-]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("trees", TREE_PATHS)
 @pytest.mark.parametrize("seed", PAYMENT_SEEDS)
-def test_ufp_payments_bit_identical(seed, backend):
-    from repro.graphs.shortest_path import use_backend
-
-    with use_backend(backend):
+def test_ufp_payments_bit_identical(seed, trees):
+    with tree_path(trees):
         instance = _ufp_instance(seed)
         epsilon = [0.3, 0.5, 1.0][seed % 3]
         algorithm = partial(bounded_ufp, epsilon=epsilon)
