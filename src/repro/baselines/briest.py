@@ -124,7 +124,7 @@ def briest_style_ufp(
                     unreachable.append(i)
                     continue
                 score = req.demand / req.value * tree.distance(req.target)
-                if score < best_score - 1e-15:
+                if (score, i) < (best_score, best_idx):
                     best_score = score
                     best_idx = i
                     best_path = tree.path_to(req.target)
@@ -185,7 +185,7 @@ def briest_style_muca(
         for i in sorted(pool):
             bid = instance.bids[i]
             score = duals.path_length(bid.bundle) / bid.value
-            if score < best_score - 1e-15:
+            if (score, i) < (best_score, best_idx):
                 best_score = score
                 best_idx = i
         if best_idx < 0:  # pragma: no cover

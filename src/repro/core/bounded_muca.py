@@ -96,7 +96,7 @@ def bounded_muca(
     # Lazy-greedy bundle pricing: scores are vectorized once over a CSR
     # bid-item incidence layout, then kept as heap lower bounds (item weights
     # only grow); each iteration re-prices only the bids sharing an item with
-    # a recent winner, with the reference fuzzy tie-breaking by bid index.
+    # a recent winner; exact ties go to the lower bid index.
     engine = BundlePricingEngine(instance, duals)
     winners: list[int] = []
     iterations = 0

@@ -123,8 +123,9 @@ def bounded_ufp(
 
     Notes
     -----
-    *Determinism and tie-breaking*: ties in the normalized length are broken
-    by request index (declaration order), and the shortest path returned by
+    *Determinism and tie-breaking*: exact ties in the normalized length
+    (compared as floats, with no tolerance) are broken by the lower request
+    index (declaration order), and the shortest path returned by
     Dijkstra is itself deterministic.  The tie-break does not depend on the
     demands or values, which keeps the algorithm monotone.
 
@@ -171,15 +172,8 @@ def bounded_ufp(
     # lower bound, since duals only grow), requests with no s-t path are
     # dropped the moment they are detected, and each iteration re-prices only
     # the requests whose cached score could still win (lines 6-9 of the
-    # algorithm, with identical fuzzy tie-breaking by request index).
-    engine = PathPricingEngine(
-        graph,
-        instance.requests,
-        duals,
-        tie_tolerance=1e-15,
-        index_tie_break=True,
-        remove_selected=True,
-    )
+    # algorithm; exact ties go to the lower request index).
+    engine = PathPricingEngine(graph, instance.requests, duals)
     routed: list[RoutedRequest] = []
     iterations = 0
     stopped_by_budget = False

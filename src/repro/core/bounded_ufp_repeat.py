@@ -93,16 +93,10 @@ def bounded_ufp_repeat(
 
     # The lazy-greedy engine keeps a request selectable after a win
     # (``remove_selected=False`` — repetitions are the whole point), drops
-    # requests with disconnected terminals on detection, and replays the
-    # reference tie-breaking (strict fuzzy ``<``, first in source/index
-    # iteration order wins).
+    # requests with disconnected terminals on detection, and breaks exact
+    # score ties by the lower request index.
     engine = PathPricingEngine(
-        graph,
-        instance.requests,
-        duals,
-        tie_tolerance=1e-15,
-        index_tie_break=False,
-        remove_selected=False,
+        graph, instance.requests, duals, remove_selected=False
     )
     routed: list[RoutedRequest] = []
     iterations = 0

@@ -24,11 +24,11 @@ all live requests in a min-heap keyed by their last-computed score and runs
 the classic lazy-greedy loop: pop the heap; if the popped entry's score is
 stale, re-price just that request (one targeted shortest-path computation)
 and push it back; once the top of the heap is freshly priced, no stale entry
-can beat it — its cached key already exceeds the fresh minimum — so the
-freshly-priced top is the exact argmin.  The same argument applies verbatim
-to ``Bounded-MUCA`` bundle prices ``sum_{u in U_r} y_u / v_r`` (sums of
-monotone weights are monotone) and to Garg–Könemann column costs
-``(d_r * dist + w_r) / v_r`` (both summands are monotone).
+can beat it (see *Selection order* below), so the freshly-priced top is the
+exact argmin.  The same argument applies verbatim to ``Bounded-MUCA`` bundle
+prices ``sum_{u in U_r} y_u / v_r`` (sums of monotone weights are monotone)
+and to Garg–Könemann column costs ``(d_r * dist + w_r) / v_r`` (both
+summands are monotone).
 
 Shortest-path-tree caching with edge-set invalidation
 -----------------------------------------------------
@@ -56,25 +56,15 @@ alone, the trees priced at the start of a run are additionally memoized on
 critical-value payment bisection re-runs the whole mechanism dozens of times
 per winner on the same graph and hits this warm cache every probe.
 
-Exactness of the replicated tie-breaking
-----------------------------------------
-The solvers' reference selection loops compare scores with a fuzzy
-tolerance (``1e-15``) and break ties by request index.  The engine refreshes
-not just the top of the heap but every entry whose cached lower bound lies
-within a small band above the freshest minimum — iterating to a fixpoint
-anchored at the current fold winner — then replays the reference comparison
-loop over the refreshed candidates in the reference iteration order.
-Selections therefore match the reference implementations exactly whenever
-distinct scores are separated by more than a few tolerance widths; exact
-ties (identical scores, the only ties arising in practice) are replayed
-perfectly including the index tie-break.  The one theoretical residual:
-chains of *distinct* scores packed within ~``1e-15`` of each other can make
-the reference fold's non-transitive fuzzy comparisons depend on entries the
-engine proves cannot win and hence never refreshes.  Such chains require
-adversarially constructed floats (several distinct doubles within a handful
-of ulps at magnitude ~1) and are exercised nowhere in the differential test
-sweep; the guarantee the rest of the system relies on is byte-identical
-allocations on real instances, which the tests enforce.
+Selection order
+---------------
+Every selection picks the least ``(score, request index)`` pair, comparing
+scores exactly.  The tie rule is deterministic and ignores the declared
+``(d, v)``, which is all truthfulness asks of it.  Heap entries are
+``(score, index, epoch)``, so the heap key *is* the order, and the first
+fresh entry to reach the top wins: a stale key is at most its request's
+true score, so ``(key, i) <= (score, i)`` and nothing below the top can
+beat it.
 """
 
 from __future__ import annotations
@@ -99,11 +89,7 @@ __all__ = [
     "BundleEngineCheckpoint",
     "PricingStats",
     "Selection",
-    "TIE_TOLERANCE",
 ]
-
-#: The fuzzy comparison tolerance of the solvers' selection loops.
-TIE_TOLERANCE = 1e-15
 
 #: Key under which shortest-path trees are memoized on
 #: :attr:`CapacitatedGraph.substrate_cache`, keyed by the exact bytes of the
@@ -278,11 +264,6 @@ class PathPricingEngine:
         every in-place weight update.
     weights:
         The live weight array for ``duals=None`` mode.
-    tie_tolerance / index_tie_break:
-        The reference comparison semantics to replay: ``Bounded-UFP`` uses
-        ``(1e-15, True)``, ``Bounded-UFP-Repeat`` ``(1e-15, False)`` and
-        Garg–Könemann ``(0.0, False)`` (exact ``<``, first in iteration
-        order wins).
     remove_selected:
         Whether a selected request leaves the pool (``Bounded-UFP``) or stays
         selectable again (repetitions / fractional columns).
@@ -309,8 +290,6 @@ class PathPricingEngine:
         duals: DualWeights | None = None,
         *,
         weights: np.ndarray | None = None,
-        tie_tolerance: float = TIE_TOLERANCE,
-        index_tie_break: bool = True,
         remove_selected: bool = True,
         score: Callable | None = None,
         share_trees: bool = True,
@@ -342,12 +321,6 @@ class PathPricingEngine:
         else:
             self._tree_memo = None
             self._initial_tree_memo = None
-        self._tol = float(tie_tolerance)
-        # Refresh everything whose lower bound lies within this band above
-        # the freshest minimum; 3x the tolerance covers the worst-case drift
-        # of the fuzzy comparison chain (see module docstring).
-        self._band = 3.0 * self._tol
-        self._index_tie_break = bool(index_tie_break)
         self._remove_selected = bool(remove_selected)
         self._score = score if score is not None else _default_score
         self.stats = PricingStats()
@@ -585,102 +558,41 @@ class PathPricingEngine:
     # Lazy-greedy selection
     # ------------------------------------------------------------------ #
     def select(self) -> Selection | None:
-        """Return the reference-identical argmin request, or ``None`` when no
-        routable request remains.  Does *not* apply the dual update — call
-        :meth:`commit` (duals mode) or :meth:`invalidate_path` (external
-        weights mode) with the result.
+        """Return the pending request with the least ``(score, index)``, or
+        ``None`` when no routable request remains.  Does *not* apply the
+        dual update — call :meth:`commit` (duals mode) or
+        :meth:`invalidate_path` (external weights mode) with the result.
 
-        A stale entry is re-priced the moment it pops and pushed back.
+        Pop the top entry: skip it if its request is gone; if its score is
+        stale, re-price it and push it back; the first fresh top wins.
         """
         if not self._pending:
             return None
         self.stats.eager_equivalent_calls += len(self._source_live)
         heap = self._heap
         stats = self.stats
-        fresh: list[tuple[int, int, float]] = []  # (source, index, exact score)
-        fresh_scores: dict[int, float] = {}
-        fresh_trees: dict[int, CompactTree] = {}
-        anchor = math.inf
-        band = self._band
-        while True:
-            while heap and heap[0][0] <= anchor + band:
-                score, idx, epoch = heapq.heappop(heap)
-                if self._selected[idx] or self._dropped[idx]:
-                    continue  # lazily deleted entry
-                stats.lazy_pops += 1
-                source = self._requests[idx].source
-                if epoch == self._source_epoch.get(source, 0):
-                    # Fresh: computed from a tree that is still exactly valid.
-                    fresh.append((source, idx, score))
-                    fresh_scores[idx] = score
-                    fresh_trees[idx] = self._trees[source]
-                    if score < anchor:
-                        anchor = score
-                else:
-                    tree = self._get_tree(source)
-                    stats.repricings += 1
-                    req = self._requests[idx]
-                    d = tree.dist[req.target]
-                    if d == _INF:
-                        self._drop(idx)
-                        continue
-                    s = self._score(idx, req, d)
-                    heapq.heappush(heap, (s, idx, self._source_epoch.get(source, 0)))
-            if not fresh:
-                return None
-            winner = self._fold(fresh)
-            winner_score = fresh_scores[winner]
-            # The reference folds' fuzzy comparisons make the running best
-            # drift: with the index tie-break it climbs by up to the
-            # tolerance per exact-tie step, and in all fuzzy modes an entry
-            # within one tolerance of the incumbent is rejected without
-            # becoming best.  Re-anchor the refresh band at the current fold
-            # winner and keep refreshing until no remaining lower bound
-            # could still tie or beat it, re-folding each round.
-            if not (band and heap and heap[0][0] <= winner_score + band):
-                break
-            anchor = winner_score
-
-        for source, idx, score in fresh:
-            if idx != winner:
-                heapq.heappush(
-                    heap, (score, idx, self._source_epoch.get(source, 0))
+        while heap:
+            score, idx, epoch = heapq.heappop(heap)
+            if self._selected[idx] or self._dropped[idx]:
+                continue  # lazily deleted entry
+            stats.lazy_pops += 1
+            req = self._requests[idx]
+            source = req.source
+            if epoch == self._source_epoch.get(source, 0):
+                # Fresh: computed from a tree that is still exactly valid.
+                vertices, edge_ids = self._trees[source].path_to(req.target)
+                return Selection(
+                    index=idx, score=score, vertices=vertices, edge_ids=edge_ids
                 )
-        req = self._requests[winner]
-        vertices, edge_ids = fresh_trees[winner].path_to(req.target)
-        return Selection(
-            index=winner, score=winner_score, vertices=vertices, edge_ids=edge_ids
-        )
-
-    def _fold(self, fresh: list[tuple[int, int, float]]) -> int:
-        """Replay the reference selection loop over the fresh candidates.
-
-        Candidates are visited in the reference iteration order — sources
-        ascending, request index ascending within a source — and compared
-        with the reference's exact fuzzy-tolerance expressions.
-        """
-        fresh.sort()
-        tol = self._tol
-        best_idx = -1
-        best_score = math.inf
-        if self._index_tie_break:
-            for _, i, score in fresh:
-                if score < best_score - tol or (
-                    abs(score - best_score) <= tol and i < best_idx
-                ):
-                    best_score = score
-                    best_idx = i
-        elif tol > 0.0:
-            for _, i, score in fresh:
-                if score < best_score - tol:
-                    best_score = score
-                    best_idx = i
-        else:
-            for _, i, score in fresh:
-                if score < best_score:
-                    best_score = score
-                    best_idx = i
-        return best_idx
+            tree = self._get_tree(source)
+            stats.repricings += 1
+            d = tree.dist[req.target]
+            if d == _INF:
+                self._drop(idx)
+                continue
+            s = self._score(idx, req, d)
+            heapq.heappush(heap, (s, idx, self._source_epoch.get(source, 0)))
+        return None
 
     # ------------------------------------------------------------------ #
     # Post-selection updates
@@ -1052,9 +964,9 @@ class BundlePricingEngine:
     applies; instead of tree invalidation, a CSR item->bids incidence index
     marks exactly the bids sharing an item with the winner as stale.  Initial
     scores are computed in one vectorized CSR pass (``np.add.reduceat`` over
-    the flattened bundles) and used as heap lower bounds; every score that
-    enters the selection fold is recomputed with the reference expression so
-    comparisons are bit-identical.
+    the flattened bundles) and used as heap lower bounds; a bid wins only
+    with a score recomputed by the reference expression, so selections are
+    bit-identical.
     """
 
     def __init__(self, instance, duals: DualWeights) -> None:
@@ -1067,7 +979,7 @@ class BundlePricingEngine:
         self._values = [b.value for b in bids]
         self._selected = bytearray(n)
         # All entries start dirty: the vectorized initial scores are heap
-        # ordering keys only, never fold inputs.
+        # ordering keys only, never winning scores.
         self._dirty = bytearray(b"\x01") * n
         self._pending = n
         self._kernel = get_kernel()
@@ -1143,60 +1055,36 @@ class BundlePricingEngine:
         return self._duals.path_length(self._bundles[idx]) / self._values[idx]
 
     def select_and_commit(self, pre_commit_hook=None) -> tuple[int, float] | None:
-        """Pick the reference-identical winning bid, apply its dual update and
-        return ``(bid_index, score)`` — or ``None`` when no bid remains.
+        """Pick the pending bid with the least ``(score, index)``, apply its
+        dual update and return ``(bid_index, score)`` — or ``None`` when no
+        bid remains.  Same lazy loop as :meth:`PathPricingEngine.select`,
+        with a dirty flag for staleness.
 
         ``pre_commit_hook(index, score)``, if given, fires after the winner
-        is determined (fresh non-winners already re-pushed) but before the
-        dual update — the window where :meth:`peek_min_bound` still reads
-        runner-up scores under the pre-update weights, which is what the
-        trace recorder needs.
+        is popped but before the dual update — the window where
+        :meth:`peek_min_bound` still reads runner-up scores under the
+        pre-update weights, which is what the trace recorder needs.
         """
         if not self._pending:
             return None
         stats = self.stats
         stats.eager_equivalent_calls += self._pending
         heap = self._heap
-        fresh: list[tuple[int, float]] = []
-        anchor = math.inf
-        band = 3.0 * TIE_TOLERANCE
-        while True:
-            while heap and heap[0][0] <= anchor + band:
-                score, idx = heapq.heappop(heap)
-                if self._selected[idx]:
-                    continue
-                stats.lazy_pops += 1
-                if self._dirty[idx]:
-                    s = self._price(idx)
-                    stats.repricings += 1
-                    self._dirty[idx] = 0
-                    heapq.heappush(heap, (s, idx))
-                else:
-                    fresh.append((idx, score))
-                    if score < anchor:
-                        anchor = score
-            if not fresh:  # pragma: no cover - pending > 0 implies a candidate
-                return None
-            fresh.sort()
-            best_idx = -1
-            best_score = math.inf
-            for i, score in fresh:
-                if score < best_score - TIE_TOLERANCE:
-                    best_score = score
-                    best_idx = i
-            # Same fixpoint as PathPricingEngine.select: keep refreshing
-            # while any remaining lower bound could still tie the winner.
-            if not (heap and heap[0][0] <= best_score + band):
-                break
-            anchor = best_score
-        for i, score in fresh:
-            if i != best_idx:
-                heapq.heappush(heap, (score, i))
-
-        if pre_commit_hook is not None:
-            pre_commit_hook(best_idx, best_score)
-        self.replay_commit(best_idx)
-        return best_idx, best_score
+        while heap:
+            score, idx = heapq.heappop(heap)
+            if self._selected[idx]:
+                continue
+            stats.lazy_pops += 1
+            if self._dirty[idx]:
+                self._dirty[idx] = 0
+                stats.repricings += 1
+                heapq.heappush(heap, (self._price(idx), idx))
+                continue
+            if pre_commit_hook is not None:
+                pre_commit_hook(idx, score)
+            self.replay_commit(idx)
+            return idx, score
+        return None  # pragma: no cover - pending > 0 implies a live entry
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore (the trace-replay substrate)

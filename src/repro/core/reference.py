@@ -3,11 +3,13 @@
 These are the original full-rescoring loops — one
 :func:`~repro.graphs.shortest_path.reference_dijkstra` tree per distinct
 source per iteration, every live request re-priced every iteration — kept
-verbatim as differential-testing oracles for the lazy-greedy
+as differential-testing oracles for the lazy-greedy
 :mod:`~repro.core.pricing_engine` rewiring of :func:`bounded_ufp`,
 :func:`bounded_ufp_repeat` and :func:`bounded_muca`.  The production solvers
 must produce *identical* allocations (same requests, same selection order,
 same paths); the tests in ``tests/test_core_pricing_engine.py`` assert it.
+Every loop selects the least ``(score, request index)`` pair, comparing
+scores exactly.
 
 Only the allocations are contracted to match; statistics
 (``shortest_path_calls``, cache counters, the exact ``stopped_by_budget``
@@ -74,9 +76,7 @@ def reference_bounded_ufp(instance: UFPInstance, epsilon: float) -> Allocation:
                     unreachable.append(i)
                     continue
                 score = req.demand / req.value * tree.distance(req.target)
-                if score < best_score - 1e-15 or (
-                    abs(score - best_score) <= 1e-15 and i < best_idx
-                ):
+                if (score, i) < (best_score, best_idx):
                     best_score = score
                     best_idx = i
                     best_path = tree.path_to(req.target)
@@ -170,7 +170,7 @@ def reference_bounded_ufp_repeat(
                     newly_unroutable.append(i)
                     continue
                 score = req.demand / req.value * tree.distance(req.target)
-                if score < best_score - 1e-15:
+                if (score, i) < (best_score, best_idx):
                     best_score = score
                     best_idx = i
                     best_path = tree.path_to(req.target)
@@ -235,7 +235,7 @@ def reference_bounded_muca(instance, epsilon: float):
         for i in sorted(pool):
             bid = instance.bids[i]
             score = duals.path_length(bid.bundle) / bid.value
-            if score < best_score - 1e-15:
+            if (score, i) < (best_score, best_idx):
                 best_score = score
                 best_idx = i
         if best_idx < 0:  # pragma: no cover - pool non-empty implies a best

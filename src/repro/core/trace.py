@@ -33,27 +33,26 @@ the probe run can only deviate at a round where ``r``'s own score matters:
 
 * a round the base run gave to ``r`` (``winners[j] == r``) — with a changed
   score ``r`` may no longer win it; or
-* a round whose fold ``r``'s probe score could win or fuzzily tie.  The
-  probe score at round ``j`` is ``(d'/v') * dist_j(r)`` and distances are
-  monotone non-decreasing over a run (duals only grow), so the recorded
-  initial distance gives the sound lower bound ``probe_lb = (d'/v') *
-  dist_0(r)``.  If ``probe_lb`` exceeds the round's recorded winner score
-  by a safety band (orders of magnitude wider than the engines' ``1e-15``
-  fuzzy-tie tolerance), ``r`` cannot win or perturb that fold — the same
-  "a lower bound above the winner cannot matter" argument the lazy engine
-  itself rests on.
+* a round ``r``'s probe score could win.  The probe score at round ``j``
+  is ``(d'/v') * dist_j(r)`` and distances are monotone non-decreasing over
+  a run (duals only grow), so the recorded initial distance gives the sound
+  lower bound ``probe_lb = (d'/v') * dist_0(r)``.  Each round selects the
+  least ``(score, index)`` pair, so if ``probe_lb`` exceeds the round's
+  recorded winner score ``r`` cannot win that round — the same "a lower
+  bound above the winner cannot matter" argument the lazy engine itself
+  rests on.  The comparison keeps a safety band for the rounding of the
+  bound arithmetic and for exact ties.
 
 The divergence round is the earliest of the two, found by binary search
-over the running maximum of the recorded winner scores (winner scores are
-monotone up to tie-tolerance drift; the running max is exactly monotone and
-conservative).  Everything before it is replayed **by transcript** — the
-recorded dual updates are re-applied bit-identically (same sorted edge-id
-arrays, same demands, same incremental budget arithmetic) — and everything
-after it is re-run live on the restored engine.  Because the lazy engine's
-selections are a pure function of (pending pool, duals) regardless of its
-cache/heap internals, the resumed suffix reproduces the from-scratch probe
-run's allocation bit for bit; ``tests/test_trace_replay.py`` enforces this
-across the pinned differential-fuzz corpus, on loop trees and on C trees.
+over the running maximum of the recorded winner scores.  Everything before
+it is replayed **by transcript** — the recorded dual updates are re-applied
+bit-identically (same sorted edge-id arrays, same demands, same incremental
+budget arithmetic) — and everything after it is re-run live on the restored
+engine.  Because the lazy engine's selections are a pure function of
+(pending pool, duals) regardless of its cache/heap internals, the resumed
+suffix reproduces the from-scratch probe run's allocation bit for bit;
+``tests/test_trace_replay.py`` enforces this across the pinned
+differential-fuzz corpus, on loop trees and on C trees.
 
 Two probe answers are free:
 
@@ -110,10 +109,10 @@ __all__ = [
     "supports_trace",
 ]
 
-#: Safety margins for every divergence / certificate comparison.  The
-#: engines' fuzzy-tie tolerance is an absolute ``1e-15``; a relative
-#: ``1e-9`` plus an absolute ``1e-12`` dominates it (and every float
-#: rounding in the bound arithmetic) at any score magnitude, at the cost of
+#: Safety margins for every divergence / certificate comparison.  Bounds
+#: derived from recorded scores (``score / ratio``, ``demand * dist / cap``)
+#: carry a few roundings each; a relative ``1e-9`` plus an absolute
+#: ``1e-12`` dominates them at any score magnitude, at the cost of
 #: replaying a handful of extra rounds near exact ties.
 _REL_MARGIN = 1e-9
 _ABS_MARGIN = 1e-12
@@ -225,10 +224,11 @@ class RunTrace:
         self.admission: str | None = None
         self.score_threshold = math.inf
         self.rounds: list[TraceRound] = []
-        # Running maximum of the winner scores: exactly monotone even though
-        # the fuzzy folds let raw winner scores (kept on the rounds) dip by
-        # ~tolerance, so divergence lookups can binary-search it
-        # conservatively.
+        # Running maximum of the winner scores (the raw ones stay on the
+        # rounds), which divergence lookups binary-search.  While duals only
+        # grow each round takes the least score of a pool whose scores only
+        # grow, so the raw scores are already non-decreasing; the running
+        # max makes that hold by construction.
         self.score_env: list[float] = []
         self.first_win: dict[int, int] = {}
         self.initial_dist: list[float] = []
@@ -712,8 +712,6 @@ class TraceReplayer(_ReplayerBase):
                 trace.graph,
                 list(trace.requests),
                 self._duals,
-                tie_tolerance=1e-15,
-                index_tie_break=trace.mode != "repeat",
                 remove_selected=trace.mode != "repeat",
             )
         if stats is not None:

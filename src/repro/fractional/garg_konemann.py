@@ -156,15 +156,12 @@ def garg_konemann_fractional_ufp(
     # non-decreasing and cached column costs are valid lower bounds.  The
     # engine runs in external-weights mode (it reads ``edge_weights`` live;
     # the loop below performs the updates and then invalidates the touched
-    # path).  GK selects with an exact strict ``<`` (no fuzzy tolerance),
-    # first in source/index iteration order on ties.
+    # path).  Exact ties go to the lower request index.
     engine = PathPricingEngine(
         graph,
         instance.requests,
         None,
         weights=edge_weights,
-        tie_tolerance=0.0,
-        index_tie_break=False,
         remove_selected=False,
         score=column_cost,
         share_trees=False,

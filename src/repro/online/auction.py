@@ -203,14 +203,7 @@ class OnlineAuction:
         self._duals = DualWeights(
             graph.capacities, self._epsilon, capacity_bound=capacity_bound
         )
-        self._engine = PathPricingEngine(
-            graph,
-            (),
-            self._duals,
-            tie_tolerance=1e-15,
-            index_tie_break=True,
-            remove_selected=True,
-        )
+        self._engine = PathPricingEngine(graph, (), self._duals)
         # The engine owns the request pool (arrival order == engine-global
         # index order); the auction only keeps per-index arrival metadata.
         self._arrival_batch: list[int] = []

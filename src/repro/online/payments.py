@@ -123,14 +123,7 @@ def batch_critical_values(
         probe_requests[local_index] = probe_requests[local_index].with_value(value)
         duals = scratch
         duals.restore_from(snapshot)
-        engine = PathPricingEngine(
-            graph,
-            probe_requests,
-            duals,
-            tie_tolerance=1e-15,
-            index_tie_break=True,
-            remove_selected=True,
-        )
+        engine = PathPricingEngine(graph, probe_requests, duals)
         selections = drain_engine(
             engine,
             duals,
@@ -181,14 +174,7 @@ def _record_batch(
     back to from-scratch probe drains instead of mispricing.
     """
     scratch.restore_from(snapshot)
-    engine = PathPricingEngine(
-        graph,
-        requests,
-        scratch,
-        tie_tolerance=1e-15,
-        index_tie_break=True,
-        remove_selected=True,
-    )
+    engine = PathPricingEngine(graph, requests, scratch)
     recorder = TraceRecorder()
     recorder.begin_path_run(
         mode="drain",

@@ -6,9 +6,9 @@ Two operating modes, chosen by where the requests live:
 shard runs its own ``PathPricingEngine`` + ``DualWeights`` to exhaustion —
 fanned out across processes via :func:`repro.parallel.pmap` — and records
 its full greedy selection sequence.  A serial coordinator then merges the
-sequences: each step folds the current head of every shard sequence with
-the reference comparison (fuzzy tolerance + request-index tie-break) and
-applies the global dual-budget stopping rule before consuming the winner.
+sequences: each step takes the current head with the least ``(score,
+global request index)`` and applies the global dual-budget stopping rule
+before consuming it.
 
 The merge is **unconditionally** bit-identical to a global run on the
 substrate with its cut edges disabled (same engines, same relabeled
@@ -31,10 +31,9 @@ Why the merge reproduces the cut-disabled global run exactly:
 * the coordinator reconstructs the global budget from the exact float
   increments (:attr:`DualWeights.last_budget_increment`) summed in merge
   order — the same additions, in the same order, as the global run;
-* folding the per-shard minima (each shard's head is its fold winner)
-  equals the flat fold over all candidates for the engine's comparison
-  semantics, up to the engine's already-documented adversarial-ulp-chain
-  caveat — sources ascending, index tie-break on exact ties;
+* each shard's head is its least ``(score, index)`` pair, and shards
+  relabel requests in ascending global order, so the least head is the
+  least pair over all candidates — the global engine's selection;
 * the budget stopping rule only *truncates* the merged sequence; it never
   alters which request a shard would pick next.
 
@@ -69,7 +68,7 @@ import numpy as np
 
 from repro import parallel
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import TIE_TOLERANCE, PathPricingEngine, Selection
+from repro.core.pricing_engine import PathPricingEngine, Selection
 from repro.exceptions import InvalidInstanceError
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
@@ -119,36 +118,10 @@ def resolve_partition(
     return GraphPartition(graph, partition)
 
 
-# ---------------------------------------------------------------------- #
-# Shared fold
-# ---------------------------------------------------------------------- #
-def _fold_candidates(candidates: list[tuple]) -> tuple:
-    """Replay the engine's reference fold over cross-shard candidates.
-
-    ``candidates`` are ``(global_source, global_index, score, *payload)``
-    tuples, at most one per shard (each already its shard's fold winner).
-    Visiting them sorted by ``(source, index)`` and applying the exact
-    fuzzy comparison reproduces the flat fold the global engine runs over
-    all fresh candidates: within one shard the head is the shard fold's
-    winner, and folding winners-of-folds in source order equals the flat
-    fold for these comparison semantics (modulo the engine's documented
-    adversarial ulp-chain caveat).
-    """
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    tol = TIE_TOLERANCE
-    best = None
-    best_idx = -1
-    best_score = _INF
-    for cand in candidates:
-        score = cand[2]
-        idx = cand[1]
-        if score < best_score - tol or (
-            abs(score - best_score) <= tol and idx < best_idx
-        ):
-            best = cand
-            best_idx = idx
-            best_score = score
-    return best
+def _score_then_index(candidate: tuple) -> tuple[float, int]:
+    """The selection order over ``(score, global_index, region, *payload)``
+    candidates: least score, then least global request index."""
+    return candidate[0], candidate[1]
 
 
 # ---------------------------------------------------------------------- #
@@ -170,14 +143,7 @@ def _run_shard_to_exhaustion(
     duals = DualWeights(
         shard.graph.capacities, epsilon, capacity_bound=capacity_bound
     )
-    engine = PathPricingEngine(
-        shard.graph,
-        shard.requests,
-        duals,
-        tie_tolerance=TIE_TOLERANCE,
-        index_tie_break=True,
-        remove_selected=True,
-    )
+    engine = PathPricingEngine(shard.graph, shard.requests, duals)
     steps: list[tuple] = []
     while engine.num_pending:
         selection = engine.select()
@@ -245,10 +211,9 @@ def _merge_intra(
             position = heads[region]
             sequence = sequences[region]
             if position < len(sequence):
-                gidx, score, vertices, _edge_ids, _delta = sequence[position]
-                candidates.append((vertices[0], gidx, score, region))
-        winner = _fold_candidates(candidates)
-        region = winner[3]
+                gidx, score = sequence[position][:2]
+                candidates.append((score, gidx, region))
+        region = min(candidates, key=_score_then_index)[2]
         gidx, _score, vertices, edge_ids, delta = sequences[region][heads[region]]
         heads[region] += 1
         remaining -= 1
@@ -322,12 +287,7 @@ class _LiveRegion:
             self.duals = None
         if self.duals is not None and shard.requests:
             self.engine = PathPricingEngine(
-                shard.graph,
-                shard.requests,
-                self.duals,
-                tie_tolerance=TIE_TOLERANCE,
-                index_tie_break=True,
-                remove_selected=True,
+                shard.graph, shard.requests, self.duals
             )
         else:
             self.engine = None
@@ -659,12 +619,10 @@ def _solve_hierarchical(
             selection = live.engine.select()
             if selection is None:
                 continue
-            shard = live.shard
             intra_candidates.append(
                 (
-                    int(shard.vertices[selection.vertices[0]]),
-                    shard.request_indices[selection.index],
                     selection.score,
+                    live.shard.request_indices[selection.index],
                     region,
                     selection,
                 )
@@ -678,27 +636,25 @@ def _solve_hierarchical(
                 unroutable.append(gidx)
                 continue
             score = request.demand / request.value * plan.distance
-            cross_candidates.append(
-                (request.source, gidx, score, -1, plan)
-            )
+            cross_candidates.append((score, gidx, -1, plan))
         for gidx in unroutable:
             cross_pool.remove(gidx)
         if not intra_candidates and not cross_candidates:
             break
-        winner = _fold_candidates(intra_candidates + cross_candidates)
+        winner = min(intra_candidates + cross_candidates, key=_score_then_index)
         # Requeue the losing shard selections *before* any weight update:
         # requeue is only valid while the selection's score and epoch are
         # still current, which stops being true the moment any shard's
         # duals move.
         for candidate in intra_candidates:
             if candidate is not winner:
-                state.regions[candidate[3]].engine.requeue(candidate[4])
+                state.regions[candidate[2]].engine.requeue(candidate[3])
 
         gidx = winner[1]
         request = instance.requests[gidx]
-        if winner[3] >= 0:
-            live = state.regions[winner[3]]
-            selection: Selection = winner[4]
+        if winner[2] >= 0:
+            live = state.regions[winner[2]]
+            selection: Selection = winner[3]
             vertices = live.shard.to_global_vertices(selection.vertices)
             edge_ids = live.shard.to_global_edges(selection.edge_ids)
             if state.overloads(edge_ids, request.demand):
@@ -710,7 +666,7 @@ def _solve_hierarchical(
             live.invalidate()
             state.loads[np.asarray(edge_ids, dtype=np.int64)] += request.demand
         else:
-            plan: _CrossPlan = winner[4]
+            plan: _CrossPlan = winner[3]
             vertices, edge_ids = state.expand_cross(request, plan)
             cross_pool.remove(gidx)
             if state.overloads(edge_ids, request.demand):

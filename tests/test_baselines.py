@@ -110,12 +110,19 @@ class TestBriestStyle:
         assert allocation.value <= solve_fractional_ufp(instance).objective + 1e-6
 
     def test_beta_one_recovers_bounded_ufp(self, contended_instance):
-        ours = bounded_ufp(contended_instance, 1.0)
-        theirs = briest_style_ufp(contended_instance, 1.0, stop_fraction=1.0)
-        assert theirs.value == pytest.approx(ours.value)
-        assert [r.request_index for r in theirs.routed] == [
-            r.request_index for r in ours.routed
-        ]
+        # The second input ties exactly across sources: both loops must route
+        # the lower request index first, not the lower source.
+        fan_in = UFPInstance(
+            CapacitatedGraph(3, [(0, 2, 10.0), (1, 2, 10.0)], directed=True),
+            [Request(1, 2, 1.0, 2.0), Request(0, 2, 1.0, 2.0)],
+        )
+        for instance in (contended_instance, fan_in):
+            ours = bounded_ufp(instance, 1.0)
+            theirs = briest_style_ufp(instance, 1.0, stop_fraction=1.0)
+            assert theirs.value == pytest.approx(ours.value)
+            assert [r.request_index for r in theirs.routed] == [
+                r.request_index for r in ours.routed
+            ]
 
     def test_never_beats_bounded_ufp_with_smaller_budget(self):
         instance = random_instance(

@@ -11,6 +11,8 @@ bit-identity of the rewritten Dijkstra hot loop against the reference one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,16 +92,41 @@ class TestAllocationsMatchReference:
         assert _routed_signature(fast) == _routed_signature(slow)
 
     def test_exact_ties_break_identically(self):
-        # Four identical requests: scores tie exactly, index order decides.
+        # Selection takes the least (score, index) pair, comparing scores
+        # exactly: engine and reference agree, in the literal order below.
+        from repro.auctions import Bid, MUCAInstance
         from repro.flows import Request, UFPInstance
         from repro.graphs import CapacitatedGraph
 
-        graph = CapacitatedGraph(2, [(0, 1, 10.0)], directed=True)
-        requests = [Request(0, 1, 1.0, 2.0) for _ in range(4)]
-        instance = UFPInstance(graph, requests)
-        fast = bounded_ufp(instance, 1.0)
-        slow = reference_bounded_ufp(instance, 1.0)
+        one_arc = CapacitatedGraph(2, [(0, 1, 10.0)], directed=True)
+        # Four identical requests: scores tie exactly, index order decides.
+        tied = UFPInstance(one_arc, [Request(0, 1, 1.0, 2.0) for _ in range(4)])
+        # Values one ulp apart: request 1's score is strictly smaller.
+        below_two = math.nextafter(2.0, 0.0)
+        near = UFPInstance(
+            one_arc, [Request(0, 1, 1.0, below_two), Request(0, 1, 1.0, 2.0)]
+        )
+        for instance, expected in ((tied, [0, 1, 2, 3]), (near, [1, 0])):
+            fast = bounded_ufp(instance, 1.0)
+            slow = reference_bounded_ufp(instance, 1.0)
+            assert _routed_signature(fast) == _routed_signature(slow)
+            assert [r.request_index for r in fast.routed] == expected
+
+        # The same near tie as bids on one item.
+        auction = MUCAInstance([10.0], [Bid((0,), below_two), Bid((0,), 2.0)])
+        assert bounded_muca(auction, 1.0).winners == [1, 0]
+        assert reference_bounded_muca(auction, 1.0).winners == [1, 0]
+
+        # An exact tie across sources: the lower index goes first, whatever
+        # its source.
+        fan_in = UFPInstance(
+            CapacitatedGraph(3, [(0, 2, 10.0), (1, 2, 10.0)], directed=True),
+            [Request(1, 2, 1.0, 2.0), Request(0, 2, 1.0, 2.0)],
+        )
+        fast = bounded_ufp_repeat(fan_in, 1.0, max_iterations=4)
+        slow = reference_bounded_ufp_repeat(fan_in, 1.0, max_iterations=4)
         assert _routed_signature(fast) == _routed_signature(slow)
+        assert [r.request_index for r in fast.routed] == [0, 1, 0, 1]
 
     def test_payments_match_reference_driven_bisection(self):
         instance = random_instance(
@@ -141,8 +168,9 @@ def test_property_engine_matches_reference(seed, epsilon, directed):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=1000))
 def test_property_lazy_selection_is_never_beaten(seed):
-    """No pool request's *fresh* score (recomputed eagerly from scratch under
-    the current duals) ever beats the lazy-greedy selection."""
+    """The lazy-greedy selection is the least ``(score, index)`` pair over
+    the pool's *fresh* scores (recomputed eagerly from scratch under the
+    current duals)."""
     instance = random_instance(
         num_vertices=9, edge_probability=0.3, capacity=12.0,
         num_requests=14, demand_range=(0.3, 1.0), seed=seed,
@@ -165,10 +193,10 @@ def test_property_lazy_selection_is_never_beaten(seed):
             if not tree.reachable(req.target):
                 continue
             score = req.demand / req.value * tree.distance(req.target)
-            if best is None or score < best:
-                best = score
+            if best is None or (score, i) < best:
+                best = (score, i)
         assert best is not None
-        assert selection.score <= best + 1e-15
+        assert (selection.score, selection.index) == best
         engine.commit(selection)
         pool.discard(selection.index)
 
@@ -330,7 +358,7 @@ class TestStreamingEngineAPI:
         duals = DualWeights(instance.graph.capacities, 0.5)
         return PathPricingEngine(
             instance.graph, requests, duals,
-            tie_tolerance=1e-15, index_tie_break=True, remove_selected=True,
+            remove_selected=True,
         )
 
     def test_add_requests_assigns_consecutive_indices_and_liveness(self):
@@ -467,7 +495,7 @@ class TestSubstrateRebind:
         duals = DualWeights(instance.graph.capacities, 0.5)
         engine = PathPricingEngine(
             instance.graph, list(instance.requests), duals,
-            tie_tolerance=1e-15, index_tie_break=True, remove_selected=True,
+            remove_selected=True,
         )
         return instance, duals, engine
 
@@ -527,7 +555,7 @@ class TestSubstrateRebind:
             new_graph,
             [instance.requests[i] for i in live],
             new_duals.copy(),
-            tie_tolerance=1e-15, index_tie_break=True, remove_selected=True,
+            remove_selected=True,
         )
         while True:
             a = engine.select()
@@ -549,7 +577,7 @@ class TestSubstrateRebind:
         duals = DualWeights(graph.capacities, 0.5)
         engine = PathPricingEngine(
             graph, [Request(0, 2, 1.0, 2.0)], duals,
-            tie_tolerance=1e-15, index_tie_break=True, remove_selected=True,
+            remove_selected=True,
         )
         assert engine.is_live(0)
         cut = graph.with_capacities(graph.capacities, disabled_edges=[1])

@@ -83,7 +83,7 @@ def check_dual_monotonicity(seed, num_vertices, edge_probability, capacity,
     duals = DualWeights(instance.graph.capacities, epsilon)
     engine = PathPricingEngine(
         instance.graph, instance.requests, duals,
-        tie_tolerance=1e-15, index_tie_break=True, remove_selected=True,
+        remove_selected=True,
     )
     previous = duals.weights.copy()
     iterations = 0
