@@ -13,7 +13,8 @@
   shared by all three.
 * :mod:`repro.core.pricing_engine` — the lazy-greedy path/bundle pricing
   engine (monotone score caching, shortest-path-tree caching with edge-set
-  invalidation) all three production solvers run on.
+  invalidation) and ``greedy_rounds``, the round loop all three production
+  solvers run.
 * :mod:`repro.core.reference` — the original eager full-rescoring solver
   loops, kept as differential-testing oracles for the engine.
 * :mod:`repro.core.trace` — the run-trace + checkpoint subsystem: record a

@@ -21,18 +21,16 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from typing import Literal
 
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
+from repro.core.bounded_ufp import CapacityCheck
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import BundlePricingEngine
+from repro.core.pricing_engine import BundlePricingEngine, greedy_rounds
 from repro.exceptions import CapacityBoundError
 from repro.types import RunStats
 
 __all__ = ["bounded_muca"]
-
-CapacityCheck = Literal["ignore", "warn", "strict"]
 
 
 def _check_capacity_assumption(
@@ -98,9 +96,6 @@ def bounded_muca(
     # only grow); each iteration re-prices only the bids sharing an item with
     # a recent winner; exact ties go to the lower bid index.
     engine = BundlePricingEngine(instance, duals)
-    winners: list[int] = []
-    iterations = 0
-    stopped_by_budget = False
     iteration_cap = max_iterations if max_iterations is not None else instance.num_bids
 
     if trace is not None:
@@ -111,37 +106,21 @@ def bounded_muca(
             iteration_cap=iteration_cap,
             instance=instance,
         )
-        hook = lambda idx, score: trace.record_selected_bundle(  # noqa: E731
-            engine, idx, score
-        )
-    else:
-        hook = None
 
-    while engine.num_pending and iterations < iteration_cap:
-        # Line 3: stopping rule on the dual budget sum_u c_u y_u.
-        if not duals.within_budget:
-            stopped_by_budget = True
-            break
-
-        # Lines 4-6: select the bid minimizing (1 / v_r) * sum_{u in U_r} y_u,
-        # multiply its bundle's item weights by exp(eps B / c_u) (one unit per
-        # item) and record the winner.
-        selected = engine.select_and_commit(pre_commit_hook=hook)
-        if selected is None:  # pragma: no cover - pending implies a best
-            break
-        winners.append(selected[0])
-        iterations += 1
-        if trace is not None:
-            trace.record_committed(engine, duals)
-
-    if engine.num_pending and not stopped_by_budget and not duals.within_budget:
-        stopped_by_budget = True
+    # Lines 3-6 run inside greedy_rounds: stop on the dual budget
+    # sum_u c_u y_u, select the bid minimizing (1 / v_r) * sum_{u in U_r} y_u
+    # and multiply its bundle's item weights by exp(eps B / c_u).
+    winners = [
+        selection.index
+        for selection in greedy_rounds(engine, cap=iteration_cap, trace=trace)
+    ]
+    stopped_by_budget = bool(engine.num_pending) and not duals.within_budget
 
     if trace is not None:
         trace.finish(engine, duals, stopped_by_budget=stopped_by_budget)
 
     stats = RunStats(
-        iterations=iterations,
+        iterations=len(winners),
         shortest_path_calls=0,
         stopped_by_budget=stopped_by_budget,
         wall_time_s=time.perf_counter() - start,

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from typing import Literal
+from typing import Callable, Literal
 
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import PathPricingEngine
+from repro.core.pricing_engine import PathPricingEngine, greedy_rounds
 from repro.exceptions import CapacityBoundError, InvalidInstanceError
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
@@ -152,13 +152,39 @@ def bounded_ufp(
             max_iterations=max_iterations,
             capacity_check=capacity_check,
         )
+    return _greedy_path_run(
+        instance,
+        epsilon,
+        label="Bounded-UFP",
+        remove_selected=True,
+        default_cap=lambda: instance.num_requests,
+        capacity_check=capacity_check,
+        max_iterations=max_iterations,
+        trace=trace,
+    )
+
+
+def _greedy_path_run(
+    instance: UFPInstance,
+    epsilon: float,
+    *,
+    label: str,
+    remove_selected: bool,
+    default_cap: Callable[[], int],
+    capacity_check: CapacityCheck,
+    max_iterations: int | None,
+    trace,
+) -> Allocation:
+    """The body of ``Bounded-UFP`` and ``Bounded-UFP-Repeat``: they differ
+    only in whether a winner leaves the pool, the default iteration cap and
+    the label."""
     if not 0.0 < float(epsilon) <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     if instance.num_edges == 0:
-        raise InvalidInstanceError("Bounded-UFP requires a graph with at least one edge")
+        raise InvalidInstanceError(f"{label} requires a graph with at least one edge")
     if instance.num_requests and instance.max_demand > 1.0 + 1e-12:
         raise InvalidInstanceError(
-            "Bounded-UFP expects demands normalized to (0, 1]; call "
+            f"{label} expects demands normalized to (0, 1]; call "
             "UFPInstance.normalized() first"
         )
     _check_capacity_assumption(instance, float(epsilon), capacity_check)
@@ -166,22 +192,21 @@ def bounded_ufp(
     graph = instance.graph
     start = time.perf_counter()
     duals = DualWeights(graph.capacities, float(epsilon))
+    iteration_cap = max_iterations if max_iterations is not None else default_cap()
 
     # The engine owns the pool of unhandled requests L: each request sits in
     # a lazy min-heap keyed by its last-computed normalized length (a valid
     # lower bound, since duals only grow), requests with no s-t path are
-    # dropped the moment they are detected, and each iteration re-prices only
+    # dropped the moment they are detected, and each round re-prices only
     # the requests whose cached score could still win (lines 6-9 of the
-    # algorithm; exact ties go to the lower request index).
-    engine = PathPricingEngine(graph, instance.requests, duals)
-    routed: list[RoutedRequest] = []
-    iterations = 0
-    stopped_by_budget = False
-    iteration_cap = max_iterations if max_iterations is not None else instance.num_requests
-
+    # algorithm; exact ties go to the lower request index).  With
+    # repetitions a winner stays selectable.
+    engine = PathPricingEngine(
+        graph, instance.requests, duals, remove_selected=remove_selected
+    )
     if trace is not None:
         trace.begin_path_run(
-            mode="ufp",
+            mode="ufp" if remove_selected else "repeat",
             engine=engine,
             duals=duals,
             epsilon=float(epsilon),
@@ -189,43 +214,30 @@ def bounded_ufp(
             instance=instance,
         )
 
-    while engine.num_pending and iterations < iteration_cap:
-        # Line 5: the stopping rule on the dual budget.
-        if not duals.within_budget:
-            stopped_by_budget = True
-            break
-
-        selection = engine.select()
-        if selection is None:
-            # No unhandled request is routable (disconnected terminals).
-            break
-
-        # Lines 10-11: exponential weight update along the selected path,
-        # record the selection and remove the request from the pool.
-        if trace is not None:
-            trace.record_selected(engine, selection)
-        engine.commit(selection)
-        if trace is not None:
-            trace.record_committed(engine, duals)
-        routed.append(
-            RoutedRequest(
-                request_index=selection.index,
-                request=instance.requests[selection.index],
-                vertices=selection.vertices,
-                edge_ids=selection.edge_ids,
-                copies=1,
-            )
+    # Line 5 (the dual budget rule) and lines 10-11 (the exponential weight
+    # update along the selected path) run inside greedy_rounds.
+    routed = [
+        RoutedRequest(
+            request_index=selection.index,
+            request=instance.requests[selection.index],
+            vertices=selection.vertices,
+            edge_ids=selection.edge_ids,
+            copies=1,
         )
-        iterations += 1
-
-    if engine.num_pending and not stopped_by_budget and not duals.within_budget:
-        stopped_by_budget = True
+        for selection in greedy_rounds(engine, cap=iteration_cap, trace=trace)
+    ]
+    # A Bounded-UFP run that handled every request did not stop on the
+    # budget even when its last update spent it; a Repeat pool never
+    # empties while any request is routable.
+    stopped_by_budget = not duals.within_budget and (
+        bool(engine.num_pending) or not remove_selected
+    )
 
     if trace is not None:
         trace.finish(engine, duals, stopped_by_budget=stopped_by_budget)
 
     stats = RunStats(
-        iterations=iterations,
+        iterations=len(routed),
         shortest_path_calls=engine.stats.dijkstra_calls,
         stopped_by_budget=stopped_by_budget,
         wall_time_s=time.perf_counter() - start,
@@ -242,5 +254,5 @@ def bounded_ufp(
         instance=instance,
         routed=routed,
         stats=stats,
-        algorithm=f"Bounded-UFP(eps={float(epsilon):g})",
+        algorithm=f"{label}(eps={float(epsilon):g})",
     )

@@ -12,25 +12,32 @@ in sharp contrast with the ``e/(e-1)`` barrier of the no-repetitions variant.
 The running time is polynomial in ``m`` and ``c_max / d_min``: each iteration
 multiplies at least one ``y_e`` by ``exp(eps B d_min / c_max)`` and the
 weights can only grow by a bounded factor before the budget rule fires.
+
+The algorithm is ``Bounded-UFP`` with the winner kept selectable, so this
+module calls the body it shares with :func:`repro.core.bounded_ufp.bounded_ufp`
+(whose rounds run through :func:`repro.core.pricing_engine.greedy_rounds`)
+and supplies only that switch, the default iteration cap and the label.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Literal
 
-from repro.core.bounded_ufp import _check_capacity_assumption
-from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import PathPricingEngine
-from repro.exceptions import InvalidInstanceError
-from repro.flows.allocation import Allocation, RoutedRequest
+from repro.core.bounded_ufp import CapacityCheck, _greedy_path_run
+from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
-from repro.types import RunStats
 
 __all__ = ["bounded_ufp_repeat"]
 
-CapacityCheck = Literal["ignore", "warn", "strict"]
+
+def _repetition_cap(instance: UFPInstance) -> int:
+    """The paper's iteration bound ``ceil(m * c_max / d_min) + m``."""
+    if not instance.num_requests:
+        return 0
+    graph = instance.graph
+    return int(
+        math.ceil(graph.num_edges * graph.max_capacity / instance.min_demand)
+    ) + graph.num_edges
 
 
 def bounded_ufp_repeat(
@@ -57,110 +64,25 @@ def bounded_ufp_repeat(
         ``ceil(m * c_max / d_min) + m`` which the run never reaches in
         practice (the budget rule fires first) but protects against
         pathological floating-point stalls.
+    trace:
+        Optional :class:`repro.core.trace.TraceRecorder`, as in
+        :func:`~repro.core.bounded_ufp.bounded_ufp`.
 
     Returns
     -------
     Allocation
         A multiset of (request, path) pairs — the same request may appear
         many times, possibly along different paths.  The result is feasible
-        by the same argument as Lemma 3.3.
+        by the same argument as Lemma 3.3.  ``stats.stopped_by_budget`` is
+        set whenever the final budget exceeds the limit.
     """
-    if not 0.0 < float(epsilon) <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if instance.num_edges == 0:
-        raise InvalidInstanceError(
-            "Bounded-UFP-Repeat requires a graph with at least one edge"
-        )
-    if instance.num_requests and instance.max_demand > 1.0 + 1e-12:
-        raise InvalidInstanceError(
-            "Bounded-UFP-Repeat expects demands normalized to (0, 1]; call "
-            "UFPInstance.normalized() first"
-        )
-    _check_capacity_assumption(instance, float(epsilon), capacity_check)
-
-    graph = instance.graph
-    start = time.perf_counter()
-    duals = DualWeights(graph.capacities, float(epsilon))
-
-    if max_iterations is None:
-        if instance.num_requests:
-            min_demand = instance.min_demand
-            max_iterations = int(
-                math.ceil(graph.num_edges * graph.max_capacity / min_demand)
-            ) + graph.num_edges
-        else:
-            max_iterations = 0
-
-    # The lazy-greedy engine keeps a request selectable after a win
-    # (``remove_selected=False`` — repetitions are the whole point), drops
-    # requests with disconnected terminals on detection, and breaks exact
-    # score ties by the lower request index.
-    engine = PathPricingEngine(
-        graph, instance.requests, duals, remove_selected=False
-    )
-    routed: list[RoutedRequest] = []
-    iterations = 0
-    stopped_by_budget = False
-
-    if trace is not None:
-        trace.begin_path_run(
-            mode="repeat",
-            engine=engine,
-            duals=duals,
-            epsilon=float(epsilon),
-            iteration_cap=max_iterations,
-            instance=instance,
-        )
-
-    while engine.num_pending and iterations < max_iterations:
-        # Line 3: stopping rule on the dual budget.
-        if not duals.within_budget:
-            stopped_by_budget = True
-            break
-
-        selection = engine.select()
-        if selection is None:
-            break
-
-        if trace is not None:
-            trace.record_selected(engine, selection)
-        engine.commit(selection)
-        if trace is not None:
-            trace.record_committed(engine, duals)
-        routed.append(
-            RoutedRequest(
-                request_index=selection.index,
-                request=instance.requests[selection.index],
-                vertices=selection.vertices,
-                edge_ids=selection.edge_ids,
-                copies=1,
-            )
-        )
-        iterations += 1
-
-    if not stopped_by_budget and not duals.within_budget:
-        stopped_by_budget = True
-
-    if trace is not None:
-        trace.finish(engine, duals, stopped_by_budget=stopped_by_budget)
-
-    stats = RunStats(
-        iterations=iterations,
-        shortest_path_calls=engine.stats.dijkstra_calls,
-        stopped_by_budget=stopped_by_budget,
-        wall_time_s=time.perf_counter() - start,
-        extra={
-            "final_dual_budget": duals.budget,
-            "dual_budget_limit": duals.budget_limit,
-            "epsilon": float(epsilon),
-            "capacity_bound": duals.capacity_bound,
-            **engine.stats.as_extra(),
-            **(trace.extra_stats() if trace is not None else {}),
-        },
-    )
-    return Allocation(
-        instance=instance,
-        routed=routed,
-        stats=stats,
-        algorithm=f"Bounded-UFP-Repeat(eps={float(epsilon):g})",
+    return _greedy_path_run(
+        instance,
+        epsilon,
+        label="Bounded-UFP-Repeat",
+        remove_selected=False,
+        default_cap=lambda: _repetition_cap(instance),
+        capacity_check=capacity_check,
+        max_iterations=max_iterations,
+        trace=trace,
     )

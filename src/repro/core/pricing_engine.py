@@ -65,6 +65,14 @@ scores exactly.  The tie rule is deterministic and ignores the declared
 fresh entry to reach the top wins: a stale key is at most its request's
 true score, so ``(key, i) <= (score, i)`` and nothing below the top can
 beat it.
+
+The round loop
+--------------
+:func:`greedy_rounds` runs the rounds on either engine: it applies the
+stopping rules (iteration cap, dual budget, nothing routable, an optional
+admission threshold) in one fixed order and commits each winner.  The three
+solvers of the paper, every online drain and every trace replay run through
+it, so a replay makes the live run's decisions by construction.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +97,7 @@ __all__ = [
     "BundleEngineCheckpoint",
     "PricingStats",
     "Selection",
+    "greedy_rounds",
 ]
 
 #: Key under which shortest-path trees are memoized on
@@ -228,12 +237,12 @@ class PricingStats:
 @dataclass(frozen=True)
 class Selection:
     """One lazy-greedy winner: the request index, its fresh (exact) score and
-    the shortest path it would be routed on."""
+    the shortest path it would be routed on (``None`` for a bid)."""
 
     index: int
     score: float
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
+    vertices: tuple[int, ...] | None
+    edge_ids: tuple[int, ...] | None
 
 
 _INF = math.inf
@@ -482,24 +491,30 @@ class PathPricingEngine:
     # ------------------------------------------------------------------ #
     def _prime(self) -> None:
         """Price every request once (at the initial weights) and build the heap."""
-        by_source: dict[int, list[int]] = {}
-        for idx, req in enumerate(self._requests):
-            by_source.setdefault(req.source, []).append(idx)
+        for req in self._requests:
             self._source_live[req.source] = self._source_live.get(req.source, 0) + 1
+        self._price_into_heap(range(len(self._requests)))
 
+    def _price_into_heap(self, indices: Sequence[int]) -> None:
+        """Price the live requests ``indices`` exactly (one batched tree
+        fetch for their sources), drop the unroutable ones and heapify the
+        rest into the heap."""
+        by_source: dict[int, list[int]] = {}
+        for idx in indices:
+            by_source.setdefault(self._requests[idx].source, []).append(idx)
         trees = self._get_trees_batch(list(by_source))
+        heap = self._heap
         for source, idxs in by_source.items():
-            tree = trees[source]
             epoch = self._source_epoch.get(source, 0)
-            dist = tree.dist
+            dist = trees[source].dist
             for idx in idxs:
                 req = self._requests[idx]
                 d = dist[req.target]
                 if d == _INF:
                     self._drop(idx)
                     continue
-                self._heap.append((self._score(idx, req, d), idx, epoch))
-        heapq.heapify(self._heap)
+                heap.append((self._score(idx, req, d), idx, epoch))
+        heapq.heapify(heap)
 
     def _drop(self, idx: int) -> None:
         if not self._dropped[idx]:
@@ -618,7 +633,7 @@ class PathPricingEngine:
         """Return an *uncommitted* selection to the pool.
 
         For callers that inspect the argmin before deciding whether to take
-        it (e.g. the online auction's threshold admission).  Only valid when
+        it (the threshold stop of :func:`greedy_rounds`).  Only valid when
         no weight update happened since :meth:`select` returned it: the
         selection's exact score and its source's current epoch are then
         still valid heap entries.
@@ -734,26 +749,10 @@ class PathPricingEngine:
         self._index = BitmaskIndex()
         for source in list(self._source_epoch):
             self._source_epoch[source] += 1
-        by_source: dict[int, list[int]] = {}
-        for idx in range(len(self._requests)):
-            if self._selected[idx] or self._dropped[idx]:
-                continue
-            by_source.setdefault(self._requests[idx].source, []).append(idx)
         self._heap = []
-        if by_source:
-            trees = self._get_trees_batch(list(by_source))
-            for source, idxs in by_source.items():
-                tree = trees[source]
-                epoch = self._source_epoch.get(source, 0)
-                dist = tree.dist
-                for idx in idxs:
-                    req = self._requests[idx]
-                    d = dist[req.target]
-                    if d == _INF:
-                        self._drop(idx)
-                        continue
-                    self._heap.append((self._score(idx, req, d), idx, epoch))
-            heapq.heapify(self._heap)
+        self._price_into_heap(
+            [idx for idx in range(len(self._requests)) if self.is_live(idx)]
+        )
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore (the trace-replay substrate)
@@ -870,9 +869,10 @@ class PathPricingEngine:
         return self._get_tree(req.source).dist[req.target]
 
     def drop_request(self, index: int) -> None:
-        """Remove a live request from the pool (the trace replayer's
-        exclusion hook: record the run *without* one winner).  Lingering
-        heap entries are lazily deleted, as for unroutable drops."""
+        """Remove a live request from the pool: the trace replayer records
+        a run *without* one winner this way, and :func:`greedy_rounds` drops
+        a guard-rejected winner.  Lingering heap entries are lazily deleted,
+        as for unroutable drops."""
         self._drop(index)
 
     def revive(self, index: int) -> None:
@@ -1018,6 +1018,10 @@ class BundlePricingEngine:
     def num_pending(self) -> int:
         return self._pending
 
+    @property
+    def duals(self) -> DualWeights:
+        return self._duals
+
     @classmethod
     def streaming(cls, duals: DualWeights) -> "BundlePricingEngine":
         """An engine with an empty bid pool, for streaming drivers that
@@ -1054,17 +1058,11 @@ class BundlePricingEngine:
         # hence rounding) matches bit for bit.
         return self._duals.path_length(self._bundles[idx]) / self._values[idx]
 
-    def select_and_commit(self, pre_commit_hook=None) -> tuple[int, float] | None:
-        """Pick the pending bid with the least ``(score, index)``, apply its
-        dual update and return ``(bid_index, score)`` — or ``None`` when no
-        bid remains.  Same lazy loop as :meth:`PathPricingEngine.select`,
-        with a dirty flag for staleness.
-
-        ``pre_commit_hook(index, score)``, if given, fires after the winner
-        is popped but before the dual update — the window where
-        :meth:`peek_min_bound` still reads runner-up scores under the
-        pre-update weights, which is what the trace recorder needs.
-        """
+    def select(self) -> Selection | None:
+        """Return the pending bid with the least ``(score, index)`` (a
+        :class:`Selection` without a path), or ``None`` when no bid
+        remains.  Same lazy loop as :meth:`PathPricingEngine.select`, with
+        a dirty flag for staleness; :meth:`commit` applies the update."""
         if not self._pending:
             return None
         stats = self.stats
@@ -1080,21 +1078,21 @@ class BundlePricingEngine:
                 stats.repricings += 1
                 heapq.heappush(heap, (self._price(idx), idx))
                 continue
-            if pre_commit_hook is not None:
-                pre_commit_hook(idx, score)
-            self.replay_commit(idx)
-            return idx, score
+            return Selection(index=idx, score=score, vertices=None, edge_ids=None)
         return None  # pragma: no cover - pending > 0 implies a live entry
+
+    def commit(self, selection: Selection) -> None:
+        """Apply the dual update of the selected bid and retire it."""
+        self.replay_commit(selection.index)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore (the trace-replay substrate)
     # ------------------------------------------------------------------ #
     def replay_commit(self, index: int) -> None:
         """Apply the dual update and bookkeeping of bid ``index`` winning —
-        the commit half of :meth:`select_and_commit`, also used by the
-        trace replayer to re-apply recorded rounds without re-selecting.
-        The dual arithmetic is bit-identical either way (same bundle id
-        array, same order)."""
+        what :meth:`commit` does, also used by the trace replayer to
+        re-apply recorded rounds without re-selecting.  The dual arithmetic
+        is bit-identical either way (same bundle id array, same order)."""
         self._duals.apply_selection(self._bundles[index], 1.0, assume_unique=True)
         self.stats.kernel_calls += 1
         self._selected[index] = 1
@@ -1178,3 +1176,53 @@ class BundleEngineCheckpoint:
         self.selected = selected
         self.dirty = dirty
         self.pending = pending
+
+
+def greedy_rounds(
+    engine: PathPricingEngine | BundlePricingEngine,
+    *,
+    cap: float = _INF,
+    threshold: float = _INF,
+    trace=None,
+    guard: Callable[[Selection], bool] | None = None,
+) -> Iterator[Selection]:
+    """Run primal-dual rounds on ``engine`` and yield each committed winner.
+
+    The one round loop of ``Bounded-UFP``, ``Bounded-UFP-Repeat`` and
+    ``Bounded-MUCA``, and of the online drains and trace replays built on
+    them.  Each round, in this order:
+
+    1. stop if the pool is empty, ``cap`` rounds have been committed, or
+       the dual budget ``sum_e c_e y_e`` exceeds ``e^{eps (B - 1)}``;
+    2. select the least ``(score, index)`` winner; stop if nothing is
+       routable;
+    3. if its score exceeds ``threshold``, requeue it and stop (scores only
+       grow, so nothing pending can come back under it);
+    4. if ``guard`` rejects it, drop it without a commit and go on;
+    5. otherwise record it on ``trace`` (a
+       :class:`~repro.core.trace.TraceRecorder`), commit its dual update
+       and yield it.
+
+    The yield comes after the commit, so a caller that stops iterating
+    early leaves the engine just after that winner's round.  A trace
+    replay makes the live run's decisions because both run this loop.
+    """
+    duals = engine.duals
+    committed = 0
+    while engine.num_pending and committed < cap and duals.within_budget:
+        selection = engine.select()
+        if selection is None:
+            return
+        if selection.score > threshold:
+            engine.requeue(selection)
+            return
+        if guard is not None and not guard(selection):
+            engine.drop_request(selection.index)
+            continue
+        if trace is not None:
+            trace.record_selected(engine, selection)
+        engine.commit(selection)
+        if trace is not None:
+            trace.record_committed(engine, duals)
+        committed += 1
+        yield selection

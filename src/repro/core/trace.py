@@ -9,20 +9,22 @@ contend for a round.  This module makes that sharing explicit:
 
 * a :class:`TraceRecorder`, passed as ``trace=`` to ``bounded_ufp``,
   ``bounded_ufp_repeat``, ``bounded_muca`` or the online
-  :func:`~repro.online.auction.drain_engine`, records the **acceptance
-  trace** of one run — per committed round: the winner, its exact selection
-  score, a lower bound on the runner-up score, and the dual-update edge set
-  — plus periodic **checkpoints**: a :class:`~repro.core.dual_state
-  .DualWeights` copy and a :meth:`~repro.core.pricing_engine
-  .PathPricingEngine.fork` engine snapshot (cached shortest-path trees are
-  immutable and shared by reference, so a checkpoint is heap + flags +
-  bookkeeping, not a deep copy);
+  :func:`~repro.online.auction.drain_engine`, which hand it to
+  :func:`~repro.core.pricing_engine.greedy_rounds`, records the
+  **acceptance trace** of one run — per committed round: the winner, its
+  exact selection score, a lower bound on the runner-up score, and the
+  dual-update edge set — plus periodic **checkpoints**: a
+  :class:`~repro.core.dual_state.DualWeights` copy and a
+  :meth:`~repro.core.pricing_engine.PathPricingEngine.fork` engine snapshot
+  (cached shortest-path trees are immutable and shared by reference, so a
+  checkpoint is heap + flags + bookkeeping, not a deep copy);
 * a :class:`TraceReplayer` (:class:`BundleTraceReplayer` for MUCA) answers
   probes by computing the probe's **divergence round**, restoring the last
   checkpoint at or before it, cheaply re-applying the recorded dual updates
   up to the divergence round (no shortest-path work), and re-running the
-  greedy loop only for the suffix — with an early exit the moment the
-  probed request is selected.
+  rounds only for the suffix — with an early exit the moment the probed
+  request is selected.  The suffix, like the recorded run, runs through
+  ``greedy_rounds``, so it makes the live run's decisions by construction.
 
 Why the divergence round is sound
 ---------------------------------
@@ -93,6 +95,7 @@ from repro.core.pricing_engine import (
     BundlePricingEngine,
     PathPricingEngine,
     Selection,
+    greedy_rounds,
 )
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.types import RunStats
@@ -208,7 +211,7 @@ class RunTrace:
         "stopped_by_budget",
         "completed",
         "start_iteration",
-        "end_reason",
+        "pool_exhausted",
         "dist_obs",
     )
 
@@ -235,12 +238,10 @@ class RunTrace:
         self.checkpoints: list[TraceCheckpoint] = []
         self.stopped_by_budget = False
         self.completed = False
-        # Sub-trace (excluded-run) bookkeeping: global iteration offset of
-        # round 0 and how the recorded run ended ("budget" | "cap" |
-        # "exhausted" | "no_routable" | "threshold"; None for base traces,
-        # whose probes never need it).
+        # Global iteration offset of round 0 (non-zero for sub-traces, the
+        # excluded runs) and whether the run ended with no live request left.
         self.start_iteration = 0
-        self.end_reason: str | None = None
+        self.pool_exhausted = False
         # Per-request distance (bundle-price) lower-bound observations
         # harvested from the checkpoint heaps at finish: (round, bound)
         # pairs, rounds increasing, bounds running-max.  A heap entry's
@@ -264,9 +265,13 @@ class TraceRecorder:
 
     Pass an instance as ``trace=`` to :func:`repro.core.bounded_ufp`,
     :func:`repro.core.bounded_ufp_repeat`, :func:`repro.core.bounded_muca`
-    or :func:`repro.online.auction.drain_engine`; after the run,
-    :attr:`trace` holds the completed :class:`RunTrace` and
-    :func:`make_replayer` builds the matching replayer.
+    or :func:`repro.online.auction.drain_engine`.  The caller brackets the
+    run with ``begin_*_run``/:meth:`finish`; in between,
+    :func:`~repro.core.pricing_engine.greedy_rounds` (given the recorder as
+    ``trace=``) calls :meth:`record_selected` and :meth:`record_committed`
+    each round.  After the run, :attr:`trace` holds the completed
+    :class:`RunTrace` and :func:`make_replayer` builds the matching
+    replayer.
 
     ``checkpoint_interval=None`` (default) starts at every 8 rounds and
     doubles whenever more than ``max_checkpoints`` snapshots accumulate
@@ -363,40 +368,25 @@ class TraceRecorder:
         self.trace = None
         self._take_checkpoint(engine, duals)
 
-    def record_selected(self, engine: PathPricingEngine, selection: Selection) -> None:
-        """Record one path-mode winner.  Call *between* ``select()`` and
-        ``commit()``: the runner-up lower bound must be read before the
-        winner's dual update inflates everyone else's scores."""
-        t = self._require_active()
-        req = engine.request_at(selection.index)
+    def record_selected(self, engine, selection: Selection) -> None:
+        """Record one winner.  :func:`greedy_rounds` calls it *between*
+        ``select()`` and ``commit()``: the runner-up lower bound must be
+        read before the winner's dual update inflates everyone else's
+        scores.  A bid (no path) is recorded with unit demand."""
+        self._require_active()
+        path = selection.edge_ids is not None
         self._append_round(
             TraceRound(
                 index=selection.index,
                 score=selection.score,
                 vertices=selection.vertices,
                 edge_ids=selection.edge_ids,
-                sorted_edge_array=np.asarray(
-                    sorted(selection.edge_ids), dtype=np.int64
+                sorted_edge_array=(
+                    np.asarray(sorted(selection.edge_ids), dtype=np.int64)
+                    if path
+                    else None
                 ),
-                demand=req.demand,
-                runner_up_lb=engine.peek_min_bound(),
-            )
-        )
-
-    def record_selected_bundle(
-        self, engine: BundlePricingEngine, index: int, score: float
-    ) -> None:
-        """Bundle-mode twin of :meth:`record_selected` (used as the
-        ``pre_commit_hook`` of ``select_and_commit``)."""
-        self._require_active()
-        self._append_round(
-            TraceRound(
-                index=index,
-                score=score,
-                vertices=None,
-                edge_ids=None,
-                sorted_edge_array=None,
-                demand=1.0,
+                demand=engine.request_at(selection.index).demand if path else 1.0,
                 runner_up_lb=engine.peek_min_bound(),
             )
         )
@@ -409,12 +399,7 @@ class TraceRecorder:
             self._take_checkpoint(engine, duals)
 
     def finish(
-        self,
-        engine,
-        duals: DualWeights,
-        *,
-        stopped_by_budget: bool,
-        end_reason: str | None = None,
+        self, engine, duals: DualWeights, *, stopped_by_budget: bool
     ) -> None:
         """Seal the trace (taking a final checkpoint so threshold-mode tail
         probes resume at the end state for free) and publish it."""
@@ -422,7 +407,7 @@ class TraceRecorder:
         if t.checkpoints[-1].round_index < len(t.rounds):
             self._take_checkpoint(engine, duals)
         t.stopped_by_budget = bool(stopped_by_budget)
-        t.end_reason = end_reason
+        t.pool_exhausted = not engine.num_pending
         self._harvest_observations(t)
         t.completed = True
         self.trace = t
@@ -594,6 +579,13 @@ class _ReplayerBase:
         pos = bisect_right(self._cp_rounds, round_index) - 1
         return self._trace.checkpoints[pos]
 
+    def _rounds_left(self, round_index: int) -> float:
+        """Rounds the run's iteration cap still allows from ``round_index``."""
+        t = self._trace
+        if t.iteration_cap is None:
+            return math.inf
+        return t.iteration_cap - t.start_iteration - round_index
+
     # -------------------------------------------------------------- #
     # Certificates (trace-tightened bisection brackets)
     # -------------------------------------------------------------- #
@@ -716,6 +708,11 @@ class TraceReplayer(_ReplayerBase):
             )
         if stats is not None:
             self.stats = stats
+        # The score above which the recorded drain stops admitting (inf
+        # unless the trace is a threshold drain).
+        self._threshold = (
+            trace.score_threshold if trace.admission == "threshold" else math.inf
+        )
         # Which declaration is currently swapped into the shared engine —
         # shared with sub-replayers so any of them can undo a prior swap.
         self._swap_state: list = swap_state if swap_state is not None else [None]
@@ -862,9 +859,12 @@ class TraceReplayer(_ReplayerBase):
         if t.mode == "drain" and t.admission == "threshold":
             lb = self._probe_lb(index, request.demand, request.value)
             return lb <= _upper(t.score_threshold)
-        if t.end_reason in ("exhausted", "no_routable"):
-            return True
-        return False
+        return t.pool_exhausted
+
+    #: Sample the excluded winner's exact distance every this many rounds
+    #: while recording a continuation (one cached-or-fresh tree lookup per
+    #: sample).
+    _OBSERVE_EVERY = 4
 
     def _record_excluded(self, index: int) -> "TraceReplayer":
         """Record the continuation from ``index``'s winning round with
@@ -903,15 +903,18 @@ class TraceReplayer(_ReplayerBase):
             start_iteration=k,
         )
         observations: list[tuple[int, float]] = []
-        end_reason = self._drive_recording(
-            recorder, index, observations, start_iteration=k
+        last_dist = t.initial_dist[index]
+        rounds = greedy_rounds(
+            engine, cap=self._rounds_left(k), threshold=self._threshold, trace=recorder
         )
-        recorder.finish(
-            engine,
-            duals,
-            stopped_by_budget=not duals.within_budget,
-            end_reason=end_reason,
-        )
+        for local_round, _ in enumerate(rounds, 1):
+            self.stats.rounds_recomputed += 1
+            if local_round % self._OBSERVE_EVERY == 0:
+                dist = engine.current_distance(index)
+                if dist > last_dist:
+                    last_dist = dist
+                    observations.append((local_round, _lower(dist)))
+        recorder.finish(engine, duals, stopped_by_budget=not duals.within_budget)
         sub_trace = recorder.trace
         if observations:
             # Exact distances of the excluded winner sampled along the
@@ -926,71 +929,6 @@ class TraceReplayer(_ReplayerBase):
             stats=self.stats,
             swap_state=self._swap_state,
         )
-
-    #: Sample the excluded winner's exact distance every this many rounds
-    #: while recording a continuation (one cached-or-fresh tree lookup per
-    #: sample).
-    _OBSERVE_EVERY = 4
-
-    def _drive_recording(
-        self,
-        recorder: TraceRecorder,
-        index: int,
-        observations: list[tuple[int, float]],
-        *,
-        start_iteration: int,
-    ) -> str:
-        """Run the mode's greedy loop to quiescence on the live engine,
-        recording every round; returns how the run ended."""
-        t = self._trace
-        engine = self._engine
-        duals = self._duals
-        last_dist = self._trace.initial_dist[index]
-
-        def observe(local_round: int) -> None:
-            nonlocal last_dist
-            if local_round % self._OBSERVE_EVERY:
-                return
-            dist = engine.current_distance(index)
-            if dist > last_dist:
-                last_dist = dist
-                observations.append((local_round, _lower(dist)))
-
-        local_round = 0
-        if t.mode == "drain":
-            while engine.num_pending:
-                if not duals.within_budget:
-                    return "budget"
-                sel = engine.select()
-                if sel is None:
-                    return "no_routable"
-                if t.admission == "threshold" and sel.score > t.score_threshold:
-                    return "threshold"
-                recorder.record_selected(engine, sel)
-                engine.commit(sel)
-                recorder.record_committed(engine, duals)
-                self.stats.rounds_recomputed += 1
-                local_round += 1
-                observe(local_round)
-            return "exhausted"
-        iterations = start_iteration
-        cap = t.iteration_cap if t.iteration_cap is not None else math.inf
-        while engine.num_pending:
-            if iterations >= cap:
-                return "cap"
-            if not duals.within_budget:
-                return "budget"
-            sel = engine.select()
-            if sel is None:
-                return "no_routable"
-            recorder.record_selected(engine, sel)
-            engine.commit(sel)
-            recorder.record_committed(engine, duals)
-            iterations += 1
-            self.stats.rounds_recomputed += 1
-            local_round += 1
-            observe(local_round)
-        return "exhausted"
 
     def _restore(self, index: int, request, checkpoint: TraceCheckpoint) -> None:
         engine = self._engine
@@ -1012,44 +950,19 @@ class TraceReplayer(_ReplayerBase):
     def _run_suffix(
         self, index: int, start_round: int, want_rounds: bool
     ) -> tuple[bool, list[TraceRound]]:
-        t = self._trace
-        engine = self._engine
-        duals = self._duals
         suffix: list[TraceRound] = []
         selected = False
-        if t.mode == "drain":
-            # Mirror repro.online.auction.drain_engine decision for decision
-            # (threshold comparison included); requeueing the priced-out
-            # winner is unnecessary on throwaway replay state.
-            while engine.num_pending and duals.within_budget:
-                sel = engine.select()
-                if sel is None:
+        rounds = greedy_rounds(
+            self._engine,
+            cap=self._rounds_left(start_round),
+            threshold=self._threshold,
+        )
+        for sel in rounds:
+            suffix.append(self._as_round(sel))
+            if sel.index == index:
+                selected = True
+                if not want_rounds:
                     break
-                if t.admission == "threshold" and sel.score > t.score_threshold:
-                    break
-                engine.commit(sel)
-                suffix.append(self._as_round(sel))
-                if sel.index == index:
-                    selected = True
-                    if not want_rounds:
-                        break
-        else:
-            # Mirror the bounded_ufp / bounded_ufp_repeat main loop.
-            iterations = t.start_iteration + start_round
-            cap = t.iteration_cap if t.iteration_cap is not None else math.inf
-            while engine.num_pending and iterations < cap:
-                if not duals.within_budget:
-                    break
-                sel = engine.select()
-                if sel is None:
-                    break
-                engine.commit(sel)
-                iterations += 1
-                suffix.append(self._as_round(sel))
-                if sel.index == index:
-                    selected = True
-                    if not want_rounds:
-                        break
         self.stats.rounds_recomputed += len(suffix)
         return selected, suffix
 
@@ -1131,25 +1044,14 @@ class BundleTraceReplayer(_ReplayerBase):
 
         winners: list[int] = [r.index for r in t.rounds[:div]] if want_winners else []
         selected = False
-        duals = self._duals
-        iterations = div
-        cap = t.iteration_cap if t.iteration_cap is not None else math.inf
-        recomputed = 0
-        while engine.num_pending and iterations < cap:
-            if not duals.within_budget:
-                break
-            outcome = engine.select_and_commit()
-            if outcome is None:  # pragma: no cover - pending implies a best
-                break
-            iterations += 1
-            recomputed += 1
+        for sel in greedy_rounds(engine, cap=self._rounds_left(div)):
+            self.stats.rounds_recomputed += 1
             if want_winners:
-                winners.append(outcome[0])
-            if outcome[0] == index:
+                winners.append(sel.index)
+            if sel.index == index:
                 selected = True
                 if not want_winners:
                     break
-        self.stats.rounds_recomputed += recomputed
         return selected, winners
 
     def _restore(self, index: int, value: float, checkpoint: TraceCheckpoint) -> None:

@@ -42,13 +42,19 @@ probes warm-start on cached shortest-path trees.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time as _time
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import PathPricingEngine, PricingStats, Selection
+from repro.core.pricing_engine import (
+    PathPricingEngine,
+    PricingStats,
+    Selection,
+    greedy_rounds,
+)
 from repro.exceptions import InvalidInstanceError
 from repro.flows.allocation import RoutedRequest
 from repro.flows.instance import UFPInstance
@@ -69,7 +75,6 @@ AdmissionPolicy = Literal["greedy", "threshold"]
 
 def drain_engine(
     engine: PathPricingEngine,
-    duals: DualWeights,
     *,
     admission: AdmissionPolicy,
     score_threshold: float,
@@ -79,10 +84,13 @@ def drain_engine(
     """Run one batch's admission loop to quiescence and return the admitted
     selections in admission order.
 
-    This single function defines the admission semantics; the live driver
-    and the payment-bisection replays both call it, so probe runs replicate
-    the real decisions exactly (same tie-breaking, same budget rule, same
-    threshold comparison).
+    This single function defines the admission semantics, as one call of
+    :func:`~repro.core.pricing_engine.greedy_rounds` with no iteration cap:
+    the threshold is ``score_threshold`` under the ``"threshold"`` policy and
+    ``inf`` under ``"greedy"``.  The live driver and the from-scratch payment
+    probes call it, and trace replays run the same ``greedy_rounds``, so
+    probe runs replicate the real decisions exactly (same tie-breaking,
+    same budget rule, same threshold comparison).
 
     ``trace`` optionally records the drain as a
     :class:`repro.core.trace.TraceRecorder` run (the caller is responsible
@@ -100,27 +108,10 @@ def drain_engine(
     unroutable on the degraded substrate.  ``None`` (the fault-free path)
     changes nothing.
     """
-    admitted: list[Selection] = []
-    while engine.num_pending and duals.within_budget:
-        selection = engine.select()
-        if selection is None:
-            break
-        if admission == "threshold" and selection.score > score_threshold:
-            # Scores are monotone non-decreasing, so nothing pending can
-            # ever come back under the threshold; return the uncommitted
-            # winner to the pool and stop this batch.
-            engine.requeue(selection)
-            break
-        if capacity_guard is not None and not capacity_guard(selection):
-            engine.drop_request(selection.index)
-            continue
-        if trace is not None:
-            trace.record_selected(engine, selection)
-        engine.commit(selection)
-        if trace is not None:
-            trace.record_committed(engine, duals)
-        admitted.append(selection)
-    return admitted
+    threshold = score_threshold if admission == "threshold" else math.inf
+    return list(
+        greedy_rounds(engine, threshold=threshold, trace=trace, guard=capacity_guard)
+    )
 
 
 class OnlineAuction:
@@ -471,7 +462,6 @@ class OnlineAuction:
 
         admitted = drain_engine(
             self._engine,
-            self._duals,
             admission=self._admission,
             score_threshold=self._threshold,
             capacity_guard=guard,

@@ -20,7 +20,7 @@ import numpy as np
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import Bid, MUCAInstance
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import BundlePricingEngine, PricingStats
+from repro.core.pricing_engine import BundlePricingEngine, PricingStats, greedy_rounds
 from repro.types import RunStats
 
 __all__ = ["OnlineMUCAAuction", "BidAdmission"]
@@ -93,16 +93,12 @@ class OnlineMUCAAuction:
         self._bids.extend(bids)
         self._engine.add_bids(bids)
 
-        admissions: list[BidAdmission] = []
-        while self._engine.num_pending and self._duals.within_budget:
-            selected = self._engine.select_and_commit()
-            if selected is None:  # pragma: no cover - pending implies a best
-                break
-            admissions.append(
-                BidAdmission(
-                    bid_index=selected[0], batch=batch_index, score=selected[1]
-                )
+        admissions = [
+            BidAdmission(
+                bid_index=selection.index, batch=batch_index, score=selection.score
             )
+            for selection in greedy_rounds(self._engine)
+        ]
         self._admissions.extend(admissions)
         self._wall_time += _time.perf_counter() - start
         return admissions

@@ -121,12 +121,10 @@ def batch_critical_values(
     def admits(local_index: int, value: float) -> bool:
         probe_requests = list(requests)
         probe_requests[local_index] = probe_requests[local_index].with_value(value)
-        duals = scratch
-        duals.restore_from(snapshot)
-        engine = PathPricingEngine(graph, probe_requests, duals)
+        scratch.restore_from(snapshot)
+        engine = PathPricingEngine(graph, probe_requests, scratch)
         selections = drain_engine(
             engine,
-            duals,
             admission=admission,  # type: ignore[arg-type]
             score_threshold=score_threshold,
         )
@@ -190,7 +188,6 @@ def _record_batch(
 
     selections = drain_engine(
         engine,
-        scratch,
         admission=admission,  # type: ignore[arg-type]
         score_threshold=score_threshold,
         trace=recorder,

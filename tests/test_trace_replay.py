@@ -79,50 +79,69 @@ def _probe_indices(instance_size: int, seed: int) -> list[int]:
     return sorted(int(i) for i in rng.choice(instance_size, size=count, replace=False))
 
 
-@pytest.mark.parametrize("seed", UFP_SEEDS)
-def test_ufp_probe_replay_matches_scratch(seed):
+def _with_binding_cap(seeds) -> list:
+    """``(seed, max_iterations)`` inputs: every corpus seed uncapped, plus
+    every 5th seed again under ``max_iterations=3``, a cap that stops most
+    runs early (the replays' remaining-rounds arithmetic is otherwise never
+    exercised)."""
+    return [pytest.param(seed, None, id=str(seed)) for seed in seeds] + [
+        pytest.param(seed, 3, id=f"{seed}-cap3") for seed in seeds[::5]
+    ]
+
+
+def _assert_same_path_replay(replayed, expected) -> None:
+    _assert_same_allocation(replayed, expected)
+    assert replayed.stats.stopped_by_budget == expected.stats.stopped_by_budget
+    assert replayed.stats.iterations == expected.stats.iterations
+
+
+@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(UFP_SEEDS))
+def test_ufp_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
+    run = partial(bounded_ufp, epsilon=epsilon, max_iterations=max_iterations)
     recorder = TraceRecorder()
-    bounded_ufp(instance, epsilon, trace=recorder)
+    run(instance, trace=recorder)
     replayer = make_replayer(recorder.trace)
     for idx in _probe_indices(instance.num_requests, seed):
         request = instance.requests[idx]
         for factor in PROBE_FACTORS:
             probe = request.with_value(request.value * factor)
-            expected = bounded_ufp(instance.replace_request(idx, probe), epsilon)
-            _assert_same_allocation(replayer.probe(idx, probe), expected)
+            expected = run(instance.replace_request(idx, probe))
+            _assert_same_path_replay(replayer.probe(idx, probe), expected)
             assert replayer.probe_selected(idx, probe) == expected.is_selected(idx)
 
 
-@pytest.mark.parametrize("seed", REPEAT_SEEDS)
-def test_repeat_probe_replay_matches_scratch(seed):
+@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(REPEAT_SEEDS))
+def test_repeat_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed, max_requests=10)
     epsilon = [0.5, 1.0][seed % 2]
+    run = partial(bounded_ufp_repeat, epsilon=epsilon, max_iterations=max_iterations)
     recorder = TraceRecorder()
-    bounded_ufp_repeat(instance, epsilon, trace=recorder)
+    run(instance, trace=recorder)
     replayer = make_replayer(recorder.trace)
     for idx in _probe_indices(instance.num_requests, seed):
         request = instance.requests[idx]
         for factor in PROBE_FACTORS:
             probe = request.with_value(request.value * factor)
-            expected = bounded_ufp_repeat(instance.replace_request(idx, probe), epsilon)
-            _assert_same_allocation(replayer.probe(idx, probe), expected)
+            expected = run(instance.replace_request(idx, probe))
+            _assert_same_path_replay(replayer.probe(idx, probe), expected)
             assert replayer.probe_selected(idx, probe) == expected.is_selected(idx)
 
 
-@pytest.mark.parametrize("seed", MUCA_SEEDS)
-def test_muca_probe_replay_matches_scratch(seed):
+@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(MUCA_SEEDS))
+def test_muca_probe_replay_matches_scratch(seed, max_iterations):
     auction = _muca_auction(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
+    run = partial(bounded_muca, epsilon=epsilon, max_iterations=max_iterations)
     recorder = TraceRecorder()
-    bounded_muca(auction, epsilon, trace=recorder)
+    run(auction, trace=recorder)
     replayer = make_replayer(recorder.trace)
     for idx in _probe_indices(auction.num_bids, seed):
         bid = auction.bids[idx]
         for factor in PROBE_FACTORS:
             value = bid.value * factor
-            expected = bounded_muca(auction.replace_bid(idx, bid.with_value(value)), epsilon)
+            expected = run(auction.replace_bid(idx, bid.with_value(value)))
             assert replayer.probe_winners(idx, value) == expected.winners
             assert replayer.probe_selected(idx, value) == expected.is_winner(idx)
 
@@ -242,11 +261,38 @@ def test_audit_jobs_invariant_with_trace():
 # --------------------------------------------------------------------- #
 # Online batch payments: trace vs from-scratch drains
 # --------------------------------------------------------------------- #
+def _check_checkpoint_heaps(monkeypatch) -> list:
+    """Wrap ``TraceRecorder.finish`` so that every finished trace asserts
+    that each checkpoint heap has an entry for every live request (neither
+    selected nor dropped).  Replays resume from these heaps, and
+    ``RunTrace.pool_exhausted`` means "no live request left" only if no live
+    request lacks an entry.  Returns the list of checked traces."""
+    finish = TraceRecorder.finish
+    checked: list = []
+
+    def checked_finish(self, *args, **kwargs):
+        finish(self, *args, **kwargs)
+        for checkpoint in self.trace.checkpoints:
+            state = checkpoint.engine
+            in_heap = {entry[1] for entry in state.heap}
+            missing = [
+                i
+                for i in range(state.num_requests)
+                if not (state.selected[i] or state.dropped[i]) and i not in in_heap
+            ]
+            assert not missing, (checkpoint.round_index, missing)
+        checked.append(self.trace)
+
+    monkeypatch.setattr(TraceRecorder, "finish", checked_finish)
+    return checked
+
+
 @pytest.mark.parametrize("admission,threshold", [("greedy", 1.0), ("threshold", 1.5)])
 @pytest.mark.parametrize("seed", ONLINE_SEEDS)
-def test_online_payments_bit_identical(seed, admission, threshold):
+def test_online_payments_bit_identical(seed, admission, threshold, monkeypatch):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
+    checked = _check_checkpoint_heaps(monkeypatch) if admission == "threshold" else None
 
     def stream(use_trace):
         auction = OnlineAuction(
@@ -264,6 +310,8 @@ def test_online_payments_bit_identical(seed, admission, threshold):
     assert [r.request_index for r in plain.routed] == [
         r.request_index for r in traced.routed
     ]
+    if checked is not None:
+        assert checked or not traced.routed
 
 
 # --------------------------------------------------------------------- #
