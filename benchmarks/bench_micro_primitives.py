@@ -2,8 +2,8 @@
 
 These are not tied to a paper artifact; they document the cost of the
 building blocks (Dijkstra pricing, one Bounded-UFP run, the fractional LP,
-the Garg–Könemann FPTAS, critical-value payment computation) so regressions
-in the substrates are visible independently of the experiment sweeps.
+critical-value payment computation) so regressions in the substrates are
+visible independently of the experiment sweeps.
 
 The ``test_bench_tree_path`` rows time one shortest-path tree on the
 Python loop and on the C path, on a 64-vertex grid and on the 360-vertex
@@ -28,7 +28,6 @@ import pytest
 from repro.core import bounded_muca, bounded_ufp
 from repro.flows import random_instance
 from repro.auctions import random_auction
-from repro.fractional import garg_konemann_fractional_ufp
 from repro.graphs import grid_graph, random_digraph, single_source_dijkstra
 from repro.graphs.generators import multi_region_topology
 from repro.lp import solve_fractional_ufp
@@ -82,16 +81,6 @@ def test_bench_fractional_lp(benchmark, medium_instance):
         lambda: solve_fractional_ufp(medium_instance), rounds=1, iterations=1
     )
     assert result.ok
-
-
-def test_bench_garg_konemann(benchmark, medium_instance):
-    """The combinatorial FPTAS on the same instance (eps = 0.2)."""
-    result = benchmark.pedantic(
-        lambda: garg_konemann_fractional_ufp(medium_instance, 0.2),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.objective > 0.0
 
 
 def _tree_graph(size):

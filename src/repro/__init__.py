@@ -31,7 +31,6 @@ from repro import (
     baselines,
     core,
     flows,
-    fractional,
     graphs,
     lp,
     mechanism,
@@ -61,7 +60,6 @@ __all__ = [
     "core",
     "mechanism",
     "baselines",
-    "fractional",
     "online",
     "partition",
     "scenarios",

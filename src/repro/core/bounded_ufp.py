@@ -109,8 +109,9 @@ def bounded_ufp(
         count or a label array.  Delegates to
         :func:`repro.partition.partitioned_bounded_ufp` — bit-identical to
         the global run when every request is intra-region (on partitions
-        preserving region-internal shortest paths), hierarchical and
-        approximate otherwise.  Incompatible with ``trace``.
+        preserving region-internal shortest paths), and the global run
+        itself when any request crosses regions.  Incompatible with
+        ``trace``.
     partition_jobs:
         Per-shard fan-out for the partitioned fast path (see
         :func:`repro.parallel.resolve_jobs`).

@@ -1,16 +1,16 @@
 """Lazy-greedy path-pricing engine shared by the primal-dual solvers.
 
-Every solver in this reproduction — ``Bounded-UFP``, ``Bounded-UFP-Repeat``,
-``Bounded-MUCA`` and the Garg–Könemann FPTAS — has the same inner loop: price
-every live request under the current dual weights, select the one minimizing
-a normalized score, multiply the weights along the winner's path (bundle)
+Every solver in this reproduction — ``Bounded-UFP``, ``Bounded-UFP-Repeat``
+and ``Bounded-MUCA`` — has the same inner loop: price every live request
+under the current dual weights, select the one minimizing a normalized
+score, multiply the weights along the winner's path (bundle)
 exponentially, repeat.  Priced naively that is one shortest-path tree per
 distinct source *per iteration*; this module amortizes it down to a handful
 of targeted computations per iteration by exploiting one structural fact:
 
 **dual weights are monotone non-decreasing.**  Each update multiplies
-``y_e`` by ``exp(eps B d / c_e) >= 1`` (or ``1 + eps * load >= 1`` for
-Garg–Könemann), so no edge weight ever decreases during a run.
+``y_e`` by ``exp(eps B d / c_e) >= 1``, so no edge weight ever decreases
+during a run.
 
 Why lazy scores are sound
 -------------------------
@@ -26,9 +26,7 @@ stale, re-price just that request (one targeted shortest-path computation)
 and push it back; once the top of the heap is freshly priced, no stale entry
 can beat it (see *Selection order* below), so the freshly-priced top is the
 exact argmin.  The same argument applies verbatim to ``Bounded-MUCA`` bundle
-prices ``sum_{u in U_r} y_u / v_r`` (sums of monotone weights are monotone)
-and to Garg–Könemann column costs ``(d_r * dist + w_r) / v_r`` (both
-summands are monotone).
+prices ``sum_{u in U_r} y_u / v_r`` (sums of monotone weights are monotone).
 
 Shortest-path-tree caching with edge-set invalidation
 -----------------------------------------------------
@@ -248,7 +246,7 @@ class Selection:
 _INF = math.inf
 
 
-def _default_score(index: int, request, distance: float) -> float:
+def _score(request, distance: float) -> float:
     # Matches the reference solvers' expression (left-to-right evaluation):
     # (d_r / v_r) * |p_r|_y.
     return request.demand / request.value * distance
@@ -267,71 +265,38 @@ class PathPricingEngine:
         Sequence of request objects exposing ``source``, ``target``,
         ``demand`` and ``value``.
     duals:
-        The :class:`DualWeights` the engine owns, or ``None`` when the caller
-        manages a raw weight vector itself (Garg–Könemann); then ``weights``
-        must be given and the caller must call :meth:`invalidate_path` after
-        every in-place weight update.
-    weights:
-        The live weight array for ``duals=None`` mode.
+        The :class:`DualWeights` the engine prices under and updates on
+        :meth:`commit`.
     remove_selected:
         Whether a selected request leaves the pool (``Bounded-UFP``) or stays
-        selectable again (repetitions / fractional columns).
-    score:
-        Optional ``(index, request, distance) -> float`` pricing override;
-        must be monotone non-decreasing in ``distance`` and any other state
-        it reads must be monotone non-decreasing over the run as well (the
-        lazy lower-bound argument needs it).
-    share_trees:
-        Memoize/reuse shortest-path trees across engine instances via the
-        graph's :attr:`~repro.graphs.graph.CapacitatedGraph.substrate_cache`,
-        keyed by the exact weight-vector bytes — sound for any weights, and
-        a large win for the critical-value payment bisection, whose probe
-        runs repeat long prefixes of the same dual trajectory (starting with
-        the initial ``y = 1/c`` sweep, which is shared by *every* run on the
-        graph).  Disable for weight schedules that never repeat across runs
-        (Garg–Könemann) to avoid pointless memo churn.
+        selectable again (repetitions).
     """
 
     def __init__(
         self,
         graph: CapacitatedGraph,
         requests: Sequence,
-        duals: DualWeights | None = None,
+        duals: DualWeights,
         *,
-        weights: np.ndarray | None = None,
         remove_selected: bool = True,
-        score: Callable | None = None,
-        share_trees: bool = True,
     ) -> None:
-        if duals is None and weights is None:
-            raise ValueError("either duals or a live weights array is required")
         self._graph = graph
         # A list, not a tuple: streaming callers append via add_requests and
         # tuple re-concatenation would make per-arrival admission O(n).
         self._requests = list(requests)
         self._duals = duals
-        self._weights = duals.weights if duals is not None else weights
+        self._weights = duals.weights
         self._n = graph.num_vertices
         self._kernel = get_kernel()
         # weights.tolist() / weights.tobytes() memoized between weight
-        # updates (cleared by invalidate_path); tree computations and memo
+        # updates (cleared on every update); tree computations and memo
         # lookups within one iteration share them.
         self._w_list: list[float] | None = None
         self._w_bytes: bytes | None = None
         entry_bytes = 8 * graph.num_edges + 3 * 40 * self._n + 512
         self._memo_cap = max(8, min(4096, _TREE_MEMO_BUDGET_BYTES // entry_bytes))
-        if share_trees:
-            self._tree_memo = graph.substrate_cache.setdefault(
-                _TREE_MEMO_KEY, _TreeMemoLRU(self._memo_cap)
-            )
-            self._initial_tree_memo = graph.substrate_cache.setdefault(
-                _INITIAL_TREE_MEMO_KEY, {}
-            )
-        else:
-            self._tree_memo = None
-            self._initial_tree_memo = None
+        self._bind_memos(graph)
         self._remove_selected = bool(remove_selected)
-        self._score = score if score is not None else _default_score
         self.stats = PricingStats()
 
         n = len(self._requests)
@@ -367,7 +332,7 @@ class PathPricingEngine:
         return len(self._requests)
 
     @property
-    def duals(self) -> DualWeights | None:
+    def duals(self) -> DualWeights:
         return self._duals
 
     def is_live(self, index: int) -> bool:
@@ -397,32 +362,37 @@ class PathPricingEngine:
         self._trees[source] = tree
         self._index.register(source, tree)
 
-    def _memo_get(self, source: int) -> tuple[tuple | None, CompactTree | None]:
-        """Tree-memo lookup: ``(key, tree)``; ``key`` is ``None`` when the
-        memo is disabled, ``tree`` is ``None`` on a miss."""
-        memo = self._tree_memo
-        if memo is None:
-            return None, None
+    def _bind_memos(self, graph: CapacitatedGraph) -> None:
+        """Share shortest-path trees across engines on ``graph`` through its
+        :attr:`~repro.graphs.graph.CapacitatedGraph.substrate_cache`, keyed
+        by the exact weight-vector bytes (see the module docstring)."""
+        self._tree_memo = graph.substrate_cache.setdefault(
+            _TREE_MEMO_KEY, _TreeMemoLRU(self._memo_cap)
+        )
+        self._initial_tree_memo = graph.substrate_cache.setdefault(
+            _INITIAL_TREE_MEMO_KEY, {}
+        )
+
+    def _memo_get(self, source: int) -> tuple[tuple, CompactTree | None]:
+        """Tree-memo lookup: ``(key, tree)``; ``tree`` is ``None`` on a
+        miss."""
         wb = self._w_bytes
         if wb is None:
             wb = self._w_bytes = self._weights.tobytes()
         key = (wb, source)
         tree = self._initial_tree_memo.get(key)
         if tree is None:
-            tree = memo.get(key)
+            tree = self._tree_memo.get(key)
             if tree is None:
                 self.stats.memo_misses += 1
         return key, tree
 
-    def _memo_put(self, key: tuple | None, tree: CompactTree) -> None:
-        memo = self._tree_memo
-        if memo is None or key is None:
-            return
-        if self._duals is not None and self._duals.num_updates == 0:
+    def _memo_put(self, key: tuple, tree: CompactTree) -> None:
+        if self._duals.num_updates == 0:
             # Initial-weight tree: every future run starts here, so it
             # is exempt from cap eviction (bounded by #sources).
             self._initial_tree_memo[key] = tree
-        elif memo.put(key, tree):
+        elif self._tree_memo.put(key, tree):
             self.stats.memo_evictions += 1
 
     def _new_tree(self, source: int) -> CompactTree:
@@ -450,7 +420,7 @@ class PathPricingEngine:
         a tree computed here never serves a lookup of the same batch.
         """
         result: dict[int, CompactTree] = {}
-        missing: list[tuple[int, tuple | None]] = []
+        missing: list[tuple[int, tuple]] = []
         for source in sources:
             tree = self._trees.get(source)
             if tree is not None:
@@ -513,7 +483,7 @@ class PathPricingEngine:
                 if d == _INF:
                     self._drop(idx)
                     continue
-                heap.append((self._score(idx, req, d), idx, epoch))
+                heap.append((_score(req, d), idx, epoch))
         heapq.heapify(heap)
 
     def _drop(self, idx: int) -> None:
@@ -565,7 +535,7 @@ class PathPricingEngine:
                 continue
             heapq.heappush(
                 heap,
-                (self._score(idx, req, d), idx, self._source_epoch.get(source, 0)),
+                (_score(req, d), idx, self._source_epoch.get(source, 0)),
             )
         return indices
 
@@ -575,8 +545,7 @@ class PathPricingEngine:
     def select(self) -> Selection | None:
         """Return the pending request with the least ``(score, index)``, or
         ``None`` when no routable request remains.  Does *not* apply the
-        dual update — call :meth:`commit` (duals mode) or
-        :meth:`invalidate_path` (external weights mode) with the result.
+        dual update — call :meth:`commit` with the result.
 
         Pop the top entry: skip it if its request is gone; if its score is
         stale, re-price it and push it back; the first fresh top wins.
@@ -605,7 +574,7 @@ class PathPricingEngine:
             if d == _INF:
                 self._drop(idx)
                 continue
-            s = self._score(idx, req, d)
+            s = _score(req, d)
             heapq.heappush(heap, (s, idx, self._source_epoch.get(source, 0)))
         return None
 
@@ -614,12 +583,7 @@ class PathPricingEngine:
     # ------------------------------------------------------------------ #
     def commit(self, selection: Selection) -> None:
         """Apply the exponential dual update for ``selection`` and maintain
-        the caches (duals mode only)."""
-        if self._duals is None:
-            raise RuntimeError(
-                "engine has no DualWeights; update your weights and call "
-                "invalidate_path instead"
-            )
+        the caches."""
         req = self._requests[selection.index]
         # Simple paths have distinct edges, and sorting reproduces the
         # np.unique ordering, so the incremental budget arithmetic is
@@ -627,7 +591,7 @@ class PathPricingEngine:
         ids = np.asarray(sorted(selection.edge_ids), dtype=np.int64)
         self._duals.apply_selection(ids, req.demand, assume_unique=True)
         self.stats.kernel_calls += 1
-        self.invalidate_path(selection)
+        self._invalidate_path(selection)
 
     def requeue(self, selection: Selection) -> None:
         """Return an *uncommitted* selection to the pool.
@@ -644,10 +608,9 @@ class PathPricingEngine:
             (selection.score, selection.index, self._source_epoch.get(source, 0)),
         )
 
-    def invalidate_path(self, selection: Selection) -> None:
+    def _invalidate_path(self, selection: Selection) -> None:
         """Evict every cached tree using an edge of the selected path and
-        return (or retire) the winner.  In external-weights mode call this
-        *after* updating the weight array."""
+        return (or retire) the winner, after its dual update."""
         # Weights changed: drop the memoized list/bytes forms.
         self._w_list = None
         self._w_bytes = None
@@ -661,23 +624,6 @@ class PathPricingEngine:
             # epoch -1 forces a re-pricing before it can win again.  Its old
             # score remains a valid lower bound (weights only grew).
             heapq.heappush(self._heap, (selection.score, idx, -1))
-
-    def apply_external_update(self, edge_ids: Sequence[int]) -> None:
-        """Account for a weight update the engine did not make itself.
-
-        The partitioned solver routes cross-region requests through several
-        shards at once: each affected shard's :class:`DualWeights` is grown
-        directly (the winning request lives in the coordinator, not in this
-        engine's pool), after which every cached tree using an updated edge
-        is stale.  Call this with the updated edge ids *after* the dual
-        update: affected trees are evicted (bumping their source epochs, so
-        lingering heap entries re-price on their next pop) and the memoized
-        weight-vector forms are dropped.  Scores already in the heap remain
-        valid lower bounds because weights only ever grow.
-        """
-        self._w_list = None
-        self._w_bytes = None
-        self._invalidate_edges(edge_ids)
 
     # ------------------------------------------------------------------ #
     # Substrate mutation (fault injection)
@@ -702,7 +648,7 @@ class PathPricingEngine:
         self._source_live[source] = self._source_live.get(source, 0) + 1
 
     def rebind_substrate(self, graph: CapacitatedGraph, duals: DualWeights) -> None:
-        """Re-home the engine onto a mutated substrate (duals mode only).
+        """Re-home the engine onto a mutated substrate.
 
         Fault events replace the graph (edges disabled/re-enabled, edges
         resized via :meth:`CapacitatedGraph.with_capacities`) and the dual
@@ -724,8 +670,6 @@ class PathPricingEngine:
         ``substrate_cache``: the old graph's memo entries are keyed to its
         arc structure and must never serve the mutated substrate.
         """
-        if duals is None:
-            raise ValueError("rebind_substrate requires a DualWeights state")
         if (
             graph.num_vertices != self._n
             or graph.num_edges != self._graph.num_edges
@@ -738,13 +682,7 @@ class PathPricingEngine:
         self._weights = duals.weights
         self._w_list = None
         self._w_bytes = None
-        if self._tree_memo is not None:
-            self._tree_memo = graph.substrate_cache.setdefault(
-                _TREE_MEMO_KEY, _TreeMemoLRU(self._memo_cap)
-            )
-            self._initial_tree_memo = graph.substrate_cache.setdefault(
-                _INITIAL_TREE_MEMO_KEY, {}
-            )
+        self._bind_memos(graph)
         self._trees = {}
         self._index = BitmaskIndex()
         for source in list(self._source_epoch):
@@ -831,7 +769,7 @@ class PathPricingEngine:
         if d == _INF:
             self._drop(index)
             return None
-        score = self._score(index, req, d)
+        score = _score(req, d)
         heapq.heappush(
             self._heap, (score, index, self._source_epoch.get(req.source, 0))
         )

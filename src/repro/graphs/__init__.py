@@ -48,13 +48,9 @@ from repro.graphs.generators import (
 )
 from repro.graphs.partition import (
     GraphPartition,
-    BorderQuotient,
-    QuotientArc,
     single_region_partition,
-    block_partition,
     multi_region_partition,
     bfs_partition,
-    build_border_quotient,
 )
 from repro.graphs.lower_bounds import (
     directed_staircase,
@@ -89,13 +85,9 @@ __all__ = [
     "from_networkx",
     "to_networkx",
     "GraphPartition",
-    "BorderQuotient",
-    "QuotientArc",
     "single_region_partition",
-    "block_partition",
     "multi_region_partition",
     "bfs_partition",
-    "build_border_quotient",
     "directed_staircase",
     "undirected_ring7",
     "staircase_optimal_value",

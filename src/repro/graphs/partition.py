@@ -1,4 +1,4 @@
-"""Region partitions of a capacitated graph, and their border quotient.
+"""Region partitions of a capacitated graph.
 
 The partitioned solver (:mod:`repro.partition`) cuts the substrate into
 vertex regions and runs one pricing-engine shard per region, so this module
@@ -6,20 +6,13 @@ owns everything that is purely *topological* about that cut:
 
 * :class:`GraphPartition` — a validated assignment of every vertex to one
   of ``k`` regions, with derived views (per-region vertex/edge sets, the
-  cut-edge set, border vertices) computed lazily and cached.
+  cut-edge set) computed lazily and cached.
 * Partitioners — :func:`single_region_partition` (the trivial cut used by
-  the differential harness), :func:`block_partition` /
-  :func:`multi_region_partition` (the natural contiguous clusters of
-  :func:`~repro.graphs.generators.multi_region_topology`), and
-  :func:`bfs_partition`, a deterministic seeded multi-source BFS grower
-  with an optional local min-cut refinement sweep for arbitrary graphs.
-* :class:`BorderQuotient` — the contraction of the partition onto its
-  border vertices: one quotient node per border vertex, one arc per cut
-  edge plus one *shortcut* arc per ordered border pair within a region.
-  The quotient carries no weights — shortcut lengths depend on the live
-  dual state of each region shard, so the solver supplies them per
-  iteration — but its structure (nodes, arcs, adjacency) is fixed by the
-  partition and built once here.
+  the differential harness), :func:`multi_region_partition` (the natural
+  contiguous clusters of :func:`~repro.graphs.generators.multi_region_topology`),
+  and :func:`bfs_partition`, a deterministic seeded multi-source BFS
+  grower with an optional local min-cut refinement sweep for arbitrary
+  graphs.
 
 Everything in this module is deterministic: the same graph, labels and
 seed always produce the same partition, which the bit-identity contract of
@@ -28,7 +21,6 @@ the partitioned solver relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,13 +31,9 @@ from repro.utils.prng import ensure_rng
 
 __all__ = [
     "GraphPartition",
-    "BorderQuotient",
-    "QuotientArc",
     "single_region_partition",
-    "block_partition",
     "multi_region_partition",
     "bfs_partition",
-    "build_border_quotient",
 ]
 
 
@@ -64,7 +52,7 @@ class GraphPartition:
     Notes
     -----
     An edge is *intra-region* when both endpoints share a region and a
-    *cut edge* otherwise; a *border vertex* is an endpoint of a cut edge.
+    *cut edge* otherwise.
     Disabled edges still belong to their (cut or intra) set — edge-id
     alignment across substrate mutations matters more than excluding them
     here, and routing never sees them anyway.
@@ -79,7 +67,6 @@ class GraphPartition:
         "_cut_edge_ids",
         "_region_vertices",
         "_region_edge_ids",
-        "_border_vertices",
     )
 
     def __init__(
@@ -109,7 +96,6 @@ class GraphPartition:
         self._cut_edge_ids: np.ndarray | None = None
         self._region_vertices: tuple[np.ndarray, ...] | None = None
         self._region_edge_ids: tuple[np.ndarray, ...] | None = None
-        self._border_vertices: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Basic views
@@ -128,13 +114,6 @@ class GraphPartition:
     @property
     def num_regions(self) -> int:
         return self._k
-
-    def region_of(self, vertex: int) -> int:
-        return int(self._labels[vertex])
-
-    def is_intra(self, u: int, v: int) -> bool:
-        """Whether vertices ``u`` and ``v`` share a region."""
-        return bool(self._labels[u] == self._labels[v])
 
     # ------------------------------------------------------------------ #
     # Derived sets (lazy, cached)
@@ -177,15 +156,6 @@ class GraphPartition:
             )
         return self._region_edge_ids[region]
 
-    @property
-    def border_vertices(self) -> np.ndarray:
-        """Global ids of cut-edge endpoints, ascending and distinct."""
-        if self._border_vertices is None:
-            cut = self.cut_edge_ids
-            endpoints = np.concatenate([self._tails[cut], self._heads[cut]])
-            self._border_vertices = np.unique(endpoints).astype(np.int64)
-        return self._border_vertices
-
     def split_requests(self, requests: Sequence) -> tuple[list[list[int]], list[int]]:
         """Split request indices into per-region intra lists and a cross list.
 
@@ -221,21 +191,6 @@ def single_region_partition(graph: CapacitatedGraph) -> GraphPartition:
     global graph); the differential harness pins the partitioned solver to
     the global one through it."""
     return GraphPartition(graph, np.zeros(graph.num_vertices, dtype=np.int64))
-
-
-def block_partition(graph: CapacitatedGraph, num_regions: int) -> GraphPartition:
-    """Contiguous vertex-id blocks of (near-)equal size.
-
-    Vertex ``v`` lands in region ``v // ceil(n / k)`` — the natural cut for
-    generators that lay regions out as contiguous id blocks.
-    """
-    n = graph.num_vertices
-    k = int(num_regions)
-    if not 1 <= k <= n:
-        raise InvalidInstanceError(f"num_regions must lie in [1, {n}], got {k}")
-    block = -(-n // k)  # ceil
-    labels = np.arange(n, dtype=np.int64) // block
-    return GraphPartition(graph, labels)
 
 
 def multi_region_partition(
@@ -351,96 +306,3 @@ def _refine_once(labels: np.ndarray, neighbors: list[list[int]], k: int) -> bool
             sizes[best_region] += 1
             moved = True
     return moved
-
-
-# ---------------------------------------------------------------------- #
-# Border-node contraction
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class QuotientArc:
-    """One arc of the border quotient.
-
-    ``kind == "cut"`` arcs cross between regions along a single substrate
-    cut edge (``edge_id`` is its global id); ``kind == "shortcut"`` arcs
-    stand for the within-region shortest path between two border vertices
-    of ``region`` — their length under the live dual weights is supplied
-    by the solver, not stored here.
-    """
-
-    tail: int  # quotient node id
-    head: int  # quotient node id
-    kind: str  # "cut" | "shortcut"
-    edge_id: int = -1  # global edge id for cut arcs
-    region: int = -1  # owning region for shortcut arcs
-
-
-@dataclass
-class BorderQuotient:
-    """The contraction of a partition onto its border vertices.
-
-    Attributes
-    ----------
-    vertices:
-        Global ids of the quotient nodes (the border vertices), ascending;
-        quotient node ``q`` stands for global vertex ``vertices[q]``.
-    node_of:
-        Inverse mapping ``global vertex id -> quotient node id``.
-    arcs:
-        All quotient arcs (cut arcs first, then shortcut arcs, both in
-        deterministic construction order).
-    adjacency:
-        ``adjacency[q]`` lists the indices into :attr:`arcs` of the arcs
-        leaving quotient node ``q``.
-    """
-
-    vertices: np.ndarray
-    node_of: dict[int, int]
-    arcs: list[QuotientArc]
-    adjacency: list[list[int]]
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.vertices.size)
-
-    def border_nodes_of_region(self, labels: np.ndarray, region: int) -> list[int]:
-        """Quotient node ids whose underlying vertex lies in ``region``."""
-        return [
-            q
-            for q, vertex in enumerate(self.vertices.tolist())
-            if int(labels[vertex]) == region
-        ]
-
-
-def build_border_quotient(partition: GraphPartition) -> BorderQuotient:
-    """Build the border-node contraction of ``partition``.
-
-    Cut arcs follow substrate orientation (both directions for undirected
-    graphs); shortcut arcs connect every ordered pair of distinct border
-    vertices within one region.  Disabled cut edges contribute no arc —
-    routing must never see them.
-    """
-    graph = partition.graph
-    border = partition.border_vertices
-    node_of = {int(v): q for q, v in enumerate(border.tolist())}
-    arcs: list[QuotientArc] = []
-    disabled = graph.disabled_edges
-    for eid in partition.cut_edge_ids.tolist():
-        if eid in disabled:
-            continue
-        u, v = graph.edge_endpoints(eid)
-        arcs.append(QuotientArc(node_of[u], node_of[v], "cut", edge_id=eid))
-        if not graph.directed:
-            arcs.append(QuotientArc(node_of[v], node_of[u], "cut", edge_id=eid))
-    labels = partition.labels
-    for region in range(partition.num_regions):
-        nodes = [q for q in range(border.size) if labels[border[q]] == region]
-        for qa in nodes:
-            for qb in nodes:
-                if qa != qb:
-                    arcs.append(QuotientArc(qa, qb, "shortcut", region=region))
-    adjacency: list[list[int]] = [[] for _ in range(border.size)]
-    for index, arc in enumerate(arcs):
-        adjacency[arc.tail].append(index)
-    return BorderQuotient(
-        vertices=border, node_of=node_of, arcs=arcs, adjacency=adjacency
-    )

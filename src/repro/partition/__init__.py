@@ -1,7 +1,7 @@
-"""Partitioned region-solving: shards, border-quotient pricing, merge.
+"""Partitioned region-solving: region shards and their merge.
 
 Public surface of the partitioned ``Bounded-UFP`` solver; the purely
-topological pieces (partitions, partitioners, the border quotient) live in
+topological pieces (partitions and partitioners) live in
 :mod:`repro.graphs.partition`.
 """
 

@@ -50,8 +50,6 @@ class RegionShard:
     edge_ids:
         Global edge ids of the region's internal edges, ascending; local
         edge ``j`` is ``edge_ids[j]``.
-    local_edge:
-        Inverse map ``global edge id -> local edge id``.
     requests:
         The region's intra-region requests with terminals relabeled to
         local ids, in ascending global declaration order (so shard-local
@@ -65,7 +63,6 @@ class RegionShard:
     vertices: np.ndarray
     local_vertex: dict[int, int]
     edge_ids: np.ndarray
-    local_edge: dict[int, int] = field(default_factory=dict)
     requests: list[Request] = field(default_factory=list)
     request_indices: list[int] = field(default_factory=list)
 
@@ -89,7 +86,6 @@ def _region_shard(
     verts = partition.region_vertices(region)
     eids = partition.region_edge_ids(region)
     local_vertex = {int(g): i for i, g in enumerate(verts.tolist())}
-    local_edge = {int(g): j for j, g in enumerate(eids.tolist())}
     if eids.size == 0:
         subgraph = None
     else:
@@ -113,25 +109,22 @@ def _region_shard(
         vertices=verts,
         local_vertex=local_vertex,
         edge_ids=eids,
-        local_edge=local_edge,
     )
 
 
 def build_shards(
-    instance: UFPInstance, partition: GraphPartition
-) -> tuple[list[RegionShard], list[int]]:
+    instance: UFPInstance, partition: GraphPartition, intra: list[list[int]]
+) -> list[RegionShard]:
     """Cut ``instance`` along ``partition`` into region shards.
 
-    Returns ``(shards, cross_indices)``: one shard per region with its
-    intra-region requests installed, plus the global indices of the
-    cross-region requests (which the coordinator prices hierarchically —
-    they belong to no single shard).
+    ``intra[r]`` lists the global indices of region ``r``'s requests, as
+    returned by :meth:`GraphPartition.split_requests`; each shard gets its
+    region's requests installed.
     """
     shards = [
         _region_shard(instance, partition, region)
         for region in range(partition.num_regions)
     ]
-    intra, cross = partition.split_requests(instance.requests)
     for region, indices in enumerate(intra):
         shard = shards[region]
         local_vertex = shard.local_vertex
@@ -147,4 +140,4 @@ def build_shards(
                 )
             )
             shard.request_indices.append(idx)
-    return shards, cross
+    return shards

@@ -1,6 +1,6 @@
-"""Partitioned ``Bounded-UFP``: per-region shards + border-quotient pricing.
+"""Partitioned ``Bounded-UFP``: per-region shards for intra-region traffic.
 
-Two operating modes, chosen by where the requests live:
+Two paths, chosen by where the requests live:
 
 **Intra-only fast path** (every request's terminals share a region).  Each
 shard runs its own ``PathPricingEngine`` + ``DualWeights`` to exhaustion —
@@ -43,53 +43,38 @@ graph minus its cut edges, whose budget limit is identical — disabled
 edges still contribute their initial budget term); equality with the
 *plain* global run is what needs the stays-internal premise.
 
-**Hierarchical mode** (some request crosses regions).  A serial
-coordinator keeps one live shard engine per region for intra requests plus
-a dual state over the cut edges, and prices each cross request
-hierarchically: region-local shortest-path trees carry ``source ->
-borders`` and ``borders -> target`` distances, and a Dijkstra over the
-:class:`~repro.graphs.partition.BorderQuotient` — cut arcs weighted by
-live cut duals, shortcut arcs by live in-region border-to-border
-distances — carries the middle.  The spliced route is loop-free but not
-necessarily a globally shortest path, so this mode is *approximate* (the
-report layer surfaces the gap vs. the global solver) and Lemma 3.3's
-feasibility argument no longer applies; a physical load guard therefore
-rejects any commit that would overload an edge.
+**Cross-region traffic** (some request's terminals lie in different
+regions).  The solver returns the global
+:func:`~repro.core.bounded_ufp.bounded_ufp` run on the whole graph and
+builds no shards, so the partitioned run equals the global one by
+construction, and the paper's monotonicity and feasibility results
+(Lemma 3.3) cover it as they cover the global run.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal
 
 import numpy as np
 
 from repro import parallel
+from repro.core.bounded_ufp import _check_capacity_assumption, bounded_ufp
 from repro.core.dual_state import DualWeights
-from repro.core.pricing_engine import PathPricingEngine, Selection
+from repro.core.pricing_engine import PathPricingEngine
 from repro.exceptions import InvalidInstanceError
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
 from repro.graphs.partition import (
-    BorderQuotient,
     GraphPartition,
     bfs_partition,
-    build_border_quotient,
     single_region_partition,
 )
-from repro.graphs.shortest_path import CompactTree
-from repro.kernels import get_kernel
 from repro.partition.shards import RegionShard, build_shards
 from repro.types import RunStats
 
 __all__ = ["partitioned_bounded_ufp", "resolve_partition"]
-
-_INF = math.inf
-
-#: Relative slack of the hierarchical mode's physical load guard.
-_LOAD_GUARD_RTOL = 1e-9
 
 
 def resolve_partition(
@@ -97,14 +82,20 @@ def resolve_partition(
 ) -> GraphPartition:
     """Normalize a ``partition=`` argument into a :class:`GraphPartition`.
 
-    Accepts a ready partition (validated against ``graph``), an integer
-    region count (``1`` -> the trivial partition, ``k > 1`` -> a seeded
-    :func:`bfs_partition` with ``seed``), or a raw label array.
+    Accepts a ready partition, an integer region count (``1`` -> the
+    trivial partition, ``k > 1`` -> a seeded :func:`bfs_partition` with
+    ``seed``), or a raw label array.  A ready partition must have been
+    built on a graph with the same vertex count, orientation and edge
+    endpoints as ``graph``; capacities and disabled edges may differ, so a
+    partition survives :meth:`CapacitatedGraph.with_capacities`.
     """
     if isinstance(partition, GraphPartition):
-        if partition.graph is not graph and (
-            partition.graph.num_vertices != graph.num_vertices
-            or partition.graph.num_edges != graph.num_edges
+        built_on = partition.graph
+        if built_on is not graph and not (
+            built_on.num_vertices == graph.num_vertices
+            and built_on.directed == graph.directed
+            and np.array_equal(built_on.tails, graph.tails)
+            and np.array_equal(built_on.heads, graph.heads)
         ):
             raise InvalidInstanceError(
                 "partition was built for a different substrate"
@@ -116,12 +107,6 @@ def resolve_partition(
             return single_region_partition(graph)
         return bfs_partition(graph, k, seed=seed)
     return GraphPartition(graph, partition)
-
-
-def _score_then_index(candidate: tuple) -> tuple[float, int]:
-    """The selection order over ``(score, global_index, region, *payload)``
-    candidates: least score, then least global request index."""
-    return candidate[0], candidate[1]
 
 
 # ---------------------------------------------------------------------- #
@@ -213,7 +198,9 @@ def _merge_intra(
             if position < len(sequence):
                 gidx, score = sequence[position][:2]
                 candidates.append((score, gidx, region))
-        region = min(candidates, key=_score_then_index)[2]
+        # Global indices are distinct, so tuple order is the least
+        # (score, global request index) pair.
+        region = min(candidates)[2]
         gidx, _score, vertices, edge_ids, delta = sequences[region][heads[region]]
         heads[region] += 1
         remaining -= 1
@@ -244,7 +231,6 @@ def _merge_intra(
             "partition_regions": float(k),
             "partition_cut_edges": float(partition.num_cut_edges),
             "partition_cross_requests": 0.0,
-            "partition_hierarchical": 0.0,
         },
     )
     return Allocation(
@@ -252,477 +238,6 @@ def _merge_intra(
         routed=routed,
         stats=stats,
         algorithm=f"Partitioned-Bounded-UFP(eps={epsilon:g}, regions={k})",
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Hierarchical mode
-# ---------------------------------------------------------------------- #
-class _LiveRegion:
-    """One region's live solver state inside the hierarchical coordinator:
-    the shard, its dual weights, its intra-request engine (both ``None``
-    degenerate forms handled) and a cache of region-local shortest-path
-    trees used for cross-request pricing, invalidated whenever the
-    region's weights change."""
-
-    __slots__ = (
-        "shard",
-        "duals",
-        "engine",
-        "_kernel",
-        "_w_list",
-        "_trees",
-        "sp_calls",
-    )
-
-    def __init__(
-        self, shard: RegionShard, epsilon: float, capacity_bound: float
-    ) -> None:
-        self.shard = shard
-        if shard.graph is not None:
-            self.duals = DualWeights(
-                shard.graph.capacities, epsilon, capacity_bound=capacity_bound
-            )
-        else:
-            self.duals = None
-        if self.duals is not None and shard.requests:
-            self.engine = PathPricingEngine(
-                shard.graph, shard.requests, self.duals
-            )
-        else:
-            self.engine = None
-        self._kernel = get_kernel()
-        self._w_list: list[float] | None = None
-        self._trees: dict[int, CompactTree] = {}
-        self.sp_calls = 0
-
-    def invalidate(self) -> None:
-        self._w_list = None
-        self._trees = {}
-
-    def _weights_list(self) -> list[float]:
-        if self._w_list is None:
-            self._w_list = self.duals.weights.tolist()
-        return self._w_list
-
-    def tree_from(self, local_source: int) -> CompactTree:
-        """The shortest-path tree rooted at ``local_source`` under the
-        region's current dual weights (cached until invalidated)."""
-        tree = self._trees.get(local_source)
-        if tree is None:
-            tree = self._kernel.dijkstra(
-                self.shard.graph, self.duals.weights, local_source,
-                get_weights_list=self._weights_list,
-            )
-            self._trees[local_source] = tree
-            self.sp_calls += 1
-        return tree
-
-
-def _splice_loops(
-    vertices: list[int], edges: list[int]
-) -> tuple[list[int], list[int]]:
-    """Make a walk simple by excising every loop (first-revisit splice).
-
-    Concatenating region segments and quotient hops can revisit a vertex
-    (e.g. a border vertex used both as an exit and much later as an entry);
-    dropping the enclosed cycle only shortens the route and never increases
-    any edge's load.
-    """
-    out_v = [vertices[0]]
-    out_e: list[int] = []
-    position = {vertices[0]: 0}
-    for v, e in zip(vertices[1:], edges):
-        seen = position.get(v)
-        if seen is not None:
-            for u in out_v[seen + 1 :]:
-                del position[u]
-            del out_v[seen + 1 :]
-            del out_e[seen:]
-        else:
-            position[v] = len(out_v)
-            out_v.append(v)
-            out_e.append(e)
-    return out_v, out_e
-
-
-class _CrossPlan(NamedTuple):
-    distance: float
-    arc_path: tuple  # QuotientArc sequence, entry border -> exit border
-    entry_node: int
-    exit_node: int
-
-
-class _HierarchicalState:
-    """The serial coordinator's view of the partitioned instance."""
-
-    def __init__(
-        self,
-        instance: UFPInstance,
-        partition: GraphPartition,
-        shards: list[RegionShard],
-        epsilon: float,
-    ) -> None:
-        graph = instance.graph
-        caps = graph.capacities
-        self.instance = instance
-        self.partition = partition
-        self.labels = partition.labels
-        self.caps = caps
-        self.capacity_bound = float(caps.min())
-        self.regions = [
-            _LiveRegion(shard, epsilon, self.capacity_bound) for shard in shards
-        ]
-        self.quotient: BorderQuotient = build_border_quotient(partition)
-        cut = partition.cut_edge_ids
-        self.cut_pos = {int(e): i for i, e in enumerate(cut.tolist())}
-        if cut.size:
-            self.cut_duals = DualWeights(
-                caps[cut], epsilon, capacity_bound=self.capacity_bound
-            )
-        else:
-            self.cut_duals = None
-        self.region_border_nodes = [
-            self.quotient.border_nodes_of_region(self.labels, r)
-            for r in range(partition.num_regions)
-        ]
-        self.loads = np.zeros(graph.num_edges, dtype=np.float64)
-        tails_heads = graph.edge_list()
-        self.edge_tail = [e[0] for e in tails_heads]
-
-    # -------------------------------------------------------------- #
-    # Cross-request pricing
-    # -------------------------------------------------------------- #
-    def _border_seeds(self, vertex: int, region: int, *, outbound: bool):
-        """Quotient seeds for one terminal: ``{node: distance}``.
-
-        ``outbound=True`` prices ``vertex -> border`` (tree rooted at the
-        vertex); ``outbound=False`` prices ``border -> vertex`` (one tree
-        per border, rooted at the border — correct under direction).
-        A terminal that is itself a border vertex seeds only its own node;
-        shortcut arcs cover onward intra-region movement.
-        """
-        node = self.quotient.node_of.get(vertex)
-        if node is not None:
-            return {node: 0.0}
-        live = self.regions[region]
-        if live.duals is None:
-            return {}
-        local = live.shard.local_vertex[vertex]
-        seeds: dict[int, float] = {}
-        if outbound:
-            dist = live.tree_from(local).dist
-            for q in self.region_border_nodes[region]:
-                d = dist[live.shard.local_vertex[int(self.quotient.vertices[q])]]
-                if d != _INF:
-                    seeds[q] = d
-        else:
-            for q in self.region_border_nodes[region]:
-                border_local = live.shard.local_vertex[
-                    int(self.quotient.vertices[q])
-                ]
-                d = live.tree_from(border_local).dist[local]
-                if d != _INF:
-                    seeds[q] = d
-        return seeds
-
-    def _arc_weight(self, arc) -> float:
-        if arc.kind == "cut":
-            return float(self.cut_duals.weights[self.cut_pos[arc.edge_id]])
-        live = self.regions[arc.region]
-        if live.duals is None:
-            return _INF
-        shard = live.shard
-        tail_local = shard.local_vertex[int(self.quotient.vertices[arc.tail])]
-        head_local = shard.local_vertex[int(self.quotient.vertices[arc.head])]
-        return live.tree_from(tail_local).dist[head_local]
-
-    def price_cross(self, request) -> _CrossPlan | None:
-        """Hierarchical distance + quotient route for one cross request, or
-        ``None`` when unroutable through the quotient."""
-        if self.cut_duals is None:
-            return None
-        src_region = int(self.labels[request.source])
-        dst_region = int(self.labels[request.target])
-        seeds = self._border_seeds(request.source, src_region, outbound=True)
-        if not seeds:
-            return None
-        tails = self._border_seeds(request.target, dst_region, outbound=False)
-        if not tails:
-            return None
-        nq = self.quotient.num_nodes
-        dist = [_INF] * nq
-        parent: list[int] = [-1] * nq
-        heap: list[tuple[float, int]] = []
-        for node in sorted(seeds):
-            dist[node] = seeds[node]
-            heap.append((seeds[node], node))
-        heapq.heapify(heap)
-        arcs = self.quotient.arcs
-        adjacency = self.quotient.adjacency
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for arc_index in adjacency[node]:
-                arc = arcs[arc_index]
-                w = self._arc_weight(arc)
-                if w == _INF:
-                    continue
-                nd = d + w
-                if nd < dist[arc.head]:
-                    dist[arc.head] = nd
-                    parent[arc.head] = arc_index
-                    heapq.heappush(heap, (nd, arc.head))
-        best_node = -1
-        best_total = _INF
-        for node in sorted(tails):
-            if dist[node] == _INF:
-                continue
-            total = dist[node] + tails[node]
-            if total < best_total:
-                best_total = total
-                best_node = node
-        if best_node < 0:
-            return None
-        arc_path = []
-        node = best_node
-        while parent[node] >= 0:
-            arc = arcs[parent[node]]
-            arc_path.append(arc)
-            node = arc.tail
-        arc_path.reverse()
-        return _CrossPlan(
-            distance=best_total,
-            arc_path=tuple(arc_path),
-            entry_node=node,
-            exit_node=best_node,
-        )
-
-    def expand_cross(
-        self, request, plan: _CrossPlan
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Materialize a plan into a simple global (vertices, edge_ids) path."""
-        quotient = self.quotient
-        vertices = [request.source]
-        edges: list[int] = []
-
-        def append_region_segment(region: int, g_from: int, g_to: int) -> None:
-            live = self.regions[region]
-            shard = live.shard
-            tree = live.tree_from(shard.local_vertex[g_from])
-            seg_v, seg_e = tree.path_to(shard.local_vertex[g_to])
-            for v in seg_v[1:]:
-                vertices.append(int(shard.vertices[v]))
-            for e in seg_e:
-                edges.append(int(shard.edge_ids[e]))
-
-        entry_vertex = int(quotient.vertices[plan.entry_node])
-        if request.source != entry_vertex:
-            append_region_segment(
-                int(self.labels[request.source]), request.source, entry_vertex
-            )
-        for arc in plan.arc_path:
-            if arc.kind == "cut":
-                vertices.append(int(quotient.vertices[arc.head]))
-                edges.append(arc.edge_id)
-            else:
-                append_region_segment(
-                    arc.region,
-                    int(quotient.vertices[arc.tail]),
-                    int(quotient.vertices[arc.head]),
-                )
-        exit_vertex = int(quotient.vertices[plan.exit_node])
-        if request.target != exit_vertex:
-            append_region_segment(
-                int(self.labels[request.target]), exit_vertex, request.target
-            )
-        out_v, out_e = _splice_loops(vertices, edges)
-        return tuple(out_v), tuple(out_e)
-
-    # -------------------------------------------------------------- #
-    # Commits
-    # -------------------------------------------------------------- #
-    def overloads(self, edge_ids: Sequence[int], demand: float) -> bool:
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        return bool(
-            np.any(
-                self.loads[ids] + demand
-                > self.caps[ids] * (1.0 + _LOAD_GUARD_RTOL)
-            )
-        )
-
-    def commit_edges(self, edge_ids: Sequence[int], demand: float) -> float:
-        """Apply the dual update of a committed path to every affected shard
-        (and the cut duals), invalidate their caches, record physical load;
-        returns the summed exact budget increments."""
-        by_region: dict[int, list[int]] = {}
-        cut_positions: list[int] = []
-        labels = self.labels
-        for eid in edge_ids:
-            pos = self.cut_pos.get(eid)
-            if pos is not None:
-                cut_positions.append(pos)
-            else:
-                region = int(labels[self.edge_tail[eid]])
-                shard = self.regions[region].shard
-                by_region.setdefault(region, []).append(shard.local_edge[eid])
-        increment = 0.0
-        for region in sorted(by_region):
-            live = self.regions[region]
-            local_ids = np.asarray(sorted(by_region[region]), dtype=np.int64)
-            live.duals.apply_selection(local_ids, demand, assume_unique=True)
-            increment += live.duals.last_budget_increment
-            if live.engine is not None:
-                live.engine.apply_external_update(local_ids.tolist())
-            live.invalidate()
-        if cut_positions:
-            positions = np.asarray(sorted(set(cut_positions)), dtype=np.int64)
-            self.cut_duals.apply_selection(positions, demand, assume_unique=True)
-            increment += self.cut_duals.last_budget_increment
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        self.loads[ids] += demand
-        return increment
-
-
-def _solve_hierarchical(
-    instance: UFPInstance,
-    epsilon: float,
-    partition: GraphPartition,
-    shards: list[RegionShard],
-    cross_indices: list[int],
-    max_iterations: int | None,
-    start: float,
-) -> Allocation:
-    state = _HierarchicalState(instance, partition, shards, epsilon)
-    caps = instance.graph.capacities
-    budget = float(caps @ (1.0 / caps))
-    limit = math.exp(epsilon * (state.capacity_bound - 1.0))
-    cross_pool = sorted(cross_indices)
-    iteration_cap = (
-        max_iterations if max_iterations is not None else instance.num_requests
-    )
-    routed: list[RoutedRequest] = []
-    iterations = 0
-    stopped_by_budget = False
-    guard_rejected = 0
-    cross_routed = 0
-
-    while iterations < iteration_cap:
-        if budget > limit:
-            stopped_by_budget = True
-            break
-        intra_candidates: list[tuple] = []
-        for region, live in enumerate(state.regions):
-            if live.engine is None or not live.engine.num_pending:
-                continue
-            selection = live.engine.select()
-            if selection is None:
-                continue
-            intra_candidates.append(
-                (
-                    selection.score,
-                    live.shard.request_indices[selection.index],
-                    region,
-                    selection,
-                )
-            )
-        cross_candidates: list[tuple] = []
-        unroutable: list[int] = []
-        for gidx in cross_pool:
-            request = instance.requests[gidx]
-            plan = state.price_cross(request)
-            if plan is None:
-                unroutable.append(gidx)
-                continue
-            score = request.demand / request.value * plan.distance
-            cross_candidates.append((score, gidx, -1, plan))
-        for gidx in unroutable:
-            cross_pool.remove(gidx)
-        if not intra_candidates and not cross_candidates:
-            break
-        winner = min(intra_candidates + cross_candidates, key=_score_then_index)
-        # Requeue the losing shard selections *before* any weight update:
-        # requeue is only valid while the selection's score and epoch are
-        # still current, which stops being true the moment any shard's
-        # duals move.
-        for candidate in intra_candidates:
-            if candidate is not winner:
-                state.regions[candidate[2]].engine.requeue(candidate[3])
-
-        gidx = winner[1]
-        request = instance.requests[gidx]
-        if winner[2] >= 0:
-            live = state.regions[winner[2]]
-            selection: Selection = winner[3]
-            vertices = live.shard.to_global_vertices(selection.vertices)
-            edge_ids = live.shard.to_global_edges(selection.edge_ids)
-            if state.overloads(edge_ids, request.demand):
-                live.engine.drop_request(selection.index)
-                guard_rejected += 1
-                continue
-            live.engine.commit(selection)
-            budget += live.duals.last_budget_increment
-            live.invalidate()
-            state.loads[np.asarray(edge_ids, dtype=np.int64)] += request.demand
-        else:
-            plan: _CrossPlan = winner[3]
-            vertices, edge_ids = state.expand_cross(request, plan)
-            cross_pool.remove(gidx)
-            if state.overloads(edge_ids, request.demand):
-                guard_rejected += 1
-                continue
-            budget += state.commit_edges(edge_ids, request.demand)
-            cross_routed += 1
-        routed.append(
-            RoutedRequest(
-                request_index=gidx,
-                request=request,
-                vertices=vertices,
-                edge_ids=edge_ids,
-                copies=1,
-            )
-        )
-        iterations += 1
-
-    pending = bool(cross_pool) or any(
-        live.engine is not None and live.engine.num_pending
-        for live in state.regions
-    )
-    if pending and not stopped_by_budget and budget > limit:
-        stopped_by_budget = True
-
-    sp_calls = sum(live.sp_calls for live in state.regions) + sum(
-        live.engine.stats.dijkstra_calls
-        for live in state.regions
-        if live.engine is not None
-    )
-    stats = RunStats(
-        iterations=iterations,
-        shortest_path_calls=sp_calls,
-        stopped_by_budget=stopped_by_budget,
-        wall_time_s=time.perf_counter() - start,
-        extra={
-            "final_dual_budget": budget,
-            "dual_budget_limit": limit,
-            "epsilon": epsilon,
-            "capacity_bound": state.capacity_bound,
-            "partition_regions": float(partition.num_regions),
-            "partition_cut_edges": float(partition.num_cut_edges),
-            "partition_cross_requests": float(len(cross_indices)),
-            "partition_cross_routed": float(cross_routed),
-            "partition_guard_rejected": float(guard_rejected),
-            "partition_hierarchical": 1.0,
-        },
-    )
-    return Allocation(
-        instance=instance,
-        routed=routed,
-        stats=stats,
-        algorithm=(
-            f"Partitioned-Bounded-UFP(eps={epsilon:g}, "
-            f"regions={partition.num_regions}, hierarchical)"
-        ),
     )
 
 
@@ -753,8 +268,8 @@ def partitioned_bounded_ufp(
     jobs:
         Per-shard fan-out for the intra-only fast path, resolved by
         :func:`repro.parallel.resolve_jobs` (``None`` consults
-        ``REPRO_JOBS``).  The hierarchical mode is serial — its shards
-        exchange dual updates every iteration.
+        ``REPRO_JOBS``).  It applies to the fast path only: instances with
+        cross-region requests run the serial global solver.
 
     Notes
     -----
@@ -764,9 +279,9 @@ def partitioned_bounded_ufp(
     (always for a 1-region partition; for ``multi_region_topology``'s
     natural clusters unless congestion makes a backbone detour cheaper for
     some intra request).  The differential tests pin both statements.
-    With cross-region requests the solver switches to hierarchical
-    quotient pricing, which is deterministic but approximate; allocations
-    remain feasible via an explicit load guard.
+    With any cross-region request the result *is* the global
+    :func:`~repro.core.bounded_ufp.bounded_ufp` run on the whole graph,
+    with the partition's shape added to its stats.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= 1.0:
@@ -780,19 +295,22 @@ def partitioned_bounded_ufp(
             "Partitioned-Bounded-UFP expects demands normalized to (0, 1]; "
             "call UFPInstance.normalized() first"
         )
-    from repro.core.bounded_ufp import _check_capacity_assumption
-
     _check_capacity_assumption(instance, epsilon, capacity_check)
 
     start = time.perf_counter()
     resolved = resolve_partition(
         instance.graph, partition, seed=partition_seed
     )
-    shards, cross_indices = build_shards(instance, resolved)
-    if not cross_indices:
-        return _merge_intra(
-            instance, epsilon, resolved, shards, jobs, max_iterations, start
+    intra, cross = resolved.split_requests(instance.requests)
+    if cross:
+        allocation = bounded_ufp(instance, epsilon, max_iterations=max_iterations)
+        allocation.stats = allocation.stats.merged(
+            partition_regions=float(resolved.num_regions),
+            partition_cut_edges=float(resolved.num_cut_edges),
+            partition_cross_requests=float(len(cross)),
         )
-    return _solve_hierarchical(
-        instance, epsilon, resolved, shards, cross_indices, max_iterations, start
+        return allocation
+    shards = build_shards(instance, resolved, intra)
+    return _merge_intra(
+        instance, epsilon, resolved, shards, jobs, max_iterations, start
     )

@@ -223,10 +223,11 @@ def _partition_metrics(
     Runs the partitioned solver next to the global ``allocation`` the cell
     already produced: always reports the region/cut/cross shape and the
     approximation gap vs. the global value, and claims bit-identity on
-    intra-only cells whose partition carries the exactness contract *and*
-    whose global clearing never routed across the cut (region-internal
-    shortest paths can leave their region once internal congestion makes a
-    backbone detour cheaper, so the premise is checked, not assumed).
+    cells with cross-region traffic and on intra-only cells whose partition
+    carries the exactness contract *and* whose global clearing never routed
+    across the cut (region-internal shortest paths can leave their region
+    once internal congestion makes a backbone detour cheaper, so the
+    premise is checked, not assumed).
     """
     spec = cell.mode["partition"]
     spec = spec if isinstance(spec, Mapping) else {}
@@ -249,7 +250,10 @@ def _partition_metrics(
         stays_internal = not any(
             eid in cut for routed in allocation.routed for eid in routed.edge_ids
         )
-        exact = exact_contract and cross == 0 and stays_internal
+        # With cross-region traffic the partitioned solver returns the
+        # global run on the whole graph, so the cell is exact by
+        # construction, whatever the cut.
+        exact = cross > 0 or (exact_contract and stays_internal)
         matches = (
             [r.request_index for r in partitioned.routed]
             == [r.request_index for r in allocation.routed]
@@ -259,8 +263,7 @@ def _partition_metrics(
         )
         if exact:
             outcome.claim(
-                "partitioned solver is bit-identical to the global solver "
-                "on an intra-region-only cell",
+                "partitioned solver is bit-identical to the global solver",
                 matches,
             )
         record["partition_gap"] = ratio(

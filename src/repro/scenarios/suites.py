@@ -24,9 +24,9 @@ Four pinned campaigns ship with the library:
 * ``partition`` — the partition-parity lane: a multi-region ISP composite
   cleared offline with the partitioned solver next to the global one, over
   the natural region cut, the trivial 1-region cut and a generic BFS cut.
-  Exists so the bit-identity contract of :mod:`repro.partition` (and the
-  approximation-gap column for cross-region traffic) runs end to end on
-  every CI pass.
+  Exists so the bit-identity contract of :mod:`repro.partition` (through
+  the shard merge on the 1-region cut, through the global fallback on the
+  two cuts with cross-region traffic) runs end to end on every CI pass.
 
 All are plain dicts — copy one, edit it, and pass it to
 ``repro.scenarios run`` as a JSON file to build your own campaign.
@@ -277,10 +277,11 @@ def _partition_suite() -> dict[str, Any]:
         ],
         "modes": [
             # Cross-region traffic exists in this workload, so the natural
-            # cut exercises the hierarchical quotient path and reports its
-            # gap; the 1-region cut must be bit-identical to the global
-            # solver (claimed inside the cell); the generic BFS cut
-            # exercises the arbitrary-graph partitioner end to end.
+            # cut and the generic BFS cut both fall back to the global
+            # solver and must be bit-identical to it; the 1-region cut is
+            # intra-only and must be bit-identical through the shard merge
+            # (both claimed inside the cell).  The BFS cut also exercises
+            # the arbitrary-graph partitioner end to end.
             {
                 "name": "part-auto",
                 "kind": "offline",

@@ -1,9 +1,10 @@
 """Units for the partitioned region-solving layer.
 
 Covers the purely topological pieces (:mod:`repro.graphs.partition` —
-partitioners, validation, the border quotient), the shard builder, the
-partitioned solver's two operating modes on hand-sized instances, the
-``bounded_ufp(partition=...)`` entry point, and the scenario-runner wiring
+partitioners, validation), the shard builder, the partitioned solver's two
+paths on hand-sized instances (the intra-only shard merge and the global
+fallback for cross-region traffic), the ``bounded_ufp(partition=...)``
+entry point, and the scenario-runner wiring
 (mode-spec resolution — including the ``partition: 1`` vs ``True``
 regression — and a miniature end-to-end campaign).  The large pinned-seed
 differential sweeps live in ``test_partition_fuzz.py``.
@@ -22,13 +23,10 @@ from repro.graphs.generators import multi_region_leaves, multi_region_topology
 from repro.graphs.partition import (
     GraphPartition,
     bfs_partition,
-    block_partition,
-    build_border_quotient,
     multi_region_partition,
     single_region_partition,
 )
 from repro.partition import build_shards, partitioned_bounded_ufp, resolve_partition
-from repro.partition.solver import _splice_loops
 from repro.scenarios.runner import _resolve_cell_partition, run_campaign
 from repro.scenarios.specs import enumerate_cells, normalize_suite
 
@@ -56,24 +54,8 @@ class TestGraphPartition:
         part = single_region_partition(diamond_graph)
         assert part.num_regions == 1
         assert part.num_cut_edges == 0
-        assert part.border_vertices.size == 0
         np.testing.assert_array_equal(part.region_vertices(0), np.arange(4))
         np.testing.assert_array_equal(part.region_edge_ids(0), np.arange(5))
-
-    def test_block_partition_layout(self):
-        graph = CapacitatedGraph(7, [(0, 1, 1.0), (5, 6, 1.0)], directed=False)
-        part = block_partition(graph, 3)
-        assert part.num_regions == 3
-        # ceil(7/3) == 3 -> blocks [0..2], [3..5], [6]
-        np.testing.assert_array_equal(part.labels, [0, 0, 0, 1, 1, 1, 2])
-        assert part.region_of(4) == 1
-        assert part.is_intra(0, 2) and not part.is_intra(2, 3)
-
-    def test_block_partition_bounds(self, diamond_graph):
-        with pytest.raises(InvalidInstanceError):
-            block_partition(diamond_graph, 0)
-        with pytest.raises(InvalidInstanceError):
-            block_partition(diamond_graph, 5)
 
     def test_label_validation(self, diamond_graph):
         with pytest.raises(InvalidInstanceError, match="shape"):
@@ -90,9 +72,10 @@ class TestGraphPartition:
         # Backbone edges come first in the generator's layout: one link per
         # region pair -> C(3,2) cut edges, and nothing else is cut.
         np.testing.assert_array_equal(part.cut_edge_ids, [0, 1, 2])
-        # Border vertices are core vertices (local id < cores within block).
+        # Cut-edge endpoints are core vertices (local id < cores within block).
         block = 2 * (1 + 1)
-        for v in part.border_vertices.tolist():
+        cut = part.cut_edge_ids
+        for v in np.concatenate([graph.tails[cut], graph.heads[cut]]).tolist():
             assert v % block < 2
         # Every region's vertex set is its contiguous block, ascending.
         for r in range(3):
@@ -138,50 +121,6 @@ class TestGraphPartition:
         assert cross == [1]
 
 
-class TestBorderQuotient:
-    def test_structure_on_multi_region(self):
-        graph = _regions_graph(3, 2, 1)
-        part = multi_region_partition(graph, 3, 2, 1)
-        quotient = build_border_quotient(part)
-        np.testing.assert_array_equal(quotient.vertices, part.border_vertices)
-        assert quotient.num_nodes == part.border_vertices.size
-        cut_arcs = [a for a in quotient.arcs if a.kind == "cut"]
-        shortcut_arcs = [a for a in quotient.arcs if a.kind == "shortcut"]
-        # Undirected substrate: each cut edge contributes both directions.
-        assert len(cut_arcs) == 2 * part.num_cut_edges
-        # One shortcut per ordered border pair within each region.
-        expected_shortcuts = 0
-        labels = part.labels
-        for r in range(3):
-            nodes = quotient.border_nodes_of_region(labels, r)
-            expected_shortcuts += len(nodes) * (len(nodes) - 1)
-        assert len(shortcut_arcs) == expected_shortcuts
-        # Adjacency indexes exactly the arcs leaving each node.
-        for q, arc_ids in enumerate(quotient.adjacency):
-            assert all(quotient.arcs[i].tail == q for i in arc_ids)
-        assert sum(len(ids) for ids in quotient.adjacency) == len(quotient.arcs)
-
-    def test_disabled_cut_edge_has_no_arc(self):
-        graph = _regions_graph(3, 2, 1)
-        part = multi_region_partition(graph, 3, 2, 1)
-        baseline = build_border_quotient(part)
-        disabled_cut = int(part.cut_edge_ids[0])
-        degraded_graph = CapacitatedGraph(
-            graph.num_vertices,
-            graph.edge_list(),
-            directed=graph.directed,
-            disabled_edges={disabled_cut},
-        )
-        degraded = build_border_quotient(
-            GraphPartition(degraded_graph, part.labels)
-        )
-        kept = [a.edge_id for a in degraded.arcs if a.kind == "cut"]
-        assert disabled_cut not in kept
-        assert len(kept) == len(
-            [a for a in baseline.arcs if a.kind == "cut"]
-        ) - 2  # both directions gone
-
-
 # ---------------------------------------------------------------------- #
 # Shards
 # ---------------------------------------------------------------------- #
@@ -196,8 +135,9 @@ class TestShards:
             Request(2, block + 2, 0.5, 3.0),  # cross
         ]
         instance = UFPInstance(graph, requests)
-        shards, cross = build_shards(instance, part)
+        intra, cross = part.split_requests(requests)
         assert cross == [2]
+        shards = build_shards(instance, part, intra)
         assert [s.num_requests for s in shards] == [1, 1]
         for r, shard in enumerate(shards):
             # Order-preserving compact relabeling, ascending in global id.
@@ -232,7 +172,6 @@ class TestPartitionedSolver:
             expected.stats.extra["final_dual_budget"]
         )
         assert actual.stats.extra["partition_regions"] == 1.0
-        assert actual.stats.extra["partition_hierarchical"] == 0.0
 
     def test_multi_region_intra_only_matches_global(self):
         graph = _regions_graph(3, 3, 2, seed=5)
@@ -259,7 +198,7 @@ class TestPartitionedSolver:
         assert actual.stats.stopped_by_budget == expected.stats.stopped_by_budget
         assert actual.stats.extra["partition_cross_requests"] == 0.0
 
-    def test_hierarchical_mode_is_feasible_and_deterministic(self):
+    def test_cross_region_matches_global(self):
         graph = _regions_graph(3, 3, 2, seed=5)
         part = multi_region_partition(graph, 3, 3, 2)
         leaves = multi_region_leaves(3, 3, 2)
@@ -276,13 +215,14 @@ class TestPartitionedSolver:
             )
         ]
         instance = UFPInstance(graph, requests)
-        first = partitioned_bounded_ufp(instance, 0.5, partition=part)
-        second = partitioned_bounded_ufp(instance, 0.5, partition=part)
-        assert first.is_feasible()
-        _assert_same_allocation(first, second)
-        extra = first.stats.extra
-        assert extra["partition_hierarchical"] == 1.0
-        assert extra["partition_cross_requests"] > 0
+        expected = bounded_ufp(instance, 0.5)
+        actual = partitioned_bounded_ufp(instance, 0.5, partition=part)
+        _assert_same_allocation(actual, expected)
+        assert actual.stats.extra["final_dual_budget"] == (
+            expected.stats.extra["final_dual_budget"]
+        )
+        assert actual.stats.stopped_by_budget == expected.stats.stopped_by_budget
+        assert actual.stats.extra["partition_cross_requests"] > 0
 
     def test_jobs_do_not_change_the_answer(self, roomy_diamond_instance):
         serial = partitioned_bounded_ufp(
@@ -325,20 +265,28 @@ class TestPartitionedSolver:
         other = CapacitatedGraph(3, [(0, 1, 1.0)], directed=True)
         with pytest.raises(InvalidInstanceError, match="different substrate"):
             resolve_partition(diamond_graph, single_region_partition(other))
-
-    def test_splice_loops(self):
-        # Walk 0-1-2-1-3 revisits 1: the 1-2-1 cycle is excised.
-        vertices, edges = _splice_loops([0, 1, 2, 1, 3], [10, 11, 12, 13])
-        assert vertices == [0, 1, 3]
-        assert edges == [10, 13]
-        # A simple path passes through untouched.
-        vertices, edges = _splice_loops([4, 5, 6], [1, 2])
-        assert vertices == [4, 5, 6]
-        assert edges == [1, 2]
-        # Returning to the start collapses everything before the tail.
-        vertices, edges = _splice_loops([0, 1, 0, 2], [7, 8, 9])
-        assert vertices == [0, 2]
-        assert edges == [9]
+        # Same vertex and edge counts, different edges: every edge of
+        # `same_shape` crosses the labeling, so its shards would have no
+        # edges and route nothing on `path`, where both requests fit.
+        path = CapacitatedGraph(
+            4, [(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0)], directed=False
+        )
+        same_shape = CapacitatedGraph(
+            4, [(0, 2, 10.0), (2, 1, 10.0), (1, 3, 10.0)], directed=False
+        )
+        foreign = GraphPartition(same_shape, [0, 0, 1, 1])
+        with pytest.raises(InvalidInstanceError, match="different substrate"):
+            resolve_partition(path, foreign)
+        instance = UFPInstance(
+            path, [Request(0, 1, 1.0, 1.0), Request(2, 3, 1.0, 1.0)]
+        )
+        assert bounded_ufp(instance, 0.5).num_selected == 2
+        with pytest.raises(InvalidInstanceError, match="different substrate"):
+            partitioned_bounded_ufp(instance, 0.5, partition=foreign)
+        # A capacity change keeps the edge layout, so the partition still fits.
+        own = GraphPartition(path, [0, 0, 1, 1])
+        resized = path.with_capacities([20.0, 20.0, 20.0], disabled_edges=[1])
+        assert resolve_partition(resized, own) is own
 
 
 # ---------------------------------------------------------------------- #
@@ -452,6 +400,11 @@ class TestScenarioWiring:
         assert len(records) == 2
         by_mode = {record["mode"]: record for record in records}
         assert by_mode["part-auto"]["partition_regions"] == 2
+        # Cross-region traffic runs the global solver, so the natural cut
+        # is exact too.
+        assert by_mode["part-auto"]["partition_cross"] > 0
+        assert by_mode["part-auto"]["partition_exact"] is True
+        assert by_mode["part-auto"]["partition_gap"] == 1.0
         # The trivial cut is intra-only by construction, so the runner
         # claims (and reports) bit-identity with the global solver.
         assert by_mode["part-1"]["partition_regions"] == 1
