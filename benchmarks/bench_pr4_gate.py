@@ -6,8 +6,8 @@ stream) plus the two trace-replay rows this PR commits to:
 
 * ``payments_replay_medium`` — critical-value payments for every winner of
   the *contended* medium instance with tracing on.  The committed baseline
-  encodes the ≥5x ISSUE-4 speedup over the from-scratch path; a regression
-  here means the suffix-resume machinery stopped paying for itself.
+  encodes the trace path's speedup over the from-scratch path; a regression
+  here means the per-agent probe tables stopped paying for themselves.
 * ``e4_audit_cell`` — the E4 truthfulness audit cell through the traced
   audit path.
 

@@ -1,20 +1,22 @@
-"""Micro-benchmarks of the checkpointed trace-replay engine (PR 4).
+"""Micro-benchmarks of trace-replay probes (per-agent tables).
 
-A/B the suffix-resume probe path against from-scratch probe runs::
+A/B the table-answered probe path against from-scratch probe runs::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_trace_replay.py -q
     PYTHONPATH=src python -m pytest benchmarks/bench_trace_replay.py -q --no-trace
 
 Every benchmarked call is bit-identical under both flags (the differential
 suite :mod:`tests.test_trace_replay` enforces it across the fuzz corpus);
-only wall-clock changes.  The headline rows:
+only wall-clock changes.  With tracing on, each probed agent's questions
+are answered from one table: its excluded run, resumed from the recorded
+checkpoint at its first winning round.  The headline rows:
 
 * ``payments_contended`` — critical-value payments for every winner of a
-  congested medium instance, the ISSUE-4 ≥5x target workload;
-* ``audit_truthfulness`` — the E4-style audit on the same instance family;
+  congested medium instance: one excluded run per winner;
+* ``audit_truthfulness`` — the E4-style audit on the same instance family,
+  whose score-lowering misreports also read the base run's prefix;
 * ``online_threshold_payments`` — per-batch critical values under the
-  posted-price policy, where the recorded admission score also certifies a
-  not-admitted-below bisection bound;
+  posted-price policy: one excluded drain per admitted request;
 * ``trace_overhead`` — one solver run with recording on vs off (the price
   of producing a trace nobody replays).
 """

@@ -19,8 +19,8 @@
   loops, kept as differential-testing oracles for the engine.
 * :mod:`repro.core.trace` — the run-trace + checkpoint subsystem: record a
   solver run's acceptance trace once, then answer single-declaration probe
-  runs (payment bisections, truthfulness audits, online batch payments) by
-  replaying only the suffix past each probe's divergence round.
+  runs (payment bisections, truthfulness audits, online batch payments)
+  from one excluded run per probed agent.
 * :mod:`repro.core.reasonable` — the *reasonable iterative path/bundle
   minimizing algorithm* framework of Definitions 3.9/3.10 and 4.3/4.4, used
   to reproduce the lower bounds of Theorems 3.11, 3.12 and 4.5.

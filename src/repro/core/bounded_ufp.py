@@ -100,9 +100,9 @@ def bounded_ufp(
     trace:
         Optional :class:`repro.core.trace.TraceRecorder`: record the
         acceptance trace and periodic engine/dual checkpoints of this run,
-        so payment bisections and audits can replay single-declaration
-        probes from the divergence round instead of from scratch.  Pure
-        observation — the allocation is unchanged.
+        so payment bisections and audits can answer single-declaration
+        probes from one excluded run per agent instead of from scratch.
+        Pure observation — the allocation is unchanged.
     partition:
         Optional region partition: a
         :class:`~repro.graphs.partition.GraphPartition`, an integer region

@@ -634,8 +634,8 @@ class PathPricingEngine:
         The fault-tolerant auction revokes allocations whose path crosses a
         failed edge; the victim re-enters the pool here (subject to the
         auction's requeue budget).  The request becomes live-but-unpriced:
-        follow with :meth:`push_fresh`, or with :meth:`rebind_substrate`
-        (which re-prices every live request).  No-op when already live.
+        follow with :meth:`rebind_substrate`, which re-prices every live
+        request.  No-op when already live.
         """
         if self._selected[index]:
             self._selected[index] = 0
@@ -718,27 +718,16 @@ class PathPricingEngine:
             source_epoch=tuple(self._source_epoch.items()),
         )
 
-    def restore(
-        self, checkpoint: "PathEngineCheckpoint", *, drop_index: int | None = None
-    ) -> None:
+    def restore(self, checkpoint: "PathEngineCheckpoint") -> None:
         """Reset the mutable state to ``checkpoint`` (same request pool).
 
         The caller must restore the owning :class:`DualWeights` to the
         matching snapshot *before* calling (heap scores are lower bounds
-        only relative to those weights).  ``drop_index`` omits that
-        request's heap entries during the copy — the trace replayer swaps
-        in a probed declaration via :meth:`set_request` and re-inserts it
-        exactly priced via :meth:`push_fresh`.
+        only relative to those weights).
         """
         if checkpoint.num_requests != len(self._requests):
             raise ValueError("checkpoint belongs to a different request pool")
-        if drop_index is None:
-            self._heap = list(checkpoint.heap)
-        else:
-            # Filtering an array-heap breaks the heap invariant; re-heapify.
-            heap = [entry for entry in checkpoint.heap if entry[1] != drop_index]
-            heapq.heapify(heap)
-            self._heap = heap
+        self._heap = list(checkpoint.heap)
         self._selected = bytearray(checkpoint.selected)
         self._dropped = bytearray(checkpoint.dropped)
         self._pending = checkpoint.pending
@@ -749,31 +738,6 @@ class PathPricingEngine:
         self._source_epoch = dict(checkpoint.source_epoch)
         self._w_list = None
         self._w_bytes = None
-
-    def set_request(self, index: int, request) -> None:
-        """Swap the declaration at ``index`` (same terminals) — the trace
-        replayer's probe hook.  The caller owns heap consistency: pair with
-        ``restore(..., drop_index=index)`` + :meth:`push_fresh`."""
-        old = self._requests[index]
-        if (old.source, old.target) != (request.source, request.target):
-            raise ValueError("set_request requires identical terminals")
-        self._requests[index] = request
-
-    def push_fresh(self, index: int) -> float | None:
-        """Price ``index`` exactly under the current weights and (re)insert
-        it into the lazy heap.  Returns the exact score, or ``None`` when
-        the request is unroutable (it is then dropped from the pool)."""
-        req = self._requests[index]
-        tree = self._get_tree(req.source)
-        d = tree.dist[req.target]
-        if d == _INF:
-            self._drop(index)
-            return None
-        score = _score(req, d)
-        heapq.heappush(
-            self._heap, (score, index, self._source_epoch.get(req.source, 0))
-        )
-        return score
 
     def replay_commit(
         self,
@@ -800,42 +764,24 @@ class PathPricingEngine:
             self._selected[index] = 1
             self._retire(index)
 
-    def current_distance(self, index: int) -> float:
+    def current_route(self, index: int) -> tuple[float, tuple[int, ...]]:
         """Exact shortest-path distance of ``index``'s terminals under the
-        current weights (through the tree cache)."""
+        current weights and the edge ids of its tree path, through the tree
+        cache (``(inf, ())`` when unroutable).  The request need not be
+        live: the trace replayer follows a dropped agent this way."""
         req = self._requests[index]
-        return self._get_tree(req.source).dist[req.target]
+        tree = self._get_tree(req.source)
+        distance = tree.dist[req.target]
+        if distance == _INF:
+            return distance, ()
+        return distance, tree.path_to(req.target)[1]
 
     def drop_request(self, index: int) -> None:
-        """Remove a live request from the pool: the trace replayer records
-        a run *without* one winner this way, and :func:`greedy_rounds` drops
-        a guard-rejected winner.  Lingering heap entries are lazily deleted,
+        """Remove a live request from the pool: the trace replayer runs an
+        agent's excluded run this way, and :func:`greedy_rounds` drops a
+        guard-rejected winner.  Lingering heap entries are lazily deleted,
         as for unroutable drops."""
         self._drop(index)
-
-    def revive(self, index: int) -> None:
-        """Undo a :meth:`drop_request` (or an unroutable drop) restored from
-        a checkpoint: the request re-enters the pool as live-but-unpriced;
-        follow with :meth:`push_fresh`.  No-op when already live."""
-        if self._dropped[index]:
-            self._dropped[index] = 0
-            self._pending += 1
-            source = self._requests[index].source
-            self._source_live[source] = self._source_live.get(source, 0) + 1
-
-    def peek_min_bound(self) -> float:
-        """The smallest live heap key — a lower bound on every pending
-        request's current score (``inf`` when nothing is pending).
-
-        Entries of retired requests are lazily deleted here exactly as in
-        :meth:`select`; in keep-selectable mode the most recent winner's
-        own stale entry may be the minimum, which keeps the value a sound
-        (if weak) bound on the runner-up score the trace replayer wants.
-        """
-        heap = self._heap
-        while heap and (self._selected[heap[0][1]] or self._dropped[heap[0][1]]):
-            heapq.heappop(heap)
-        return heap[0][0] if heap else math.inf
 
 
 class PathEngineCheckpoint:
@@ -1052,47 +998,26 @@ class BundlePricingEngine:
             pending=self._pending,
         )
 
-    def restore(
-        self, checkpoint: "BundleEngineCheckpoint", *, drop_index: int | None = None
-    ) -> None:
+    def restore(self, checkpoint: "BundleEngineCheckpoint") -> None:
         """Reset to ``checkpoint`` (same bid pool); restore the owning
-        :class:`DualWeights` first.  ``drop_index`` omits that bid's heap
-        entries — pair with :meth:`set_value` + :meth:`push_fresh`."""
+        :class:`DualWeights` first."""
         if checkpoint.num_bids != len(self._bundles):
             raise ValueError("checkpoint belongs to a different bid pool")
-        if drop_index is None:
-            self._heap = list(checkpoint.heap)
-        else:
-            heap = [entry for entry in checkpoint.heap if entry[1] != drop_index]
-            heapq.heapify(heap)
-            self._heap = heap
+        self._heap = list(checkpoint.heap)
         self._selected = bytearray(checkpoint.selected)
         self._dirty = bytearray(checkpoint.dirty)
         self._pending = checkpoint.pending
-
-    def set_value(self, index: int, value: float) -> None:
-        """Swap the declared value of bid ``index`` (the probe hook)."""
-        self._values[index] = float(value)
-
-    def push_fresh(self, index: int) -> float:
-        """Price bid ``index`` exactly under the current item weights, mark
-        it clean and (re)insert it into the lazy heap."""
-        score = self._price(index)
-        self._dirty[index] = 0
-        heapq.heappush(self._heap, (score, index))
-        return score
 
     def current_price(self, index: int) -> float:
         """Exact bundle price ``sum_{u in U_r} y_u`` under current weights."""
         return self._duals.path_length(self._bundles[index])
 
-    def peek_min_bound(self) -> float:
-        """Smallest live heap key — a lower bound on every pending bid's
-        current score (``inf`` when nothing is pending)."""
-        heap = self._heap
-        while heap and self._selected[heap[0][1]]:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else math.inf
+    def drop_request(self, index: int) -> None:
+        """Remove a live bid from the pool without a dual update (the trace
+        replayer's excluded run); its heap entries are lazily deleted."""
+        if not self._selected[index]:
+            self._selected[index] = 1
+            self._pending -= 1
 
 
 class BundleEngineCheckpoint:
@@ -1137,9 +1062,8 @@ def greedy_rounds(
     3. if its score exceeds ``threshold``, requeue it and stop (scores only
        grow, so nothing pending can come back under it);
     4. if ``guard`` rejects it, drop it without a commit and go on;
-    5. otherwise record it on ``trace`` (a
-       :class:`~repro.core.trace.TraceRecorder`), commit its dual update
-       and yield it.
+    5. otherwise commit its dual update, record it on ``trace`` (a
+       :class:`~repro.core.trace.TraceRecorder`) and yield it.
 
     The yield comes after the commit, so a caller that stops iterating
     early leaves the engine just after that winner's round.  A trace
@@ -1157,10 +1081,8 @@ def greedy_rounds(
         if guard is not None and not guard(selection):
             engine.drop_request(selection.index)
             continue
-        if trace is not None:
-            trace.record_selected(engine, selection)
         engine.commit(selection)
         if trace is not None:
-            trace.record_committed(engine, duals)
+            trace.record_round(engine, selection)
         committed += 1
         yield selection

@@ -1,91 +1,76 @@
-"""Run-trace + checkpoint subsystem: suffix-resume probe replays.
+"""Run traces and per-agent probe tables: critical values from one excluded run.
 
 Critical-value payments, truthfulness audits and online batch payments all
-ask the same question thousands of times: *"re-run the mechanism with one
-declaration changed — is request r still selected?"*  Each such probe run
-shares a long identical prefix with the recorded base run, because the
-primal-dual greedy loop is oblivious to a declaration until its score can
-contend for a round.  This module makes that sharing explicit:
+ask the same question thousands of times: *"re-run the mechanism with agent
+``i``'s declaration changed — is ``i`` selected?"*  This module answers it
+from one recorded run:
 
 * a :class:`TraceRecorder`, passed as ``trace=`` to ``bounded_ufp``,
   ``bounded_ufp_repeat``, ``bounded_muca`` or the online
   :func:`~repro.online.auction.drain_engine`, which hand it to
-  :func:`~repro.core.pricing_engine.greedy_rounds`, records the
-  **acceptance trace** of one run — per committed round: the winner, its
-  exact selection score, a lower bound on the runner-up score, and the
-  dual-update edge set — plus periodic **checkpoints**: a
+  :func:`~repro.core.pricing_engine.greedy_rounds`, records the base run —
+  per committed round: the winner, its exact score and the dual-update edge
+  set — plus periodic **checkpoints**: a
   :class:`~repro.core.dual_state.DualWeights` copy and a
   :meth:`~repro.core.pricing_engine.PathPricingEngine.fork` engine snapshot
   (cached shortest-path trees are immutable and shared by reference, so a
   checkpoint is heap + flags + bookkeeping, not a deep copy);
 * a :class:`TraceReplayer` (:class:`BundleTraceReplayer` for MUCA) answers
-  probes by computing the probe's **divergence round**, restoring the last
-  checkpoint at or before it, cheaply re-applying the recorded dual updates
-  up to the divergence round (no shortest-path work), and re-running the
-  rounds only for the suffix — with an early exit the moment the probed
-  request is selected.  The suffix, like the recorded run, runs through
-  ``greedy_rounds``, so it makes the live run's decisions by construction.
+  :meth:`~TraceReplayer.probe_selected` from a per-agent **table** built
+  from one *excluded run*: the run with that agent removed from the pool.
 
-Why the divergence round is sound
----------------------------------
-Let the probe replace request ``r``'s declaration ``(d, v)`` by ``(d',
-v')``; terminals never change.  At every round ``j`` of the base run the
-pool, the duals and hence every *other* request's score are unchanged, so
-the probe run can only deviate at a round where ``r``'s own score matters:
+Why one excluded run answers every probe
+----------------------------------------
+A declaration is invisible to the greedy loop until the round it wins: each
+round commits the least ``(score, index)`` pair of the live pool, and
+nothing else in a round depends on who is in the pool.  So a probe run of
+agent ``i`` under any declaration ``(d', v')`` equals ``i``'s excluded run
+up to the first round ``t`` with::
 
-* a round the base run gave to ``r`` (``winners[j] == r``) — with a changed
-  score ``r`` may no longer win it; or
-* a round ``r``'s probe score could win.  The probe score at round ``j``
-  is ``(d'/v') * dist_j(r)`` and distances are monotone non-decreasing over
-  a run (duals only grow), so the recorded initial distance gives the sound
-  lower bound ``probe_lb = (d'/v') * dist_0(r)``.  Each round selects the
-  least ``(score, index)`` pair, so if ``probe_lb`` exceeds the round's
-  recorded winner score ``r`` cannot win that round — the same "a lower
-  bound above the winner cannot matter" argument the lazy engine itself
-  rests on.  The comparison keeps a safety band for the rounding of the
-  bound arithmetic and for exact ties.
+    (d' / v' * x_t, i) < (s_t, j_t)
 
-The divergence round is the earliest of the two, found by binary search
-over the running maximum of the recorded winner scores.  Everything before
-it is replayed **by transcript** — the recorded dual updates are re-applied
-bit-identically (same sorted edge-id arrays, same demands, same incremental
-budget arithmetic) — and everything after it is re-run live on the restored
-engine.  Because the lazy engine's selections are a pure function of
-(pending pool, duals) regardless of its cache/heap internals, the resumed
-suffix reproduces the from-scratch probe run's allocation bit for bit;
-``tests/test_trace_replay.py`` enforces this across the pinned
-differential-fuzz corpus, on loop trees and on C trees.
+where ``x_t`` is ``i``'s exact distance at the start of the excluded run's
+round ``t`` (its bundle price, with score ``x_t / v'``, for MUCA) and
+``(s_t, j_t)`` is that round's winning score and index; the probe run
+selects ``i`` there.  If no round qualifies, the probe run stops where the
+excluded run stopped, with ``i`` still pending.  It then selects ``i`` only
+if the excluded run ended with budget and iteration cap to spare (it ran out
+of routable requests, or its next winner priced above the admission
+threshold), ``i``'s final distance ``x_end`` is finite and its score there
+is at most the threshold (``inf`` offline).  Scores use the engine's own
+float expressions and are compared exactly, so every answer equals the
+from-scratch run's.
 
-Two probe answers are free:
+Agent ``i``'s table holds one row ``(x_t, s_t, j_t)`` per round.  Removing
+an agent changes nothing before the round ``k`` it first wins, so the rows
+before ``k`` are the base run's rounds.  From ``k`` on, the replayer
+restores the checkpoint at or before ``k``, re-applies the recorded dual
+updates up to ``k``, drops ``i`` and runs ``greedy_rounds`` with the base
+run's remaining cap and threshold.  A loser's excluded run is the base run
+itself.  Two things keep tables cheap:
 
-* if the divergence round is past the end of the trace, the probe run *is*
-  the base run (and provably ends the same way), so ``r`` is not selected —
-  no replay at all;
-* in the online threshold policy, a probe whose score lower bound exceeds
-  the admission threshold can never be admitted.
+* **lazy prefix** — ``i`` lost every round before ``k`` under its own
+  declaration, so those rows can only select a probe whose score lies below
+  the declaration's (``d'/v' < d/v``; ``v' > v`` for bundles).  Payment
+  bisections never probe above the declared value and never need them; the
+  first probe that does (an audit misreport) builds them by walking the base
+  run from checkpoint 0;
+* **path-tracked distance** — ``x_t`` is re-read only after a commit whose
+  path shares an edge with ``i``'s current shortest path.  Otherwise that
+  path kept its weights and every other arc only rose, so the distance is
+  unchanged bit for bit: the engine's tree-validity argument applied to one
+  target.
 
-Certificates for bisection brackets
------------------------------------
-The recorded round where ``r`` won also yields sound bisection brackets
-(used by :func:`repro.mechanism.payments.compute_ufp_payments`): for any
-score-*increasing* probe (``d'/v' >= d/v``) the prefix up to ``r``'s
-winning round ``k`` is unchanged, so
-
-* if the probe score at round ``k`` (bounded via the recorded winning score
-  ``s_k = (d/v) * dist_k``) stays a safety band below the recorded
-  runner-up lower bound (and below the admission threshold in drain mode),
-  ``r`` still wins round ``k`` — certified **selected**, a sound ``high``;
-* in the online threshold policy, a probe score above the threshold at
-  round ``k`` stays above it forever (scores are monotone) — certified
-  **not admitted**, a sound ``low``.
+``tests/test_trace_replay.py`` checks the answers against from-scratch runs
+across the pinned differential-fuzz corpus, on loop trees and on C trees.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,8 +82,6 @@ from repro.core.pricing_engine import (
     Selection,
     greedy_rounds,
 )
-from repro.flows.allocation import Allocation, RoutedRequest
-from repro.types import RunStats
 
 __all__ = [
     "TraceRecorder",
@@ -111,24 +94,6 @@ __all__ = [
     "make_replayer",
     "supports_trace",
 ]
-
-#: Safety margins for every divergence / certificate comparison.  Bounds
-#: derived from recorded scores (``score / ratio``, ``demand * dist / cap``)
-#: carry a few roundings each; a relative ``1e-9`` plus an absolute
-#: ``1e-12`` dominates them at any score magnitude, at the cost of
-#: replaying a handful of extra rounds near exact ties.
-_REL_MARGIN = 1e-9
-_ABS_MARGIN = 1e-12
-
-
-def _upper(x: float) -> float:
-    """A safe upper bound of ``x`` under the module's margins."""
-    return x + _REL_MARGIN * abs(x) + _ABS_MARGIN
-
-
-def _lower(x: float) -> float:
-    """A safe lower bound of ``x`` under the module's margins."""
-    return x - _REL_MARGIN * abs(x) - _ABS_MARGIN
 
 
 def supports_trace(algorithm: Callable) -> bool:
@@ -148,35 +113,22 @@ def supports_trace(algorithm: Callable) -> bool:
 
 
 class TraceRound:
-    """One committed round of a recorded run."""
+    """One committed round of a recorded run (``edge_ids`` is ``None`` for
+    a bid)."""
 
-    __slots__ = (
-        "index",
-        "score",
-        "vertices",
-        "edge_ids",
-        "sorted_edge_array",
-        "demand",
-        "runner_up_lb",
-    )
+    __slots__ = ("index", "score", "edge_ids", "sorted_edge_array")
 
     def __init__(
         self,
         index: int,
         score: float,
-        vertices: tuple | None,
         edge_ids: tuple | None,
         sorted_edge_array: np.ndarray | None,
-        demand: float,
-        runner_up_lb: float,
     ) -> None:
         self.index = index
         self.score = score
-        self.vertices = vertices
         self.edge_ids = edge_ids
         self.sorted_edge_array = sorted_edge_array
-        self.demand = demand
-        self.runner_up_lb = runner_up_lb
 
 
 class TraceCheckpoint:
@@ -204,15 +156,10 @@ class RunTrace:
         "admission",
         "score_threshold",
         "rounds",
-        "score_env",
         "first_win",
-        "initial_dist",
         "checkpoints",
         "stopped_by_budget",
         "completed",
-        "start_iteration",
-        "pool_exhausted",
-        "dist_obs",
     )
 
     def __init__(self, *, mode: str) -> None:
@@ -227,29 +174,10 @@ class RunTrace:
         self.admission: str | None = None
         self.score_threshold = math.inf
         self.rounds: list[TraceRound] = []
-        # Running maximum of the winner scores (the raw ones stay on the
-        # rounds), which divergence lookups binary-search.  While duals only
-        # grow each round takes the least score of a pool whose scores only
-        # grow, so the raw scores are already non-decreasing; the running
-        # max makes that hold by construction.
-        self.score_env: list[float] = []
         self.first_win: dict[int, int] = {}
-        self.initial_dist: list[float] = []
         self.checkpoints: list[TraceCheckpoint] = []
         self.stopped_by_budget = False
         self.completed = False
-        # Global iteration offset of round 0 (non-zero for sub-traces, the
-        # excluded runs) and whether the run ended with no live request left.
-        self.start_iteration = 0
-        self.pool_exhausted = False
-        # Per-request distance (bundle-price) lower-bound observations
-        # harvested from the checkpoint heaps at finish: (round, bound)
-        # pairs, rounds increasing, bounds running-max.  A heap entry's
-        # score is a sound lower bound on its request's score from the
-        # checkpoint's round onwards (scores only grow), so dividing out
-        # the declared ratio yields later-round distance bounds for free —
-        # far tighter divergence rounds than the initial distance alone.
-        self.dist_obs: dict[int, list[tuple[int, float]]] = {}
 
     @property
     def num_rounds(self) -> int:
@@ -268,10 +196,9 @@ class TraceRecorder:
     or :func:`repro.online.auction.drain_engine`.  The caller brackets the
     run with ``begin_*_run``/:meth:`finish`; in between,
     :func:`~repro.core.pricing_engine.greedy_rounds` (given the recorder as
-    ``trace=``) calls :meth:`record_selected` and :meth:`record_committed`
-    each round.  After the run, :attr:`trace` holds the completed
-    :class:`RunTrace` and :func:`make_replayer` builds the matching
-    replayer.
+    ``trace=``) calls :meth:`record_round` after each commit.  After the
+    run, :attr:`trace` holds the completed :class:`RunTrace` and
+    :func:`make_replayer` builds the matching replayer.
 
     ``checkpoint_interval=None`` (default) starts at every 8 rounds and
     doubles whenever more than ``max_checkpoints`` snapshots accumulate
@@ -311,17 +238,11 @@ class TraceRecorder:
         requests: Sequence | None = None,
         admission: str | None = None,
         score_threshold: float = math.inf,
-        initial_dist: Sequence[float] | None = None,
-        start_iteration: int = 0,
     ) -> None:
         """Start recording a path-mode run (``ufp``/``repeat``/``drain``).
 
-        Must be called right after engine construction: the initial
-        distances are read from the freshly-primed tree cache (one list
-        indexing per request) and checkpoint 0 captures the pristine state.
-        ``initial_dist``/``start_iteration`` are the sub-trace hooks: a
-        replayer recording an excluded continuation supplies the distances
-        it cares about and the global iteration offset of round 0.
+        Must be called right after engine construction: checkpoint 0
+        captures the pristine state.
         """
         t = RunTrace(mode=mode)
         t.instance = instance
@@ -333,16 +254,7 @@ class TraceRecorder:
         t.iteration_cap = iteration_cap
         t.admission = admission
         t.score_threshold = float(score_threshold)
-        t.start_iteration = int(start_iteration)
-        if initial_dist is not None:
-            t.initial_dist = list(initial_dist)
-        else:
-            t.initial_dist = [
-                engine.current_distance(i) for i in range(len(t.requests))
-            ]
-        self._active = t
-        self.trace = None
-        self._take_checkpoint(engine, duals)
+        self._begin(t, engine, duals)
 
     def begin_bundle_run(
         self,
@@ -353,62 +265,44 @@ class TraceRecorder:
         iteration_cap: int | None,
         instance,
     ) -> None:
-        """Start recording a ``bounded_muca`` run.  ``initial_dist`` holds
-        the exact initial bundle prices (the bundle-price analogue of a
-        source-target distance)."""
+        """Start recording a ``bounded_muca`` run."""
         t = RunTrace(mode="muca")
         t.instance = instance
         t.requests = tuple(instance.bids)
         t.epsilon = float(epsilon)
         t.iteration_cap = iteration_cap
-        t.initial_dist = [
-            engine.current_price(i) for i in range(len(t.requests))
-        ]
-        self._active = t
-        self.trace = None
-        self._take_checkpoint(engine, duals)
+        self._begin(t, engine, duals)
 
-    def record_selected(self, engine, selection: Selection) -> None:
-        """Record one winner.  :func:`greedy_rounds` calls it *between*
-        ``select()`` and ``commit()``: the runner-up lower bound must be
-        read before the winner's dual update inflates everyone else's
-        scores.  A bid (no path) is recorded with unit demand."""
-        self._require_active()
-        path = selection.edge_ids is not None
-        self._append_round(
+    def record_round(self, engine, selection: Selection) -> None:
+        """Record one committed winner and checkpoint when due.
+        :func:`greedy_rounds` calls it right after ``commit()``."""
+        t = self._require_active()
+        edge_ids = selection.edge_ids
+        t.rounds.append(
             TraceRound(
                 index=selection.index,
                 score=selection.score,
-                vertices=selection.vertices,
-                edge_ids=selection.edge_ids,
+                edge_ids=edge_ids,
                 sorted_edge_array=(
-                    np.asarray(sorted(selection.edge_ids), dtype=np.int64)
-                    if path
-                    else None
+                    None
+                    if edge_ids is None
+                    else np.asarray(sorted(edge_ids), dtype=np.int64)
                 ),
-                demand=engine.request_at(selection.index).demand if path else 1.0,
-                runner_up_lb=engine.peek_min_bound(),
             )
         )
-
-    def record_committed(self, engine, duals: DualWeights) -> None:
-        """Post-commit hook: decide whether to checkpoint the new state."""
-        t = self._require_active()
-        last = t.checkpoints[-1].round_index
-        if len(t.rounds) - last >= self._interval:
-            self._take_checkpoint(engine, duals)
+        t.first_win.setdefault(selection.index, len(t.rounds) - 1)
+        if len(t.rounds) - t.checkpoints[-1].round_index >= self._interval:
+            self._take_checkpoint(engine, engine.duals)
 
     def finish(
         self, engine, duals: DualWeights, *, stopped_by_budget: bool
     ) -> None:
-        """Seal the trace (taking a final checkpoint so threshold-mode tail
-        probes resume at the end state for free) and publish it."""
+        """Seal the trace (taking a final checkpoint, where loser tables
+        start) and publish it."""
         t = self._require_active()
         if t.checkpoints[-1].round_index < len(t.rounds):
             self._take_checkpoint(engine, duals)
         t.stopped_by_budget = bool(stopped_by_budget)
-        t.pool_exhausted = not engine.num_pending
-        self._harvest_observations(t)
         t.completed = True
         self.trace = t
         self._active = None
@@ -426,19 +320,17 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _begin(self, t: RunTrace, engine, duals: DualWeights) -> None:
+        self._active = t
+        self.trace = None
+        self._take_checkpoint(engine, duals)
+
     def _require_active(self) -> RunTrace:
         if self._active is None:
             raise RuntimeError(
                 "TraceRecorder hooks called outside a begin_*/finish window"
             )
         return self._active
-
-    def _append_round(self, round_: TraceRound) -> None:
-        t = self._active
-        t.rounds.append(round_)
-        env = t.score_env
-        env.append(round_.score if not env or round_.score > env[-1] else env[-1])
-        t.first_win.setdefault(round_.index, len(t.rounds) - 1)
 
     def _take_checkpoint(self, engine, duals: DualWeights) -> None:
         t = self._active
@@ -451,81 +343,69 @@ class TraceRecorder:
             t.checkpoints = t.checkpoints[::2]
             self._interval *= 2
 
-    @staticmethod
-    def _harvest_observations(t: RunTrace) -> None:
-        """Turn checkpoint heap entries into per-request distance bounds.
-
-        An entry ``(score, idx, ...)`` present at checkpoint round ``c`` is
-        a sound lower bound on ``idx``'s score at round ``c`` and every
-        later round (scores are monotone; the engine keeps entries as lower
-        bounds by construction), so ``score / declared_ratio`` bounds the
-        distance (bundle price) from round ``c`` on.
-        """
-        if t.mode == "muca":
-            ratios = [1.0 / bid.value for bid in t.requests]
-        else:
-            ratios = [req.demand / req.value for req in t.requests]
-        raw: dict[int, list[tuple[int, float]]] = {}
-        for checkpoint in t.checkpoints:
-            c = checkpoint.round_index
-            if c == 0:
-                continue  # initial_dist already covers round 0
-            for entry in checkpoint.engine.heap:
-                score, idx = entry[0], entry[1]
-                ratio = ratios[idx]
-                if not (ratio > 0.0) or not math.isfinite(score):
-                    continue
-                raw.setdefault(idx, []).append((c, _lower(score / ratio)))
-        obs: dict[int, list[tuple[int, float]]] = {}
-        for idx, points in raw.items():
-            points.sort()
-            best = t.initial_dist[idx] if idx < len(t.initial_dist) else 0.0
-            if not math.isfinite(best):
-                continue
-            monotone: list[tuple[int, float]] = []
-            for c, bound in points:
-                if bound > best:
-                    best = bound
-                    monotone.append((c, bound))
-            if monotone:
-                obs[idx] = monotone
-        t.dist_obs = obs
-
 
 @dataclass
 class ReplayStats:
-    """Work counters of one replayer (aggregated over all its probes)."""
+    """Work counters of probe tables: probes answered, and rounds restored
+    from a checkpoint (skipped), re-applied from the trace (replayed) or
+    re-run live (recomputed) while building tables."""
 
     probes: int = 0
-    cache_hits: int = 0
-    trivial_probes: int = 0
-    certificate_hits: int = 0
     rounds_skipped: int = 0
     rounds_replayed: int = 0
     rounds_recomputed: int = 0
 
+    def __iadd__(self, other: "ReplayStats") -> "ReplayStats":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
     def as_extra(self, prefix: str = "replay_") -> dict[str, float]:
         return {
-            f"{prefix}probes": float(self.probes),
-            f"{prefix}cache_hits": float(self.cache_hits),
-            f"{prefix}trivial_probes": float(self.trivial_probes),
-            f"{prefix}certificate_hits": float(self.certificate_hits),
-            f"{prefix}rounds_skipped": float(self.rounds_skipped),
-            f"{prefix}rounds_replayed": float(self.rounds_replayed),
-            f"{prefix}rounds_recomputed": float(self.rounds_recomputed),
+            f"{prefix}{f.name}": float(getattr(self, f.name)) for f in fields(self)
         }
 
 
+class _Table:
+    """One agent's probe table (see the module docstring).
+
+    ``rows`` are the excluded run's rounds from the agent's first win on,
+    ``prefix`` the base run's rounds before it (``None`` until a probe needs
+    them), each as ``(x_t, s_t, j_t)``.  ``end_open`` says whether the
+    excluded run ended with budget and cap to spare and a finite ``end_x``.
+    """
+
+    __slots__ = ("rows", "prefix", "end_open", "end_x", "stats")
+
+    def __init__(self, rows, end_open: bool, end_x: float, stats: ReplayStats):
+        self.rows = rows
+        self.prefix: list | None = None
+        self.end_open = end_open
+        self.end_x = end_x
+        self.stats = stats
+
+
 class _ReplayerBase:
-    """Divergence arithmetic shared by the path and bundle replayers."""
+    """Table building shared by the path and bundle replayers.  Subclasses
+    own one scratch engine and :class:`DualWeights`, restored in place from
+    a checkpoint for every table walk, and define :meth:`_read` (the
+    agent's exact distance or bundle price, plus what a commit must touch to
+    change it), :meth:`_touches` and :meth:`_replay`."""
+
+    _engine: PathPricingEngine | BundlePricingEngine
+    _duals: DualWeights
 
     def __init__(self, trace: RunTrace) -> None:
         if not trace.completed:
             raise ValueError("cannot replay an unfinished trace")
         self._trace = trace
         self._cp_rounds = [cp.round_index for cp in trace.checkpoints]
-        self._probe_memo: dict[tuple[int, float, float], bool] = {}
-        self.stats = ReplayStats()
+        # The score above which the recorded run stops admitting (inf unless
+        # the trace is a threshold drain).
+        self._threshold = (
+            trace.score_threshold if trace.admission == "threshold" else math.inf
+        )
+        self._tables: dict[int, _Table] = {}
 
     @property
     def trace(self) -> RunTrace:
@@ -535,537 +415,173 @@ class _ReplayerBase:
         """The base run's declaration at ``index``."""
         return self._trace.requests[index]
 
-    def _probe_lb(self, index: int, demand: float, value: float) -> float:
-        """Sound lower bound on the probe's score at *every* round (initial
-        distance/price, scores only grow)."""
-        return self._probe_score(demand, value, self._trace.initial_dist[index])
+    def agent_stats(self, index: int) -> ReplayStats:
+        """The work of building and probing ``index``'s table so far."""
+        table = self._tables.get(index)
+        return table.stats if table is not None else ReplayStats()
 
-    def _probe_score(self, demand: float, value: float, dist: float) -> float:
-        return demand / value * dist
+    def _probe_table(self, index: int) -> _Table:
+        """``index``'s table, built on its first probe; counts one probe."""
+        table = self._tables.get(index)
+        if table is None:
+            table = self._tables[index] = self._build(index)
+        table.stats.probes += 1
+        return table
 
-    def _divergence(self, index: int, demand: float, value: float) -> int:
-        """First round the probe could deviate at (``num_rounds`` = never).
+    def _walk_to(self, round_index: int, stats: ReplayStats) -> None:
+        """Put the scratch state at the start of base round ``round_index``:
+        restore the last checkpoint at or before it and re-apply the
+        recorded rounds in between."""
+        t = self._trace
+        checkpoint = t.checkpoints[bisect_right(self._cp_rounds, round_index) - 1]
+        self._duals.restore_from(checkpoint.duals)
+        self._engine.restore(checkpoint.engine)
+        for r in range(checkpoint.round_index, round_index):
+            self._replay(t.rounds[r])
+        stats.rounds_skipped += checkpoint.round_index
+        stats.rounds_replayed += round_index - checkpoint.round_index
 
-        Piecewise over the harvested distance observations: within each
-        observation segment the probe's score is bounded below by the
-        segment's distance bound, and the first round whose winner-score
-        envelope reaches that bound (binary search — the envelope is
-        monotone) is a divergence candidate.
-        """
+    def _build(self, index: int) -> _Table:
+        """Run ``index``'s excluded run from its first winning round."""
         t = self._trace
         total = t.num_rounds
-        first_win = t.first_win.get(index, total)
-        env = t.score_env
-        segments = [(0, t.initial_dist[index])]
-        segments.extend(t.dist_obs.get(index, ()))
-        catch_up = total
-        for position, (start, dist_bound) in enumerate(segments):
-            if start >= first_win:
-                break
-            end = (
-                segments[position + 1][0]
-                if position + 1 < len(segments)
-                else total
-            )
-            threshold = _lower(self._probe_score(demand, value, dist_bound))
-            j = bisect_left(env, threshold, start, min(end, total))
-            if j < min(end, total):
-                catch_up = j
-                break
-        return min(first_win, catch_up)
+        k = t.first_win.get(index, total)
+        stats = ReplayStats()
+        self._walk_to(k, stats)
+        self._engine.drop_request(index)
+        cap = math.inf if t.iteration_cap is None else t.iteration_cap - k
+        rows, x = self._rows(
+            index, greedy_rounds(self._engine, cap=cap, threshold=self._threshold)
+        )
+        assert k < total or not rows, "a loser's excluded run is the base run"
+        stats.rounds_recomputed += len(rows)
+        end_open = len(rows) < cap and self._duals.within_budget and x != math.inf
+        return _Table(rows, end_open, x, stats)
 
-    def _checkpoint_for(self, round_index: int) -> TraceCheckpoint:
-        """Last checkpoint at or before ``round_index``."""
-        pos = bisect_right(self._cp_rounds, round_index) - 1
-        return self._trace.checkpoints[pos]
+    def _prefix(self, index: int, table: _Table) -> list:
+        """The base run's rows before ``index``'s first win, built on first
+        use by walking the base run from checkpoint 0."""
+        if table.prefix is None:
+            t = self._trace
+            self._walk_to(0, table.stats)
+            rounds = t.rounds[: t.first_win.get(index, t.num_rounds)]
+            table.prefix, _ = self._rows(index, self._replayed(rounds))
+            table.stats.rounds_replayed += len(rounds)
+        return table.prefix
 
-    def _rounds_left(self, round_index: int) -> float:
-        """Rounds the run's iteration cap still allows from ``round_index``."""
-        t = self._trace
-        if t.iteration_cap is None:
-            return math.inf
-        return t.iteration_cap - t.start_iteration - round_index
+    def _rows(self, index: int, rounds) -> tuple[list, float]:
+        """One ``(x_t, s_t, j_t)`` row per round of ``rounds``, an iterator
+        that commits each round before yielding it, and ``index``'s
+        distance after the last one."""
+        x, key = self._read(index)
+        rows = []
+        for round_ in rounds:
+            rows.append((x, round_.score, round_.index))
+            if self._touches(key, round_):
+                x, key = self._read(index)
+        return rows, x
 
-    # -------------------------------------------------------------- #
-    # Certificates (trace-tightened bisection brackets)
-    # -------------------------------------------------------------- #
-    def certified_selected_interval(
-        self, index: int, demand: float
-    ) -> tuple[float, float] | None:
-        """Values certified *selected* for probes ``(demand, v)``.
+    def _replayed(self, rounds: Sequence[TraceRound]):
+        """Re-apply recorded ``rounds`` one by one, yielding each."""
+        for round_ in rounds:
+            self._replay(round_)
+            yield round_
 
-        Returns ``(v_min, v_max)``: every probe value in the interval is
-        sound to treat as selected without running it, or ``None`` when no
-        certificate exists.  Derivation (see module docstring): the probe
-        must be score-increasing relative to the base declaration
-        (``v <= v_max`` keeps the prefix up to the recorded winning round
-        ``k`` unchanged) and its score at round ``k`` must stay a safety
-        band below the recorded runner-up lower bound — and below the
-        admission threshold in drain mode (``v >= v_min``).  A ``v_min`` of
-        ``0.0`` means round ``k`` had no contender: the critical value is
-        exactly zero.
-        """
-        t = self._trace
-        k = t.first_win.get(index)
-        if k is None:
-            return None
-        round_k = t.rounds[k]
-        orig = self._orig_ratio(index)
-        if not (orig > 0.0) or not math.isfinite(orig):
-            return None
-        v_max = _lower(demand / orig)
-        cap_score = round_k.runner_up_lb
-        if t.mode == "drain" and t.admission == "threshold":
-            cap_score = min(cap_score, t.score_threshold)
-        if cap_score == math.inf:
-            return (0.0, v_max)
-        cap = _lower(cap_score)
-        if cap <= 0.0:
-            return None
-        dist_ub = _upper(round_k.score / orig)
-        v_min = _upper(demand * dist_ub / cap)
-        if v_min > v_max:
-            return None
-        return (v_min, v_max)
+    def _read(self, index: int) -> tuple[float, object]:
+        raise NotImplementedError
 
-    def not_selected_below(self, index: int, demand: float) -> float:
-        """Largest bound ``L`` with probes ``(demand, v)``, ``v <= L``,
-        certified *not* selected — ``0.0`` when no certificate applies.
+    def _touches(self, key, round_) -> bool:
+        raise NotImplementedError
 
-        Only the online threshold policy yields one: at the recorded
-        admission round the probe's exact distance is pinned by the winning
-        score, and a score strictly above the threshold there stays above
-        it forever (scores are monotone), so the request is never admitted.
-        """
-        t = self._trace
-        if t.mode != "drain" or t.admission != "threshold":
-            return 0.0
-        k = t.first_win.get(index)
-        if k is None:
-            return 0.0
-        orig = self._orig_ratio(index)
-        if not (orig > 0.0) or not math.isfinite(orig):
-            return 0.0
-        dist_lb = _lower(t.rounds[k].score / orig)
-        if dist_lb <= 0.0:
-            return 0.0
-        bound = _lower(demand * dist_lb / t.score_threshold)
-        # The prefix-identity argument needs a score-increasing probe.
-        return max(0.0, min(bound, _lower(demand / orig)))
-
-    def _orig_ratio(self, index: int) -> float:
+    def _replay(self, round_: TraceRound) -> None:
         raise NotImplementedError
 
 
 class TraceReplayer(_ReplayerBase):
-    """Suffix-resume replays for path-mode traces (ufp / repeat / drain).
+    """Probe tables for path-mode traces (ufp / repeat / drain)."""
 
-    One persistent scratch :class:`DualWeights` and one persistent replay
-    engine are reused across every probe: a probe restores the checkpoint
-    at or before its divergence round in place, swaps the probed
-    declaration in, re-applies the recorded dual updates up to the
-    divergence round and re-runs the greedy loop for the suffix only.
-
-    Bisection probes get a second level of sharing: the first boolean probe
-    of a winner that diverges exactly at its recorded winning round ``k``
-    records the **excluded continuation** — the run from round ``k`` with
-    that winner removed — as a sub-trace of its own (with checkpoints).
-    Every later probe of that winner replays against the sub-trace: a probe
-    whose score (bounded below by the winner's exact distance at round
-    ``k``) never catches the continuation's winner scores is answered with
-    *zero* replay work — not selected when the continuation ended on the
-    budget/cap rule, selected when it ended with the pool exhausted (the
-    probed request is the only routable request left).  Probes that do
-    catch resume from the sub-trace checkpoint just before the catch round.
-    """
-
-    def __init__(
-        self,
-        trace: RunTrace,
-        *,
-        engine: PathPricingEngine | None = None,
-        duals: DualWeights | None = None,
-        stats: ReplayStats | None = None,
-        swap_state: list | None = None,
-    ) -> None:
+    def __init__(self, trace: RunTrace) -> None:
         super().__init__(trace)
         if trace.mode not in ("ufp", "repeat", "drain"):
             raise ValueError(f"not a path-mode trace: {trace.mode!r}")
-        if engine is not None:
-            # Sub-replayer: share the parent's scratch state (probes are
-            # strictly sequential, and checkpoints of both traces describe
-            # the same request pool).
-            self._engine = engine
-            self._duals = duals
-        else:
-            base = trace.checkpoints[0]
-            self._duals = base.duals.copy()
-            self._engine = PathPricingEngine(
-                trace.graph,
-                list(trace.requests),
-                self._duals,
-                remove_selected=trace.mode != "repeat",
-            )
-        if stats is not None:
-            self.stats = stats
-        # The score above which the recorded drain stops admitting (inf
-        # unless the trace is a threshold drain).
-        self._threshold = (
-            trace.score_threshold if trace.admission == "threshold" else math.inf
+        self._duals = trace.checkpoints[0].duals.copy()
+        self._engine = PathPricingEngine(
+            trace.graph,
+            list(trace.requests),
+            self._duals,
+            remove_selected=trace.mode != "repeat",
         )
-        # Which declaration is currently swapped into the shared engine —
-        # shared with sub-replayers so any of them can undo a prior swap.
-        self._swap_state: list = swap_state if swap_state is not None else [None]
-        self._subs: dict[int, "TraceReplayer"] = {}
 
-    def _orig_ratio(self, index: int) -> float:
-        orig = self._trace.requests[index]
-        return orig.demand / orig.value
-
-    # -------------------------------------------------------------- #
-    # Probes
-    # -------------------------------------------------------------- #
     def probe_selected(self, index: int, request) -> bool:
-        """Whether the probe run selects ``index`` (memoized, early-exit)."""
+        """Whether the run with ``index`` declaring ``request`` (same
+        terminals) selects it."""
         if request.value <= 0.0:
             return False
-        key = (index, float(request.demand), float(request.value))
-        cached = self._probe_memo.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        self.stats.probes += 1
-        selected, _, _ = self._probe(index, request, want_rounds=False)
-        self._probe_memo[key] = selected
-        return selected
+        table = self._probe_table(index)
+        # The engine's score is demand / value * distance, left to right.
+        ratio = request.demand / request.value
+        declared = self._trace.requests[index]
+        if ratio < declared.demand / declared.value:
+            for x, s, j in self._prefix(index, table):
+                score = ratio * x
+                if score < s or (score == s and index < j):
+                    return True
+        for x, s, j in table.rows:
+            score = ratio * x
+            if score < s or (score == s and index < j):
+                return True
+        return table.end_open and ratio * table.end_x <= self._threshold
 
-    def probe(self, index: int, request) -> Allocation:
-        """Full probe replay: the returned *allocation* (selections, paths,
-        value) is bit-identical to running the solver from scratch on the
-        perturbed instance; its :class:`~repro.types.RunStats` describe the
-        replay (this probe's end state and this replayer's cumulative work
-        counters), not a from-scratch run.  ``drain`` traces have no
-        instance — use :meth:`probe_selections`."""
-        t = self._trace
-        if t.instance is None:
-            raise ValueError("probe() needs an instance-backed trace")
-        if request.value <= 0.0:
-            raise ValueError("probe value must be positive")
-        self.stats.probes += 1
-        selected, rounds, resumed = self._probe(index, request, want_rounds=True)
-        instance = t.instance.replace_request(index, request)
-        routed = [
-            RoutedRequest(
-                request_index=r.index,
-                request=instance.requests[r.index],
-                vertices=r.vertices,
-                edge_ids=r.edge_ids,
-                copies=1,
-            )
-            for r in rounds
-        ]
-        if not resumed:
-            # The probe run is the base run verbatim, end state included.
-            stopped = t.stopped_by_budget
-        elif t.mode == "repeat":
-            stopped = not self._duals.within_budget
-        else:
-            stopped = bool(self._engine.num_pending) and not self._duals.within_budget
-        label = {"ufp": "Bounded-UFP", "repeat": "Bounded-UFP-Repeat"}[t.mode]
-        stats = RunStats(
-            iterations=len(rounds),
-            shortest_path_calls=self._engine.stats.dijkstra_calls,
-            stopped_by_budget=stopped,
-            extra=self.stats.as_extra(),
-        )
-        return Allocation(
-            instance=instance,
-            routed=routed,
-            stats=stats,
-            algorithm=f"Replay-{label}(eps={t.epsilon:g})",
-        )
+    def _read(self, index: int) -> tuple[float, frozenset]:
+        distance, edge_ids = self._engine.current_route(index)
+        return distance, frozenset(edge_ids)
 
-    def probe_selections(self, index: int, request) -> list[TraceRound]:
-        """Drain-mode full probe: the admitted rounds, in admission order
-        (prefix rounds come from the trace, suffix rounds from the live
-        resume)."""
-        if request.value <= 0.0:
-            raise ValueError("probe value must be positive")
-        self.stats.probes += 1
-        _, rounds, _ = self._probe(index, request, want_rounds=True)
-        return rounds
+    def _touches(self, key: frozenset, round_) -> bool:
+        return not key.isdisjoint(round_.edge_ids)
 
-    # -------------------------------------------------------------- #
-    # Replay machinery
-    # -------------------------------------------------------------- #
-    def _probe(
-        self, index: int, request, *, want_rounds: bool
-    ) -> tuple[bool, list[TraceRound], bool]:
-        """Returns ``(selected, rounds, resumed)``; ``resumed`` is False when
-        the probe run was proven identical to the recorded run (no state was
-        touched)."""
-        t = self._trace
-        total = t.num_rounds
-        if t.initial_dist[index] == math.inf:
-            # Unroutable terminals: the probe run is the base run verbatim.
-            self.stats.trivial_probes += 1
-            return False, list(t.rounds) if want_rounds else [], False
-        div = self._divergence(index, request.demand, request.value)
-        if div >= total and not self._tail_possible(index, request):
-            # The probe run replays the base run end to end (and provably
-            # stops the same way), never selecting the probed request.
-            self.stats.trivial_probes += 1
-            return False, list(t.rounds) if want_rounds else [], False
-
-        if not want_rounds and div == t.first_win.get(index, -1):
-            # Bisection territory: every probe of this winner that stays
-            # inert up to its winning round shares the excluded
-            # continuation.  Recording it costs no more than one direct
-            # replay (the continuation is the probe run with the winner
-            # held out), so it is built on first use and every later probe
-            # of this winner is answered against it.
-            sub = self._subs.get(index)
-            if sub is None:
-                sub = self._subs[index] = self._record_excluded(index)
-            return sub._probe(index, request, want_rounds=False)
-
-        checkpoint = self._checkpoint_for(div)
-        self._restore(index, request, checkpoint)
-        start = checkpoint.round_index
-        for r in range(start, div):
-            tr = t.rounds[r]
-            self._engine.replay_commit(tr.index, tr.sorted_edge_array, tr.edge_ids)
-        self.stats.rounds_skipped += start
-        self.stats.rounds_replayed += div - start
-
-        selected, suffix = self._run_suffix(index, div, want_rounds)
-        rounds: list[TraceRound] = []
-        if want_rounds:
-            rounds = list(t.rounds[:div])
-            rounds.extend(suffix)
-        return selected, rounds, True
-
-    def _tail_possible(self, index: int, request) -> bool:
-        """Could the probe still be selected *after* an identically-replayed
-        horizon?  Offline/greedy base traces provably end identically with
-        the probed request unselected (it is pending and routable, so the
-        run ended on the budget or iteration rule — request-independent).
-        Threshold drains may admit the probe post-horizon unless its score
-        bound already exceeds the threshold; excluded-run sub-traces ended
-        on pool exhaustion have the probe as the only routable request
-        left, which the trivial path answers via the recorded end state.
-        """
-        t = self._trace
-        if t.mode == "drain" and t.admission == "threshold":
-            lb = self._probe_lb(index, request.demand, request.value)
-            return lb <= _upper(t.score_threshold)
-        return t.pool_exhausted
-
-    #: Sample the excluded winner's exact distance every this many rounds
-    #: while recording a continuation (one cached-or-fresh tree lookup per
-    #: sample).
-    _OBSERVE_EVERY = 4
-
-    def _record_excluded(self, index: int) -> "TraceReplayer":
-        """Record the continuation from ``index``'s winning round with
-        ``index`` removed from the pool, as a replayable sub-trace."""
-        t = self._trace
-        k = t.first_win[index]
-        checkpoint = self._checkpoint_for(k)
-        self._restore(index, t.requests[index], checkpoint)
-        engine = self._engine
-        duals = self._duals
-        for r in range(checkpoint.round_index, k):
-            tr = t.rounds[r]
-            engine.replay_commit(tr.index, tr.sorted_edge_array, tr.edge_ids)
-        self.stats.rounds_skipped += checkpoint.round_index
-        self.stats.rounds_replayed += k - checkpoint.round_index
-        # The winner's exact distance at round k: with the prefix pinned,
-        # every inert probe's score from here on is >= (d'/v') * dist_k —
-        # a far tighter bound than the base trace's initial distance.
-        dist_k = engine.current_distance(index)
-        engine.drop_request(index)
-
-        initial = [math.inf] * len(t.requests)
-        initial[index] = dist_k
-        recorder = TraceRecorder()
-        recorder.begin_path_run(
-            mode=t.mode,
-            engine=engine,
-            duals=duals,
-            epsilon=t.epsilon,
-            iteration_cap=t.iteration_cap,
-            instance=t.instance,
-            requests=t.requests,
-            admission=t.admission,
-            score_threshold=t.score_threshold,
-            initial_dist=initial,
-            start_iteration=k,
-        )
-        observations: list[tuple[int, float]] = []
-        last_dist = t.initial_dist[index]
-        rounds = greedy_rounds(
-            engine, cap=self._rounds_left(k), threshold=self._threshold, trace=recorder
-        )
-        for local_round, _ in enumerate(rounds, 1):
-            self.stats.rounds_recomputed += 1
-            if local_round % self._OBSERVE_EVERY == 0:
-                dist = engine.current_distance(index)
-                if dist > last_dist:
-                    last_dist = dist
-                    observations.append((local_round, _lower(dist)))
-        recorder.finish(engine, duals, stopped_by_budget=not duals.within_budget)
-        sub_trace = recorder.trace
-        if observations:
-            # Exact distances of the excluded winner sampled along the
-            # continuation (dropped requests leave no heap entries for the
-            # harvest to pick up) — these make most not-selected probes
-            # provably inert segment by segment, i.e. free.
-            sub_trace.dist_obs[index] = observations
-        return TraceReplayer(
-            sub_trace,
-            engine=engine,
-            duals=duals,
-            stats=self.stats,
-            swap_state=self._swap_state,
-        )
-
-    def _restore(self, index: int, request, checkpoint: TraceCheckpoint) -> None:
-        engine = self._engine
-        swapped = self._swap_state[0]
-        if swapped is not None:
-            prev_index, prev_request = swapped
-            engine.set_request(prev_index, prev_request)
-            self._swap_state[0] = None
-        original = self._trace.requests[index]
-        if request is not original:
-            engine.set_request(index, request)
-            self._swap_state[0] = (index, original)
-        self._duals.restore_from(checkpoint.duals)
-        engine.restore(checkpoint.engine, drop_index=index)
-        # Excluded-run checkpoints carry the probed request as dropped.
-        engine.revive(index)
-        engine.push_fresh(index)
-
-    def _run_suffix(
-        self, index: int, start_round: int, want_rounds: bool
-    ) -> tuple[bool, list[TraceRound]]:
-        suffix: list[TraceRound] = []
-        selected = False
-        rounds = greedy_rounds(
-            self._engine,
-            cap=self._rounds_left(start_round),
-            threshold=self._threshold,
-        )
-        for sel in rounds:
-            suffix.append(self._as_round(sel))
-            if sel.index == index:
-                selected = True
-                if not want_rounds:
-                    break
-        self.stats.rounds_recomputed += len(suffix)
-        return selected, suffix
-
-    def _as_round(self, sel: Selection) -> TraceRound:
-        req = self._engine.request_at(sel.index)
-        return TraceRound(
-            index=sel.index,
-            score=sel.score,
-            vertices=sel.vertices,
-            edge_ids=sel.edge_ids,
-            sorted_edge_array=None,
-            demand=req.demand,
-            runner_up_lb=math.nan,
+    def _replay(self, round_: TraceRound) -> None:
+        self._engine.replay_commit(
+            round_.index, round_.sorted_edge_array, round_.edge_ids
         )
 
 
 class BundleTraceReplayer(_ReplayerBase):
-    """Suffix-resume replays for ``bounded_muca`` traces (value probes)."""
+    """Probe tables for ``bounded_muca`` traces (value probes)."""
 
     def __init__(self, trace: RunTrace) -> None:
         super().__init__(trace)
         if trace.mode != "muca":
             raise ValueError(f"not a muca trace: {trace.mode!r}")
-        base = trace.checkpoints[0]
-        self._duals = base.duals.copy()
+        self._duals = trace.checkpoints[0].duals.copy()
         self._engine = BundlePricingEngine(trace.instance, self._duals)
-        self._swapped_index: int | None = None
-
-    def _orig_ratio(self, index: int) -> float:
-        return 1.0 / self._trace.requests[index].value
-
-    def _probe_score(self, demand: float, value: float, dist: float) -> float:
-        # Bundle price / value, matching BundlePricingEngine._price.
-        return dist / value
 
     def probe_selected(self, index: int, value: float) -> bool:
-        """Whether the probe run (bid ``index`` declaring ``value``) wins."""
+        """Whether the run with bid ``index`` declaring ``value`` wins."""
         value = float(value)
         if value <= 0.0:
             return False
-        key = (index, 1.0, value)
-        cached = self._probe_memo.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        selected, _ = self._probe(index, value, want_winners=False)
-        self._probe_memo[key] = selected
-        return selected
+        table = self._probe_table(index)
+        # Only a value above the declared one can score below it.
+        if value > self._trace.requests[index].value:
+            for x, s, j in self._prefix(index, table):
+                score = x / value
+                if score < s or (score == s and index < j):
+                    return True
+        for x, s, j in table.rows:
+            score = x / value
+            if score < s or (score == s and index < j):
+                return True
+        return table.end_open and table.end_x / value <= self._threshold
 
-    def probe_winners(self, index: int, value: float) -> list[int]:
-        """Full probe replay: the winner indices, in selection order —
-        bit-identical to re-running ``bounded_muca`` on the perturbed
-        auction."""
-        if value <= 0.0:
-            raise ValueError("probe value must be positive")
-        _, winners = self._probe(index, float(value), want_winners=True)
-        return winners
+    def _read(self, index: int) -> tuple[float, None]:
+        return self._engine.current_price(index), None
 
-    def _probe(
-        self, index: int, value: float, *, want_winners: bool
-    ) -> tuple[bool, list[int]]:
-        t = self._trace
-        self.stats.probes += 1
-        total = t.num_rounds
-        div = self._divergence(index, 1.0, value)
-        if div >= total:
-            self.stats.trivial_probes += 1
-            winners = [r.index for r in t.rounds] if want_winners else []
-            return False, winners
+    def _touches(self, key: None, round_) -> bool:
+        # A bundle price is one short sum: re-read it every round.
+        return True
 
-        checkpoint = self._checkpoint_for(div)
-        self._restore(index, value, checkpoint)
-        start = checkpoint.round_index
-        engine = self._engine
-        for r in range(start, div):
-            engine.replay_commit(t.rounds[r].index)
-        self.stats.rounds_skipped += start
-        self.stats.rounds_replayed += div - start
-
-        winners: list[int] = [r.index for r in t.rounds[:div]] if want_winners else []
-        selected = False
-        for sel in greedy_rounds(engine, cap=self._rounds_left(div)):
-            self.stats.rounds_recomputed += 1
-            if want_winners:
-                winners.append(sel.index)
-            if sel.index == index:
-                selected = True
-                if not want_winners:
-                    break
-        return selected, winners
-
-    def _restore(self, index: int, value: float, checkpoint: TraceCheckpoint) -> None:
-        engine = self._engine
-        if self._swapped_index is not None:
-            prev = self._swapped_index
-            engine.set_value(prev, self._trace.requests[prev].value)
-            self._swapped_index = None
-        if value != self._trace.requests[index].value:
-            engine.set_value(index, value)
-            self._swapped_index = index
-        self._duals.restore_from(checkpoint.duals)
-        engine.restore(checkpoint.engine, drop_index=index)
-        engine.push_fresh(index)
+    def _replay(self, round_: TraceRound) -> None:
+        self._engine.replay_commit(round_.index)
 
 
 def make_replayer(trace: RunTrace) -> TraceReplayer | BundleTraceReplayer:

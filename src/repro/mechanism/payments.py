@@ -25,6 +25,7 @@ declarations being probed, so reuse is sound and bit-exact.)
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from repro import parallel
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
-from repro.core.trace import TraceRecorder, make_replayer, supports_trace
+from repro.core.trace import ReplayStats, TraceRecorder, make_replayer, supports_trace
 from repro.exceptions import MechanismError
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
@@ -70,8 +71,8 @@ def _bisect_critical_value(
     ``known_selected=True`` asserts the caller has already observed the agent
     selected at its declaration (e.g. it is iterating the winners of the
     allocation the same deterministic algorithm produced, or a trace
-    replayer certified the declaration's winning round), so the redundant
-    confirming run is skipped — one full mechanism re-run saved per winner.
+    replayer answered the declaration's probe), so the redundant confirming
+    run is skipped — one full mechanism re-run saved per winner.
     This is a *contract*, not a hint: with a predicate that is false at the
     declaration the bisection silently returns a meaningless bound instead
     of raising :class:`~repro.exceptions.MechanismError`.
@@ -79,10 +80,10 @@ def _bisect_critical_value(
     Probes are memoized on the exact probed value, so the ``tiny``
     quick-exit probe, the confirming probe and any midpoint that lands on a
     previously-probed value never run the mechanism twice.  The probe
-    *sequence* is deliberately kept identical whatever extra knowledge the
-    caller has (trace certificates answer probes, they never move the
-    brackets), so the returned float is bit-identical across the
-    from-scratch, trace-replay and any-``jobs`` paths.
+    *sequence* depends only on the answers, and trace replays answer every
+    probe exactly as a from-scratch run would, so the returned float is
+    bit-identical across the from-scratch, trace-replay and any-``jobs``
+    paths.
     """
     cache: dict[float, bool] = {}
 
@@ -192,34 +193,18 @@ def _trace_critical_value_ufp(
     max_iterations: int = _MAX_BISECTIONS,
     declared=None,
 ) -> float:
-    """Critical value of a (known-selected) declaration via trace replay.
+    """Critical value of a (known-selected) declaration, every bisection
+    probe answered by the replayer's table for ``index``.
 
     ``declared`` defaults to the base run's declaration at ``index``; audit
     callers pass the misreported request instead (probes then vary its
-    value at its declared demand).  Two trace certificates answer bracket
-    probes without replaying — the probe *sequence* stays identical to the
-    from-scratch bisection, so the returned float is bit-identical:
-
-    * values inside :meth:`~repro.core.trace.TraceReplayer
-      .certified_selected_interval` are selected by the recorded winning
-      round's score margin;
-    * values at or below :meth:`~repro.core.trace.TraceReplayer
-      .not_selected_below` can never be admitted (online threshold policy).
+    value at its declared demand).  The probe sequence is the from-scratch
+    bisection's, so the returned float is bit-identical.
     """
     declared = replayer.declared(index) if declared is None else declared
-    demand = declared.demand
-    cert = replayer.certified_selected_interval(index, demand)
-    floor = replayer.not_selected_below(index, demand)
-    stats = replayer.stats
 
     def is_selected_at(value: float) -> bool:
         if value <= 0.0:
-            return False
-        if cert is not None and cert[0] <= value <= cert[1]:
-            stats.certificate_hits += 1
-            return True
-        if value <= floor:
-            stats.certificate_hits += 1
             return False
         return replayer.probe_selected(index, declared.with_value(value))
 
@@ -246,19 +231,8 @@ def _trace_critical_value_muca(
     declared = (
         replayer.declared(index).value if declared_value is None else declared_value
     )
-    cert = replayer.certified_selected_interval(index, 1.0)
-    stats = replayer.stats
-
-    def is_selected_at(value: float) -> bool:
-        if value <= 0.0:
-            return False
-        if cert is not None and cert[0] <= value <= cert[1]:
-            stats.certificate_hits += 1
-            return True
-        return replayer.probe_selected(index, value)
-
     return _bisect_critical_value(
-        is_selected_at,
+        partial(replayer.probe_selected, index),
         declared,
         relative_tolerance=relative_tolerance,
         absolute_tolerance=absolute_tolerance,
@@ -316,17 +290,33 @@ def _muca_payment_task(idx: int) -> float:
     return critical_value_muca(algorithm, instance, idx, **kwargs)
 
 
-def _ufp_payment_task_trace(idx: int) -> float:
+def _ufp_payment_task_trace(idx: int) -> tuple[float, ReplayStats]:
     """Trace-replay twin of :func:`_ufp_payment_task`: the replayer (and its
-    warm checkpoint state) ships once per worker, each task resumes probe
-    runs from the divergence round."""
+    checkpoints) ships once per worker, each task builds its winner's table
+    and returns the critical value with that table's work counters."""
     replayer, kwargs = parallel.worker_payload()
-    return _trace_critical_value_ufp(replayer, idx, **kwargs)
+    value = _trace_critical_value_ufp(replayer, idx, **kwargs)
+    return value, replayer.agent_stats(idx)
 
 
-def _muca_payment_task_trace(idx: int) -> float:
+def _muca_payment_task_trace(idx: int) -> tuple[float, ReplayStats]:
     replayer, kwargs = parallel.worker_payload()
-    return _trace_critical_value_muca(replayer, idx, **kwargs)
+    value = _trace_critical_value_muca(replayer, idx, **kwargs)
+    return value, replayer.agent_stats(idx)
+
+
+def _traced_payments(
+    task, replayer, kwargs, ordered, payments, *, jobs, replay_stats
+) -> None:
+    """Fan the traced bisections out and sum the tasks' work counters, so
+    ``replay_stats`` reads the same at any ``jobs``."""
+    results = parallel.pmap(task, ordered, jobs=jobs, payload=(replayer, kwargs))
+    counters = ReplayStats()
+    for idx, (value, stats) in zip(ordered, results):
+        payments[idx] = value
+        counters += stats
+    if replay_stats is not None:
+        replay_stats.update(counters.as_extra())
 
 
 def compute_ufp_payments(
@@ -376,24 +366,25 @@ def compute_ufp_payments(
         winner.
     use_trace:
         Record the base run's acceptance trace once (one extra
-        ``algorithm`` call) and answer every bisection probe by
-        suffix-resume replay from the probe's divergence round instead of a
-        from-scratch run — see :mod:`repro.core.trace`.  The payment vector
-        is bit-identical with or without tracing (and at any ``jobs``);
-        only wall-clock changes.  Requires ``algorithm`` to accept a
-        ``trace=`` keyword (the ``repro.core`` solvers do); opaque wrappers
-        fall back to the from-scratch path silently.  The traced base run's
-        winner set is checked against ``allocation`` for free, so a
-        mismatched pair raises loudly even without ``verify_winners``.
+        ``algorithm`` call), then answer every bisection probe of a winner
+        from that winner's table: one run with the winner excluded,
+        resumed from the recorded checkpoint at its winning round — see
+        :mod:`repro.core.trace`.  The payment vector is bit-identical with
+        or without tracing (and at any ``jobs``); only wall-clock changes.
+        Requires ``algorithm`` to accept a ``trace=`` keyword (the
+        ``repro.core`` solvers do).  Opaque wrappers without one fall back
+        to the from-scratch path silently; a ``**kwargs`` wrapper that
+        accepts but drops ``trace=`` falls back with a warning.  The traced
+        base run's winner set is checked against ``allocation`` for free,
+        so a mismatched pair raises loudly even without ``verify_winners``.
     replay_stats:
-        Optional dict that receives the replayer's work counters
-        (``replay_probes``, ``replay_rounds_skipped``, ...) after a traced
-        run — experiment cells surface these in ``RunStats.extra``-style
-        rows.  Left untouched when tracing is off or unavailable.  The
-        counters are accumulated in *this* process: under ``jobs > 1`` the
-        probes run in forked workers whose copies of the replayer are
-        discarded, so the counters read (near) zero — use ``jobs=1`` when
-        the diagnostics matter.
+        Optional dict that receives the tables' work counters
+        (``replay_probes``, ``replay_rounds_skipped``,
+        ``replay_rounds_replayed``, ``replay_rounds_recomputed``) after a
+        traced run — experiment cells surface these in
+        ``RunStats.extra``-style rows.  Every task returns its own
+        counters and they are summed here, so they read the same at any
+        ``jobs``.  Left untouched when tracing is off or unavailable.
     """
     payments = np.zeros(instance.num_requests, dtype=np.float64)
     winner_set = allocation.selected_indices()
@@ -406,16 +397,10 @@ def compute_ufp_payments(
                 relative_tolerance=relative_tolerance,
                 absolute_tolerance=absolute_tolerance,
             )
-            values = parallel.pmap(
-                _ufp_payment_task_trace,
-                ordered,
-                jobs=jobs,
-                payload=(replayer, kwargs),
+            _traced_payments(
+                _ufp_payment_task_trace, replayer, kwargs, ordered, payments,
+                jobs=jobs, replay_stats=replay_stats,
             )
-            for idx, value in zip(ordered, values):
-                payments[idx] = value
-            if replay_stats is not None:
-                replay_stats.update(replayer.stats.as_extra())
             return payments
     # Each ``idx`` is a winner of the allocation this same (deterministic)
     # algorithm produced, so it is selected at its declared value by
@@ -451,9 +436,9 @@ def compute_muca_payments(
 
     ``algorithm`` must be the deterministic callable that produced
     ``allocation``; see :func:`compute_ufp_payments` for the
-    ``verify_winners`` escape hatch, the ``jobs`` fan-out contract and the
-    ``use_trace`` suffix-resume replay path (bit-identical payments, only
-    wall-clock changes).
+    ``verify_winners`` escape hatch, the ``jobs`` fan-out contract, the
+    ``use_trace`` path (one excluded run per winner answers its bisection:
+    bit-identical payments, only wall-clock changes) and ``replay_stats``.
     """
     payments = np.zeros(instance.num_bids, dtype=np.float64)
     winner_set = set(allocation.winners)
@@ -466,16 +451,10 @@ def compute_muca_payments(
                 relative_tolerance=relative_tolerance,
                 absolute_tolerance=absolute_tolerance,
             )
-            values = parallel.pmap(
-                _muca_payment_task_trace,
-                ordered,
-                jobs=jobs,
-                payload=(replayer, kwargs),
+            _traced_payments(
+                _muca_payment_task_trace, replayer, kwargs, ordered, payments,
+                jobs=jobs, replay_stats=replay_stats,
             )
-            for idx, value in zip(ordered, values):
-                payments[idx] = value
-            if replay_stats is not None:
-                replay_stats.update(replayer.stats.as_extra())
             return payments
     kwargs = dict(
         relative_tolerance=relative_tolerance,

@@ -100,8 +100,9 @@ def _ufp_outcome_trace(replayer, index: int, declared) -> tuple[bool, float]:
     """Trace-replay twin of :func:`_ufp_outcome`: the declared instance is
     the audit's base instance with agent ``index``'s declaration replaced
     by ``declared`` — a single-index perturbation, so both the selection
-    question and every payment-bisection probe replay from the one recorded
-    base run.  Outcomes are bit-identical to the from-scratch path."""
+    question and every payment-bisection probe are answered from agent
+    ``index``'s table.  Outcomes are bit-identical to the from-scratch
+    path."""
     if not replayer.probe_selected(index, declared):
         return False, 0.0
     payment = _trace_critical_value_ufp(
@@ -225,10 +226,11 @@ def audit_ufp_truthfulness(
         Record the truthful base run once and answer every audit
         evaluation — the lie allocations *and* all their payment-bisection
         probes, each a single-declaration perturbation of the base
-        instance — by checkpointed suffix-resume replay
-        (:mod:`repro.core.trace`).  The report is bit-identical with or
-        without tracing; only wall-clock changes.  Falls back silently
-        when ``algorithm`` does not accept a ``trace=`` keyword.
+        instance — from the audited agent's table: one run with the agent
+        excluded (:mod:`repro.core.trace`).  The report is bit-identical
+        with or without tracing; only wall-clock changes.  Falls back
+        silently when ``algorithm`` does not accept a ``trace=`` keyword,
+        and with a warning when a ``**kwargs`` wrapper drops it.
     """
     rng = ensure_rng(seed)
     indices = list(range(instance.num_requests)) if agents is None else [int(a) for a in agents]
@@ -361,8 +363,8 @@ def audit_muca_truthfulness(
     for every audited bid on top of the random draws (the MUCA analogue of
     :func:`audit_ufp_truthfulness`'s ``misreport_grid``); ``jobs`` fans the
     per-bid audits out with the same bit-identical contract, and
-    ``use_trace`` answers every evaluation by checkpointed suffix-resume
-    replay of one recorded base run (bit-identical report, less work)."""
+    ``use_trace`` answers every evaluation from the bid's table, one run
+    with the bid excluded (bit-identical report, less work)."""
     rng = ensure_rng(seed)
     indices = list(range(instance.num_bids)) if agents is None else [int(a) for a in agents]
     report = TruthfulnessReport()

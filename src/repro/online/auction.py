@@ -138,10 +138,10 @@ class OnlineAuction:
         replays per winner — significantly more work per admitted request;
         leave off when only the allocation matters).
     use_trace:
-        Answer payment-bisection probes by checkpointed trace replay of the
-        batch (one recorded drain per admitting batch, suffix-resume per
-        probe) instead of one full drain per probe; payments are
-        bit-identical either way.  See
+        Answer payment-bisection probes from per-winner tables of one
+        recorded drain per admitting batch (one excluded drain per winner)
+        instead of one full drain per probe; payments are bit-identical
+        either way.  See
         :func:`repro.online.payments.batch_critical_values`.
     relative_tolerance / absolute_tolerance:
         Bisection tolerances for the payment computation.

@@ -71,13 +71,11 @@ def batch_critical_values(
     admission / score_threshold:
         The live run's admission policy, forwarded to the replay.
     use_trace:
-        Replay the batch once with trace recording (one extra drain — the
-        same cost every probe used to pay) and answer the bisection probes
-        by suffix-resume from each probe's divergence round instead of a
-        full drain per probe; see :mod:`repro.core.trace`.  Payments are
-        bit-identical either way.  Under the ``"threshold"`` policy the
-        recorded admission score additionally certifies a sound
-        not-admitted-below bound, answering the deep-low probes for free.
+        Replay the batch once with trace recording (one extra drain), then
+        answer each winner's bisection probes from its table — one drain
+        with the winner excluded, resumed from the recorded checkpoint at
+        its admission round — instead of a full drain per probe; see
+        :mod:`repro.core.trace`.  Payments are bit-identical either way.
 
     Returns
     -------

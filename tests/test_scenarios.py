@@ -346,6 +346,45 @@ class TestRunner:
         assert record["bound"] == solve_fractional_ufp(instance, repetitions=True).objective
         assert record["value"] > solve_fractional_ufp(instance).objective
 
+    def test_payments_cell_hash_ignores_payment_workers(self, tmp_path, monkeypatch):
+        """``REPRO_JOBS`` fans a cell's payment bisections out to workers;
+        the record (replay counters included) and the store hash must not
+        notice."""
+        suite = _tiny_suite(
+            topologies=[{"name": "g", "family": "grid", "rows": 3, "cols": 4}],
+            regimes=[
+                {
+                    "name": "r",
+                    "capacity": {"scale_log_m": 2.0, "min": 1.0},
+                    "num_requests": 60,
+                    "demand_range": [0.4, 1.0],
+                }
+            ],
+            modes=[
+                {
+                    "name": "pay",
+                    "kind": "offline",
+                    "epsilon": "auto",
+                    "bound": "none",
+                    "payments": True,
+                }
+            ],
+        )
+        hashes, records = [], []
+        for workers in (None, "2"):
+            if workers is None:
+                monkeypatch.delenv("REPRO_JOBS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_JOBS", workers)
+            store = ResultStore(tmp_path / f"jobs-{workers}")
+            result = scenarios.run_campaign(suite, store=store, jobs=1)
+            hashes.append(store.content_hash())
+            records.append(result.records["g/r/pay"])
+        assert records[0]["revenue"] > 0.0
+        assert records[0]["replay_probes"] > 0.0
+        assert records[0] == records[1]
+        assert hashes[0] == hashes[1]
+
     def test_failed_claims_surface_in_record(self):
         # An online cell comparing against offline cannot fail its claims on
         # a sane instance, so check the plumbing instead: claims_ok present.

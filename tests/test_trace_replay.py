@@ -1,14 +1,17 @@
-"""Trace-replay equivalence: checkpointed probes vs from-scratch runs.
+"""Trace-replay equivalence: probe tables vs from-scratch runs.
 
 The contract of :mod:`repro.core.trace` is *bit-identity*: a probe answered
-by suffix-resume replay (divergence-round computation, checkpoint restore,
-excluded-run sub-traces, certificates) must equal the from-scratch run of
-the solver on the perturbed instance — same selections, same paths, same
-floats.  This suite replays the pinned differential-fuzz corpus (the same
-seed derivation as ``test_differential_fuzz``) through the replayers:
+from an agent's table (its excluded run, the lazy prefix of the base run,
+the path-tracked distance) must equal the from-scratch run of the solver on
+the perturbed instance, and payments computed from tables must equal the
+from-scratch bisections float for float.  This suite replays the pinned
+differential-fuzz corpus (the same seed derivation as
+``test_differential_fuzz``) through the replayers:
 
-* single-probe allocations for ``bounded_ufp`` / ``bounded_ufp_repeat`` /
-  ``bounded_muca`` vs the solvers run from scratch on the perturbed input;
+* single probes for ``bounded_ufp`` / ``bounded_ufp_repeat`` /
+  ``bounded_muca`` vs the solvers run from scratch on the perturbed input,
+  including score-decreasing misreports that read the lazy prefix;
+* single probes of recorded online batch drains vs from-scratch drains;
 * critical-value payments with ``use_trace=True`` vs ``use_trace=False``,
   on loop trees and on C trees;
 * truthfulness audits with and without tracing;
@@ -35,26 +38,38 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
 
 from repro.auctions import correlated_auction, random_auction
 from repro.core import (
+    PathPricingEngine,
     TraceRecorder,
     bounded_muca,
     bounded_ufp,
     bounded_ufp_repeat,
     make_replayer,
 )
-from repro.flows import random_instance
+from repro.flows import Request, UFPInstance, random_instance
+from repro.graphs import CapacitatedGraph
 from repro.mechanism import compute_muca_payments, compute_ufp_payments
 from repro.mechanism.verification import (
     audit_muca_truthfulness,
     audit_ufp_truthfulness,
 )
 from repro.online import OnlineAuction, bursty_arrivals
+from repro.online import payments as online_payments
+from repro.online.auction import drain_engine
 from repro.utils.prng import ensure_rng
 
 pytestmark = pytest.mark.fuzz
 
-#: Value multipliers probed per request: deep-low (trivially-inert region),
-#: bisection-like mids, the declaration itself, and a raise.
+#: Value multipliers probed per request: deep-low, bisection-like mids, the
+#: declaration itself, and a raise.
 PROBE_FACTORS = (0.03, 0.4, 1.0, 2.5)
+
+#: Demand multipliers of path probes (clipped to 1): a halved demand scores
+#: below the declaration and reads the lazy prefix, 1.7 scores above it.
+DEMAND_FACTORS = (0.5, 1.0, 1.7)
+
+#: Bid value multipliers: every ``PROBE_FACTOR`` plus one part in 1e7 on
+#: either side of the declaration.
+MUCA_VALUE_FACTORS = PROBE_FACTORS + (1.0 - 1e-7, 1.0 + 1e-7)
 
 
 def _muca_auction(seed: int):
@@ -89,10 +104,25 @@ def _with_binding_cap(seeds) -> list:
     ]
 
 
-def _assert_same_path_replay(replayed, expected) -> None:
-    _assert_same_allocation(replayed, expected)
-    assert replayed.stats.stopped_by_budget == expected.stats.stopped_by_budget
-    assert replayed.stats.iterations == expected.stats.iterations
+def _path_probes(request):
+    """Misreports of ``request``: every demand factor times every value
+    factor, at the request's terminals."""
+    for demand_factor in DEMAND_FACTORS:
+        demand = min(1.0, request.demand * demand_factor)
+        for factor in PROBE_FACTORS:
+            yield request.with_type(demand=demand, value=request.value * factor)
+
+
+def _assert_path_probes_match_scratch(run, instance, seed) -> None:
+    recorder = TraceRecorder()
+    run(instance, trace=recorder)
+    replayer = make_replayer(recorder.trace)
+    for idx in _probe_indices(instance.num_requests, seed):
+        for probe in _path_probes(instance.requests[idx]):
+            expected = run(instance.replace_request(idx, probe))
+            assert replayer.probe_selected(idx, probe) == expected.is_selected(idx), (
+                idx, probe.demand, probe.value,
+            )
 
 
 @pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(UFP_SEEDS))
@@ -100,16 +130,7 @@ def test_ufp_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     run = partial(bounded_ufp, epsilon=epsilon, max_iterations=max_iterations)
-    recorder = TraceRecorder()
-    run(instance, trace=recorder)
-    replayer = make_replayer(recorder.trace)
-    for idx in _probe_indices(instance.num_requests, seed):
-        request = instance.requests[idx]
-        for factor in PROBE_FACTORS:
-            probe = request.with_value(request.value * factor)
-            expected = run(instance.replace_request(idx, probe))
-            _assert_same_path_replay(replayer.probe(idx, probe), expected)
-            assert replayer.probe_selected(idx, probe) == expected.is_selected(idx)
+    _assert_path_probes_match_scratch(run, instance, seed)
 
 
 @pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(REPEAT_SEEDS))
@@ -117,16 +138,7 @@ def test_repeat_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed, max_requests=10)
     epsilon = [0.5, 1.0][seed % 2]
     run = partial(bounded_ufp_repeat, epsilon=epsilon, max_iterations=max_iterations)
-    recorder = TraceRecorder()
-    run(instance, trace=recorder)
-    replayer = make_replayer(recorder.trace)
-    for idx in _probe_indices(instance.num_requests, seed):
-        request = instance.requests[idx]
-        for factor in PROBE_FACTORS:
-            probe = request.with_value(request.value * factor)
-            expected = run(instance.replace_request(idx, probe))
-            _assert_same_path_replay(replayer.probe(idx, probe), expected)
-            assert replayer.probe_selected(idx, probe) == expected.is_selected(idx)
+    _assert_path_probes_match_scratch(run, instance, seed)
 
 
 @pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(MUCA_SEEDS))
@@ -139,11 +151,38 @@ def test_muca_probe_replay_matches_scratch(seed, max_iterations):
     replayer = make_replayer(recorder.trace)
     for idx in _probe_indices(auction.num_bids, seed):
         bid = auction.bids[idx]
-        for factor in PROBE_FACTORS:
+        for factor in MUCA_VALUE_FACTORS:
             value = bid.value * factor
             expected = run(auction.replace_bid(idx, bid.with_value(value)))
-            assert replayer.probe_winners(idx, value) == expected.winners
-            assert replayer.probe_selected(idx, value) == expected.is_winner(idx)
+            assert replayer.probe_selected(idx, value) == expected.is_winner(idx), (
+                idx, value,
+            )
+
+
+def test_exact_tie_goes_to_the_lower_index():
+    """Two requests on one arc, and the budget stops the run after one
+    commit.  Each request probed at the other's value ties it exactly, in
+    the base run's prefix (request 0) or in the excluded run (request 1):
+    only the index breaks the tie."""
+    graph = CapacitatedGraph(2, [(0, 1, 1.5)], directed=True)
+    instance = UFPInstance(graph, [Request(0, 1, 1.0, 1.0), Request(0, 1, 1.0, 2.0)])
+    run = partial(bounded_ufp, epsilon=1.0)
+    recorder = TraceRecorder()
+    allocation = run(instance, trace=recorder)
+    assert allocation.selected_indices() == {1}
+    replayer = make_replayer(recorder.trace)
+    for idx in (0, 1):
+        request = instance.requests[idx]
+        probes = [request.with_value(1.0), request.with_value(2.0)]
+        probes.extend(_path_probes(request))
+        for probe in probes:
+            expected = run(instance.replace_request(idx, probe)).is_selected(idx)
+            assert replayer.probe_selected(idx, probe) == expected
+    assert replayer.probe_selected(0, instance.requests[0].with_value(2.0))
+    assert not replayer.probe_selected(1, instance.requests[1].with_value(1.0))
+    plain = compute_ufp_payments(run, instance, allocation)
+    traced = compute_ufp_payments(run, instance, allocation, use_trace=True)
+    np.testing.assert_array_equal(plain, traced)
 
 
 # --------------------------------------------------------------------- #
@@ -182,15 +221,31 @@ def test_muca_payments_bit_identical(seed):
 
 
 def test_payments_jobs_invariant_with_trace():
+    """Payments *and* the replay counters read the same at any ``jobs``:
+    every task returns its own table's counters."""
     instance = random_instance(
         num_vertices=12, edge_probability=0.25, capacity=15.0,
         num_requests=60, demand_range=(0.5, 1.0), seed=13,
     )
-    algorithm = partial(bounded_ufp, epsilon=0.3)
-    allocation = bounded_ufp(instance, 0.3)
-    serial = compute_ufp_payments(algorithm, instance, allocation, use_trace=True, jobs=1)
-    fanned = compute_ufp_payments(algorithm, instance, allocation, use_trace=True, jobs=4)
-    np.testing.assert_array_equal(serial, fanned)
+    auction = correlated_auction(
+        num_items=8, num_bids=40, multiplicity=12.0, bundle_size_range=(1, 4),
+        num_popular=3, seed=13,
+    )
+    for solver, pay, declared in (
+        (bounded_ufp, compute_ufp_payments, instance),
+        (bounded_muca, compute_muca_payments, auction),
+    ):
+        algorithm = partial(solver, epsilon=0.3)
+        allocation = solver(declared, 0.3)
+        serial_stats: dict = {}
+        fanned_stats: dict = {}
+        serial = pay(algorithm, declared, allocation, use_trace=True, jobs=1,
+                     replay_stats=serial_stats)
+        fanned = pay(algorithm, declared, allocation, use_trace=True, jobs=4,
+                     replay_stats=fanned_stats)
+        np.testing.assert_array_equal(serial, fanned)
+        assert serial_stats["replay_probes"] > 0
+        assert fanned_stats == serial_stats
 
 
 # --------------------------------------------------------------------- #
@@ -264,9 +319,9 @@ def test_audit_jobs_invariant_with_trace():
 def _check_checkpoint_heaps(monkeypatch) -> list:
     """Wrap ``TraceRecorder.finish`` so that every finished trace asserts
     that each checkpoint heap has an entry for every live request (neither
-    selected nor dropped).  Replays resume from these heaps, and
-    ``RunTrace.pool_exhausted`` means "no live request left" only if no live
-    request lacks an entry.  Returns the list of checked traces."""
+    selected nor dropped).  Excluded runs resume from these heaps, and a
+    live request without an entry could never win one of their rounds.
+    Returns the list of checked traces."""
     finish = TraceRecorder.finish
     checked: list = []
 
@@ -312,6 +367,59 @@ def test_online_payments_bit_identical(seed, admission, threshold, monkeypatch):
     ]
     if checked is not None:
         assert checked or not traced.routed
+
+
+def _record_batches(monkeypatch) -> list:
+    """Capture the arguments of every ``batch_critical_values`` call an
+    online auction makes (the batch pool, the snapshot and the policy)."""
+    batches: list = []
+    original = online_payments.batch_critical_values
+
+    def capture(graph, snapshot, pool, admitted, **kwargs):
+        batches.append((graph, snapshot.copy(), list(pool), list(admitted), kwargs))
+        return original(graph, snapshot, pool, admitted, **kwargs)
+
+    monkeypatch.setattr(online_payments, "batch_critical_values", capture)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "admission,threshold",
+    [("greedy", 1.0), ("threshold", 1.5), ("threshold", 0.4)],
+)
+@pytest.mark.parametrize("seed", ONLINE_SEEDS)
+def test_online_drain_probes_match_scratch(seed, admission, threshold, monkeypatch):
+    """Each recorded batch drain answers demand and value misreports of
+    every pool member exactly as a from-scratch drain from the same
+    snapshot does."""
+    instance = _ufp_instance(seed)
+    epsilon = [0.3, 0.5, 1.0][seed % 3]
+    batches = _record_batches(monkeypatch)
+    OnlineAuction(
+        instance.graph, epsilon, admission=admission, score_threshold=threshold,
+        compute_payments=True,
+    ).run(bursty_arrivals(list(instance.requests), burst_size=5, seed=seed % 97))
+    for graph, snapshot, pool, admitted, kwargs in batches:
+        requests = [request for _, request in pool]
+        local_of = {index: position for position, (index, _) in enumerate(pool)}
+        policy = dict(admission=kwargs["admission"],
+                      score_threshold=kwargs["score_threshold"])
+        replayer = online_payments._record_batch(
+            graph, snapshot, snapshot.copy(), requests,
+            [local_of[index] for index in admitted], **policy,
+        )
+        for local, request in enumerate(requests):
+            for probe in _path_probes(request):
+                probe_requests = list(requests)
+                probe_requests[local] = probe
+                engine = PathPricingEngine(graph, probe_requests, snapshot.copy())
+                expected = any(
+                    selection.index == local
+                    for selection in drain_engine(engine, **policy)
+                )
+                assert replayer.probe_selected(local, probe) == expected, (
+                    local, probe.demand, probe.value,
+                )
 
 
 # --------------------------------------------------------------------- #
