@@ -16,8 +16,10 @@ from one recorded run:
   (cached shortest-path trees are immutable and shared by reference, so a
   checkpoint is heap + flags + bookkeeping, not a deep copy);
 * a :class:`TraceReplayer` (:class:`BundleTraceReplayer` for MUCA) answers
-  :meth:`~TraceReplayer.probe_selected` from a per-agent **table** built
-  from one *excluded run*: the run with that agent removed from the pool.
+  ``probe_selected(index, declaration)``, where the declaration is a
+  ``Request`` (a ``Bid`` for MUCA), from a per-agent **table** built from
+  one *excluded run*: the run with that agent removed from the pool.  It is
+  one of the selection oracles of :mod:`repro.mechanism.payments`.
 
 Why one excluded run answers every probe
 ----------------------------------------
@@ -546,7 +548,8 @@ class TraceReplayer(_ReplayerBase):
 
 
 class BundleTraceReplayer(_ReplayerBase):
-    """Probe tables for ``bounded_muca`` traces (value probes)."""
+    """Probe tables for ``bounded_muca`` traces (value probes: a probed
+    ``Bid`` keeps the declared bundle)."""
 
     def __init__(self, trace: RunTrace) -> None:
         super().__init__(trace)
@@ -555,9 +558,10 @@ class BundleTraceReplayer(_ReplayerBase):
         self._duals = trace.checkpoints[0].duals.copy()
         self._engine = BundlePricingEngine(trace.instance, self._duals)
 
-    def probe_selected(self, index: int, value: float) -> bool:
-        """Whether the run with bid ``index`` declaring ``value`` wins."""
-        value = float(value)
+    def probe_selected(self, index: int, bid) -> bool:
+        """Whether the run with bid ``index`` declaring ``bid`` (same
+        bundle) wins."""
+        value = bid.value
         if value <= 0.0:
             return False
         table = self._probe_table(index)

@@ -147,7 +147,7 @@ def _payment_cell(task) -> CellOutcome:
     """The payment-enabled cell: batch critical values vs offline critical
     values.  Capacities are tight enough that both mechanisms actually
     charge (offline critical values are 0 on uncontended instances)."""
-    quick, rng = task
+    quick, rng, use_trace = task
     outcome = CellOutcome()
     payment_instance = isp_instance(
         num_core=3,
@@ -159,7 +159,8 @@ def _payment_cell(task) -> CellOutcome:
     )
     offline = bounded_ufp(payment_instance, EPSILON)
     offline_payments = compute_ufp_payments(
-        partial(bounded_ufp, epsilon=EPSILON), payment_instance, offline
+        partial(bounded_ufp, epsilon=EPSILON), payment_instance, offline,
+        use_trace=use_trace,
     )
     auction = OnlineAuction(
         payment_instance.graph,
@@ -167,6 +168,7 @@ def _payment_cell(task) -> CellOutcome:
         admission="threshold",
         score_threshold=1.0,
         compute_payments=True,
+        use_trace=use_trace,
         name=payment_instance.name,
     )
     online = auction.run(
@@ -205,9 +207,12 @@ def _cell(task) -> CellOutcome:
 
 
 def run(
-    *, quick: bool = True, seed: int | None = None, jobs: int | None = None
+    *, quick: bool = True, seed: int | None = None, jobs: int | None = None,
+    use_trace: bool = True,
 ) -> ExperimentResult:
-    """Run the E10 online-vs-offline sweep."""
+    """Run the E10 online-vs-offline sweep (``use_trace`` routes the payment
+    cell's offline and online payments through the probe tables; numbers
+    are bit-identical)."""
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -227,7 +232,7 @@ def run(
             _workloads(quick, rngs[:2]), rngs[2:4]
         )
     ]
-    tasks.append(("payments", quick, rngs[4]))
+    tasks.append(("payments", quick, rngs[4], use_trace))
     result.merge(map_cells(_cell, tasks, jobs=jobs))
 
     total_tree_reuses = sum(

@@ -5,8 +5,11 @@ allocation algorithm, combined with *critical-value* payments, is a truthful
 mechanism.  This package implements that construction generically:
 
 * :mod:`repro.mechanism.agents` — true vs. declared types and agent utility.
-* :mod:`repro.mechanism.payments` — critical-value computation by bisection
-  over the declared value (re-running the allocation algorithm).
+* :mod:`repro.mechanism.payments` — critical values by bisection over the
+  declared value, every probe answered by a *selection oracle* ("is agent
+  ``i`` selected declaring ``x``?"): a re-run of the allocation algorithm,
+  or the agent's probe table from one recorded run (``use_trace``).  The
+  audits and monotonicity checks below ask the same oracles.
 * :mod:`repro.mechanism.truthful` — the full mechanisms
   (:func:`~repro.mechanism.truthful.run_truthful_ufp_mechanism`,
   :func:`~repro.mechanism.truthful.run_truthful_muca_mechanism`).

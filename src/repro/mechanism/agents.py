@@ -60,6 +60,11 @@ class UFPAgent:
         """An agent that declares its true type."""
         return cls(true_request=request, declared_request=request)
 
+    @staticmethod
+    def reported_type(request: Request) -> tuple[float, float]:
+        """The type audits report: ``(demand, value)``."""
+        return (request.demand, request.value)
+
     @property
     def is_truthful(self) -> bool:
         return (
@@ -90,6 +95,11 @@ class MUCAAgent:
     @classmethod
     def truthful(cls, bid: Bid) -> "MUCAAgent":
         return cls(true_bid=bid, declared_bid=bid)
+
+    @staticmethod
+    def reported_type(bid: Bid) -> tuple[float]:
+        """The type audits report (known single-minded): ``(value,)``."""
+        return (bid.value,)
 
     @property
     def is_truthful(self) -> bool:

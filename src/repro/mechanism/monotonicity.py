@@ -10,6 +10,8 @@ Monotonicity (Definition 2.1): if a request is selected with declaration
 ``d' <= d`` and ``v' >= v``, all other declarations fixed.  The audit samples
 such dominating declarations for winners (and, symmetrically, dominated
 declarations for losers, which must stay losing) and reports violations.
+Both checks share one loop over the re-run selection oracle of
+:mod:`repro.mechanism.payments`: they test the algorithm itself.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from typing import Callable
 import numpy as np
 
 from repro.auctions.allocation import MUCAAllocation
-from repro.auctions.instance import MUCAInstance
+from repro.auctions.instance import Bid, MUCAInstance
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
+from repro.flows.request import Request
+from repro.mechanism.agents import MUCAAgent, UFPAgent
+from repro.mechanism.payments import _declarations, _RerunOracle, _winner_set
 from repro.utils.prng import ensure_rng
 
 __all__ = [
@@ -76,6 +81,54 @@ class MonotonicityReport:
         )
 
 
+def _check_monotonicity(
+    algorithm, instance, agent_cls, deviate: Callable, *, trials, include_losers, seed
+) -> MonotonicityReport:
+    """The loop of both checks; ``deviate(declared, selected, rng)`` draws
+    one deviation.  The call order (one base run, then one run per trial
+    right after its draws) is part of the contract: a randomized rule, like
+    E4's coin counter, sees it."""
+    rng = ensure_rng(seed)
+    winners = _winner_set(algorithm(instance))
+    oracle = _RerunOracle(algorithm, instance)
+    report = MonotonicityReport()
+
+    for index, declared in enumerate(_declarations(instance)):
+        selected = index in winners
+        if not selected and not include_losers:
+            continue
+        for _ in range(int(trials)):
+            deviated = deviate(declared, selected, rng)
+            deviated_selected = oracle.probe_selected(index, deviated)
+            report.trials += 1
+            if deviated_selected != selected:
+                report.violations.append(
+                    MonotonicityViolation(
+                        agent_index=index,
+                        original_type=agent_cls.reported_type(declared),
+                        deviated_type=agent_cls.reported_type(deviated),
+                        originally_selected=selected,
+                        deviated_selected=deviated_selected,
+                    )
+                )
+    return report
+
+
+def _deviate_request(request: Request, selected: bool, rng) -> Request:
+    if selected:
+        demand = float(request.demand * rng.uniform(0.3, 1.0))
+        value = float(request.value * rng.uniform(1.0, 3.0))
+    else:
+        demand = float(min(request.demand * rng.uniform(1.0, 2.0), 1.0))
+        value = float(request.value * rng.uniform(0.2, 1.0))
+    return request.with_type(demand=demand, value=value)
+
+
+def _deviate_bid(bid: Bid, selected: bool, rng) -> Bid:
+    factor = rng.uniform(1.0, 3.0) if selected else rng.uniform(0.2, 1.0)
+    return bid.with_value(float(bid.value * factor))
+
+
 def check_ufp_monotonicity(
     algorithm: Callable[[UFPInstance], Allocation],
     instance: UFPInstance,
@@ -91,41 +144,10 @@ def check_ufp_monotonicity(
     ``include_losers``) they raise the demand and lower the value (the loser
     must stay unselected) — the contrapositive of the same property.
     """
-    rng = ensure_rng(seed)
-    base = algorithm(instance)
-    winners = base.selected_indices()
-    report = MonotonicityReport()
-
-    for idx, request in enumerate(instance.requests):
-        selected = idx in winners
-        if not selected and not include_losers:
-            continue
-        for _ in range(int(trials_per_request)):
-            if selected:
-                new_demand = float(request.demand * rng.uniform(0.3, 1.0))
-                new_value = float(request.value * rng.uniform(1.0, 3.0))
-            else:
-                new_demand = float(min(request.demand * rng.uniform(1.0, 2.0), 1.0))
-                new_value = float(request.value * rng.uniform(0.2, 1.0))
-            deviated = request.with_type(demand=new_demand, value=new_value)
-            trial_instance = instance.replace_request(idx, deviated)
-            trial = algorithm(trial_instance)
-            trial_selected = trial.is_selected(idx)
-            report.trials += 1
-            violated = (selected and not trial_selected) or (
-                not selected and trial_selected
-            )
-            if violated:
-                report.violations.append(
-                    MonotonicityViolation(
-                        agent_index=idx,
-                        original_type=(request.demand, request.value),
-                        deviated_type=(new_demand, new_value),
-                        originally_selected=selected,
-                        deviated_selected=trial_selected,
-                    )
-                )
-    return report
+    return _check_monotonicity(
+        algorithm, instance, UFPAgent, _deviate_request, trials=trials_per_request,
+        include_losers=include_losers, seed=seed,
+    )
 
 
 def check_muca_monotonicity(
@@ -138,38 +160,10 @@ def check_muca_monotonicity(
 ) -> MonotonicityReport:
     """Value-monotonicity audit for auction algorithms (winners must survive
     value increases; losers must not win after value decreases)."""
-    rng = ensure_rng(seed)
-    base = algorithm(instance)
-    winners = set(base.winners)
-    report = MonotonicityReport()
-
-    for idx, bid in enumerate(instance.bids):
-        selected = idx in winners
-        if not selected and not include_losers:
-            continue
-        for _ in range(int(trials_per_bid)):
-            if selected:
-                new_value = float(bid.value * rng.uniform(1.0, 3.0))
-            else:
-                new_value = float(bid.value * rng.uniform(0.2, 1.0))
-            trial_instance = instance.replace_bid(idx, bid.with_value(new_value))
-            trial = algorithm(trial_instance)
-            trial_selected = trial.is_winner(idx)
-            report.trials += 1
-            violated = (selected and not trial_selected) or (
-                not selected and trial_selected
-            )
-            if violated:
-                report.violations.append(
-                    MonotonicityViolation(
-                        agent_index=idx,
-                        original_type=(bid.value,),
-                        deviated_type=(new_value,),
-                        originally_selected=selected,
-                        deviated_selected=trial_selected,
-                    )
-                )
-    return report
+    return _check_monotonicity(
+        algorithm, instance, MUCAAgent, _deviate_bid, trials=trials_per_bid,
+        include_losers=include_losers, seed=seed,
+    )
 
 
 def check_exactness(allocation: Allocation) -> bool:

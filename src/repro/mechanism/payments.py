@@ -6,16 +6,25 @@ threshold (the *critical value*) above which ``r`` is selected and below
 which it is not.  Charging every winner its critical value — and losers
 nothing — yields the truthful mechanism of Theorem 2.3.
 
-The critical value is found by bisection over the declared value, re-running
-the allocation algorithm with the single declaration changed.  The number of
-algorithm runs per winner is ``O(log((v_hi - v_lo) / tol))``; experiments
-that only need allocations (not payments) should not compute payments.
+The critical value is found by bisection over the declared value, each
+probe asking a **selection oracle**: *is agent ``i`` selected when it
+declares ``x``, all else fixed?*  An oracle is any object with
+``declared(index)`` (the base ``Request`` or ``Bid``) and
+``probe_selected(index, declaration) -> bool``.  :class:`_RerunOracle`
+re-runs the algorithm; the trace replayers of :mod:`repro.core.trace` answer
+from the agent's probe table (``use_trace=True``); the online
+``_DrainOracle`` re-runs one batch drain.  Their answers are identical and
+:func:`_critical_value` is the one bisection over them, so a payment is the
+same float whichever answers.  The audits and monotonicity checks of this
+package ask the same oracles.  A winner costs
+``O(log((v_hi - v_lo) / tol))`` probes; experiments that only need
+allocations should not compute payments.
 
 Every probe instance produced by :meth:`UFPInstance.replace_request` shares
-the original (immutable) graph object, so the probe runs all share one
-pricing-engine substrate: the shortest-path trees under the initial dual
-weights ``y = 1/c`` — the most expensive pricing sweep of each run — are
-memoized on :attr:`CapacitatedGraph.substrate_cache
+the original (immutable) graph object, so the re-run oracle's probe runs all
+share one pricing-engine substrate: the shortest-path trees under the
+initial dual weights ``y = 1/c`` — the most expensive pricing sweep of each
+run — are memoized on :attr:`CapacitatedGraph.substrate_cache
 <repro.graphs.graph.CapacitatedGraph.substrate_cache>` by the
 :mod:`~repro.core.pricing_engine` and computed exactly once across the whole
 bisection, not once per probe.  (They depend only on the graph, never on the
@@ -25,7 +34,6 @@ declarations being probed, so reuse is sound and bit-exact.)
 from __future__ import annotations
 
 import warnings
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -114,6 +122,72 @@ def _bisect_critical_value(
     return high
 
 
+def _declarations(instance: UFPInstance | MUCAInstance) -> Sequence:
+    """The agents' declarations: an instance's requests, or an auction's bids."""
+    return instance.bids if isinstance(instance, MUCAInstance) else instance.requests
+
+
+def _winner_set(allocation: Allocation | MUCAAllocation) -> set[int]:
+    if isinstance(allocation, MUCAAllocation):
+        return set(allocation.winners)
+    return allocation.selected_indices()
+
+
+class _RerunOracle:
+    """Selection oracle that re-runs ``algorithm`` on ``instance`` with the
+    probed declaration in place (the from-scratch path)."""
+
+    def __init__(self, algorithm, instance: UFPInstance | MUCAInstance) -> None:
+        self._algorithm = algorithm
+        self._instance = instance
+
+    def declared(self, index: int):
+        return _declarations(self._instance)[index]
+
+    def probe_selected(self, index: int, declaration) -> bool:
+        if isinstance(self._instance, MUCAInstance):
+            trial = self._instance.replace_bid(index, declaration)
+            return self._algorithm(trial).is_winner(index)
+        trial = self._instance.replace_request(index, declaration)
+        return self._algorithm(trial).is_selected(index)
+
+    def agent_stats(self, index: int) -> ReplayStats:
+        """Re-runs build no tables, so they count no table work."""
+        return ReplayStats()
+
+
+def _critical_value(
+    oracle,
+    index: int,
+    declared=None,
+    *,
+    relative_tolerance: float = 1e-6,
+    absolute_tolerance: float = 1e-9,
+    max_iterations: int = _MAX_BISECTIONS,
+    known_selected: bool = True,
+) -> float:
+    """Critical value of agent ``index`` declaring ``declared`` (default:
+    its base declaration), probing values at its demand or bundle through
+    ``oracle``.  Payments, audits and online batches only price
+    declarations they have seen selected, hence ``known_selected``; the
+    public entry points pass false so that a loser raises."""
+    index = int(index)
+    declared = oracle.declared(index) if declared is None else declared
+
+    def is_selected_at(value: float) -> bool:
+        # Declarations must have positive values; none can win below that.
+        return value > 0.0 and oracle.probe_selected(index, declared.with_value(value))
+
+    return _bisect_critical_value(
+        is_selected_at,
+        declared.value,
+        relative_tolerance=relative_tolerance,
+        absolute_tolerance=absolute_tolerance,
+        max_iterations=max_iterations,
+        known_selected=known_selected,
+    )
+
+
 def critical_value_ufp(
     algorithm: UFPAlgorithm,
     instance: UFPInstance,
@@ -122,7 +196,6 @@ def critical_value_ufp(
     relative_tolerance: float = 1e-6,
     absolute_tolerance: float = 1e-9,
     max_iterations: int = 60,
-    assume_selected: bool = False,
 ) -> float:
     """Critical value of one *winning* request under ``algorithm``.
 
@@ -135,22 +208,10 @@ def critical_value_ufp(
     re-runs reuse the warm per-graph initial-weight tree cache — see the
     module docstring.
     """
-    request_index = int(request_index)
-    declared = instance.requests[request_index]
-
-    def is_selected_at(value: float) -> bool:
-        if value <= 0.0:
-            return False
-        trial = instance.replace_request(request_index, declared.with_value(value))
-        return algorithm(trial).is_selected(request_index)
-
-    return _bisect_critical_value(
-        is_selected_at,
-        declared.value,
+    return _critical_value(
+        _RerunOracle(algorithm, instance), request_index, known_selected=False,
         relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
-        max_iterations=max_iterations,
-        known_selected=assume_selected,
+        absolute_tolerance=absolute_tolerance, max_iterations=max_iterations,
     )
 
 
@@ -162,161 +223,82 @@ def critical_value_muca(
     relative_tolerance: float = 1e-6,
     absolute_tolerance: float = 1e-9,
     max_iterations: int = 60,
-    assume_selected: bool = False,
 ) -> float:
     """Critical value of one *winning* bid under ``algorithm``."""
-    bid_index = int(bid_index)
-    declared = instance.bids[bid_index]
-
-    def is_selected_at(value: float) -> bool:
-        if value <= 0.0:
-            return False
-        trial = instance.replace_bid(bid_index, declared.with_value(value))
-        return algorithm(trial).is_winner(bid_index)
-
-    return _bisect_critical_value(
-        is_selected_at,
-        declared.value,
+    return _critical_value(
+        _RerunOracle(algorithm, instance), bid_index, known_selected=False,
         relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
-        max_iterations=max_iterations,
-        known_selected=assume_selected,
+        absolute_tolerance=absolute_tolerance, max_iterations=max_iterations,
     )
 
 
-def _trace_critical_value_ufp(
-    replayer,
-    index: int,
-    *,
-    relative_tolerance: float,
-    absolute_tolerance: float,
-    max_iterations: int = _MAX_BISECTIONS,
-    declared=None,
-) -> float:
-    """Critical value of a (known-selected) declaration, every bisection
-    probe answered by the replayer's table for ``index``.
-
-    ``declared`` defaults to the base run's declaration at ``index``; audit
-    callers pass the misreported request instead (probes then vary its
-    value at its declared demand).  The probe sequence is the from-scratch
-    bisection's, so the returned float is bit-identical.
-    """
-    declared = replayer.declared(index) if declared is None else declared
-
-    def is_selected_at(value: float) -> bool:
-        if value <= 0.0:
-            return False
-        return replayer.probe_selected(index, declared.with_value(value))
-
-    return _bisect_critical_value(
-        is_selected_at,
-        declared.value,
-        relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
-        max_iterations=max_iterations,
-        known_selected=True,
-    )
-
-
-def _trace_critical_value_muca(
-    replayer,
-    index: int,
-    *,
-    relative_tolerance: float,
-    absolute_tolerance: float,
-    max_iterations: int = _MAX_BISECTIONS,
-    declared_value: float | None = None,
-) -> float:
-    """MUCA twin of :func:`_trace_critical_value_ufp` (value-only probes)."""
-    declared = (
-        replayer.declared(index).value if declared_value is None else declared_value
-    )
-    return _bisect_critical_value(
-        partial(replayer.probe_selected, index),
-        declared,
-        relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
-        max_iterations=max_iterations,
-        known_selected=True,
-    )
-
-
-def _record_base_run(algorithm, instance, expected_winners: set[int] | None):
-    """Run ``algorithm`` once with trace recording and build a replayer.
-
-    Returns ``None`` when ``algorithm`` does not accept a ``trace=`` keyword
-    (opaque wrappers fall back to from-scratch probe runs).  When the caller
-    knows the winner set of the allocation it holds, the traced base run is
-    checked against it — a free, loud version of ``verify_winners``.
-    """
-    if not supports_trace(algorithm):
-        return None
-    recorder = TraceRecorder()
-    base = algorithm(instance, trace=recorder)
-    if recorder.trace is None:
-        # A **kwargs wrapper that swallowed trace= — the base run above was
-        # wasted work and every probe will run from scratch; tell the user
-        # rather than being silently slower than use_trace=False.
-        warnings.warn(
-            "use_trace=True had no effect: the algorithm accepted but did "
-            "not forward the trace= keyword; falling back to from-scratch "
-            "probe runs",
-            stacklevel=3,
-        )
-        return None
-    if expected_winners is not None:
-        winners = (
-            set(base.winners)
-            if isinstance(base, MUCAAllocation)
-            else base.selected_indices()
-        )
-        if winners != expected_winners:
-            raise MechanismError(
-                "algorithm/allocation mismatch: the traced base run produced "
-                "a different winner set than the allocation being paid"
+def _record_base_run(
+    algorithm, instance, expected_winners: set[int] | None = None, *, use_trace: bool
+):
+    """The selection oracle for probes around ``instance``: the replayer
+    of a traced base run under ``use_trace`` when ``algorithm`` accepts
+    ``trace=``, else the :class:`_RerunOracle`.  A caller that holds an
+    allocation passes its ``expected_winners``; the base run (traced, or
+    one plain run) must reproduce them or
+    :class:`~repro.exceptions.MechanismError` is raised, which is what lets
+    every payment bisection skip its confirming probe."""
+    base = oracle = None
+    if use_trace and supports_trace(algorithm):
+        recorder = TraceRecorder()
+        base = algorithm(instance, trace=recorder)
+        if recorder.trace is None:
+            # A **kwargs wrapper that swallowed trace=: every probe will run
+            # from scratch; tell the user rather than being silently slower
+            # than use_trace=False.
+            warnings.warn(
+                "use_trace=True had no effect: the algorithm accepted but did "
+                "not forward the trace= keyword; falling back to from-scratch "
+                "probe runs",
+                stacklevel=4,
             )
-    return make_replayer(recorder.trace)
+        else:
+            oracle = make_replayer(recorder.trace)
+    if expected_winners is not None:
+        if base is None:
+            base = algorithm(instance)
+        if _winner_set(base) != expected_winners:
+            raise MechanismError(
+                "algorithm/allocation mismatch: the base run produced a "
+                "different winner set than the allocation being paid"
+            )
+    return _RerunOracle(algorithm, instance) if oracle is None else oracle
 
 
-def _ufp_payment_task(idx: int) -> float:
-    """One winner's critical value, with the shared state read from the
-    :mod:`repro.parallel` worker payload (shipped once per worker)."""
-    algorithm, instance, kwargs = parallel.worker_payload()
-    return critical_value_ufp(algorithm, instance, idx, **kwargs)
+def _payment_task(index: int) -> tuple[float, ReplayStats]:
+    """One winner's critical value and the work counters of its table
+    (empty for the re-run oracle); the oracle is read from the
+    :mod:`repro.parallel` worker payload, shipped once per worker."""
+    oracle, tolerances = parallel.worker_payload()
+    return _critical_value(oracle, index, **tolerances), oracle.agent_stats(index)
 
 
-def _muca_payment_task(idx: int) -> float:
-    algorithm, instance, kwargs = parallel.worker_payload()
-    return critical_value_muca(algorithm, instance, idx, **kwargs)
-
-
-def _ufp_payment_task_trace(idx: int) -> tuple[float, ReplayStats]:
-    """Trace-replay twin of :func:`_ufp_payment_task`: the replayer (and its
-    checkpoints) ships once per worker, each task builds its winner's table
-    and returns the critical value with that table's work counters."""
-    replayer, kwargs = parallel.worker_payload()
-    value = _trace_critical_value_ufp(replayer, idx, **kwargs)
-    return value, replayer.agent_stats(idx)
-
-
-def _muca_payment_task_trace(idx: int) -> tuple[float, ReplayStats]:
-    replayer, kwargs = parallel.worker_payload()
-    value = _trace_critical_value_muca(replayer, idx, **kwargs)
-    return value, replayer.agent_stats(idx)
-
-
-def _traced_payments(
-    task, replayer, kwargs, ordered, payments, *, jobs, replay_stats
-) -> None:
-    """Fan the traced bisections out and sum the tasks' work counters, so
-    ``replay_stats`` reads the same at any ``jobs``."""
-    results = parallel.pmap(task, ordered, jobs=jobs, payload=(replayer, kwargs))
+def _payments(
+    algorithm, instance, allocation, winners, *, jobs, use_trace, replay_stats,
+    **tolerances: float,
+) -> np.ndarray:
+    """The body of both ``compute_*_payments``."""
+    payments = np.zeros(len(_declarations(instance)), dtype=np.float64)
+    winner_set = _winner_set(allocation)
+    targets = winner_set if winners is None else {int(w) for w in winners} & winner_set
+    ordered = sorted(targets)
+    if not ordered:
+        return payments
+    oracle = _record_base_run(algorithm, instance, winner_set, use_trace=use_trace)
+    results = parallel.pmap(
+        _payment_task, ordered, jobs=jobs, payload=(oracle, tolerances)
+    )
     counters = ReplayStats()
-    for idx, (value, stats) in zip(ordered, results):
-        payments[idx] = value
+    for index, (value, stats) in zip(ordered, results):
+        payments[index] = value
         counters += stats
-    if replay_stats is not None:
+    if replay_stats is not None and not isinstance(oracle, _RerunOracle):
         replay_stats.update(counters.as_extra())
+    return payments
 
 
 def compute_ufp_payments(
@@ -327,7 +309,6 @@ def compute_ufp_payments(
     winners: Iterable[int] | None = None,
     relative_tolerance: float = 1e-6,
     absolute_tolerance: float = 1e-9,
-    verify_winners: bool = False,
     jobs: int | None = None,
     use_trace: bool = False,
     replay_stats: dict | None = None,
@@ -338,85 +319,42 @@ def compute_ufp_payments(
     ----------
     algorithm:
         The (monotone, exact) allocation rule; **must** be the same
-        deterministic callable that produced ``allocation``.  This
-        precondition is relied on, not just documented: each winner is known
-        to be selected at its declaration, so the confirming mechanism
-        re-run is skipped (``assume_selected=True``).  Passing a mismatched
-        algorithm/allocation pair yields meaningless payments rather than
-        the :class:`~repro.exceptions.MechanismError` that
-        :func:`critical_value_ufp` raises for non-winners.
+        deterministic callable that produced ``allocation``.  One base run
+        (the traced one under ``use_trace``) must reproduce its winner set
+        or :class:`~repro.exceptions.MechanismError` is raised; no bisection
+        then spends a probe confirming that its winner is selected.
     allocation:
         The allocation under the declared types.
     winners:
         Restrict payment computation to these winning request indices
         (default: all winners).
-    verify_winners:
-        Re-enable the confirming mechanism run per winner (one extra
-        ``algorithm`` call each), restoring the loud
-        :class:`~repro.exceptions.MechanismError` on an algorithm/allocation
-        mismatch at the cost of the saved run.
     jobs:
         Worker processes for the per-winner bisections (``None`` → the
         ``REPRO_JOBS`` environment default → serial).  Every winner's
         bisection is an independent deterministic function of ``(algorithm,
-        instance, winner)``, so fan-out changes wall-clock only: the payment
-        vector is byte-identical at any ``jobs``.  The instance and
-        algorithm ship once per worker (inherited copy-on-write under
-        ``fork``, together with the warm per-graph tree memo), not once per
-        winner.
+        instance, winner)``, so the payment vector is byte-identical at any
+        ``jobs``.  The selection oracle ships once per worker (inherited
+        copy-on-write under ``fork``, with the warm per-graph tree memo).
     use_trace:
-        Record the base run's acceptance trace once (one extra
-        ``algorithm`` call), then answer every bisection probe of a winner
-        from that winner's table: one run with the winner excluded,
-        resumed from the recorded checkpoint at its winning round — see
-        :mod:`repro.core.trace`.  The payment vector is bit-identical with
-        or without tracing (and at any ``jobs``); only wall-clock changes.
-        Requires ``algorithm`` to accept a ``trace=`` keyword (the
-        ``repro.core`` solvers do).  Opaque wrappers without one fall back
-        to the from-scratch path silently; a ``**kwargs`` wrapper that
-        accepts but drops ``trace=`` falls back with a warning.  The traced
-        base run's winner set is checked against ``allocation`` for free,
-        so a mismatched pair raises loudly even without ``verify_winners``.
+        Record the base run's trace and answer a winner's probes from its
+        table, one run with the winner excluded (:mod:`repro.core.trace`),
+        instead of re-running ``algorithm`` per probe.  Payments are
+        bit-identical either way.  Needs an ``algorithm`` that accepts
+        ``trace=`` (the ``repro.core`` solvers do): opaque wrappers fall
+        back to re-runs silently, a ``**kwargs`` wrapper that drops
+        ``trace=`` with a warning.
     replay_stats:
         Optional dict that receives the tables' work counters
         (``replay_probes``, ``replay_rounds_skipped``,
-        ``replay_rounds_replayed``, ``replay_rounds_recomputed``) after a
-        traced run — experiment cells surface these in
-        ``RunStats.extra``-style rows.  Every task returns its own
-        counters and they are summed here, so they read the same at any
-        ``jobs``.  Left untouched when tracing is off or unavailable.
+        ``replay_rounds_replayed``, ``replay_rounds_recomputed``) of a
+        traced run, summed over per-task counters so they read the same at
+        any ``jobs``.  Left untouched when tracing is off or unavailable.
     """
-    payments = np.zeros(instance.num_requests, dtype=np.float64)
-    winner_set = allocation.selected_indices()
-    targets = winner_set if winners is None else (set(int(w) for w in winners) & winner_set)
-    ordered = sorted(targets)
-    if use_trace and ordered:
-        replayer = _record_base_run(algorithm, instance, winner_set)
-        if replayer is not None:
-            kwargs = dict(
-                relative_tolerance=relative_tolerance,
-                absolute_tolerance=absolute_tolerance,
-            )
-            _traced_payments(
-                _ufp_payment_task_trace, replayer, kwargs, ordered, payments,
-                jobs=jobs, replay_stats=replay_stats,
-            )
-            return payments
-    # Each ``idx`` is a winner of the allocation this same (deterministic)
-    # algorithm produced, so it is selected at its declared value by
-    # construction — skip the confirming re-run unless the caller asked
-    # for the guard back.
-    kwargs = dict(
-        relative_tolerance=relative_tolerance,
+    return _payments(
+        algorithm, instance, allocation, winners, jobs=jobs, use_trace=use_trace,
+        replay_stats=replay_stats, relative_tolerance=relative_tolerance,
         absolute_tolerance=absolute_tolerance,
-        assume_selected=not verify_winners,
     )
-    values = parallel.pmap(
-        _ufp_payment_task, ordered, jobs=jobs, payload=(algorithm, instance, kwargs)
-    )
-    for idx, value in zip(ordered, values):
-        payments[idx] = value
-    return payments
 
 
 def compute_muca_payments(
@@ -427,43 +365,14 @@ def compute_muca_payments(
     winners: Iterable[int] | None = None,
     relative_tolerance: float = 1e-6,
     absolute_tolerance: float = 1e-9,
-    verify_winners: bool = False,
     jobs: int | None = None,
     use_trace: bool = False,
     replay_stats: dict | None = None,
 ) -> np.ndarray:
-    """Critical-value payments for every bid (losers pay zero).
-
-    ``algorithm`` must be the deterministic callable that produced
-    ``allocation``; see :func:`compute_ufp_payments` for the
-    ``verify_winners`` escape hatch, the ``jobs`` fan-out contract, the
-    ``use_trace`` path (one excluded run per winner answers its bisection:
-    bit-identical payments, only wall-clock changes) and ``replay_stats``.
-    """
-    payments = np.zeros(instance.num_bids, dtype=np.float64)
-    winner_set = set(allocation.winners)
-    targets = winner_set if winners is None else (set(int(w) for w in winners) & winner_set)
-    ordered = sorted(targets)
-    if use_trace and ordered:
-        replayer = _record_base_run(algorithm, instance, winner_set)
-        if replayer is not None:
-            kwargs = dict(
-                relative_tolerance=relative_tolerance,
-                absolute_tolerance=absolute_tolerance,
-            )
-            _traced_payments(
-                _muca_payment_task_trace, replayer, kwargs, ordered, payments,
-                jobs=jobs, replay_stats=replay_stats,
-            )
-            return payments
-    kwargs = dict(
-        relative_tolerance=relative_tolerance,
+    """Critical-value payments for every bid (losers pay zero); the
+    parameters are those of :func:`compute_ufp_payments`."""
+    return _payments(
+        algorithm, instance, allocation, winners, jobs=jobs, use_trace=use_trace,
+        replay_stats=replay_stats, relative_tolerance=relative_tolerance,
         absolute_tolerance=absolute_tolerance,
-        assume_selected=not verify_winners,
     )
-    values = parallel.pmap(
-        _muca_payment_task, ordered, jobs=jobs, payload=(algorithm, instance, kwargs)
-    )
-    for idx, value in zip(ordered, values):
-        payments[idx] = value
-    return payments

@@ -11,6 +11,11 @@ than a numerical tolerance.
 Running the audit against a *non*-monotone rule (e.g. randomized rounding)
 produces positive-utility lies, which is exactly the phenomenon that makes
 such rules unusable as mechanisms.
+
+Both audits share one per-agent loop over one selection oracle
+(:mod:`repro.mechanism.payments`) that answers every outcome and payment
+probe; UFP and MUCA differ only in how misreports are drawn and in the agent
+class, which reports the type as ``(demand, value)`` or ``(value,)``.
 """
 
 from __future__ import annotations
@@ -27,13 +32,7 @@ from repro.exceptions import MechanismError
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
 from repro.mechanism.agents import MUCAAgent, UFPAgent
-from repro.mechanism.payments import (
-    _record_base_run,
-    _trace_critical_value_muca,
-    _trace_critical_value_ufp,
-    critical_value_muca,
-    critical_value_ufp,
-)
+from repro.mechanism.payments import _critical_value, _declarations, _record_base_run
 from repro.utils.prng import ensure_rng
 
 __all__ = [
@@ -82,103 +81,88 @@ class TruthfulnessReport:
         )
 
 
-def _ufp_outcome(
-    algorithm: Callable[[UFPInstance], Allocation],
-    instance: UFPInstance,
-    index: int,
-) -> tuple[bool, float]:
-    """(selected, payment) of agent ``index`` when the declared instance is
-    ``instance``.  Payment is the critical value when selected, else 0."""
-    allocation = algorithm(instance)
-    if not allocation.is_selected(index):
+def _outcome(oracle, index: int, declaration) -> tuple[bool, float]:
+    """(selected, payment) of agent ``index`` declaring ``declaration``, all
+    else as in the audited instance.  Payment is the critical value when
+    selected, else 0."""
+    if not oracle.probe_selected(index, declaration):
         return False, 0.0
-    payment = critical_value_ufp(algorithm, instance, index)
-    return True, payment
+    return True, _critical_value(oracle, index, declaration)
 
 
-def _ufp_outcome_trace(replayer, index: int, declared) -> tuple[bool, float]:
-    """Trace-replay twin of :func:`_ufp_outcome`: the declared instance is
-    the audit's base instance with agent ``index``'s declaration replaced
-    by ``declared`` — a single-index perturbation, so both the selection
-    question and every payment-bisection probe are answered from agent
-    ``index``'s table.  Outcomes are bit-identical to the from-scratch
-    path."""
-    if not replayer.probe_selected(index, declared):
-        return False, 0.0
-    payment = _trace_critical_value_ufp(
-        replayer,
-        index,
-        relative_tolerance=1e-6,
-        absolute_tolerance=1e-9,
-        declared=declared,
-    )
-    return True, payment
-
-
-def _audit_ufp_agent(task: tuple[int, list[tuple[float, float]]]):
+def _audit_agent(task: tuple[int, list]):
     """Audit one agent: evaluate the truthful outcome plus every misreport.
-
-    The per-agent random ``(demand, value)`` draws arrive pre-derived in the
-    task (drawn in agent order from the audit's single RNG stream *before*
-    the fan-out), so the expensive mechanism evaluations are a pure function
-    of the task — the fan-out contract of :func:`repro.parallel.pmap` — and
-    the report is bit-identical at any ``jobs``.
-    """
-    idx, random_misreports = task
-    algorithm, instance, misreport_grid, tolerance, replayer = parallel.worker_payload()
-    true_request = instance.requests[idx]
-    agent = UFPAgent.truthful(true_request)
-    if replayer is not None:
-        truthful_selected, truthful_payment = _ufp_outcome_trace(
-            replayer, idx, true_request
-        )
-    else:
-        truthful_selected, truthful_payment = _ufp_outcome(algorithm, instance, idx)
-    truthful_utility = agent.utility(truthful_selected, truthful_payment)
+    The misreports that do not depend on the outcome arrive drawn in the
+    task, so the evaluations are a pure function of it (the fan-out
+    contract of :func:`repro.parallel.pmap`) and the report is
+    bit-identical at any ``jobs``."""
+    index, misreports = task
+    oracle, agent_cls, tolerance = parallel.worker_payload()
+    truth = oracle.declared(index)
+    truthful_selected, truthful_payment = _outcome(oracle, index, truth)
+    truthful_utility = agent_cls.truthful(truth).utility(
+        truthful_selected, truthful_payment
+    )
     if truthful_utility < -tolerance:
         raise MechanismError(
             f"truth-telling yields negative utility {truthful_utility:.4g} for agent "
-            f"{idx}; the payment rule is not individually rational"
+            f"{index}; the payment rule is not individually rational"
         )
 
-    misreports: list[tuple[float, float]] = list(random_misreports)
-    for demand_factor, value_factor in misreport_grid or ():
-        misreports.append(
-            (
-                float(np.clip(true_request.demand * demand_factor, 1e-6, 1.0)),
-                float(true_request.value * value_factor),
-            )
-        )
     # Structured misreports: inflate the value a lot (try to force a win),
     # and shade the value down towards the payment (try to pay less).
-    misreports.append((true_request.demand, true_request.value * 10.0))
+    lies = [*misreports, truth.with_value(truth.value * 10.0)]
     if truthful_selected and truthful_payment > 0:
-        misreports.append((true_request.demand, truthful_payment * 1.01))
+        lies.append(truth.with_value(truthful_payment * 1.01))
 
     deviations: list[ProfitableDeviation] = []
     max_gain = 0.0
-    for demand, value in misreports:
-        lie = true_request.with_type(demand=demand, value=value)
-        lie_agent = UFPAgent(true_request=true_request, declared_request=lie)
-        if replayer is not None:
-            lie_selected, lie_payment = _ufp_outcome_trace(replayer, idx, lie)
-        else:
-            lie_instance = instance.replace_request(idx, lie)
-            lie_selected, lie_payment = _ufp_outcome(algorithm, lie_instance, idx)
-        lie_utility = lie_agent.utility(lie_selected, lie_payment)
+    for lie in lies:
+        lie_selected, lie_payment = _outcome(oracle, index, lie)
+        lie_utility = agent_cls(truth, lie).utility(lie_selected, lie_payment)
         gain = lie_utility - truthful_utility
         max_gain = max(max_gain, gain)
         if gain > tolerance:
             deviations.append(
                 ProfitableDeviation(
-                    agent_index=idx,
-                    true_type=(true_request.demand, true_request.value),
-                    misreported_type=(demand, value),
+                    agent_index=index,
+                    true_type=agent_cls.reported_type(truth),
+                    misreported_type=agent_cls.reported_type(lie),
                     truthful_utility=truthful_utility,
                     deviating_utility=lie_utility,
                 )
             )
-    return len(misreports), deviations, max_gain
+    return len(lies), deviations, max_gain
+
+
+def _audit(
+    algorithm, instance, agent_cls, draw_misreports: Callable, *,
+    agents, tolerance, seed, jobs, use_trace,
+) -> TruthfulnessReport:
+    """The body of both audits.  ``draw_misreports(truth, rng)`` returns one
+    agent's random and grid misreports as declarations."""
+    rng = ensure_rng(seed)
+    declarations = _declarations(instance)
+    count = len(declarations)
+    indices = list(range(count)) if agents is None else [int(a) for a in agents]
+    for index in indices:
+        if not 0 <= index < count:
+            raise IndexError(f"agent index {index} is out of range for {count} agents")
+    oracle = _record_base_run(algorithm, instance, use_trace=use_trace)
+
+    # Draw every agent's misreports up front, in agent order: the RNG
+    # consumption of a sequential loop (evaluations never touch the stream).
+    tasks = [(index, draw_misreports(declarations[index], rng)) for index in indices]
+    outcomes = parallel.pmap(
+        _audit_agent, tasks, jobs=jobs, payload=(oracle, agent_cls, tolerance)
+    )
+    report = TruthfulnessReport()
+    for tried, deviations, max_gain in outcomes:
+        report.agents_audited += 1
+        report.misreports_tried += tried
+        report.profitable_deviations.extend(deviations)
+        report.max_gain = max(report.max_gain, max_gain)
+    return report
 
 
 def audit_ufp_truthfulness(
@@ -202,7 +186,8 @@ def audit_ufp_truthfulness(
     instance:
         The instance of *true* types.
     agents:
-        Which request indices to audit (default: all).
+        Which request indices to audit (default: all).  An index outside
+        ``[0, num_requests)`` raises :class:`IndexError`.
     misreports_per_agent:
         How many random ``(demand, value)`` misreports to try per agent, in
         addition to two structured ones (value inflated to win, value deflated
@@ -223,126 +208,33 @@ def audit_ufp_truthfulness(
         happen up front in agent order from the single RNG stream, so the
         report is bit-identical at any ``jobs``.
     use_trace:
-        Record the truthful base run once and answer every audit
-        evaluation — the lie allocations *and* all their payment-bisection
-        probes, each a single-declaration perturbation of the base
-        instance — from the audited agent's table: one run with the agent
-        excluded (:mod:`repro.core.trace`).  The report is bit-identical
-        with or without tracing; only wall-clock changes.  Falls back
-        silently when ``algorithm`` does not accept a ``trace=`` keyword,
-        and with a warning when a ``**kwargs`` wrapper drops it.
+        Record the truthful base run once and answer every evaluation (the
+        lie's selection *and* its payment probes, each a single-declaration
+        perturbation) from the agent's table, one run with the agent
+        excluded (:mod:`repro.core.trace`), instead of re-running
+        ``algorithm``.  The report is bit-identical either way.  Falls back
+        silently when ``algorithm`` does not accept ``trace=``, and with a
+        warning when a ``**kwargs`` wrapper drops it.
     """
-    rng = ensure_rng(seed)
-    indices = list(range(instance.num_requests)) if agents is None else [int(a) for a in agents]
-    report = TruthfulnessReport()
 
-    replayer = _record_base_run(algorithm, instance, None) if use_trace else None
-
-    # Pre-derive every agent's random misreports in agent order — the RNG
-    # consumption is exactly that of the historical sequential loop (the
-    # evaluations in between never touched the stream), and the expensive
-    # per-agent evaluations become independent tasks.
-    tasks: list[tuple[int, list[tuple[float, float]]]] = []
-    for idx in indices:
-        true_request = instance.requests[idx]
-        draws: list[tuple[float, float]] = []
+    def draw_misreports(request, rng) -> list:
+        lies = []
         for _ in range(int(misreports_per_agent)):
             demand = float(
-                np.clip(true_request.demand * rng.uniform(0.3, 1.5), 1e-6, 1.0)
+                np.clip(request.demand * rng.uniform(0.3, 1.5), 1e-6, 1.0)
             )
-            value = float(true_request.value * rng.uniform(0.3, 3.0))
-            draws.append((demand, value))
-        tasks.append((idx, draws))
+            value = float(request.value * rng.uniform(0.3, 3.0))
+            lies.append(request.with_type(demand=demand, value=value))
+        for demand_factor, value_factor in misreport_grid or ():
+            demand = float(np.clip(request.demand * demand_factor, 1e-6, 1.0))
+            value = float(request.value * value_factor)
+            lies.append(request.with_type(demand=demand, value=value))
+        return lies
 
-    outcomes = parallel.pmap(
-        _audit_ufp_agent,
-        tasks,
-        jobs=jobs,
-        payload=(algorithm, instance, misreport_grid, tolerance, replayer),
+    return _audit(
+        algorithm, instance, UFPAgent, draw_misreports, agents=agents,
+        tolerance=tolerance, seed=seed, jobs=jobs, use_trace=use_trace,
     )
-    for tried, deviations, max_gain in outcomes:
-        report.agents_audited += 1
-        report.misreports_tried += tried
-        report.profitable_deviations.extend(deviations)
-        report.max_gain = max(report.max_gain, max_gain)
-    return report
-
-
-def _muca_outcome(
-    algorithm: Callable[[MUCAInstance], MUCAAllocation],
-    instance: MUCAInstance,
-    index: int,
-) -> tuple[bool, float]:
-    allocation = algorithm(instance)
-    if not allocation.is_winner(index):
-        return False, 0.0
-    payment = critical_value_muca(algorithm, instance, index)
-    return True, payment
-
-
-def _muca_outcome_trace(replayer, index: int, declared_value: float) -> tuple[bool, float]:
-    """Trace-replay twin of :func:`_muca_outcome` (value-only probes)."""
-    if not replayer.probe_selected(index, declared_value):
-        return False, 0.0
-    payment = _trace_critical_value_muca(
-        replayer,
-        index,
-        relative_tolerance=1e-6,
-        absolute_tolerance=1e-9,
-        declared_value=declared_value,
-    )
-    return True, payment
-
-
-def _audit_muca_agent(task: tuple[int, list[float]]):
-    """Audit one bid; the MUCA analogue of :func:`_audit_ufp_agent`."""
-    idx, random_values = task
-    algorithm, instance, value_grid, tolerance, replayer = parallel.worker_payload()
-    true_bid = instance.bids[idx]
-    agent = MUCAAgent.truthful(true_bid)
-    if replayer is not None:
-        truthful_selected, truthful_payment = _muca_outcome_trace(
-            replayer, idx, true_bid.value
-        )
-    else:
-        truthful_selected, truthful_payment = _muca_outcome(algorithm, instance, idx)
-    truthful_utility = agent.utility(truthful_selected, truthful_payment)
-    if truthful_utility < -tolerance:
-        raise MechanismError(
-            f"truth-telling yields negative utility for bid {idx}; the payment "
-            "rule is not individually rational"
-        )
-
-    values = list(random_values)
-    values.extend(float(true_bid.value * factor) for factor in value_grid or ())
-    values.append(true_bid.value * 10.0)
-    if truthful_selected and truthful_payment > 0:
-        values.append(truthful_payment * 1.01)
-
-    deviations: list[ProfitableDeviation] = []
-    max_gain = 0.0
-    for value in values:
-        lie = true_bid.with_value(value)
-        lie_agent = MUCAAgent(true_bid=true_bid, declared_bid=lie)
-        if replayer is not None:
-            lie_selected, lie_payment = _muca_outcome_trace(replayer, idx, value)
-        else:
-            lie_instance = instance.replace_bid(idx, lie)
-            lie_selected, lie_payment = _muca_outcome(algorithm, lie_instance, idx)
-        lie_utility = lie_agent.utility(lie_selected, lie_payment)
-        gain = lie_utility - truthful_utility
-        max_gain = max(max_gain, gain)
-        if gain > tolerance:
-            deviations.append(
-                ProfitableDeviation(
-                    agent_index=idx,
-                    true_type=(true_bid.value,),
-                    misreported_type=(value,),
-                    truthful_utility=truthful_utility,
-                    deviating_utility=lie_utility,
-                )
-            )
-    return len(values), deviations, max_gain
 
 
 def audit_muca_truthfulness(
@@ -361,34 +253,20 @@ def audit_muca_truthfulness(
 
     ``value_grid`` optionally adds deterministic value *multipliers* tried
     for every audited bid on top of the random draws (the MUCA analogue of
-    :func:`audit_ufp_truthfulness`'s ``misreport_grid``); ``jobs`` fans the
-    per-bid audits out with the same bit-identical contract, and
-    ``use_trace`` answers every evaluation from the bid's table, one run
-    with the bid excluded (bit-identical report, less work)."""
-    rng = ensure_rng(seed)
-    indices = list(range(instance.num_bids)) if agents is None else [int(a) for a in agents]
-    report = TruthfulnessReport()
+    :func:`audit_ufp_truthfulness`'s ``misreport_grid``); ``agents``,
+    ``jobs`` and ``use_trace`` behave as there (an index outside
+    ``[0, num_bids)`` raises, the report is bit-identical at any ``jobs``
+    and with or without tracing)."""
 
-    replayer = _record_base_run(algorithm, instance, None) if use_trace else None
-
-    tasks: list[tuple[int, list[float]]] = []
-    for idx in indices:
-        true_bid = instance.bids[idx]
-        draws = [
-            float(true_bid.value * rng.uniform(0.3, 3.0))
+    def draw_misreports(bid, rng) -> list:
+        values = [
+            float(bid.value * rng.uniform(0.3, 3.0))
             for _ in range(int(misreports_per_agent))
         ]
-        tasks.append((idx, draws))
+        values.extend(float(bid.value * factor) for factor in value_grid or ())
+        return [bid.with_value(value) for value in values]
 
-    outcomes = parallel.pmap(
-        _audit_muca_agent,
-        tasks,
-        jobs=jobs,
-        payload=(algorithm, instance, value_grid, tolerance, replayer),
+    return _audit(
+        algorithm, instance, MUCAAgent, draw_misreports, agents=agents,
+        tolerance=tolerance, seed=seed, jobs=jobs, use_trace=use_trace,
     )
-    for tried, deviations, max_gain in outcomes:
-        report.agents_audited += 1
-        report.misreports_tried += tried
-        report.profitable_deviations.extend(deviations)
-        report.max_gain = max(report.max_gain, max_gain)
-    return report

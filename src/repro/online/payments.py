@@ -7,15 +7,18 @@ admitted request pays the smallest declared value at which **its batch,
 replayed from the dual state at the batch's start, would still have
 admitted it**.  The batch admission rule inherits value-monotonicity from
 ``Bounded-UFP`` (raising a request's value only lowers its normalized
-score), so the threshold exists and the same bisection machinery applies —
-:func:`repro.mechanism.payments._bisect_critical_value` is reused verbatim,
-with "one mechanism run" meaning "one batch replay".
+score), so the threshold exists and the offline bisection,
+:func:`repro.mechanism.payments._critical_value`, applies to a selection
+oracle whose probe is one batch replay: the recorded drain's probe tables
+(:class:`~repro.core.trace.TraceReplayer`) or :class:`_DrainOracle`, one
+drain per probe.
 
-Each replay builds a throwaway engine on a copy of the snapshot duals.  All
-probes of all winners of a batch start from the *same* snapshot weight
-vector, so the per-graph shortest-path-tree memo (keyed by exact weight
-bytes) converts every probe's initial pricing sweep into warm cache hits —
-the same trick that makes offline payment bisection cheap.
+Each :class:`_DrainOracle` drain builds a throwaway engine on a scratch
+copy of the snapshot duals.  All probes of all winners of a batch start from
+the *same* snapshot weight vector, so the per-graph shortest-path-tree memo
+(keyed by exact weight bytes) converts every probe's initial pricing sweep
+into warm cache hits — the same trick that makes offline payment bisection
+cheap.
 """
 
 from __future__ import annotations
@@ -27,9 +30,34 @@ from repro.core.pricing_engine import PathPricingEngine
 from repro.core.trace import TraceRecorder, TraceReplayer
 from repro.flows.request import Request
 from repro.graphs.graph import CapacitatedGraph
-from repro.mechanism.payments import _bisect_critical_value, _trace_critical_value_ufp
+from repro.mechanism.payments import _critical_value
 
 __all__ = ["batch_critical_values"]
+
+
+class _DrainOracle:
+    """Selection oracle that drains the batch from the snapshot with the
+    probed request in place (the from-scratch path)."""
+
+    def __init__(self, graph, snapshot, scratch, requests, **policy) -> None:
+        self._graph = graph
+        self._snapshot = snapshot
+        self._scratch = scratch
+        self._requests = requests
+        self._policy = policy  # the live run's admission and score_threshold
+
+    def declared(self, index: int) -> Request:
+        return self._requests[index]
+
+    def probe_selected(self, index: int, request: Request) -> bool:
+        from repro.online.auction import drain_engine
+
+        requests = list(self._requests)
+        requests[index] = request
+        self._scratch.restore_from(self._snapshot)
+        engine = PathPricingEngine(self._graph, requests, self._scratch)
+        selections = drain_engine(engine, **self._policy)
+        return any(selection.index == index for selection in selections)
 
 
 def batch_critical_values(
@@ -67,7 +95,9 @@ def batch_critical_values(
         :meth:`repro.online.auction.OnlineAuction.submit`), so including
         them would only change the local index space the replay relies on.
     admitted:
-        Global indices the live run admitted in this batch.
+        Global indices the live run admitted in this batch.  The live run
+        admitted each at its declaration and the replay reproduces the live
+        decisions exactly, so no bisection spends a confirming probe.
     admission / score_threshold:
         The live run's admission policy, forwarded to the replay.
     use_trace:
@@ -82,74 +112,28 @@ def batch_critical_values(
     dict
         ``global_index -> critical value`` for every admitted request.
     """
-    from repro.online.auction import drain_engine
-
-    global_indices = [index for index, _ in pool]
     requests = [request for _, request in pool]
-    local_of = {index: position for position, index in enumerate(global_indices)}
-
-    # One scratch dual state reused across every probe of every winner:
-    # each probe restores it to the snapshot in place (np.copyto into the
-    # existing buffer) instead of allocating a fresh weight copy.
+    local_of = {index: position for position, (index, _) in enumerate(pool)}
+    # One scratch dual state reused by every drain of every winner: each
+    # restores it to the snapshot in place (np.copyto into the existing
+    # buffer) instead of allocating a fresh weight copy.
     scratch = snapshot.copy()
-
+    policy = dict(admission=admission, score_threshold=score_threshold)
+    oracle = None
     if use_trace:
-        replayer = _record_batch(
-            graph,
-            snapshot,
-            scratch,
-            requests,
-            [local_of[index] for index in admitted],
-            admission=admission,
-            score_threshold=score_threshold,
+        oracle = _record_batch(
+            graph, snapshot, scratch, requests,
+            [local_of[index] for index in admitted], **policy,
         )
-        if replayer is not None:
-            payments: dict[int, float] = {}
-            for index in admitted:
-                local_index = local_of[index]
-                payments[index] = _trace_critical_value_ufp(
-                    replayer,
-                    local_index,
-                    relative_tolerance=relative_tolerance,
-                    absolute_tolerance=absolute_tolerance,
-                    max_iterations=max_iterations,
-                )
-            return payments
-
-    def admits(local_index: int, value: float) -> bool:
-        probe_requests = list(requests)
-        probe_requests[local_index] = probe_requests[local_index].with_value(value)
-        scratch.restore_from(snapshot)
-        engine = PathPricingEngine(graph, probe_requests, scratch)
-        selections = drain_engine(
-            engine,
-            admission=admission,  # type: ignore[arg-type]
-            score_threshold=score_threshold,
+    if oracle is None:
+        oracle = _DrainOracle(graph, snapshot, scratch, requests, **policy)
+    return {
+        index: _critical_value(
+            oracle, local_of[index], relative_tolerance=relative_tolerance,
+            absolute_tolerance=absolute_tolerance, max_iterations=max_iterations,
         )
-        return any(selection.index == local_index for selection in selections)
-
-    payments: dict[int, float] = {}
-    for index in admitted:
-        local_index = local_of[index]
-        declared = requests[local_index].value
-
-        def is_selected_at(value: float, _local: int = local_index) -> bool:
-            if value <= 0.0:
-                return False
-            return admits(_local, value)
-
-        payments[index] = _bisect_critical_value(
-            is_selected_at,
-            declared,
-            relative_tolerance=relative_tolerance,
-            absolute_tolerance=absolute_tolerance,
-            max_iterations=max_iterations,
-            # The live run admitted this request at its declaration, and the
-            # replay reproduces the live decisions exactly, so skip the
-            # confirming probe (the same fast path as compute_ufp_payments).
-            known_selected=True,
-        )
-    return payments
+        for index in admitted
+    }
 
 
 def _record_batch(

@@ -302,26 +302,38 @@ class TestSubstrateCaches:
         assert np.array_equal(a.weights, b.weights)
         assert a.budget == b.budget
 
-    def test_verify_winners_restores_mismatch_guard(self):
+    def test_mismatched_algorithm_raises_on_both_paths(self):
+        """Paying an allocation with a rule that did not produce it raises,
+        from scratch (an opaque callable) and traced alike: one base run of
+        the rule is checked against the allocation's winner set."""
+        from functools import partial
+
         from repro.exceptions import MechanismError
+        from repro.mechanism import compute_muca_payments
 
         instance = random_instance(
-            num_vertices=7, edge_probability=0.4, capacity=4.0,
-            num_requests=10, demand_range=(0.5, 1.0), seed=11,
+            num_vertices=8, edge_probability=0.35, capacity=4.0,
+            num_requests=20, demand_range=(0.5, 1.0), seed=19,
         )
-        allocation = bounded_ufp(instance, 0.3)
-        assert allocation.num_selected < instance.num_requests  # contended
-        # A mismatched algorithm (different epsilon -> different winners)
-        # must trip the guard when verification is requested.
-        mismatched = lambda trial: bounded_ufp(trial, 1.0)  # noqa: E731
-        if any(
-            not mismatched(instance).is_selected(i)
-            for i in allocation.selected_indices()
-        ):
-            with pytest.raises(MechanismError):
-                compute_ufp_payments(
-                    mismatched, instance, allocation, verify_winners=True
-                )
+        allocation = bounded_ufp(instance, 1.0)
+        assert allocation.selected_indices() == {9}
+        assert not bounded_ufp(instance, 0.5).selected_indices()
+        auction = random_auction(
+            num_items=6, num_bids=12, multiplicity=6.0,
+            bundle_size_range=(1, 3), seed=0,
+        )
+        auction_allocation = bounded_muca(auction, 1.0)
+        assert set(auction_allocation.winners) != set(bounded_muca(auction, 0.5).winners)
+        cases = [
+            (compute_ufp_payments, bounded_ufp, instance, allocation),
+            (compute_muca_payments, bounded_muca, auction, auction_allocation),
+        ]
+        for pay, solver, declared, paid in cases:
+            opaque = lambda trial, solver=solver: solver(trial, 0.5)  # noqa: E731
+            with pytest.raises(MechanismError, match="mismatch"):
+                pay(opaque, declared, paid)
+            with pytest.raises(MechanismError, match="mismatch"):
+                pay(partial(solver, epsilon=0.5), declared, paid, use_trace=True)
 
     def test_initial_trees_survive_memo_eviction(self):
         from repro.core.pricing_engine import (

@@ -152,10 +152,10 @@ def test_muca_probe_replay_matches_scratch(seed, max_iterations):
     for idx in _probe_indices(auction.num_bids, seed):
         bid = auction.bids[idx]
         for factor in MUCA_VALUE_FACTORS:
-            value = bid.value * factor
-            expected = run(auction.replace_bid(idx, bid.with_value(value)))
-            assert replayer.probe_selected(idx, value) == expected.is_winner(idx), (
-                idx, value,
+            probe = bid.with_value(bid.value * factor)
+            expected = run(auction.replace_bid(idx, probe))
+            assert replayer.probe_selected(idx, probe) == expected.is_winner(idx), (
+                idx, probe.value,
             )
 
 
