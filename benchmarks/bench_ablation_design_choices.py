@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the stopping rule and the accuracy parameter.
 
 Two knobs of the primal-dual machinery are ablated on a fixed contended
 workload:

@@ -1,9 +1,10 @@
 """Micro-benchmarks of the hot primitives underneath the experiments.
 
 These are not tied to a paper artifact; they document the cost of the
-building blocks (Dijkstra pricing, one Bounded-UFP run, the fractional LP,
-critical-value payment computation) so regressions in the substrates are
-visible independently of the experiment sweeps.
+building blocks (Dijkstra pricing, one Bounded-UFP run, one BKV-style
+baseline run, the edge-flow, path and auction LPs, critical-value payment
+computation) so regressions in the substrates are visible independently of
+the experiment sweeps.
 
 The ``test_bench_tree_path`` rows time one shortest-path tree on the
 Python loop and on the C path, on a 64-vertex grid and on the 360-vertex
@@ -28,9 +29,10 @@ import pytest
 from repro.core import bounded_muca, bounded_ufp
 from repro.flows import random_instance
 from repro.auctions import random_auction
+from repro.baselines import briest_style_ufp
 from repro.graphs import grid_graph, random_digraph, single_source_dijkstra
 from repro.graphs.generators import multi_region_topology
-from repro.lp import solve_fractional_ufp
+from repro.lp import solve_fractional_muca, solve_fractional_ufp, solve_path_lp
 from repro.mechanism import compute_ufp_payments
 
 
@@ -81,6 +83,24 @@ def test_bench_fractional_lp(benchmark, medium_instance):
         lambda: solve_fractional_ufp(medium_instance), rounds=1, iterations=1
     )
     assert result.ok
+
+
+def test_bench_path_lp(benchmark, medium_instance):
+    """The path LP of the 80-request instance by column generation."""
+    result = benchmark(lambda: solve_path_lp(medium_instance))
+    assert result.ok
+
+
+def test_bench_fractional_muca(benchmark, medium_auction):
+    """The fractional relaxation of the 200-bid auction."""
+    result = benchmark(lambda: solve_fractional_muca(medium_auction))
+    assert result.ok
+
+
+def test_bench_briest_style_ufp_medium(benchmark, medium_instance):
+    """A full BKV-style baseline run on the 80-request instance."""
+    allocation = benchmark(lambda: briest_style_ufp(medium_instance, 0.3))
+    assert allocation.is_feasible()
 
 
 def _tree_graph(size):

@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark suite.
 
-Each ``bench_e*.py`` module regenerates one experiment of DESIGN.md's
-per-experiment index (the paper's theorems / figures) under
+Each ``bench_e*.py`` module regenerates one experiment of the registry in
+:mod:`repro.experiments.registry` (the paper's theorems / figures) under
 ``pytest-benchmark`` timing, asserts that the experiment's claims hold, and
 prints the experiment table so a benchmark run doubles as a reproduction
 run.  Run with::

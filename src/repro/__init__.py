@@ -11,8 +11,8 @@ This package implements the complete system: the graph and LP substrates,
 the three algorithms, the mechanism layer (critical-value payments,
 truthfulness audits), the baselines they improve upon, the adversarial
 lower-bound instances, and the experiment harness that reproduces every
-quantitative claim.  See ``DESIGN.md`` for the system inventory and
-``EXPERIMENTS.md`` for paper-vs-measured results.
+quantitative claim.  The README's "Layout" section is the package
+inventory; :mod:`repro.experiments` lists the experiments.
 
 Quickstart
 ----------

@@ -93,12 +93,6 @@ class MUCAAllocation:
         """Allocated copies of every item."""
         return item_loads(self.instance, self.winners)
 
-    def item_utilization(self) -> np.ndarray:
-        """Per-item allocated copies divided by multiplicity."""
-        loads = self.item_loads()
-        mult = self.instance.multiplicities
-        return np.divide(loads, mult, out=np.zeros_like(loads), where=mult > 0)
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #

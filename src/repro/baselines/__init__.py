@@ -5,7 +5,8 @@
   the large-capacity regime.
 * :mod:`repro.baselines.briest` — a reconstruction of the Briest, Krysta and
   Vöcking (STOC'05) style primal-dual baseline whose guarantee approaches
-  ``e``; see the module docstring for exactly what is reconstructed and why.
+  ``e``: the ``Bounded-UFP`` / ``Bounded-MUCA`` run with a smaller dual
+  budget; see the module docstring for exactly what is reconstructed and why.
 * :mod:`repro.baselines.randomized_rounding` — the Raghavan–Thompson
   randomized rounding of the fractional LP: near-optimal for large B but
   *not monotone*, which is the paper's motivation for a different technique.

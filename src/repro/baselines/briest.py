@@ -21,23 +21,32 @@ Lemma 3.8 analysis with threshold ``e^{beta eps (B-1)}`` gives
 The reconstruction therefore preserves exactly the property the comparison
 experiments need: a truthful primal-dual mechanism whose guarantee (and
 empirical behaviour on the adversarial workloads) is a constant factor worse
-because it commits to stopping earlier.  The substitution is recorded in
-DESIGN.md.
+because it commits to stopping earlier.
+
+Both functions run the production bodies of ``bounded_ufp`` and
+``bounded_muca`` — the lazy pricing engines and
+:func:`~repro.core.pricing_engine.greedy_rounds` — with a
+:class:`_ConservativeDuals` state in place of the plain one.  With the same
+updates and only the limit scaled, a run is the longest prefix of the
+``Bounded-UFP(eps)`` (``Bounded-MUCA(eps)``) run whose budget before each
+round stays within ``e^{beta eps (B - 1)}``; ``tests/test_baselines.py``
+checks that prefix against the :mod:`repro.core.reference` oracles.  The
+run statistics are the production ones (``shortest_path_calls`` counts the
+trees the engine built) plus ``extra["stop_fraction"]``.
 """
 
 from __future__ import annotations
 
 import math
-import time
+from functools import partial
 
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
+from repro.core.bounded_muca import _greedy_bundle_run
+from repro.core.bounded_ufp import _greedy_path_run
 from repro.core.dual_state import DualWeights
-from repro.exceptions import InvalidInstanceError
-from repro.flows.allocation import Allocation, RoutedRequest
+from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
-from repro.graphs.shortest_path import single_source_dijkstra
-from repro.types import RunStats
 
 __all__ = ["BKV_STOP_FRACTION", "briest_style_ufp", "briest_style_muca"]
 
@@ -51,8 +60,8 @@ class _ConservativeDuals(DualWeights):
 
     __slots__ = ("_beta",)
 
-    def __init__(self, capacities, epsilon, *, beta: float, capacity_bound=None) -> None:
-        super().__init__(capacities, epsilon, capacity_bound=capacity_bound)
+    def __init__(self, capacities, epsilon, *, beta: float) -> None:
+        super().__init__(capacities, epsilon)
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         self._beta = float(beta)
@@ -61,6 +70,13 @@ class _ConservativeDuals(DualWeights):
     def budget_limit(self) -> float:  # noqa: D401 - same semantics, scaled
         """The conservative threshold ``e^{beta * eps * (B - 1)}``."""
         return math.exp(self._beta * self.epsilon * (self.capacity_bound - 1.0))
+
+
+def _with_beta(allocation, name: str, epsilon: float, beta: float):
+    """Label a run of the production body as the baseline's."""
+    allocation.algorithm = f"{name}(eps={float(epsilon):g}, beta={beta:.3f})"
+    allocation.stats = allocation.stats.merged(stop_fraction=beta)
+    return allocation
 
 
 def briest_style_ufp(
@@ -83,79 +99,19 @@ def briest_style_ufp(
         recovers ``Bounded-UFP`` exactly, which makes this function the
         natural vehicle for the stopping-rule ablation of experiment E8.
     """
-    if not 0.0 < float(epsilon) <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if instance.num_edges == 0:
-        raise InvalidInstanceError("the instance graph has no edges")
-    if instance.num_requests and instance.max_demand > 1.0 + 1e-12:
-        raise InvalidInstanceError("demands must be normalized to (0, 1]")
-
-    graph = instance.graph
-    start = time.perf_counter()
-    duals = _ConservativeDuals(graph.capacities, float(epsilon), beta=float(stop_fraction))
-
-    pool: set[int] = set(range(instance.num_requests))
-    routed: list[RoutedRequest] = []
-    iterations = 0
-    sp_calls = 0
-    stopped_by_budget = False
-
-    while pool:
-        if not duals.within_budget:
-            stopped_by_budget = True
-            break
-        weights = duals.weights
-        by_source: dict[int, list[int]] = {}
-        for idx in pool:
-            by_source.setdefault(instance.requests[idx].source, []).append(idx)
-
-        best_idx = -1
-        best_score = math.inf
-        best_path = None
-        unreachable: list[int] = []
-        for source in sorted(by_source):
-            idxs = by_source[source]
-            targets = {instance.requests[i].target for i in idxs}
-            tree = single_source_dijkstra(graph, source, weights, targets=targets)
-            sp_calls += 1
-            for i in sorted(idxs):
-                req = instance.requests[i]
-                if not tree.reachable(req.target):
-                    unreachable.append(i)
-                    continue
-                score = req.demand / req.value * tree.distance(req.target)
-                if (score, i) < (best_score, best_idx):
-                    best_score = score
-                    best_idx = i
-                    best_path = tree.path_to(req.target)
-        for i in unreachable:
-            pool.discard(i)
-        if best_idx < 0:
-            break
-        req = instance.requests[best_idx]
-        vertices, edge_ids = best_path  # type: ignore[misc]
-        duals.apply_selection(edge_ids, req.demand)
-        routed.append(
-            RoutedRequest(
-                request_index=best_idx, request=req, vertices=vertices, edge_ids=edge_ids
-            )
-        )
-        pool.discard(best_idx)
-        iterations += 1
-
-    stats = RunStats(
-        iterations=iterations,
-        shortest_path_calls=sp_calls,
-        stopped_by_budget=stopped_by_budget,
-        wall_time_s=time.perf_counter() - start,
-        extra={"stop_fraction": float(stop_fraction), "epsilon": float(epsilon)},
+    beta = float(stop_fraction)
+    allocation = _greedy_path_run(
+        instance,
+        epsilon,
+        label="BKV-style-UFP",
+        remove_selected=True,
+        default_cap=lambda: instance.num_requests,
+        capacity_check="ignore",
+        max_iterations=None,
+        trace=None,
+        make_duals=partial(_ConservativeDuals, beta=beta),
     )
-    return Allocation(
-        instance=instance,
-        routed=routed,
-        stats=stats,
-        algorithm=f"BKV-style-UFP(eps={float(epsilon):g}, beta={float(stop_fraction):.3f})",
-    )
+    return _with_beta(allocation, "BKV-style-UFP", epsilon, beta)
 
 
 def briest_style_muca(
@@ -165,45 +121,13 @@ def briest_style_muca(
     stop_fraction: float = BKV_STOP_FRACTION,
 ) -> MUCAAllocation:
     """The auction analogue of :func:`briest_style_ufp`."""
-    if not 0.0 < float(epsilon) <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    start = time.perf_counter()
-    duals = _ConservativeDuals(
-        instance.multiplicities, float(epsilon), beta=float(stop_fraction)
+    beta = float(stop_fraction)
+    allocation = _greedy_bundle_run(
+        instance,
+        epsilon,
+        capacity_check="ignore",
+        max_iterations=None,
+        trace=None,
+        make_duals=partial(_ConservativeDuals, beta=beta),
     )
-    pool: set[int] = set(range(instance.num_bids))
-    winners: list[int] = []
-    iterations = 0
-    stopped_by_budget = False
-
-    while pool:
-        if not duals.within_budget:
-            stopped_by_budget = True
-            break
-        best_idx = -1
-        best_score = math.inf
-        for i in sorted(pool):
-            bid = instance.bids[i]
-            score = duals.path_length(bid.bundle) / bid.value
-            if (score, i) < (best_score, best_idx):
-                best_score = score
-                best_idx = i
-        if best_idx < 0:  # pragma: no cover
-            break
-        duals.apply_selection(instance.bids[best_idx].bundle, 1.0)
-        winners.append(best_idx)
-        pool.discard(best_idx)
-        iterations += 1
-
-    stats = RunStats(
-        iterations=iterations,
-        stopped_by_budget=stopped_by_budget,
-        wall_time_s=time.perf_counter() - start,
-        extra={"stop_fraction": float(stop_fraction), "epsilon": float(epsilon)},
-    )
-    return MUCAAllocation(
-        instance=instance,
-        winners=winners,
-        stats=stats,
-        algorithm=f"BKV-style-MUCA(eps={float(epsilon):g}, beta={float(stop_fraction):.3f})",
-    )
+    return _with_beta(allocation, "BKV-style-MUCA", epsilon, beta)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from typing import Callable
 
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
@@ -84,12 +85,33 @@ def bounded_muca(
     Ties in the normalized bundle weight are broken by bid index, which does
     not depend on the declared values and therefore preserves monotonicity.
     """
+    return _greedy_bundle_run(
+        instance,
+        epsilon,
+        capacity_check=capacity_check,
+        max_iterations=max_iterations,
+        trace=trace,
+    )
+
+
+def _greedy_bundle_run(
+    instance: MUCAInstance,
+    epsilon: float,
+    *,
+    capacity_check: CapacityCheck,
+    max_iterations: int | None,
+    trace,
+    make_duals: Callable[..., DualWeights] = DualWeights,
+) -> MUCAAllocation:
+    """The body of ``Bounded-MUCA`` and of the BKV-style auction baseline,
+    which passes its own dual state (``make_duals`` is called with the
+    multiplicities and ``epsilon``)."""
     if not 0.0 < float(epsilon) <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     _check_capacity_assumption(instance, float(epsilon), capacity_check)
 
     start = time.perf_counter()
-    duals = DualWeights(instance.multiplicities, float(epsilon))
+    duals = make_duals(instance.multiplicities, float(epsilon))
 
     # Lazy-greedy bundle pricing: scores are vectorized once over a CSR
     # bid-item incidence layout, then kept as heap lower bounds (item weights

@@ -175,10 +175,13 @@ def _greedy_path_run(
     capacity_check: CapacityCheck,
     max_iterations: int | None,
     trace,
+    make_duals: Callable[..., DualWeights] = DualWeights,
 ) -> Allocation:
-    """The body of ``Bounded-UFP`` and ``Bounded-UFP-Repeat``: they differ
-    only in whether a winner leaves the pool, the default iteration cap and
-    the label."""
+    """The body of ``Bounded-UFP``, ``Bounded-UFP-Repeat`` and the BKV-style
+    baseline: they differ only in whether a winner leaves the pool, the
+    default iteration cap, the label and the dual state (``make_duals`` is
+    called with the capacities and ``epsilon``; the baseline's scales the
+    budget limit)."""
     if not 0.0 < float(epsilon) <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     if instance.num_edges == 0:
@@ -192,7 +195,7 @@ def _greedy_path_run(
 
     graph = instance.graph
     start = time.perf_counter()
-    duals = DualWeights(graph.capacities, float(epsilon))
+    duals = make_duals(graph.capacities, float(epsilon))
     iteration_cap = max_iterations if max_iterations is not None else default_cap()
 
     # The engine owns the pool of unhandled requests L: each request sits in

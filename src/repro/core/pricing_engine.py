@@ -69,8 +69,9 @@ The round loop
 :func:`greedy_rounds` runs the rounds on either engine: it applies the
 stopping rules (iteration cap, dual budget, nothing routable, an optional
 admission threshold) in one fixed order and commits each winner.  The three
-solvers of the paper, every online drain and every trace replay run through
-it, so a replay makes the live run's decisions by construction.
+solvers of the paper, the BKV-style baseline, every online drain and every
+trace replay run through it, so a replay makes the live run's decisions by
+construction.
 """
 
 from __future__ import annotations
@@ -413,34 +414,6 @@ class PathPricingEngine:
         self._memo_put(key, tree)
         return tree
 
-    def _get_trees_batch(self, sources: Sequence[int]) -> dict[int, CompactTree]:
-        """Fetch/compute the trees of several sources, registering each.
-
-        All cache and memo lookups happen before the first computation, so
-        a tree computed here never serves a lookup of the same batch.
-        """
-        result: dict[int, CompactTree] = {}
-        missing: list[tuple[int, tuple]] = []
-        for source in sources:
-            tree = self._trees.get(source)
-            if tree is not None:
-                self.stats.tree_reuses += 1
-                result[source] = tree
-                continue
-            key, tree = self._memo_get(source)
-            if tree is not None:
-                self.stats.warm_start_hits += 1
-                self._register_tree(source, tree)
-                result[source] = tree
-            else:
-                missing.append((source, key))
-        for source, key in missing:
-            tree = self._new_tree(source)
-            self._memo_put(key, tree)
-            self._register_tree(source, tree)
-            result[source] = tree
-        return result
-
     def _get_tree(self, source: int) -> CompactTree:
         tree = self._trees.get(source)
         if tree is None:
@@ -466,17 +439,16 @@ class PathPricingEngine:
         self._price_into_heap(range(len(self._requests)))
 
     def _price_into_heap(self, indices: Sequence[int]) -> None:
-        """Price the live requests ``indices`` exactly (one batched tree
-        fetch for their sources), drop the unroutable ones and heapify the
-        rest into the heap."""
+        """Price the live requests ``indices`` exactly (one tree fetch per
+        source), drop the unroutable ones and heapify the rest into the
+        heap."""
         by_source: dict[int, list[int]] = {}
         for idx in indices:
             by_source.setdefault(self._requests[idx].source, []).append(idx)
-        trees = self._get_trees_batch(list(by_source))
         heap = self._heap
         for source, idxs in by_source.items():
             epoch = self._source_epoch.get(source, 0)
-            dist = trees[source].dist
+            dist = self._get_tree(source).dist
             for idx in idxs:
                 req = self._requests[idx]
                 d = dist[req.target]
@@ -1052,11 +1024,13 @@ def greedy_rounds(
     """Run primal-dual rounds on ``engine`` and yield each committed winner.
 
     The one round loop of ``Bounded-UFP``, ``Bounded-UFP-Repeat`` and
-    ``Bounded-MUCA``, and of the online drains and trace replays built on
-    them.  Each round, in this order:
+    ``Bounded-MUCA``, of the BKV-style baseline, and of the online drains
+    and trace replays built on them.  Each round, in this order:
 
     1. stop if the pool is empty, ``cap`` rounds have been committed, or
-       the dual budget ``sum_e c_e y_e`` exceeds ``e^{eps (B - 1)}``;
+       the dual budget ``sum_e c_e y_e`` exceeds the duals'
+       ``budget_limit`` (``e^{eps (B - 1)}``; the baseline scales the
+       exponent by ``beta``);
     2. select the least ``(score, index)`` winner; stop if nothing is
        routable;
     3. if its score exceeds ``threshold``, requeue it and stop (scores only

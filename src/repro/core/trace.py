@@ -190,6 +190,13 @@ class RunTrace:
         return len(self.checkpoints)
 
 
+#: Rounds between checkpoints at the start of a recorded run.
+CHECKPOINT_INTERVAL = 8
+
+#: Checkpoints kept before the recorder thins them and doubles the interval.
+MAX_CHECKPOINTS = 17
+
+
 class TraceRecorder:
     """Collects the acceptance trace and periodic checkpoints of one run.
 
@@ -202,26 +209,15 @@ class TraceRecorder:
     run, :attr:`trace` holds the completed :class:`RunTrace` and
     :func:`make_replayer` builds the matching replayer.
 
-    ``checkpoint_interval=None`` (default) starts at every 8 rounds and
-    doubles whenever more than ``max_checkpoints`` snapshots accumulate
-    (thinning to every other one), bounding memory at roughly
-    ``max_checkpoints * (O(m) duals + O(pool) engine state)`` for runs of
+    Checkpoints start at every :data:`CHECKPOINT_INTERVAL` rounds; the
+    interval doubles whenever more than :data:`MAX_CHECKPOINTS` snapshots
+    accumulate (thinning to every other one), bounding memory at roughly
+    ``MAX_CHECKPOINTS * (O(m) duals + O(pool) engine state)`` for runs of
     any length.
     """
 
-    def __init__(
-        self,
-        checkpoint_interval: int | None = None,
-        *,
-        max_checkpoints: int = 17,
-    ) -> None:
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if max_checkpoints < 2:
-            raise ValueError("max_checkpoints must be >= 2")
-        self._interval = checkpoint_interval or 8
-        self._adaptive = checkpoint_interval is None
-        self._max_checkpoints = max_checkpoints
+    def __init__(self) -> None:
+        self._interval = CHECKPOINT_INTERVAL
         self.trace: RunTrace | None = None
         self._active: RunTrace | None = None
 
@@ -339,7 +335,7 @@ class TraceRecorder:
         t.checkpoints.append(
             TraceCheckpoint(len(t.rounds), duals.copy(), engine.fork())
         )
-        if self._adaptive and len(t.checkpoints) > self._max_checkpoints:
+        if len(t.checkpoints) > MAX_CHECKPOINTS:
             # Thin to every other checkpoint (round 0 stays) and double the
             # interval: memory stays bounded for arbitrarily long runs.
             t.checkpoints = t.checkpoints[::2]

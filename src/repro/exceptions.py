@@ -17,7 +17,6 @@ __all__ = [
     "NoPathError",
     "LPSolveError",
     "MechanismError",
-    "MonotonicityViolationError",
     "ExperimentError",
 ]
 
@@ -53,10 +52,6 @@ class LPSolveError(ReproError):
 
 class MechanismError(ReproError):
     """A mechanism-layer failure (e.g. payment computation on a loser)."""
-
-
-class MonotonicityViolationError(MechanismError):
-    """An empirical monotonicity audit found a violating deviation."""
 
 
 class ExperimentError(ReproError):

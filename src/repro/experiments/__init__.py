@@ -2,15 +2,15 @@
 
 The paper is a theory paper, so its "tables and figures" are theorems, LP
 formulations and worked adversarial instances.  Each becomes an experiment
-(E1–E10, see DESIGN.md section 3) that measures the corresponding quantity on
-concrete instances and prints the rows recorded in EXPERIMENTS.md.  E10 is
-post-paper: it streams the same workloads through the online auction
+(E1–E10, indexed in :mod:`repro.experiments.registry`) that measures the
+corresponding quantity on concrete instances, prints its rows and checks
+the claim.  E10 is post-paper: it streams the same workloads through the online auction
 subsystem (:mod:`repro.online`) and reports empirical competitive ratios.
 
 Run from the command line::
 
     python -m repro.experiments list
-    python -m repro.experiments run E1 --quick
+    python -m repro.experiments run E1
     python -m repro.experiments run all
 
 or from code::

@@ -5,8 +5,8 @@ primal-dual it improves on (guarantee ``e`` vs ``e/(e-1)``), the greedy
 heuristics, randomized LP rounding (near-optimal but non-monotone), the
 exact optimum (on small cells) and the fractional upper bound — across the
 uniform, hotspot, ISP and adversarial workloads.  The same sweep doubles as
-the stopping-rule ablation called out in DESIGN.md: the BKV-style baseline
-*is* ``Bounded-UFP`` with a more conservative stopping threshold.
+a stopping-rule ablation: the BKV-style baseline *is* ``Bounded-UFP`` with a
+more conservative stopping threshold (see :mod:`repro.baselines.briest`).
 """
 
 from __future__ import annotations

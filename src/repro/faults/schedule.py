@@ -310,11 +310,6 @@ class FaultSchedule:
         self.history.extend(events)
         return events
 
-    def drain_pending(self) -> list[FaultEvent]:
-        """Repairs/reverts still scheduled after the stream ended (they are
-        *not* applied; surfaced for reporting only)."""
-        return [event for _, _, event in sorted(self._pending)]
-
 
 def _scripted_only(events: Sequence[FaultEvent]) -> "FaultSchedule":
     """Internal helper for tests: a schedule replaying exactly ``events``."""

@@ -58,10 +58,6 @@ class RoutedRequest:
     def demand(self) -> float:
         return self.request.demand
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.edge_ids)
-
 
 def edge_loads(
     graph: CapacitatedGraph,

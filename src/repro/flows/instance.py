@@ -143,10 +143,6 @@ class UFPInstance:
         requests = [r.with_demand(r.demand / max_d) for r in self.requests]
         return UFPInstance(graph, requests, name=self.name, metadata=dict(self.metadata))
 
-    def with_requests(self, requests: Iterable[Request | Sequence[float]]) -> "UFPInstance":
-        """Return a copy of the instance with a different request list."""
-        return UFPInstance(self.graph, requests, name=self.name, metadata=dict(self.metadata))
-
     def replace_request(self, index: int, new_request: Request) -> "UFPInstance":
         """Return a copy with the request at ``index`` replaced.
 

@@ -158,10 +158,6 @@ class StreamingAllocation(Allocation):
         total = self.instance.num_requests
         return (self.num_selected / total) if total else 1.0
 
-    def admission_times(self) -> list[float]:
-        """Arrival timestamps of the admitted requests, in admission order."""
-        return [event.arrival_time for event in self.events]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StreamingAllocation(algorithm={self.algorithm!r}, "

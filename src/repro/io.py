@@ -2,7 +2,7 @@
 
 Experiments and downstream users need to persist workloads and results:
 benchmark instances are generated once and reused, allocations are archived
-next to the EXPERIMENTS.md numbers they produced, and bug reports attach the
+next to the experiment numbers they produced, and bug reports attach the
 exact instance that triggered them.  This module provides a stable,
 human-readable JSON schema for the three core object kinds:
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.auctions.instance import MUCAInstance
-from repro.lp.model import LinearProgram
+from repro.lp.model import AssembledLP
 from repro.lp.solver import solve_lp
 from repro.types import SolverStatus
 
-__all__ = ["FractionalMUCAResult", "solve_fractional_muca"]
+__all__ = ["FractionalMUCAResult", "bid_packing_program", "solve_fractional_muca"]
 
 
 @dataclass(frozen=True)
@@ -46,61 +47,45 @@ class FractionalMUCAResult:
         return self.status.ok
 
 
+def bid_packing_program(instance: MUCAInstance) -> AssembledLP:
+    """Assemble the auction relaxation of ``instance`` in solver form.
+
+    One variable ``x_r in [0, 1]`` per bid, in bid order, with objective
+    ``v_r``; one ``<=`` row per item ``u``, in item order, with a 1 for
+    every bid containing ``u`` and right-hand side ``c_u``.  An item no bid
+    wants keeps its empty row, so the row duals are indexed by item.
+    """
+    bids = instance.bids
+    sizes = np.fromiter((len(bid.bundle) for bid in bids), dtype=np.int64, count=len(bids))
+    items = np.fromiter(
+        (u for bid in bids for u in bid.bundle), dtype=np.int64, count=int(sizes.sum())
+    )
+    # A stable sort by item keeps each row's bids in bid order.
+    owners = np.repeat(np.arange(len(bids)), sizes)[np.argsort(items, kind="stable")]
+    indptr = np.zeros(instance.num_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(items, minlength=instance.num_items), out=indptr[1:])
+    bounds = np.zeros((len(bids), 2))
+    bounds[:, 1] = 1.0
+    return AssembledLP(
+        c=instance.values_array(),
+        bounds=bounds,
+        A_ub=sparse.csr_matrix(
+            (np.ones(len(items)), owners, indptr), shape=(instance.num_items, len(bids))
+        ),
+        b_ub=instance.multiplicities,
+    )
+
+
 def solve_fractional_muca(
     instance: MUCAInstance,
     *,
     raise_on_failure: bool = True,
 ) -> FractionalMUCAResult:
     """Solve the fractional relaxation of a multi-unit auction instance."""
-    num_bids = instance.num_bids
-    num_items = instance.num_items
-
-    if num_bids == 0:
-        return FractionalMUCAResult(
-            objective=0.0,
-            fractions=np.zeros(0),
-            item_duals=np.zeros(num_items),
-            status=SolverStatus.OPTIMAL,
-        )
-
-    lp = LinearProgram()
-    x_vars = [
-        lp.add_variable(objective=bid.value, lower=0.0, upper=1.0, name=f"x_{r}")
-        for r, bid in enumerate(instance.bids)
-    ]
-
-    # One packing constraint per item: sum of accepted bids containing it.
-    bids_of_item: list[list[int]] = [[] for _ in range(num_items)]
-    for r, bid in enumerate(instance.bids):
-        for u in bid.bundle:
-            bids_of_item[u].append(r)
-
-    item_rows: list[int] = []
-    for u in range(num_items):
-        terms = {x_vars[r]: 1.0 for r in bids_of_item[u]}
-        if terms:
-            row = lp.add_le_constraint(terms, float(instance.multiplicities[u]))
-        else:
-            # An item no bid wants: add a trivial constraint so dual indexing
-            # stays aligned with item ids.
-            row = lp.add_le_constraint({}, float(instance.multiplicities[u]))
-        item_rows.append(row)
-
-    solution = solve_lp(lp, raise_on_failure=raise_on_failure)
-
-    if not solution.ok:
-        return FractionalMUCAResult(
-            objective=float("nan"),
-            fractions=np.full(num_bids, np.nan),
-            item_duals=np.full(num_items, np.nan),
-            status=solution.status,
-        )
-
-    fractions = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
-    item_duals = solution.ineq_duals[np.asarray(item_rows, dtype=np.int64)]
+    solution = solve_lp(bid_packing_program(instance), raise_on_failure=raise_on_failure)
     return FractionalMUCAResult(
         objective=float(solution.objective),
-        fractions=fractions,
-        item_duals=item_duals,
+        fractions=solution.x,
+        item_duals=solution.ineq_duals,
         status=solution.status,
     )

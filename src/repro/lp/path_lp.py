@@ -17,18 +17,20 @@ randomized-rounding baseline samples from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import LPSolveError
 from repro.flows.instance import UFPInstance
 from repro.graphs.shortest_path import single_source_dijkstra
-from repro.lp.model import LinearProgram
+from repro.lp.model import AssembledLP
 from repro.lp.solver import solve_lp
 from repro.types import SolverStatus
 
-__all__ = ["PathColumn", "PathLPResult", "solve_path_lp"]
+__all__ = ["PathColumn", "PathLPResult", "path_master_program", "solve_path_lp"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,44 @@ def _initial_columns(instance: UFPInstance) -> list[PathColumn]:
     return columns
 
 
+def path_master_program(instance: UFPInstance, columns: Sequence[PathColumn]) -> AssembledLP:
+    """Assemble the restricted master problem over ``columns`` in solver form.
+
+    One variable ``x_s >= 0`` per column, in column order, with the value of
+    its request as objective.  The ``<=`` rows are the capacity of every
+    edge id (``d_r`` for each column through the edge, right-hand side
+    ``c_e``), then one row per request (a 1 for each of its columns,
+    right-hand side 1).  Rows no column touches stay, empty, so the duals
+    are indexed by edge id and then by request.
+    """
+    graph = instance.graph
+    num_rows = graph.num_edges + instance.num_requests
+    owner = np.array([col.request_index for col in columns], dtype=np.int64)
+    hops = np.array([len(col.edge_ids) for col in columns], dtype=np.int64)
+    # Entries (row, column, coefficient): capacity rows, then request rows.
+    rows = np.concatenate(
+        (
+            np.fromiter((e for col in columns for e in col.edge_ids), dtype=np.int64),
+            graph.num_edges + owner,
+        )
+    )
+    cols = np.concatenate((np.repeat(np.arange(len(columns)), hops), np.arange(len(columns))))
+    data = np.concatenate((np.repeat(instance.demands_array()[owner], hops), np.ones(len(columns))))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    bounds = np.zeros((len(columns), 2))
+    bounds[:, 1] = np.inf
+    return AssembledLP(
+        c=instance.values_array()[owner],
+        bounds=bounds,
+        A_ub=sparse.csr_matrix(
+            (data[order], cols[order], indptr), shape=(num_rows, len(columns))
+        ),
+        b_ub=np.concatenate((graph.capacities, np.ones(instance.num_requests))),
+    )
+
+
 def solve_path_lp(
     instance: UFPInstance,
     *,
@@ -158,52 +198,17 @@ def solve_path_lp(
         )
 
     last_solution = None
-    capacity_rows: list[int] = []
-    request_rows: list[int] = []
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        # Build and solve the restricted master problem.
-        lp = LinearProgram()
-        col_vars = [
-            lp.add_variable(
-                objective=instance.requests[col.request_index].value,
-                lower=0.0,
-                upper=np.inf,
-                name=f"x_s{ci}",
-            )
-            for ci, col in enumerate(columns)
-        ]
-        capacity_rows = []
-        for eid in range(m):
-            terms = {}
-            for ci, col in enumerate(columns):
-                if eid in col.edge_ids:
-                    terms[col_vars[ci]] = instance.requests[col.request_index].demand
-            capacity_rows.append(lp.add_le_constraint(terms, graph.edge_capacity(eid)))
-        request_rows = []
-        for r in range(num_requests):
-            terms = {
-                col_vars[ci]: 1.0
-                for ci, col in enumerate(columns)
-                if col.request_index == r
-            }
-            request_rows.append(lp.add_le_constraint(terms, 1.0))
-
-        last_solution = solve_lp(lp, raise_on_failure=raise_on_failure)
+        last_solution = solve_lp(
+            path_master_program(instance, columns), raise_on_failure=raise_on_failure
+        )
         if not last_solution.ok:
-            return PathLPResult(
-                objective=float("nan"),
-                columns=tuple(columns),
-                weights=np.full(len(columns), np.nan),
-                capacity_duals=np.full(m, np.nan),
-                request_duals=np.full(num_requests, np.nan),
-                iterations=iterations,
-                status=last_solution.status,
-            )
+            break  # its x and duals are nan, sized like the master
 
-        y = last_solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
-        z = last_solution.ineq_duals[np.asarray(request_rows, dtype=np.int64)]
+        y = last_solution.ineq_duals[:m]
+        z = last_solution.ineq_duals[m:]
         # Guard against tiny negative duals from the solver.
         y = np.maximum(y, 0.0)
 
@@ -236,15 +241,12 @@ def solve_path_lp(
             f"column generation did not converge within {max_iterations} iterations"
         )
 
-    weights = np.asarray(last_solution.x[: len(columns)], dtype=np.float64)
-    capacity_duals = last_solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
-    request_duals = last_solution.ineq_duals[np.asarray(request_rows, dtype=np.int64)]
     return PathLPResult(
         objective=float(last_solution.objective),
         columns=tuple(columns),
-        weights=weights,
-        capacity_duals=capacity_duals,
-        request_duals=request_duals,
+        weights=last_solution.x,
+        capacity_duals=last_solution.ineq_duals[:m],
+        request_duals=last_solution.ineq_duals[m:],
         iterations=iterations,
         status=last_solution.status,
     )

@@ -19,7 +19,7 @@ mechanism.  This package implements that construction generically:
   misreport may beat truth-telling under the computed payments.
 """
 
-from repro.mechanism.agents import AgentReport, UFPAgent, MUCAAgent
+from repro.mechanism.agents import UFPAgent, MUCAAgent
 from repro.mechanism.payments import (
     critical_value_ufp,
     critical_value_muca,
@@ -44,7 +44,6 @@ from repro.mechanism.verification import (
 )
 
 __all__ = [
-    "AgentReport",
     "UFPAgent",
     "MUCAAgent",
     "critical_value_ufp",

@@ -23,29 +23,7 @@ from dataclasses import dataclass
 from repro.auctions.instance import Bid
 from repro.flows.request import Request
 
-__all__ = ["AgentReport", "UFPAgent", "MUCAAgent"]
-
-
-@dataclass(frozen=True)
-class AgentReport:
-    """Outcome of one agent under a mechanism run.
-
-    Attributes
-    ----------
-    agent_index:
-        Index of the agent (request or bid) in the instance.
-    selected:
-        Whether the declaration was selected / won.
-    payment:
-        The payment charged (zero for losers).
-    utility:
-        Quasi-linear utility with respect to the agent's *true* type.
-    """
-
-    agent_index: int
-    selected: bool
-    payment: float
-    utility: float
+__all__ = ["UFPAgent", "MUCAAgent"]
 
 
 @dataclass(frozen=True)

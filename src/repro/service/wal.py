@@ -164,7 +164,3 @@ class WriteAheadLog:
         """All acknowledged events of one job, in order (debugging aid)."""
         return [entry for entry in self.replay() if entry["job"] == job_id]
 
-
-def event_line(entry: Mapping[str, Any]) -> str:
-    """Canonical serialization of one event (exposed for tests)."""
-    return dumps_canonical(dict(entry))

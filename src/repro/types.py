@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "Direction",
@@ -121,7 +121,3 @@ class RunStats:
             extra=merged,
         )
 
-
-def as_tuple(seq: Sequence[int]) -> tuple[int, ...]:
-    """Normalize a vertex/edge sequence to an immutable tuple of ints."""
-    return tuple(int(x) for x in seq)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from repro.baselines import (
     randomized_rounding_ufp,
 )
 from repro.baselines.briest import BKV_STOP_FRACTION
-from repro.core import bounded_ufp
+from repro.core import DualWeights, bounded_ufp
+from repro.core.reference import reference_bounded_muca, reference_bounded_ufp
 from repro.exceptions import InvalidInstanceError
 from repro.flows import Request, UFPInstance, random_instance, staircase_instance
 from repro.graphs import CapacitatedGraph
@@ -152,6 +155,69 @@ class TestBriestStyle:
         allocation = briest_style_muca(auction, 0.3)
         allocation.validate()
         assert allocation.value <= solve_fractional_muca(auction).objective + 1e-6
+
+
+def _budget_prefix(rounds, capacities, epsilon, beta):
+    """The longest prefix of ``rounds`` (``(key, ids, demand)`` triples of a
+    ``beta = 1`` run) whose budget before each round, replayed on a fresh
+    :class:`DualWeights`, is at most ``e^{beta eps (B - 1)}``."""
+    duals = DualWeights(capacities, epsilon)
+    limit = math.exp(beta * epsilon * (duals.capacity_bound - 1.0))
+    prefix = []
+    for key, ids, demand in rounds:
+        if duals.budget > limit:
+            break
+        duals.apply_selection(ids, demand)
+        prefix.append(key)
+    return prefix
+
+
+_BETAS = (0.3, BKV_STOP_FRACTION, 0.8, 1.0)
+_EPSILONS = (0.25, 0.5, 1.0)
+
+
+@pytest.mark.property
+class TestBriestStyleIsABudgetPrefix:
+    """BKV-style runs Algorithm 1 (2) with the same weight updates and only
+    the stopping limit scaled, so its run is a prefix of the eager
+    reference oracle's ``Bounded-UFP(eps)`` (``Bounded-MUCA(eps)``) run: the
+    longest one whose budget before each round is within
+    ``e^{beta eps (B - 1)}``.  The oracles share no code with the engines
+    the baseline runs on."""
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_ufp_routes_the_reference_prefix(self, seed):
+        instance = random_instance(
+            num_vertices=5 + seed % 3, edge_probability=0.5,
+            capacity=(12.0, 20.0, 30.0)[seed % 3], num_requests=80 + 20 * (seed % 3),
+            demand_range=(0.5, 1.0), directed=seed % 2 == 0, seed=seed,
+        )
+        for epsilon in _EPSILONS:
+            reference = reference_bounded_ufp(instance, epsilon)
+            rounds = [
+                ((r.request_index, r.edge_ids), r.edge_ids, r.request.demand)
+                for r in reference.routed
+            ]
+            for beta in _BETAS:
+                bkv = briest_style_ufp(instance, epsilon, stop_fraction=beta)
+                assert [(r.request_index, r.edge_ids) for r in bkv.routed] == _budget_prefix(
+                    rounds, instance.graph.capacities, epsilon, beta
+                ), (epsilon, beta)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_muca_wins_the_reference_prefix(self, seed):
+        auction = random_auction(
+            num_items=8 + seed % 5, num_bids=40 + 5 * (seed % 4),
+            multiplicity=(6.0, 15.0, 30.0)[seed % 3], bundle_size_range=(1, 4), seed=seed,
+        )
+        for epsilon in _EPSILONS:
+            reference = reference_bounded_muca(auction, epsilon)
+            rounds = [(w, auction.bids[w].bundle, 1.0) for w in reference.winners]
+            for beta in _BETAS:
+                bkv = briest_style_muca(auction, epsilon, stop_fraction=beta)
+                assert bkv.winners == _budget_prefix(
+                    rounds, auction.multiplicities, epsilon, beta
+                ), (epsilon, beta)
 
 
 class TestRandomizedRounding:

@@ -75,9 +75,11 @@ class TestRegistry:
 
 
 class TestFastExperimentsEndToEnd:
-    """E2, E3 and E6 are deterministic and fast; their claims must hold."""
+    """E2, E3, E5, E6 and E8 are deterministic and fast; their claims must
+    hold.  E5 and E8 run the auction LP, the path LP (through randomized
+    rounding) and the BKV-style baseline end to end."""
 
-    @pytest.mark.parametrize("experiment_id", ["E2", "E3", "E6"])
+    @pytest.mark.parametrize("experiment_id", ["E2", "E3", "E5", "E6", "E8"])
     def test_claims_hold(self, experiment_id):
         result = run_experiment(experiment_id, quick=True)
         assert result.rows, f"{experiment_id} produced no rows"

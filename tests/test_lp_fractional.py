@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from repro.auctions import Bid, MUCAInstance, random_auction
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.lp import (
-    LinearProgram,
+    AssembledLP,
     check_weak_duality,
     solve_fractional_muca,
     solve_fractional_ufp,
@@ -17,15 +19,93 @@ from repro.lp import (
     ufp_dual_objective,
 )
 from repro.lp.duality import minimum_normalized_path_length, ufp_dual_is_feasible
+from repro.lp.fractional_muca import bid_packing_program
 from repro.lp.fractional_ufp import edge_flow_program
+from repro.lp.path_lp import path_master_program
 from repro.scenarios import enumerate_cells, get_suite
 from repro.scenarios.regimes import build_cell_instance
 
 
+class _PerTermLP:
+    """A program built one variable and one constraint at a time, from COO
+    triplets: the reference every array assembly must match bit for bit.
+    Assembly sums duplicate entries and sorts each row's columns, as
+    ``coo_matrix.tocsr`` does; an empty block is ``None``."""
+
+    def __init__(self) -> None:
+        self.objective: list[float] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.rows = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
+
+    def add_variable(self, *, objective=0.0, lower=0.0, upper=np.inf, name=""):
+        self.objective.append(float(objective))
+        self.lower.append(float(lower))
+        self.upper.append(float(upper))
+        return len(self.objective) - 1
+
+    def _add(self, kind, terms, rhs):
+        rows, cols, vals, rhss = self.rows[kind]
+        for var, coeff in terms.items():
+            if coeff != 0.0:
+                rows.append(len(rhss))
+                cols.append(int(var))
+                vals.append(float(coeff))
+        rhss.append(float(rhs))
+        return len(rhss) - 1
+
+    def add_le_constraint(self, terms, rhs):
+        return self._add("ub", terms, rhs)
+
+    def add_eq_constraint(self, terms, rhs):
+        return self._add("eq", terms, rhs)
+
+    def assemble(self) -> AssembledLP:
+        blocks = {}
+        for kind, (rows, cols, vals, rhss) in self.rows.items():
+            if not rhss:
+                blocks[kind] = (None, None)
+                continue
+            matrix = sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(len(rhss), len(self.objective))
+            ).tocsr()
+            blocks[kind] = (matrix, np.asarray(rhss, dtype=np.float64))
+        return AssembledLP(
+            c=np.asarray(self.objective, dtype=np.float64),
+            bounds=np.column_stack((self.lower, self.upper)).astype(np.float64, copy=False),
+            A_ub=blocks["ub"][0],
+            b_ub=blocks["ub"][1],
+            A_eq=blocks["eq"][0],
+            b_eq=blocks["eq"][1],
+        )
+
+
+def _assert_same_program(got: AssembledLP, want: AssembledLP) -> None:
+    """Byte equality of every array the solver reads."""
+    for key in ("c", "bounds", "b_ub", "b_eq"):
+        got_array, want_array = getattr(got, key), getattr(want, key)
+        if want_array is None:
+            assert got_array is None, key
+            continue
+        assert got_array.shape == want_array.shape, key
+        assert got_array.dtype == want_array.dtype, key
+        assert got_array.tobytes() == want_array.tobytes(), key
+    for key in ("A_ub", "A_eq"):
+        got_matrix, want_matrix = getattr(got, key), getattr(want, key)
+        if want_matrix is None:
+            assert got_matrix is None, key
+            continue
+        assert got_matrix.shape == want_matrix.shape, key
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got_matrix, part), getattr(want_matrix, part)
+            assert got_part.dtype == want_part.dtype, f"{key}.{part}"
+            assert got_part.tobytes() == want_part.tobytes(), f"{key}.{part}"
+
+
 def _per_term_fractional_ufp(instance, repetitions=False):
     """The edge-flow relaxation built one term at a time through
-    :class:`LinearProgram` and read back with Python loops: the reference
-    the array assembly in :func:`edge_flow_program` must match bit for bit.
+    :class:`_PerTermLP` and read back with Python loops: the reference the
+    array assembly in :func:`edge_flow_program` must match bit for bit.
 
     Returns the program and a function mapping its solution to
     ``(routed_fraction, edge_flows, capacity_duals)``.
@@ -50,7 +130,7 @@ def _per_term_fractional_ufp(instance, repetitions=False):
             arc_edge.append(eid)
     num_arcs = len(arc_edge)
 
-    lp = LinearProgram()
+    lp = _PerTermLP()
 
     # Variables: X_r (routed fraction) then g_{r,a} (per-arc fractions).
     x_upper = np.inf if repetitions else 1.0
@@ -235,17 +315,8 @@ class TestEdgeFlowAssembly:
     @staticmethod
     def _assert_bit_identical(instance, repetitions):
         reference, read = _per_term_fractional_ufp(instance, repetitions)
-        want = reference.matrices()
-        got = edge_flow_program(instance, repetitions=repetitions).matrices()
-        for key in ("c", "bounds", "b_ub", "b_eq"):
-            assert got[key].shape == want[key].shape, key
-            assert got[key].tobytes() == want[key].tobytes(), key
-        for key in ("A_ub", "A_eq"):
-            assert got[key].shape == want[key].shape, key
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(
-                    getattr(got[key], part), getattr(want[key], part), err_msg=f"{key}.{part}"
-                )
+        reference = reference.assemble()
+        _assert_same_program(edge_flow_program(instance, repetitions=repetitions), reference)
 
         solution = solve_lp(reference)
         routed, edge_flows, capacity_duals = read(solution)
@@ -273,6 +344,124 @@ class TestEdgeFlowAssembly:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_multigraphs(self, seed, directed, repetitions):
         self._assert_bit_identical(_multigraph_instance(seed, directed), repetitions)
+
+
+def _per_term_bid_packing(instance):
+    """The auction relaxation built one term at a time: one variable per
+    bid, then one row per item listing the bids that want it (an empty row
+    for an item nobody wants)."""
+    lp = _PerTermLP()
+    x_vars = [
+        lp.add_variable(objective=bid.value, lower=0.0, upper=1.0)
+        for bid in instance.bids
+    ]
+    bids_of_item: list[list[int]] = [[] for _ in range(instance.num_items)]
+    for r, bid in enumerate(instance.bids):
+        for u in bid.bundle:
+            bids_of_item[u].append(r)
+    for u in range(instance.num_items):
+        lp.add_le_constraint(
+            {x_vars[r]: 1.0 for r in bids_of_item[u]}, float(instance.multiplicities[u])
+        )
+    return lp.assemble()
+
+
+def _per_term_path_master(instance, columns):
+    """The restricted path-LP master built one term at a time: a capacity
+    row for every edge id, then a row per request."""
+    graph = instance.graph
+    lp = _PerTermLP()
+    col_vars = [
+        lp.add_variable(
+            objective=instance.requests[col.request_index].value, lower=0.0, upper=np.inf
+        )
+        for col in columns
+    ]
+    for eid in range(graph.num_edges):
+        terms = {}
+        for ci, col in enumerate(columns):
+            if eid in col.edge_ids:
+                terms[col_vars[ci]] = instance.requests[col.request_index].demand
+        lp.add_le_constraint(terms, graph.edge_capacity(eid))
+    for r in range(instance.num_requests):
+        terms = {col_vars[ci]: 1.0 for ci, col in enumerate(columns) if col.request_index == r}
+        lp.add_le_constraint(terms, 1.0)
+    return lp.assemble()
+
+
+def _auction_with_unwanted_item(seed: int) -> MUCAInstance:
+    """A random auction plus one item (the last) that no bid contains."""
+    auction = random_auction(num_items=9, num_bids=30, multiplicity=3.0, seed=seed)
+    return MUCAInstance(np.append(auction.multiplicities, 2.0), auction.bids)
+
+
+class TestBidPackingAssembly:
+    """The array-assembled auction relaxation is the per-term one, byte for
+    byte, and so is everything HiGHS returns for it."""
+
+    @staticmethod
+    def _assert_bit_identical(instance):
+        reference = _per_term_bid_packing(instance)
+        _assert_same_program(bid_packing_program(instance), reference)
+        solution = solve_lp(reference)
+        result = solve_fractional_muca(instance)
+        assert result.objective.hex() == float(solution.objective).hex()
+        assert result.fractions.tobytes() == solution.x.tobytes()
+        assert result.item_duals.tobytes() == solution.ineq_duals.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_auctions(self, seed):
+        self._assert_bit_identical(
+            random_auction(
+                num_items=12, num_bids=30, multiplicity=4.0, bundle_size_range=(1, 5), seed=seed
+            )
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_item_without_bids_keeps_its_row(self, seed):
+        instance = _auction_with_unwanted_item(seed)
+        assert bid_packing_program(instance).A_ub.shape == (10, 30)
+        self._assert_bit_identical(instance)
+
+    def test_single_item_contention(self):
+        self._assert_bit_identical(
+            MUCAInstance(np.array([1.0]), [Bid((0,), 5.0), Bid((0,), 3.0), Bid((0,), 1.0)])
+        )
+
+
+class TestPathMasterAssembly:
+    """The array-assembled path-LP master is the per-term one, byte for
+    byte, over the columns column generation ends with."""
+
+    @staticmethod
+    def _assert_bit_identical(instance):
+        result = solve_path_lp(instance)
+        columns = list(result.columns)
+        reference = _per_term_path_master(instance, columns)
+        _assert_same_program(path_master_program(instance, columns), reference)
+        solution = solve_lp(reference)
+        m = instance.num_edges
+        assert result.objective.hex() == float(solution.objective).hex()
+        assert result.weights.tobytes() == solution.x.tobytes()
+        assert result.capacity_duals.tobytes() == solution.ineq_duals[:m].tobytes()
+        assert result.request_duals.tobytes() == solution.ineq_duals[m:].tobytes()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, seed, directed):
+        self._assert_bit_identical(
+            random_instance(
+                num_vertices=8, edge_probability=0.35, capacity=3.0, num_requests=25,
+                demand_range=(0.5, 1.0), directed=directed, seed=seed,
+            )
+        )
+
+    def test_disabled_edge_keeps_its_row(self):
+        self._assert_bit_identical(_disabled_shortcut_instance())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_multigraphs(self, seed):
+        self._assert_bit_identical(_multigraph_instance(seed, directed=seed % 2 == 0))
 
 
 class TestPathLP:

@@ -1,4 +1,4 @@
-"""Tests for the LP builder and the HiGHS solve wrapper."""
+"""Tests for the HiGHS solve wrapper on assembled programs."""
 
 from __future__ import annotations
 
@@ -6,121 +6,134 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.exceptions import LPSolveError
-from repro.lp import LinearProgram, solve_lp
+from repro.lp import AssembledLP, solve_lp
 from repro.types import SolverStatus
 
 
-class TestLinearProgramBuilder:
-    def test_variable_bookkeeping(self):
-        lp = LinearProgram()
-        x = lp.add_variable(objective=1.0, upper=2.0, name="x")
-        y = lp.add_variable(objective=0.5)
-        assert (x, y) == (0, 1)
-        assert lp.num_variables == 2
-        ids = lp.add_variables(3, objective=[1, 2, 3])
-        assert ids == [2, 3, 4]
+def _program(objective, upper=np.inf, *, le=(), eq=()):
+    """An :class:`AssembledLP` over variables ``0 <= x_j <= upper`` with the
+    rows ``le`` / ``eq``, each a ``({variable: coefficient}, rhs)`` pair."""
+    n = len(objective)
+    bounds = np.zeros((n, 2))
+    bounds[:, 1] = upper
 
-    def test_add_variables_scalar_objective(self):
-        lp = LinearProgram()
-        ids = lp.add_variables(4, objective=2.0)
-        assert lp.num_variables == 4
-        mats = lp.matrices()
-        np.testing.assert_allclose(mats["c"], [2, 2, 2, 2])
-        assert ids == [0, 1, 2, 3]
+    def block(rows):
+        if not rows:
+            return None, None
+        matrix = sparse.lil_matrix((len(rows), n))
+        for r, (terms, _) in enumerate(rows):
+            for j, coefficient in terms.items():
+                matrix[r, j] = coefficient
+        return matrix.tocsr(), np.array([rhs for _, rhs in rows], dtype=np.float64)
 
-    def test_rejects_empty_bounds(self):
-        lp = LinearProgram()
-        with pytest.raises(LPSolveError):
-            lp.add_variable(lower=2.0, upper=1.0)
-
-    def test_rejects_unknown_variable_in_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable()
-        with pytest.raises(LPSolveError):
-            lp.add_le_constraint({5: 1.0}, 1.0)
-
-    def test_matrices_shapes(self):
-        lp = LinearProgram()
-        x = lp.add_variable(objective=1.0)
-        y = lp.add_variable(objective=1.0)
-        lp.add_le_constraint({x: 1.0, y: 2.0}, 4.0)
-        lp.add_eq_constraint({x: 1.0}, 1.0)
-        mats = lp.matrices()
-        assert mats["A_ub"].shape == (1, 2)
-        assert mats["A_eq"].shape == (1, 2)
-        np.testing.assert_allclose(mats["b_ub"], [4.0])
-        np.testing.assert_allclose(mats["b_eq"], [1.0])
-
-    def test_objective_mismatch_rejected(self):
-        lp = LinearProgram()
-        with pytest.raises(LPSolveError):
-            lp.add_variables(2, objective=[1.0])
+    A_ub, b_ub = block(list(le))
+    A_eq, b_eq = block(list(eq))
+    return AssembledLP(
+        c=np.asarray(objective, dtype=np.float64),
+        bounds=bounds,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+    )
 
 
 class TestSolver:
     def test_simple_maximization(self):
-        lp = LinearProgram()
-        x = lp.add_variable(objective=1.0, upper=2.0)
-        y = lp.add_variable(objective=1.0, upper=2.0)
-        lp.add_le_constraint({x: 1.0, y: 1.0}, 3.0)
-        sol = solve_lp(lp)
+        sol = solve_lp(_program([1.0, 1.0], 2.0, le=[({0: 1.0, 1: 1.0}, 3.0)]))
         assert sol.ok
         assert sol.objective == pytest.approx(3.0)
-        assert sol.x[x] + sol.x[y] == pytest.approx(3.0)
+        assert sol.x[0] + sol.x[1] == pytest.approx(3.0)
 
     def test_empty_program(self):
-        sol = solve_lp(LinearProgram())
+        sol = solve_lp(_program([]))
         assert sol.ok and sol.objective == 0.0
 
     def test_equality_constraints(self):
-        lp = LinearProgram()
-        x = lp.add_variable(objective=2.0, upper=10.0)
-        y = lp.add_variable(objective=1.0, upper=10.0)
-        lp.add_eq_constraint({x: 1.0, y: 1.0}, 5.0)
-        sol = solve_lp(lp)
+        sol = solve_lp(_program([2.0, 1.0], 10.0, eq=[({0: 1.0, 1: 1.0}, 5.0)]))
         assert sol.objective == pytest.approx(10.0)  # x = 5, y = 0
-        assert sol.x[x] == pytest.approx(5.0)
+        assert sol.x[0] == pytest.approx(5.0)
 
     def test_infeasible_raises_by_default(self):
-        lp = LinearProgram()
-        x = lp.add_variable(objective=1.0)
-        lp.add_le_constraint({x: 1.0}, -5.0)  # x >= 0 and x <= -5
+        program = _program([1.0], le=[({0: 1.0}, -5.0)])  # x >= 0 and x <= -5
         with pytest.raises(LPSolveError):
-            solve_lp(lp)
-        sol = solve_lp(lp, raise_on_failure=False)
+            solve_lp(program)
+        sol = solve_lp(program, raise_on_failure=False)
         assert sol.status is SolverStatus.INFEASIBLE
         assert not sol.ok
 
     def test_unbounded_detected(self):
-        lp = LinearProgram()
-        lp.add_variable(objective=1.0)  # no upper bound, no constraints
-        sol = solve_lp(lp, raise_on_failure=False)
+        sol = solve_lp(_program([1.0]), raise_on_failure=False)  # no upper bound, no rows
         assert sol.status in (SolverStatus.UNBOUNDED, SolverStatus.ERROR)
 
     def test_duals_of_knapsack_constraint(self):
         # max 3a + 2b  s.t. a + b <= 1, 0 <= a, b <= 1: dual of the packing
         # constraint is 2 (the second-best density), a classic shadow price.
-        lp = LinearProgram()
-        a = lp.add_variable(objective=3.0, upper=1.0)
-        b = lp.add_variable(objective=2.0, upper=1.0)
-        row = lp.add_le_constraint({a: 1.0, b: 1.0}, 1.0)
-        sol = solve_lp(lp)
+        sol = solve_lp(_program([3.0, 2.0], 1.0, le=[({0: 1.0, 1: 1.0}, 1.0)]))
         assert sol.objective == pytest.approx(3.0)
-        assert sol.ineq_duals[row] >= 2.0 - 1e-6
-        assert sol.ineq_duals[row] <= 3.0 + 1e-6
+        assert sol.ineq_duals[0] >= 2.0 - 1e-6
+        assert sol.ineq_duals[0] <= 3.0 + 1e-6
 
     def test_value_of_subset(self):
-        lp = LinearProgram()
-        ids = lp.add_variables(3, objective=[1.0, 2.0, 3.0], upper=1.0)
-        sol = solve_lp(lp)
-        np.testing.assert_allclose(sol.value_of(ids[1:]), [1.0, 1.0])
+        sol = solve_lp(_program([1.0, 2.0, 3.0], 1.0))
+        np.testing.assert_allclose(sol.value_of([1, 2]), [1.0, 1.0])
 
-    def test_program_solve_shortcut(self):
-        lp = LinearProgram()
-        lp.add_variable(objective=4.0, upper=2.5)
-        assert lp.solve().objective == pytest.approx(10.0)
+
+class TestProgramWithoutVariables:
+    """Every row of a program without variables is the constant 0: it is
+    optimal with zero duals when each row holds, infeasible otherwise, and
+    its dual arrays have one entry per row either way."""
+
+    @staticmethod
+    def _rows_only(b_ub, b_eq):
+        return AssembledLP(
+            c=np.zeros(0),
+            bounds=np.zeros((0, 2)),
+            A_ub=sparse.csr_matrix((len(b_ub), 0)),
+            b_ub=np.asarray(b_ub, dtype=np.float64),
+            A_eq=sparse.csr_matrix((len(b_eq), 0)),
+            b_eq=np.asarray(b_eq, dtype=np.float64),
+        )
+
+    def test_rows_that_hold_are_optimal_with_zero_duals(self):
+        sol = solve_lp(self._rows_only([0.0, 3.0], [0.0]))
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.objective == 0.0
+        assert sol.x.shape == (0,)
+        assert sol.ineq_duals.tobytes() == np.zeros(2).tobytes()
+        assert sol.eq_duals.tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize(
+        "b_ub, b_eq", [([-1.0], [2.0]), ([-1.0], [0.0]), ([1.0], [2.0])]
+    )
+    def test_a_row_that_cannot_hold_is_infeasible(self, b_ub, b_eq):
+        program = self._rows_only(b_ub, b_eq)
+        with pytest.raises(LPSolveError):
+            solve_lp(program)
+        sol = solve_lp(program, raise_on_failure=False)
+        assert sol.status is SolverStatus.INFEASIBLE
+        assert np.isnan(sol.objective)
+        assert sol.ineq_duals.shape == (1,) and np.isnan(sol.ineq_duals).all()
+        assert sol.eq_duals.shape == (1,) and np.isnan(sol.eq_duals).all()
+
+    def test_agrees_with_the_same_rows_over_one_variable(self):
+        # x = 0 is forced by its bounds, so the rows read the same as above.
+        with_variable = AssembledLP(
+            c=np.ones(1),
+            bounds=np.zeros((1, 2)),
+            A_ub=sparse.csr_matrix((1, 1)),
+            b_ub=np.array([-1.0]),
+            A_eq=sparse.csr_matrix((1, 1)),
+            b_eq=np.array([2.0]),
+        )
+        assert solve_lp(with_variable, raise_on_failure=False).status is SolverStatus.INFEASIBLE
+        assert (
+            solve_lp(self._rows_only([-1.0], [2.0]), raise_on_failure=False).status
+            is SolverStatus.INFEASIBLE
+        )
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,10 +145,7 @@ def test_property_fractional_knapsack_matches_greedy(capacities, values):
     """For a single packing constraint the LP optimum equals the greedy
     fractional-knapsack value (items have unit weight)."""
     capacity = float(capacities[0])
-    lp = LinearProgram()
-    ids = [lp.add_variable(objective=v, upper=1.0) for v in values]
-    lp.add_le_constraint({i: 1.0 for i in ids}, capacity)
-    sol = solve_lp(lp)
+    sol = solve_lp(_program(values, 1.0, le=[({i: 1.0 for i in range(len(values))}, capacity)]))
 
     remaining = capacity
     expected = 0.0

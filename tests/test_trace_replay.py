@@ -45,6 +45,7 @@ from repro.core import (
     bounded_ufp_repeat,
     make_replayer,
 )
+from repro.core.trace import MAX_CHECKPOINTS
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.mechanism import compute_muca_payments, compute_ufp_payments
@@ -450,4 +451,4 @@ def test_checkpoint_count_stays_bounded_on_long_runs():
     bounded_ufp_repeat(instance, 0.5, trace=recorder, max_iterations=2000)
     trace = recorder.trace
     assert trace.num_rounds > 100  # repetitions make this a long run
-    assert trace.num_checkpoints <= 17 + 1  # max_checkpoints plus the final one
+    assert trace.num_checkpoints <= MAX_CHECKPOINTS + 1  # plus the final one
