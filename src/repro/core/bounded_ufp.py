@@ -75,8 +75,6 @@ def bounded_ufp(
     capacity_check: CapacityCheck = "ignore",
     max_iterations: int | None = None,
     trace=None,
-    partition=None,
-    partition_jobs: int | None = None,
 ) -> Allocation:
     """Run ``Bounded-UFP(epsilon)`` (Algorithm 1) on ``instance``.
 
@@ -103,18 +101,6 @@ def bounded_ufp(
         so payment bisections and audits can answer single-declaration
         probes from one excluded run per agent instead of from scratch.
         Pure observation — the allocation is unchanged.
-    partition:
-        Optional region partition: a
-        :class:`~repro.graphs.partition.GraphPartition`, an integer region
-        count or a label array.  Delegates to
-        :func:`repro.partition.partitioned_bounded_ufp` — bit-identical to
-        the global run when every request is intra-region (on partitions
-        preserving region-internal shortest paths), and the global run
-        itself when any request crosses regions.  Incompatible with
-        ``trace``.
-    partition_jobs:
-        Per-shard fan-out for the partitioned fast path (see
-        :func:`repro.parallel.resolve_jobs`).
 
     Returns
     -------
@@ -137,22 +123,6 @@ def bounded_ufp(
     amortizes that down to a handful of targeted re-pricings per iteration
     while producing the exact same selections and paths.
     """
-    if partition is not None:
-        if trace is not None:
-            raise ValueError(
-                "trace recording is not supported by the partitioned solver; "
-                "pass either trace or partition, not both"
-            )
-        from repro.partition import partitioned_bounded_ufp
-
-        return partitioned_bounded_ufp(
-            instance,
-            float(epsilon),
-            partition=partition,
-            jobs=partition_jobs,
-            max_iterations=max_iterations,
-            capacity_check=capacity_check,
-        )
     return _greedy_path_run(
         instance,
         epsilon,

@@ -18,10 +18,11 @@ product of
 Campaign cells fan out through :func:`repro.experiments.harness.map_cells`
 (and hence :func:`repro.parallel.pmap` — bit-identical at any ``jobs``)
 and every completed cell is committed to a persistent JSONL
-:class:`~repro.scenarios.store.ResultStore` with a content-hashed
-manifest, so ``repro.scenarios run/resume`` skips already-computed cells
-after a crash or interrupt and the store's content hash certifies that a
-resumed campaign equals an uninterrupted one.
+:class:`~repro.scenarios.store.ResultStore` as one self-checking line
+(its cell's content hash, its record and a SHA-256 of both), so
+``repro.scenarios run/resume`` skips already-computed cells after a crash
+or interrupt and the store's content hash certifies that a resumed
+campaign equals an uninterrupted one.
 
 Quickstart
 ----------

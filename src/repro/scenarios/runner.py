@@ -10,9 +10,10 @@ deterministic metrics (no wall-clock: records must be bit-identical at any
 Cells flow through :func:`repro.experiments.harness.map_cells` (and hence
 :func:`repro.parallel.pmap`) in *waves*: after each wave the completed
 cells are committed to the :class:`~repro.scenarios.store.ResultStore` in
-cell order, so a killed campaign resumes from the last committed wave and
-recomputes only what is missing.  Wave size scales with the worker count;
-it changes checkpoint granularity only, never results.
+cell order, one self-checking line per cell, so a killed campaign resumes
+from its committed lines and recomputes only what is missing.  Wave size
+scales with the worker count; it changes checkpoint granularity only,
+never results.
 
 Workload modes (the ``"mode"`` axis):
 
@@ -56,6 +57,7 @@ from repro.online.arrivals import (
 )
 from repro.online.auction import OnlineAuction
 from repro.parallel import WorkerError
+from repro.partition import partitioned_bounded_ufp
 from repro.scenarios.regimes import (
     ARRIVAL_STREAM,
     FAULT_STREAM,
@@ -232,7 +234,7 @@ def _partition_metrics(
     spec = cell.mode["partition"]
     spec = spec if isinstance(spec, Mapping) else {}
     partition, exact_contract = _resolve_cell_partition(cell, instance)
-    partitioned = bounded_ufp(instance, epsilon, partition=partition)
+    partitioned = partitioned_bounded_ufp(instance, epsilon, partition=partition)
     outcome.claim(
         "partitioned allocation is feasible", partitioned.is_feasible()
     )
@@ -569,8 +571,8 @@ def run_campaign(
 
     Cells already committed to the store *with an identical cell hash* are
     skipped; cells whose spec or seed changed are recomputed (their old
-    records are shadowed by the newer manifest entries).  Without a store
-    the campaign runs fully in memory.
+    lines are shadowed by the newer ones).  Without a store the campaign
+    runs fully in memory.
 
     The runner is crash-tolerant: a cell that raises, times out
     (``cell_timeout`` seconds of wall clock) or kills its worker process is
@@ -599,15 +601,14 @@ def run_campaign(
         completed = store.completed()
         stored = store.records(hashes)
 
-    # A cell is skippable only when its manifest entry matches the current
-    # cell hash AND its record line is intact AND the record is a success —
-    # a damaged results file or a quarantined failure (the crash scenarios
-    # the store exists for) degrades to recomputation, never to an error.
+    # A cell is skippable only when its committed line carries the current
+    # cell hash AND its record is a success — a torn or damaged line or a
+    # quarantined failure (the crash scenarios the store exists for)
+    # degrades to recomputation, never to an error.
     skipped = [
         cell.key
         for cell in cells
         if completed.get(cell.key) == hashes[cell.key]
-        and cell.key in stored
         and not stored[cell.key].get("failed")
     ]
     invalidated = [

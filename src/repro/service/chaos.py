@@ -56,7 +56,6 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.exceptions import InvalidInstanceError
-from repro.io import loads_strict
 from repro.service.queue import JobQueue, job_id_for
 from repro.service.supervisor import Supervisor, SupervisorConfig
 from repro.utils.backoff import BackoffPolicy
@@ -378,15 +377,9 @@ def tiny_job_specs(count: int = 3, seed: int = 11) -> list[dict[str, Any]]:
     return specs
 
 
-def _result_hash(results_root: Path, job_id: str) -> str | None:
-    path = results_root / job_id / "result.json"
-    if not path.exists():
-        return None
-    try:
-        summary = loads_strict(path.read_text())
-    except ValueError:
-        return None
-    return summary.get("content_hash")
+def _result_hash(supervisor: Supervisor, job_id: str) -> str | None:
+    summary = supervisor.load_result(job_id)
+    return None if summary is None else summary.get("content_hash")
 
 
 def _serial_reference(
@@ -401,7 +394,7 @@ def _serial_reference(
     )
     supervisor.run_until_idle()
     return {
-        job_id_for(spec): _result_hash(supervisor.results_root, job_id_for(spec))
+        job_id_for(spec): _result_hash(supervisor, job_id_for(spec))
         for spec in specs
     }
 
@@ -447,7 +440,6 @@ def run_chaos_harness(
     reference = _serial_reference(root / "reference", specs)
 
     fleet_root = root / "fleet"
-    results_root = fleet_root / "results"
     job_ids = [job_id_for(spec) for spec in specs]
     deadline = time.monotonic() + timeout
     done = threading.Event()
@@ -469,7 +461,6 @@ def run_chaos_harness(
     def _make_supervisor(queue: JobQueue, node: str) -> Supervisor:
         return Supervisor(
             queue,
-            results_root,
             config=SupervisorConfig(
                 node=node,
                 workers=1,
@@ -550,19 +541,18 @@ def run_chaos_harness(
         restarts=len(journal.restarts),
         reference_hashes=reference,
     )
-    _verify_invariants(healer_queue, journal, job_ids, results_root, report)
+    _verify_invariants(healer, journal, job_ids, report)
     return report
 
 
 def _verify_invariants(
-    queue: JobQueue,
+    supervisor: Supervisor,
     journal: ChaosJournal,
     job_ids: list[str],
-    results_root: Path,
     report: ChaosReport,
 ) -> None:
     """Check the three service promises; append violations to the report."""
-    snapshot = queue.state_snapshot()
+    snapshot = supervisor.queue.state_snapshot()
     for job_id in job_ids:
         state = snapshot.get(job_id, {}).get("state")
         if state != "DONE":
@@ -581,7 +571,7 @@ def _verify_invariants(
                 f"hashes {sorted(hashes)}"
             )
     for job_id in job_ids:
-        report.job_hashes[job_id] = _result_hash(results_root, job_id)
+        report.job_hashes[job_id] = _result_hash(supervisor, job_id)
         expected = report.reference_hashes.get(job_id)
         actual = report.job_hashes[job_id]
         if actual != expected:

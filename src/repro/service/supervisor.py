@@ -13,19 +13,19 @@ queue's fencing tokens is what makes a *fleet* of supervisors safe:
   The stale worker's final ``complete``/``report_failure`` presents its
   token and is rejected by the queue — it can commit bytes into its own
   dead-end directory, but it can never *acknowledge* over the peer.
-* **Attempt adoption** — a new attempt first copies every
-  manifest-confirmed record from prior attempts (and the pre-fence legacy
-  store) into its own store.  Records are pure functions of their cell
-  specs, so adopted and recomputed records are bit-identical; adoption
-  just skips the recompute, preserving the resume-after-crash economics.
-* **Effectively exactly once** — the result summary is written durably
-  *before* the DONE event is appended (commit-then-ack).  A crash between
-  the two re-runs the job, but the next attempt adopts the committed
-  cells and regenerates a bit-identical summary — the acknowledged result
-  is the same bytes either way.  After a successful ack the winner also
-  *publishes* the summary at ``results_root/<job_id>/result.json``; only
-  an acknowledged winner can reach that line, so the published file never
-  flip-flops between racing attempts.
+* **Attempt adoption** — a new attempt first copies every committed
+  record from prior attempts into its own store.  Records are pure
+  functions of their cell specs, so adopted and recomputed records are
+  bit-identical; adoption just skips the recompute, preserving the
+  resume-after-crash economics.
+* **Effectively exactly once** — the result summary is written durably,
+  once, to the attempt's own ``result.json`` *before* the DONE event is
+  appended (commit-then-ack).  A crash between the two re-runs the job,
+  but the next attempt adopts the committed cells and regenerates a
+  bit-identical summary — the acknowledged result is the same bytes
+  either way.  Readers find it through the job's fencing token, which for
+  a DONE job names the acknowledged attempt, so a stale attempt's summary
+  is never served.
 
 Job-level robustness on top: a heartbeat thread keeps the lease alive (a
 worker that loses it — or whose token went stale — abandons the run
@@ -152,49 +152,28 @@ class Supervisor:
     # ------------------------------------------------------------------ #
     # Results layout
     # ------------------------------------------------------------------ #
-    def store_for(self, job_id: str, token: int | None = None) -> ResultStore:
-        """The per-attempt result store (``token`` = the lease's fencing
-        token), or the pre-fence legacy per-job store when ``token`` is
-        omitted."""
-        if token is None:
-            return ResultStore(self.results_root / job_id)
+    def store_for(self, job_id: str, token: int) -> ResultStore:
+        """The store of the attempt holding fencing token ``token``."""
         return ResultStore(self.results_root / job_id / f"attempt-{int(token):06d}")
 
     def result_store(self, job: Job) -> ResultStore:
-        """The store holding ``job``'s committed records: the winning
-        attempt's (by the job's current fencing token), falling back to
-        the legacy per-job layout for pre-fence roots."""
-        if job.fence:
-            attempt = self.store_for(job.id, job.fence)
-            if attempt.suite_path.exists():
-                return attempt
-        return self.store_for(job.id)
-
-    def result_path(self, job_id: str) -> Path:
-        """The *published* result summary (written by the acknowledged
-        winner, after its ack)."""
-        return self.results_root / job_id / "result.json"
+        """The store holding ``job``'s committed records: the attempt named
+        by the job's current fencing token."""
+        return self.store_for(job.id, job.fence)
 
     def load_result(self, job_id: str) -> dict[str, Any] | None:
         """The committed result summary, or ``None`` if not committed yet.
 
-        Prefers the published copy; before publication (or if the winner
-        crashed between ack and publish) the winning attempt's own
-        committed summary — located via the job's fencing token — is
-        authoritative.
+        Read from the attempt named by the job's fencing token: the one
+        place both a DONE job's summary and a quarantined FAILED job's
+        failure record are written, before the ack.
         """
-        published = self.result_path(job_id)
-        if published.exists():
-            return loads_strict(published.read_text())
         try:
             job = self.queue.get(job_id)
         except UnknownJobError:
             return None
-        if job.fence:
-            attempt = self.store_for(job_id, job.fence).root / "result.json"
-            if attempt.exists():
-                return loads_strict(attempt.read_text())
-        return None
+        path = self.result_store(job).root / "result.json"
+        return loads_strict(path.read_text()) if path.exists() else None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -329,10 +308,9 @@ class Supervisor:
             )
             summary = self._summarize(job, result.suite, store)
             # Commit-then-ack: the summary lives in the fenced attempt dir
-            # before DONE is appended; publication comes after the ack.
+            # before DONE is appended.
             write_durable(store.root / "result.json", dumps_canonical(summary) + "\n")
             self._ack_complete(job, worker, token, summary)
-            self._publish(job.id, summary)
             self._notify(job.id)
         except JobAborted:
             # Lease lost / cancelled / hard stop: ack nothing.  Whatever
@@ -353,31 +331,22 @@ class Supervisor:
 
         Records are pure functions of their cell specs, so adoption is
         bit-identical to recomputation — it only skips the work.  Sources:
-        the legacy per-job store (pre-fence layouts) and every other
-        ``attempt-*`` store under the job directory, in token order.
+        every other ``attempt-*`` store under the job directory, in token
+        order.
         """
-        job_dir = self.results_root / job.id
-        candidates: list[ResultStore] = []
-        legacy = ResultStore(job_dir)
-        if legacy.suite_path.exists():
-            candidates.append(legacy)
-        for path in sorted(job_dir.glob("attempt-*")):
-            if path == store.root or not path.is_dir():
-                continue
-            prior = ResultStore(path)
-            if prior.suite_path.exists():
-                candidates.append(prior)
         adopted = 0
         done: set[str] | None = None
-        for prior in candidates:
+        for path in sorted((self.results_root / job.id).glob("attempt-*")):
+            prior = ResultStore(path)
+            if path == store.root or not prior.exists():
+                continue
             completed = prior.completed()
             if not completed:
                 continue
-            records = prior.records()
             if done is None:
                 store.initialize(suite)
                 done = set(store.completed())
-            for key, record in records.items():
+            for key, record in prior.records(completed).items():
                 if key in done:
                     continue
                 store.append(key, completed[key], record)
@@ -406,20 +375,6 @@ class Supervisor:
         raise JobAborted(
             f"job {job.id}: ack kept failing ({last}); leaving the lease to expire"
         )
-
-    def _publish(self, job_id: str, summary: Mapping[str, Any]) -> None:
-        """Copy the acknowledged summary to the stable per-job path.
-
-        Only the worker whose ack succeeded reaches this, so the published
-        file is never contended; a crash in between is healed by
-        :meth:`load_result`'s fence-directed fallback.
-        """
-        try:
-            write_durable(
-                self.result_path(job_id), dumps_canonical(dict(summary)) + "\n"
-            )
-        except OSError:
-            pass
 
     def _summarize(
         self, job: Job, suite: Mapping[str, Any], store: ResultStore
@@ -455,7 +410,6 @@ class Supervisor:
         error_type = getattr(exc, "error_type", type(exc).__name__)
         tb = getattr(exc, "traceback", None) or _traceback.format_exc()
         attempt = job.attempts + 1
-        quarantine: dict[str, Any] | None = None
         if attempt >= job.max_attempts:
             # Quarantine: commit the durable failure record *before* the
             # FAILED ack, mirroring the success path's commit-then-ack.
@@ -493,8 +447,6 @@ class Supervisor:
             # expire and count the attempt instead.
             return
         if reported.state == "FAILED":
-            if quarantine is not None:
-                self._publish(job.id, quarantine)
             self._notify(job.id)
 
     # ------------------------------------------------------------------ #

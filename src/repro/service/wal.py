@@ -8,9 +8,12 @@ Appends go through :func:`repro.utils.jsonl.append_line` — the same
 torn-tail-repairing, fsync'd protocol the campaign result store uses (plus
 a directory fsync when the append creates the file), so a kill -9 at any
 byte offset leaves a log whose complete prefix is intact and whose torn
-tail is truncated before the next append.  Replaying the log from a fresh
-process reconstructs the exact queue state the crashed process had
-acknowledged; anything it had *not* acknowledged was never promised.
+tail is truncated before the next append.  Every reader goes through
+:meth:`WriteAheadLog.replay_from`, which takes only newline-terminated
+lines, so no reader counts a tail that the next append will erase.
+Replaying the log from a fresh process reconstructs the exact queue state
+the crashed process had acknowledged; anything it had *not* acknowledged
+was never promised.
 
 The WAL records *facts*, not state: the queue derives state by folding the
 event sequence (:meth:`repro.service.queue.JobQueue` owns the fold).  Two
@@ -36,12 +39,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Protocol
 
 from repro.io import dumps_canonical
-from repro.utils.jsonl import (
-    append_line,
-    iter_jsonl,
-    read_complete_lines,
-    repair_trailing,
-)
+from repro.utils.jsonl import append_line, read_complete_lines
 
 __all__ = ["WAL_EVENTS", "WalHooks", "WriteAheadLog"]
 
@@ -99,14 +97,6 @@ class WriteAheadLog:
         # an acknowledged line.  Readers skip torn tails; every *append*
         # repairs first — and appends only run under the queue's file lock.
 
-    def repair(self) -> bool:
-        """Truncate a torn trailing line left by a crash mid-write.
-
-        Only call this when no peer process can be appending (the queue
-        does its appends under a cross-process lock instead)."""
-        with self._lock:
-            return repair_trailing(self.path)
-
     def append(self, event: str, job_id: str, **fields: Any) -> dict:
         """Durably append one event line and return it as written.
 
@@ -134,15 +124,13 @@ class WriteAheadLog:
         return entry
 
     def replay(self) -> Iterator[dict]:
-        """Yield the parseable event lines in append order.
+        """Yield the valid event lines in append order.
 
-        Lines that are torn (crash mid-write) or missing the event/job
-        fields are skipped — they were never acknowledged, so no state can
-        depend on them.
+        Lines that are torn (crash mid-write, even when the fragment
+        parses) or missing the event/job fields are skipped — they were
+        never acknowledged, so no state can depend on them.
         """
-        for entry in iter_jsonl(self.path):
-            if entry.get("event") in WAL_EVENTS and entry.get("job"):
-                yield entry
+        yield from self.replay_from(0)[0]
 
     def replay_from(self, offset: int) -> tuple[list[dict], int]:
         """Valid event lines from byte ``offset``, plus the next offset.
@@ -158,9 +146,9 @@ class WriteAheadLog:
         )
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.replay())
+        return len(self.replay_from(0)[0])
 
     def events_for(self, job_id: str) -> list[dict]:
         """All acknowledged events of one job, in order (debugging aid)."""
-        return [entry for entry in self.replay() if entry["job"] == job_id]
+        return [entry for entry in self.replay_from(0)[0] if entry["job"] == job_id]
 

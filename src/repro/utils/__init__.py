@@ -1,9 +1,8 @@
-"""Small shared utilities: deterministic randomness, timing, tables,
-retry backoff, durable JSONL."""
+"""Small shared utilities: deterministic randomness, tables, retry
+backoff, durable JSONL."""
 
 from repro.utils.backoff import BackoffPolicy
 from repro.utils.prng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 from repro.utils.tables import Table, format_float
 from repro.utils.validation import (
     check_finite,
@@ -16,7 +15,6 @@ __all__ = [
     "BackoffPolicy",
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
     "Table",
     "format_float",
     "check_finite",

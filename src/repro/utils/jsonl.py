@@ -2,15 +2,19 @@
 
 The campaign :class:`~repro.scenarios.store.ResultStore` and the service
 :class:`~repro.service.wal.WriteAheadLog` persist the same way: one JSON
-document per line, appended with flush + fsync, read back by skipping
-anything unparseable.  This module is the single implementation of that
-protocol, including its two crash-hardening details:
+document per line, appended with flush + fsync, read back by
+:func:`read_complete_lines`.  This module is the single implementation of
+that protocol, including its crash-hardening details:
 
 * **Torn-tail repair** (:func:`repair_trailing`) — a kill mid-write leaves
-  an unterminated final line.  Readers skip it, but an *append* onto it
-  would merge the new record into the fragment, silently corrupting a
-  committed line.  Every append therefore truncates back to the last
-  complete line first.
+  an unterminated final line.  An *append* onto it would merge the new
+  record into the fragment, silently corrupting a committed line, so every
+  append truncates back to the last complete line first.
+* **Complete lines only** — :func:`read_complete_lines` is the one reader,
+  and it never returns an unterminated tail, even a parseable one: the next
+  append's repair erases that tail, so counting it would let a reader act
+  on a line that is about to vanish.  A newline-terminated line is the
+  commit point.
 * **Directory fsync** (:func:`fsync_dir`) — ``fsync`` on the file makes the
   *bytes* durable, but a file created (or first written) moments before a
   power loss can vanish with its directory entry: the parent directory's
@@ -37,7 +41,6 @@ from repro.io import loads_strict
 __all__ = [
     "append_line",
     "fsync_dir",
-    "iter_jsonl",
     "locked_file",
     "read_complete_lines",
     "repair_trailing",
@@ -67,7 +70,7 @@ def fsync_dir(directory: Path) -> None:
 def repair_trailing(path: Path) -> bool:
     """Truncate a torn trailing line (kill mid-write left no ``\\n``).
 
-    Readers already skip unparseable lines, but an *append* onto a torn
+    Readers never see an unterminated line, but an *append* onto a torn
     tail would merge the new record into the fragment — losing committed
     work and making content hashes diverge.  Truncating back to the last
     complete line turns the crash artifact into a plain missing entry,
@@ -142,8 +145,8 @@ def read_complete_lines(path: Path, offset: int = 0) -> tuple[list[dict], int]:
     a crash fragment or a line still being written — is left untouched and
     the returned offset stops right before it, so a tail-following reader
     picks the line up once it is finished (or repaired away).  Complete
-    but unparseable lines advance the offset and yield nothing, matching
-    :func:`iter_jsonl`.  A missing file reads as empty at offset 0.
+    but unparseable lines (and non-object lines) advance the offset and
+    yield nothing.  A missing file reads as empty at offset 0.
     """
     if not path.exists():
         return [], 0
@@ -189,23 +192,3 @@ def locked_file(path: Path) -> Iterator[int]:
         finally:
             os.close(fd)
 
-
-def iter_jsonl(path: Path) -> Iterator[dict]:
-    """Yield the parseable dict lines of a JSONL file (missing file → empty).
-
-    Unparseable lines — a torn tail from a crash mid-write — are skipped;
-    every complete line before them is still valid.
-    """
-    if not path.exists():
-        return
-    with path.open("r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                payload: Any = loads_strict(raw)
-            except ValueError:
-                continue
-            if isinstance(payload, dict):
-                yield payload

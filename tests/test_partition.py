@@ -3,8 +3,7 @@
 Covers the purely topological pieces (:mod:`repro.graphs.partition` —
 partitioners, validation), the shard builder, the partitioned solver's two
 paths on hand-sized instances (the intra-only shard merge and the global
-fallback for cross-region traffic), the ``bounded_ufp(partition=...)``
-entry point, and the scenario-runner wiring
+fallback for cross-region traffic), and the scenario-runner wiring
 (mode-spec resolution — including the ``partition: 1`` vs ``True``
 regression — and a miniature end-to-end campaign).  The large pinned-seed
 differential sweeps live in ``test_partition_fuzz.py``.
@@ -232,20 +231,6 @@ class TestPartitionedSolver:
             roomy_diamond_instance, 0.5, partition=1, jobs=2
         )
         _assert_same_allocation(serial, fanned)
-
-    def test_bounded_ufp_delegates(self, roomy_diamond_instance):
-        direct = partitioned_bounded_ufp(
-            roomy_diamond_instance, 0.5, partition=1
-        )
-        via_core = bounded_ufp(roomy_diamond_instance, 0.5, partition=1)
-        _assert_same_allocation(via_core, direct)
-        assert via_core.stats.extra["partition_regions"] == 1.0
-
-    def test_trace_and_partition_are_exclusive(self, roomy_diamond_instance):
-        with pytest.raises(ValueError, match="trace or partition"):
-            bounded_ufp(
-                roomy_diamond_instance, 0.5, trace=object(), partition=1
-            )
 
     def test_input_validation(self, roomy_diamond_instance):
         with pytest.raises(ValueError, match="epsilon"):

@@ -5,7 +5,7 @@ result store (durability protocol, inf/nan-safe persistence, resume), the
 runner (determinism across ``jobs``, skip/invalidate semantics) and the
 CLI — including the ISSUE-5 acceptance scenario: the pinned demo campaign
 (4 topology families × 3 capacity regimes × offline+online) runs to
-completion, and resuming after deleting the final manifest entry
+completion, and resuming after deleting the final results line
 recomputes exactly the missing cell with a store hash bit-identical to an
 uninterrupted run at ``--jobs 1`` and ``--jobs 4``.
 """
@@ -24,6 +24,7 @@ from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.regimes import build_cell_instance, resolve_base_capacity
 from repro.scenarios.runner import run_cell
 from repro.scenarios.store import ResultStore
+from repro.utils.jsonl import repair_trailing
 
 
 def _tiny_suite(**overrides):
@@ -162,7 +163,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "s")
         store.initialize(_tiny_suite())
         store.append("k", "h", {"ratio": math.inf, "x": math.nan, "lo": -math.inf})
-        for path in (store.results_path, store.manifest_path, store.suite_path):
+        for path in (store.results_path, store.suite_path):
             text = path.read_text()
             assert "Infinity" not in text and "NaN" not in text
             for line in text.strip().splitlines():
@@ -173,12 +174,11 @@ class TestResultStore:
         assert math.isnan(record["x"])
 
     def test_orphan_record_is_ignored(self, tmp_path):
-        """A record line without its manifest entry (crash between the two
-        appends) is invisible — the manifest is the source of truth."""
+        """A record line without its ``sha`` is invisible — a line is
+        committed only by its own checksum."""
         store = ResultStore(tmp_path / "s")
         store.initialize(_tiny_suite())
         store.append("good", "h", {"v": 1})
-        # Simulate the crash: record written, manifest lost.
         with store.results_path.open("a") as handle:
             handle.write('{"key": "torn", "cell": "h2", "record": {"v": 2}}\n')
         assert set(store.records()) == {"good"}
@@ -188,7 +188,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "s")
         store.initialize(_tiny_suite())
         store.append("good", "h", {"v": 1})
-        with store.manifest_path.open("a") as handle:
+        with store.results_path.open("a") as handle:
             handle.write('{"key": "half')  # no newline, cut mid-write
         assert store.completed() == {"good": "h"}
 
@@ -296,12 +296,12 @@ class TestRunner:
             scenarios.run_campaign(_tiny_suite(name="other"), store=store)
 
     def test_damaged_results_file_degrades_to_recompute(self, tmp_path):
-        """A manifest-committed cell whose results line is lost must be
-        recomputed on resume, not crash the campaign."""
+        """A committed cell whose results line is lost must be recomputed
+        on resume, not crash the campaign."""
         suite = _tiny_suite()
         store = ResultStore(tmp_path / "s")
         first = scenarios.run_campaign(suite, store=store)
-        store.results_path.write_text("")  # damage: records gone, manifest intact
+        store.results_path.write_text("")  # damage: every line gone
         resumed = scenarios.run_campaign(suite, store=store)
         assert resumed.computed == ["g/r/off"]
         assert resumed.records == first.records
@@ -414,13 +414,13 @@ class TestDemoCampaignAcceptance:
         assert store4.content_hash() == reference_hash
         assert result4.records == result1.records
 
-        # Kill: drop the final manifest entry; resume must recompute
+        # Kill: drop the final results line; resume must recompute
         # exactly that cell and restore the exact store hash, at jobs=1
         # and jobs=4.
         for store, jobs in ((store1, 1), (store4, 4)):
-            lines = store.manifest_path.read_text().strip().splitlines()
+            lines = store.results_path.read_text().strip().splitlines()
             dropped = json.loads(lines[-1])["key"]
-            store.manifest_path.write_text("\n".join(lines[:-1]) + "\n")
+            store.results_path.write_text("\n".join(lines[:-1]) + "\n")
             resumed = scenarios.run_campaign(suite, store=store, jobs=jobs)
             assert resumed.computed == [dropped]
             assert len(resumed.skipped) == len(cells) - 1
@@ -483,9 +483,9 @@ class TestCLI:
         store_dir = str(tmp_path / "store")
         assert scenarios_main(["run", "smoke", "--store", store_dir, "--json"]) == 0
         capsys.readouterr()
-        manifest = ResultStore(store_dir).manifest_path
-        lines = manifest.read_text().strip().splitlines()
-        manifest.write_text("\n".join(lines[:-1]) + "\n")
+        results = ResultStore(store_dir).results_path
+        lines = results.read_text().strip().splitlines()
+        results.write_text("\n".join(lines[:-1]) + "\n")
         assert scenarios_main(["resume", "--store", store_dir, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["computed"]) == 1
@@ -513,38 +513,31 @@ class TestTornAppendRepair:
         store.append("k1", "h1", {"v": 1})
         with store.results_path.open("a") as handle:
             handle.write('{"key": "torn", "cell": "hx", "record"')
-        with store.manifest_path.open("a") as handle:
-            handle.write('{"key": "torn"')
         store.append("k3", "h3", {"v": 3})
         assert set(store.records()) == {"k1", "k3"}
         assert store.completed() == {"k1": "h1", "k3": "h3"}
         # Every surviving line is complete, parseable JSON.
-        for path in (store.results_path, store.manifest_path):
-            text = path.read_text()
-            assert text.endswith("\n")
-            for line in text.strip().splitlines():
-                json.loads(line)
+        text = store.results_path.read_text()
+        assert text.endswith("\n")
+        for line in text.strip().splitlines():
+            json.loads(line)
 
     def test_repair_is_noop_on_clean_and_missing_files(self, tmp_path):
-        from repro.scenarios.store import _repair_trailing
-
         store = ResultStore(tmp_path / "s")
         store.initialize(_tiny_suite())
         store.append("k", "h", {"v": 1})
         before = store.results_path.read_text()
-        assert _repair_trailing(store.results_path) is False
+        assert repair_trailing(store.results_path) is False
         assert store.results_path.read_text() == before
-        assert _repair_trailing(tmp_path / "missing.jsonl") is False
+        assert repair_trailing(tmp_path / "missing.jsonl") is False
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert _repair_trailing(empty) is False
+        assert repair_trailing(empty) is False
 
     def test_repair_of_fragment_only_file(self, tmp_path):
-        from repro.scenarios.store import _repair_trailing
-
         path = tmp_path / "frag.jsonl"
         path.write_text('{"key": "torn"')  # no complete line at all
-        assert _repair_trailing(path) is True
+        assert repair_trailing(path) is True
         assert path.read_text() == ""
 
     def test_torn_tail_then_append_preserves_store_hash(self, tmp_path):
@@ -557,12 +550,101 @@ class TestTornAppendRepair:
 
         torn = ResultStore(tmp_path / "torn")
         scenarios.run_campaign(suite, store=torn)
-        # Tear off the (only) manifest line mid-write.
-        text = torn.manifest_path.read_text().strip()
-        torn.manifest_path.write_text(text[: len(text) // 2])
+        # Tear off the (only) results line mid-write.
+        text = torn.results_path.read_text().strip()
+        torn.results_path.write_text(text[: len(text) // 2])
         resumed = scenarios.run_campaign(suite, store=torn)
         assert resumed.computed == ["g/r/off"]
         assert torn.content_hash() == reference
+
+
+# ---------------------------------------------------------------------- #
+# One self-checking line per cell
+# ---------------------------------------------------------------------- #
+def _three_cell_suite():
+    return _tiny_suite(
+        regimes=[
+            {"name": "a", "capacity": 5.0, "num_requests": 8},
+            {"name": "b", "capacity": 6.0, "num_requests": 8},
+            {"name": "c", "capacity": 7.0, "num_requests": 8},
+        ]
+    )
+
+
+class TestOneLineCommit:
+    def test_append_is_one_durable_line(self, tmp_path, monkeypatch):
+        import repro.scenarios.store as store_module
+
+        calls = []
+        real_append_line = store_module.append_line
+
+        def counting_append_line(path, line):
+            calls.append(path.name)
+            real_append_line(path, line)
+
+        monkeypatch.setattr(store_module, "append_line", counting_append_line)
+        store = ResultStore(tmp_path / "s")
+        store.initialize(_tiny_suite())
+        store.append("k", "h", {"v": 1.5})
+        assert calls == ["results.jsonl"]
+        assert sorted(path.name for path in store.root.iterdir()) == [
+            "results.jsonl",
+            "suite.json",
+        ]
+
+    def test_parseable_line_torn_before_its_newline_is_recomputed(self, tmp_path):
+        """A crash that tears only the newline of a cell's line leaves a
+        parseable fragment.  The next append's repair erases it, so resume
+        must not count it: the cell is recomputed and the store hash equals
+        the uninterrupted run's."""
+        suite = _three_cell_suite()
+        clean = ResultStore(tmp_path / "clean")
+        scenarios.run_campaign(suite, store=clean, jobs=1)
+        reference = clean.content_hash()
+
+        torn = ResultStore(tmp_path / "torn")
+        scenarios.run_campaign(suite, store=torn, jobs=1)
+        for path in sorted(torn.root.glob("*.jsonl")):
+            kept = path.read_text().splitlines()[:2]
+            path.write_text(kept[0] + "\n" + kept[1])
+        resumed = scenarios.run_campaign(suite, store=torn, jobs=1)
+        assert resumed.skipped == ["g/a/off"]
+        assert resumed.computed == ["g/b/off", "g/c/off"]
+        assert torn.content_hash() == reference
+
+    def test_line_with_mismatched_sha_is_not_committed(self, tmp_path):
+        suite = _tiny_suite()
+        store = ResultStore(tmp_path / "s")
+        first = scenarios.run_campaign(suite, store=store)
+        reference = store.content_hash()
+
+        (line,) = store.results_path.read_text().splitlines()
+        entry = json.loads(line)
+        entry["record"]["B"] = 99.0  # payload edited, sha left as written
+        store.results_path.write_text(json.dumps(entry) + "\n")
+        assert store.completed() == {}
+        assert store.records() == {}
+
+        resumed = scenarios.run_campaign(suite, store=store)
+        assert resumed.computed == ["g/r/off"]
+        assert resumed.records == first.records
+        assert store.content_hash() == reference
+
+    def test_store_of_the_two_file_layout_is_refused(self, tmp_path):
+        suite = _tiny_suite()
+        store = ResultStore(tmp_path / "s")
+        scenarios.run_campaign(suite, store=store)
+        old_log = store.root / "manifest.jsonl"
+        old_log.write_text('{"cell":"h","key":"g/r/off","record_sha":"0"}\n')
+        for read in (store.completed, store.records, store.content_hash):
+            with pytest.raises(InvalidInstanceError, match="manifest.jsonl"):
+                read()
+        with pytest.raises(InvalidInstanceError, match="manifest.jsonl"):
+            scenarios.run_campaign(suite, store=store)
+
+        resumed = scenarios.run_campaign(suite, store=store, fresh=True)
+        assert not old_log.exists()
+        assert resumed.computed == ["g/r/off"]
 
 
 # ---------------------------------------------------------------------- #

@@ -98,6 +98,20 @@ class TestWriteAheadLog:
             "DONE",
         ]
 
+    def test_parseable_line_without_newline_is_not_counted(self, tmp_path):
+        """A crash can tear off only a line's newline, leaving a parseable
+        fragment that the next append's repair erases: no reader may count
+        it."""
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path)
+        wal.append("SUBMITTED", "j1", at=1.0)
+        with path.open("a") as handle:
+            handle.write('{"event":"LEASED","expires":2.0,"job":"j1","worker":"w0"}')
+        assert [e["event"] for e in wal.replay()] == ["SUBMITTED"]
+        assert len(wal) == 1
+        assert [e["event"] for e in wal.events_for("j1")] == ["SUBMITTED"]
+        assert [e["event"] for e in wal.replay_from(0)[0]] == ["SUBMITTED"]
+
     def test_unknown_event_rejected(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
         with pytest.raises(ValueError, match="unknown WAL event"):

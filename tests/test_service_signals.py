@@ -147,8 +147,9 @@ class TestSigterm:
         # The in-flight job was finished and acknowledged before exit, and
         # its committed result is readable from the durable root alone.
         queue = JobQueue(root)
-        assert queue.get(job).state == "DONE"
-        result = root / "results" / job / "result.json"
+        done = queue.get(job)
+        assert done.state == "DONE"
+        result = root / "results" / job / f"attempt-{done.fence:06d}" / "result.json"
         assert result.exists()
         assert _reference_hash(tmp_path, 1) in result.read_text()
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.types import (
     one_minus_one_over_e,
     ufp_capacity_threshold,
 )
-from repro.utils import Table, Timer, ensure_rng, format_float, spawn_rngs
+from repro.utils import Table, ensure_rng, format_float, spawn_rngs
 from repro.utils.prng import DEFAULT_SEED, random_seed_sequence
 from repro.utils.validation import (
     check_finite,
@@ -119,21 +118,6 @@ class TestTables:
         table = Table(columns=["a"])
         table.extend([[1], [2], [3]])
         assert len(table.rows) == 3
-
-
-class TestTimer:
-    def test_accumulates_and_resets(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.001)
-        first = timer.elapsed
-        assert first > 0
-        with timer:
-            time.sleep(0.001)
-        assert timer.elapsed > first
-        assert not timer.running
-        timer.reset()
-        assert timer.elapsed == 0.0
 
 
 class TestValidation:
