@@ -6,11 +6,10 @@ ask the same question thousands of times: *"re-run the mechanism with agent
 from one recorded run:
 
 * a :class:`TraceRecorder`, passed as ``trace=`` to ``bounded_ufp``,
-  ``bounded_ufp_repeat``, ``bounded_muca`` or the online
-  :func:`~repro.online.auction.drain_engine`, which hand it to
-  :func:`~repro.core.pricing_engine.greedy_rounds`, records the base run —
-  per committed round: the winner, its exact score and the dual-update edge
-  set — plus periodic **checkpoints**: a
+  ``bounded_ufp_repeat``, ``bounded_muca`` or an online batch drain, which
+  hand it to :func:`~repro.core.pricing_engine.greedy_rounds`, records the
+  base run of an instance — per committed round: the winner, its exact
+  score and the dual-update edge set — plus periodic **checkpoints**: a
   :class:`~repro.core.dual_state.DualWeights` copy and a
   :meth:`~repro.core.pricing_engine.PathPricingEngine.fork` engine snapshot
   (cached shortest-path trees are immutable and shared by reference, so a
@@ -150,7 +149,6 @@ class RunTrace:
 
     __slots__ = (
         "mode",
-        "graph",
         "instance",
         "requests",
         "epsilon",
@@ -168,7 +166,6 @@ class RunTrace:
         if mode not in ("ufp", "repeat", "muca", "drain"):
             raise ValueError(f"unknown trace mode {mode!r}")
         self.mode = mode
-        self.graph = None
         self.instance = None
         self.requests: tuple = ()
         self.epsilon = 0.0
@@ -202,8 +199,8 @@ class TraceRecorder:
 
     Pass an instance as ``trace=`` to :func:`repro.core.bounded_ufp`,
     :func:`repro.core.bounded_ufp_repeat`, :func:`repro.core.bounded_muca`
-    or :func:`repro.online.auction.drain_engine`.  The caller brackets the
-    run with ``begin_*_run``/:meth:`finish`; in between,
+    or an online batch drain (``repro.online.auction._BatchDrain``).  The
+    solver brackets the run with ``begin_*_run``/:meth:`finish`; in between,
     :func:`~repro.core.pricing_engine.greedy_rounds` (given the recorder as
     ``trace=``) calls :meth:`record_round` after each commit.  After the
     run, :attr:`trace` holds the completed :class:`RunTrace` and
@@ -232,22 +229,19 @@ class TraceRecorder:
         duals: DualWeights,
         epsilon: float,
         iteration_cap: int | None,
-        instance=None,
-        requests: Sequence | None = None,
+        instance,
         admission: str | None = None,
         score_threshold: float = math.inf,
     ) -> None:
-        """Start recording a path-mode run (``ufp``/``repeat``/``drain``).
+        """Start recording a path-mode run (``ufp``/``repeat``/``drain``)
+        of ``instance``.
 
         Must be called right after engine construction: checkpoint 0
         captures the pristine state.
         """
         t = RunTrace(mode=mode)
         t.instance = instance
-        t.graph = instance.graph if instance is not None else engine._graph
-        t.requests = tuple(
-            requests if requests is not None else instance.requests
-        )
+        t.requests = tuple(instance.requests)
         t.epsilon = float(epsilon)
         t.iteration_cap = iteration_cap
         t.admission = admission
@@ -504,7 +498,7 @@ class TraceReplayer(_ReplayerBase):
             raise ValueError(f"not a path-mode trace: {trace.mode!r}")
         self._duals = trace.checkpoints[0].duals.copy()
         self._engine = PathPricingEngine(
-            trace.graph,
+            trace.instance.graph,
             list(trace.requests),
             self._duals,
             remove_selected=trace.mode != "repeat",

@@ -12,13 +12,14 @@ declares ``x``, all else fixed?*  An oracle is any object with
 ``declared(index)`` (the base ``Request`` or ``Bid``) and
 ``probe_selected(index, declaration) -> bool``.  :class:`_RerunOracle`
 re-runs the algorithm; the trace replayers of :mod:`repro.core.trace` answer
-from the agent's probe table (``use_trace=True``); the online
-``_DrainOracle`` re-runs one batch drain.  Their answers are identical and
-:func:`_critical_value` is the one bisection over them, so a payment is the
-same float whichever answers.  The audits and monotonicity checks of this
-package ask the same oracles.  A winner costs
-``O(log((v_hi - v_lo) / tol))`` probes; experiments that only need
-allocations should not compute payments.
+from the agent's probe table (``use_trace=True``).  Their answers are
+identical and :func:`_critical_value` is the one bisection over them, with
+fixed tolerances, so a payment is the same float whichever answers.  The
+audits and monotonicity checks of this package ask the same oracles, and an
+online batch (:func:`repro.online.auction.batch_critical_values`) is paid
+through the same body as :func:`compute_ufp_payments`, its algorithm being
+the batch drain.  A winner costs ``O(log((v_hi - v_lo) / tol))`` probes;
+experiments that only need allocations should not compute payments.
 
 Every probe instance produced by :meth:`UFPInstance.replace_request` shares
 the original (immutable) graph object, so the re-run oracle's probe runs all
@@ -56,70 +57,11 @@ __all__ = [
 UFPAlgorithm = Callable[[UFPInstance], Allocation]
 MUCAAlgorithm = Callable[[MUCAInstance], MUCAAllocation]
 
-#: Bisection iteration cap shared by every critical-value entry point.
+#: The bisection stops once its bracket is at most ``max(_ABSOLUTE_TOLERANCE,
+#: _RELATIVE_TOLERANCE * high)`` wide, or after ``_MAX_BISECTIONS`` halvings.
+_RELATIVE_TOLERANCE = 1e-6
+_ABSOLUTE_TOLERANCE = 1e-9
 _MAX_BISECTIONS = 60
-
-
-def _bisect_critical_value(
-    is_selected_at: Callable[[float], bool],
-    declared_value: float,
-    *,
-    relative_tolerance: float,
-    absolute_tolerance: float,
-    max_iterations: int,
-    known_selected: bool = False,
-) -> float:
-    """Find the selection threshold of a monotone-in-value selection predicate.
-
-    ``is_selected_at(v)`` must be monotone non-decreasing in ``v`` and true at
-    ``declared_value``.  The returned value ``c`` satisfies: the agent is
-    selected at ``c + tol`` and (unless ``c`` is effectively zero) not
-    selected at ``c - tol``.
-
-    ``known_selected=True`` asserts the caller has already observed the agent
-    selected at its declaration (e.g. it is iterating the winners of the
-    allocation the same deterministic algorithm produced, or a trace
-    replayer answered the declaration's probe), so the redundant confirming
-    run is skipped — one full mechanism re-run saved per winner.
-    This is a *contract*, not a hint: with a predicate that is false at the
-    declaration the bisection silently returns a meaningless bound instead
-    of raising :class:`~repro.exceptions.MechanismError`.
-
-    Probes are memoized on the exact probed value, so the ``tiny``
-    quick-exit probe, the confirming probe and any midpoint that lands on a
-    previously-probed value never run the mechanism twice.  The probe
-    *sequence* depends only on the answers, and trace replays answer every
-    probe exactly as a from-scratch run would, so the returned float is
-    bit-identical across the from-scratch, trace-replay and any-``jobs``
-    paths.
-    """
-    cache: dict[float, bool] = {}
-
-    def probe(value: float) -> bool:
-        hit = cache.get(value)
-        if hit is None:
-            hit = cache[value] = bool(is_selected_at(value))
-        return hit
-
-    if not known_selected and not probe(declared_value):
-        raise MechanismError(
-            "critical value requested for a declaration that is not selected"
-        )
-    low = 0.0
-    high = float(declared_value)
-    # Quick exit: selected even at a negligible positive value -> payment ~ 0.
-    tiny = max(absolute_tolerance, relative_tolerance * high) * 0.5
-    if probe(tiny):
-        return 0.0
-    for _ in range(max_iterations):
-        if high - low <= max(absolute_tolerance, relative_tolerance * high):
-            break
-        mid = 0.5 * (low + high)
-        if probe(mid):
-            high = mid
-        else:
-            low = mid
-    return high
 
 
 def _declarations(instance: UFPInstance | MUCAInstance) -> Sequence:
@@ -157,45 +99,68 @@ class _RerunOracle:
 
 
 def _critical_value(
-    oracle,
-    index: int,
-    declared=None,
-    *,
-    relative_tolerance: float = 1e-6,
-    absolute_tolerance: float = 1e-9,
-    max_iterations: int = _MAX_BISECTIONS,
-    known_selected: bool = True,
+    oracle, index: int, declared=None, *, known_selected: bool = True
 ) -> float:
     """Critical value of agent ``index`` declaring ``declared`` (default:
     its base declaration), probing values at its demand or bundle through
-    ``oracle``.  Payments, audits and online batches only price
-    declarations they have seen selected, hence ``known_selected``; the
-    public entry points pass false so that a loser raises."""
+    ``oracle``.
+
+    Selection is monotone non-decreasing in the probed value, so the
+    bisection brackets the threshold: the returned ``c`` is selected, and
+    (unless ``c`` is effectively zero) ``c`` minus the tolerance is not.
+
+    ``known_selected=True`` asserts the caller has already observed the
+    agent selected at ``declared``: payments, audits and online batches
+    only price declarations they have seen selected, so the confirming
+    probe is skipped.  This is a *contract*, not a hint: a declaration that
+    is not selected yields a meaningless bound instead of a
+    :class:`~repro.exceptions.MechanismError`.  The public entry points pass
+    false so that a loser raises.
+
+    Probes are memoized on the exact probed value, so the ``tiny``
+    quick-exit probe, the confirming probe and any midpoint that lands on a
+    previously-probed value never ask the oracle twice.  The probe
+    *sequence* depends only on the answers, and every oracle answers every
+    probe exactly as a from-scratch run would, so the returned float is
+    bit-identical across the from-scratch, trace-replay and any-``jobs``
+    paths.
+    """
     index = int(index)
     declared = oracle.declared(index) if declared is None else declared
+    cache: dict[float, bool] = {}
 
-    def is_selected_at(value: float) -> bool:
-        # Declarations must have positive values; none can win below that.
-        return value > 0.0 and oracle.probe_selected(index, declared.with_value(value))
+    def probe(value: float) -> bool:
+        hit = cache.get(value)
+        if hit is None:
+            # Declarations must have positive values; none can win below that.
+            hit = cache[value] = value > 0.0 and bool(
+                oracle.probe_selected(index, declared.with_value(value))
+            )
+        return hit
 
-    return _bisect_critical_value(
-        is_selected_at,
-        declared.value,
-        relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
-        max_iterations=max_iterations,
-        known_selected=known_selected,
-    )
+    if not known_selected and not probe(declared.value):
+        raise MechanismError(
+            "critical value requested for a declaration that is not selected"
+        )
+    low = 0.0
+    high = float(declared.value)
+    # Quick exit: selected even at a negligible positive value -> payment ~ 0.
+    tiny = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * high) * 0.5
+    if probe(tiny):
+        return 0.0
+    for _ in range(_MAX_BISECTIONS):
+        if high - low <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * high):
+            break
+        mid = 0.5 * (low + high)
+        if probe(mid):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def critical_value_ufp(
-    algorithm: UFPAlgorithm,
-    instance: UFPInstance,
-    request_index: int,
-    *,
-    relative_tolerance: float = 1e-6,
-    absolute_tolerance: float = 1e-9,
-    max_iterations: int = 60,
+    algorithm: UFPAlgorithm, instance: UFPInstance, request_index: int
 ) -> float:
     """Critical value of one *winning* request under ``algorithm``.
 
@@ -209,26 +174,16 @@ def critical_value_ufp(
     module docstring.
     """
     return _critical_value(
-        _RerunOracle(algorithm, instance), request_index, known_selected=False,
-        relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance, max_iterations=max_iterations,
+        _RerunOracle(algorithm, instance), request_index, known_selected=False
     )
 
 
 def critical_value_muca(
-    algorithm: MUCAAlgorithm,
-    instance: MUCAInstance,
-    bid_index: int,
-    *,
-    relative_tolerance: float = 1e-6,
-    absolute_tolerance: float = 1e-9,
-    max_iterations: int = 60,
+    algorithm: MUCAAlgorithm, instance: MUCAInstance, bid_index: int
 ) -> float:
     """Critical value of one *winning* bid under ``algorithm``."""
     return _critical_value(
-        _RerunOracle(algorithm, instance), bid_index, known_selected=False,
-        relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance, max_iterations=max_iterations,
+        _RerunOracle(algorithm, instance), bid_index, known_selected=False
     )
 
 
@@ -273,25 +228,24 @@ def _payment_task(index: int) -> tuple[float, ReplayStats]:
     """One winner's critical value and the work counters of its table
     (empty for the re-run oracle); the oracle is read from the
     :mod:`repro.parallel` worker payload, shipped once per worker."""
-    oracle, tolerances = parallel.worker_payload()
-    return _critical_value(oracle, index, **tolerances), oracle.agent_stats(index)
+    oracle = parallel.worker_payload()
+    return _critical_value(oracle, index), oracle.agent_stats(index)
 
 
 def _payments(
-    algorithm, instance, allocation, winners, *, jobs, use_trace, replay_stats,
-    **tolerances: float,
+    algorithm, instance, winner_set: set[int], *, winners=None, jobs, use_trace,
+    replay_stats=None,
 ) -> np.ndarray:
-    """The body of both ``compute_*_payments``."""
+    """The body of both ``compute_*_payments`` and of online batch payments:
+    critical values of ``winners`` (default: all of ``winner_set``), zero
+    elsewhere.  The base run must reproduce ``winner_set``."""
     payments = np.zeros(len(_declarations(instance)), dtype=np.float64)
-    winner_set = _winner_set(allocation)
     targets = winner_set if winners is None else {int(w) for w in winners} & winner_set
     ordered = sorted(targets)
     if not ordered:
         return payments
     oracle = _record_base_run(algorithm, instance, winner_set, use_trace=use_trace)
-    results = parallel.pmap(
-        _payment_task, ordered, jobs=jobs, payload=(oracle, tolerances)
-    )
+    results = parallel.pmap(_payment_task, ordered, jobs=jobs, payload=oracle)
     counters = ReplayStats()
     for index, (value, stats) in zip(ordered, results):
         payments[index] = value
@@ -307,8 +261,6 @@ def compute_ufp_payments(
     allocation: Allocation,
     *,
     winners: Iterable[int] | None = None,
-    relative_tolerance: float = 1e-6,
-    absolute_tolerance: float = 1e-9,
     jobs: int | None = None,
     use_trace: bool = False,
     replay_stats: dict | None = None,
@@ -351,9 +303,8 @@ def compute_ufp_payments(
         any ``jobs``.  Left untouched when tracing is off or unavailable.
     """
     return _payments(
-        algorithm, instance, allocation, winners, jobs=jobs, use_trace=use_trace,
-        replay_stats=replay_stats, relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
+        algorithm, instance, _winner_set(allocation), winners=winners,
+        jobs=jobs, use_trace=use_trace, replay_stats=replay_stats,
     )
 
 
@@ -363,8 +314,6 @@ def compute_muca_payments(
     allocation: MUCAAllocation,
     *,
     winners: Iterable[int] | None = None,
-    relative_tolerance: float = 1e-6,
-    absolute_tolerance: float = 1e-9,
     jobs: int | None = None,
     use_trace: bool = False,
     replay_stats: dict | None = None,
@@ -372,7 +321,6 @@ def compute_muca_payments(
     """Critical-value payments for every bid (losers pay zero); the
     parameters are those of :func:`compute_ufp_payments`."""
     return _payments(
-        algorithm, instance, allocation, winners, jobs=jobs, use_trace=use_trace,
-        replay_stats=replay_stats, relative_tolerance=relative_tolerance,
-        absolute_tolerance=absolute_tolerance,
+        algorithm, instance, _winner_set(allocation), winners=winners,
+        jobs=jobs, use_trace=use_trace, replay_stats=replay_stats,
     )

@@ -10,9 +10,9 @@ subsystem streams arrivals through the same primal-dual machinery:
 * :mod:`repro.online.auction` — the :class:`OnlineAuction` driver: one
   dual-weight state and one pricing engine for the whole stream, cached
   shortest-path trees reused across batches, greedy or posted-price
-  threshold admission;
-* :mod:`repro.online.payments` — per-batch critical-value payments by
-  bisection replay;
+  threshold admission, and per-batch critical-value payments
+  (:func:`batch_critical_values`: the offline payments of the batch's
+  drain from its dual snapshot);
 * :mod:`repro.online.muca` — the auction specialization:
   :class:`OnlineMUCAAuction` streams single-minded bids through the
   incremental :class:`~repro.core.pricing_engine.BundlePricingEngine`.
@@ -34,9 +34,8 @@ from repro.online.arrivals import (
     poisson_arrivals,
     trace_arrivals,
 )
-from repro.online.auction import OnlineAuction, drain_engine
+from repro.online.auction import OnlineAuction, batch_critical_values, drain_engine
 from repro.online.muca import BidAdmission, OnlineMUCAAuction
-from repro.online.payments import batch_critical_values
 
 __all__ = [
     "Batch",

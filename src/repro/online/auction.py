@@ -32,10 +32,14 @@ Two admission policies are provided:
   is 1).
 
 Online payments charge each admitted request its *batch critical value*:
-the smallest declared value at which the same batch, replayed from the dual
-state at the batch's start, would still have admitted it.  The replay reuses
-the :mod:`repro.mechanism.payments` bisection, and because every probe run
-starts from the same snapshot weights, the per-graph tree memo makes the
+the smallest declared value at which the same batch, drained from the dual
+state at the batch's start, would still have admitted it.  That drain is an
+allocation rule like any other (:class:`_BatchDrain`; monotone, since it is
+``Bounded-UFP``'s loop run from a snapshot), so
+:func:`batch_critical_values` pays its winners through the body of
+:func:`~repro.mechanism.payments.compute_ufp_payments`: one recorded drain
+and the winners' probe tables, or one re-run drain per probe.  Every drain
+starts from the same snapshot weights, so the per-graph tree memo makes the
 probes warm-start on cached shortest-path trees.
 """
 
@@ -56,7 +60,7 @@ from repro.core.pricing_engine import (
     greedy_rounds,
 )
 from repro.exceptions import InvalidInstanceError
-from repro.flows.allocation import RoutedRequest
+from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
 from repro.flows.request import Request
 from repro.flows.streaming import (
@@ -65,10 +69,11 @@ from repro.flows.streaming import (
     StreamingAllocation,
 )
 from repro.graphs.graph import CapacitatedGraph
+from repro.mechanism.payments import _payments
 from repro.online.arrivals import Batch
 from repro.types import RunStats
 
-__all__ = ["OnlineAuction", "drain_engine"]
+__all__ = ["OnlineAuction", "drain_engine", "batch_critical_values"]
 
 AdmissionPolicy = Literal["greedy", "threshold"]
 
@@ -95,7 +100,7 @@ def drain_engine(
     ``trace`` optionally records the drain as a
     :class:`repro.core.trace.TraceRecorder` run (the caller is responsible
     for ``begin_path_run``/``finish`` around this call — see
-    :func:`repro.online.payments.batch_critical_values`).
+    :class:`_BatchDrain`).
 
     ``capacity_guard`` is the fault-mode feasibility backstop: a callable
     given the winning :class:`Selection` before commit, returning whether
@@ -112,6 +117,119 @@ def drain_engine(
     return list(
         greedy_rounds(engine, threshold=threshold, trace=trace, guard=capacity_guard)
     )
+
+
+class _BatchDrain:
+    """One online batch as an offline allocation rule.
+
+    ``drain(instance, *, trace=None)`` drains ``instance.requests`` (the
+    batch's pool) from the dual state ``snapshot`` under the live run's
+    policy and returns the admissions as an :class:`Allocation`.  Each call
+    restores one scratch :class:`DualWeights` from the snapshot in place,
+    so the probes of a batch's critical values allocate no weight vector;
+    the snapshot itself is never mutated.
+    """
+
+    def __init__(
+        self,
+        snapshot: DualWeights,
+        *,
+        admission: AdmissionPolicy,
+        score_threshold: float,
+    ) -> None:
+        self._snapshot = snapshot
+        self._duals = snapshot.copy()
+        self._admission = admission
+        self._threshold = score_threshold
+
+    def __call__(self, instance: UFPInstance, *, trace=None) -> Allocation:
+        duals = self._duals
+        duals.restore_from(self._snapshot)
+        engine = PathPricingEngine(instance.graph, instance.requests, duals)
+        if trace is not None:
+            trace.begin_path_run(
+                mode="drain",
+                engine=engine,
+                duals=duals,
+                epsilon=duals.epsilon,
+                iteration_cap=None,
+                instance=instance,
+                admission=self._admission,
+                score_threshold=self._threshold,
+            )
+        selections = drain_engine(
+            engine,
+            admission=self._admission,
+            score_threshold=self._threshold,
+            trace=trace,
+        )
+        if trace is not None:
+            trace.finish(engine, duals, stopped_by_budget=not duals.within_budget)
+        routed = [
+            RoutedRequest(
+                request_index=selection.index,
+                request=instance.requests[selection.index],
+                vertices=selection.vertices,
+                edge_ids=selection.edge_ids,
+            )
+            for selection in selections
+        ]
+        return Allocation(instance=instance, routed=routed)
+
+
+def batch_critical_values(
+    graph: CapacitatedGraph,
+    snapshot: DualWeights,
+    pool: Sequence[tuple[int, Request]],
+    admitted: Sequence[int],
+    *,
+    admission: AdmissionPolicy,
+    score_threshold: float,
+    use_trace: bool = True,
+) -> dict[int, float]:
+    """Critical values for the winners of one online batch.
+
+    Parameters
+    ----------
+    graph:
+        The substrate graph (shared with the live run, so drains hit its
+        tree memo).
+    snapshot:
+        The dual state at the batch's start (as captured by
+        ``DualWeights.copy()``); never mutated here.
+    pool:
+        The batch's decision pool: ``(global_index, request)`` pairs in
+        ascending global-index order, so local drain order reproduces the
+        live engine's index tie-breaking.  The caller passes exactly the
+        batch's arrivals: pre-existing leftovers are permanently
+        unadmittable under both policies and never influence a drain (see
+        :meth:`OnlineAuction.submit`), so including them would only change
+        the local index space the drain relies on.
+    admitted:
+        Global indices the live run admitted in this batch.  The base drain
+        must admit exactly these, else
+        :class:`~repro.exceptions.MechanismError`.
+    admission / score_threshold:
+        The live run's admission policy, forwarded to every drain.
+    use_trace:
+        Record the base drain and answer each winner's probes from its
+        table (one drain with the winner excluded; see
+        :mod:`repro.core.trace`) instead of one full drain per probe.
+        Payments are bit-identical either way.
+
+    Returns
+    -------
+    dict
+        ``global_index -> critical value`` for every admitted request.
+    """
+    instance = UFPInstance(graph, [request for _, request in pool])
+    local_of = {index: position for position, (index, _) in enumerate(pool)}
+    drain = _BatchDrain(snapshot, admission=admission, score_threshold=score_threshold)
+    payments = _payments(
+        drain, instance, {local_of[index] for index in admitted},
+        jobs=1, use_trace=use_trace,
+    )
+    return {index: float(payments[local_of[index]]) for index in admitted}
 
 
 class OnlineAuction:
@@ -135,16 +253,13 @@ class OnlineAuction:
         for normalized demands).
     compute_payments:
         Charge every admitted request its batch critical value (bisection
-        replays per winner — significantly more work per admitted request;
+        probes per winner — significantly more work per admitted request;
         leave off when only the allocation matters).
     use_trace:
         Answer payment-bisection probes from per-winner tables of one
         recorded drain per admitting batch (one excluded drain per winner)
         instead of one full drain per probe; payments are bit-identical
-        either way.  See
-        :func:`repro.online.payments.batch_critical_values`.
-    relative_tolerance / absolute_tolerance:
-        Bisection tolerances for the payment computation.
+        either way.  See :func:`batch_critical_values`.
     max_requeues:
         Fault-injection knob: how many times a fault-revoked winner may
         re-enter the live pool for possible re-admission.  Bounded so
@@ -169,8 +284,6 @@ class OnlineAuction:
         capacity_bound: float | None = None,
         compute_payments: bool = False,
         use_trace: bool = True,
-        relative_tolerance: float = 1e-6,
-        absolute_tolerance: float = 1e-9,
         max_requeues: int = 2,
         compensation_rate: float = 0.0,
         name: str = "online",
@@ -187,8 +300,6 @@ class OnlineAuction:
         self._threshold = float(score_threshold)
         self._compute_payments = bool(compute_payments)
         self._use_trace = bool(use_trace)
-        self._rel_tol = float(relative_tolerance)
-        self._abs_tol = float(absolute_tolerance)
         self._name = str(name)
 
         self._duals = DualWeights(
@@ -497,8 +608,6 @@ class OnlineAuction:
             )
 
         if self._compute_payments and admitted:
-            from repro.online.payments import batch_critical_values
-
             # Fault-free, the replay pool is exactly this batch's arrivals.
             # Leftovers from earlier batches can never be admitted (greedy
             # leaves the pool non-empty only once the budget has fired,
@@ -515,8 +624,6 @@ class OnlineAuction:
                 [selection.index for selection in admitted],
                 admission=self._admission,
                 score_threshold=self._threshold,
-                relative_tolerance=self._rel_tol,
-                absolute_tolerance=self._abs_tol,
                 use_trace=self._use_trace,
             )
             self._payments.update(payments)

@@ -53,7 +53,6 @@ construction, and the paper's monotonicity and feasibility results
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Literal
 
@@ -162,8 +161,11 @@ def _merge_intra(
     start: float,
 ) -> Allocation:
     k = partition.num_regions
-    caps = instance.graph.capacities
-    capacity_bound = float(caps.min())
+    # The global run's initial budget, B and stopping threshold, over the
+    # full global capacity vector (cut and disabled edges contribute
+    # c_e * 1/c_e = 1 there too).
+    duals = DualWeights(instance.graph.capacities, epsilon)
+    capacity_bound = duals.capacity_bound
     results = parallel.pmap(
         _solve_region_worker,
         list(range(k)),
@@ -173,11 +175,8 @@ def _merge_intra(
     sequences = [steps for steps, _calls in results]
     sp_calls = sum(calls for _steps, calls in results)
 
-    # Replicate DualWeights' initial budget and stopping threshold exactly:
-    # same expressions, same float ops, over the full global capacity
-    # vector (cut and disabled edges contribute c_e * 1/c_e = 1 in both).
-    budget = float(caps @ (1.0 / caps))
-    limit = math.exp(epsilon * (capacity_bound - 1.0))
+    budget = duals.budget
+    limit = duals.budget_limit
 
     heads = [0] * k
     remaining = sum(len(seq) for seq in sequences)

@@ -124,12 +124,20 @@ def _resolve_epsilon(mode: Mapping[str, Any], instance: UFPInstance) -> float:
     ``"auto"`` (the default) matches epsilon to the instance's capacity
     regime the way the paper does: Theorem 3.1 needs
     ``B >= ln(m) / eps^2``, so the tightest admissible choice is
-    ``eps = sqrt(ln(m) / B)`` (clamped to ``[0.05, 1]``).  Tiny-capacity
-    adversarial cells then run at ``eps = 1`` (where the guarantee is
-    vacuous but the mechanism still clears) while large-capacity cells get
-    a sharp epsilon — without it, a fixed small epsilon would admit
-    nothing below its regime and the cross-regime comparison would be
-    vacuous.
+    ``eps = sqrt(ln(m) / B)`` (clamped to ``[0.05, 1]``).  Large-capacity
+    cells get a sharp epsilon — without it, a fixed small epsilon would
+    admit nothing below its regime and the cross-regime comparison would
+    be vacuous.
+
+    Whatever epsilon, a cell admits nothing when its starting dual budget
+    already exceeds the line-5 limit: the budget starts at
+    ``sum_e c_e / c_e = m`` and the loop runs only while it is at most
+    ``e^{eps (B - 1)}``, with ``B`` the least capacity.  Since
+    ``eps <= 1``, every cell with ``B <= ln(m)`` has
+    ``e^{eps (B - 1)} <= m / e < m``.  Tiny-capacity adversarial cells and
+    ``B = ln(m)`` boundary cells are such cells: they run at ``eps`` near 1,
+    where the guarantee is vacuous, and admit nothing (on the ``demo``
+    suite, 8 of its 12 offline cells).
     """
     epsilon = mode.get("epsilon", "auto")
     if epsilon == "auto":

@@ -9,7 +9,8 @@ import pytest
 
 from repro import io
 from repro.core.bounded_ufp import bounded_ufp
-from repro.exceptions import InvalidInstanceError
+from repro.core.dual_state import DualWeights
+from repro.exceptions import InvalidInstanceError, MechanismError
 from repro.flows import (
     Request,
     StreamingAllocation,
@@ -22,6 +23,7 @@ from repro.online import (
     Batch,
     OnlineAuction,
     adversarial_arrivals,
+    batch_critical_values,
     bursty_arrivals,
     poisson_arrivals,
     trace_arrivals,
@@ -366,6 +368,19 @@ class TestOnlinePayments:
         assert set(admitted) == {0, 1}
         assert admitted[0] == pytest.approx(2.0, abs=1e-3)
         assert admitted[1] == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("use_trace", [True, False])
+    def test_admissions_the_drain_does_not_reproduce_raise(self, use_trace):
+        """The batch's base drain must admit exactly the winners being paid
+        (here it admits 0 and 1), traced or not, as offline payments do."""
+        graph = CapacitatedGraph(2, [(0, 1, 2.0)], directed=True)
+        pool = [(0, Request(0, 1, 1.0, 5.0)), (1, Request(0, 1, 1.0, 3.0)),
+                (2, Request(0, 1, 1.0, 2.0))]
+        with pytest.raises(MechanismError, match="different winner set"):
+            batch_critical_values(
+                graph, DualWeights(graph.capacities, 1.0), pool, [0, 2],
+                admission="greedy", score_threshold=1.0, use_trace=use_trace,
+            )
 
     def test_payments_are_individually_rational_and_zero_for_losers(self):
         instance = isp_instance(

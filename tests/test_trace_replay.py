@@ -21,6 +21,7 @@ differential-fuzz corpus (the same seed derivation as
 
 from __future__ import annotations
 
+import inspect
 from functools import partial
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.auctions import correlated_auction, random_auction
 from repro.core import (
     PathPricingEngine,
     TraceRecorder,
+    TraceReplayer,
     bounded_muca,
     bounded_ufp,
     bounded_ufp_repeat,
@@ -49,13 +51,14 @@ from repro.core.trace import MAX_CHECKPOINTS
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.mechanism import compute_muca_payments, compute_ufp_payments
+from repro.mechanism.payments import _record_base_run
 from repro.mechanism.verification import (
     audit_muca_truthfulness,
     audit_ufp_truthfulness,
 )
 from repro.online import OnlineAuction, bursty_arrivals
-from repro.online import payments as online_payments
-from repro.online.auction import drain_engine
+from repro.online import auction as online_auction
+from repro.online.auction import _BatchDrain, drain_engine
 from repro.utils.prng import ensure_rng
 
 pytestmark = pytest.mark.fuzz
@@ -249,6 +252,53 @@ def test_payments_jobs_invariant_with_trace():
         assert fanned_stats == serial_stats
 
 
+def test_kwargs_wrapper_that_drops_trace_falls_back_to_reruns():
+    """A ``**kwargs`` wrapper accepts ``trace=`` but never forwards it: its
+    payments and audit equal the re-run oracle's (an opaque lambda), and
+    the warning names the caller's file and line."""
+    instance = random_instance(
+        num_vertices=12, edge_probability=0.3, capacity=9.0,
+        num_requests=30, demand_range=(0.4, 1.0), seed=0,
+    )
+    auction = correlated_auction(
+        num_items=8, num_bids=24, multiplicity=12.0, bundle_size_range=(1, 4),
+        num_popular=3, seed=13,
+    )
+
+    def ufp_wrapper(instance, **kw):
+        return bounded_ufp(instance, 0.5)
+
+    def muca_wrapper(auction, **kw):
+        return bounded_muca(auction, 0.5)
+
+    def wrapped(entry, *args, **kwargs):
+        with pytest.warns(UserWarning) as caught:
+            line = inspect.currentframe().f_lineno + 1
+            result = entry(*args, use_trace=True, **kwargs)
+        (warning,) = [w for w in caught if "use_trace=True had no effect" in str(w.message)]
+        assert (warning.filename, warning.lineno) == (__file__, line)
+        return result
+
+    ufp_allocation = bounded_ufp(instance, 0.5)
+    muca_allocation = bounded_muca(auction, 0.5)
+    ufp_payments = wrapped(compute_ufp_payments, ufp_wrapper, instance, ufp_allocation)
+    assert ufp_payments.any()
+    np.testing.assert_array_equal(
+        ufp_payments,
+        compute_ufp_payments(lambda i: bounded_ufp(i, 0.5), instance, ufp_allocation),
+    )
+    muca_payments = wrapped(compute_muca_payments, muca_wrapper, auction, muca_allocation)
+    assert muca_payments.any()
+    np.testing.assert_array_equal(
+        muca_payments,
+        compute_muca_payments(lambda a: bounded_muca(a, 0.5), auction, muca_allocation),
+    )
+    audit = dict(agents=[0, 7, 14, 21], misreports_per_agent=2, seed=3)
+    assert _report_key(wrapped(audit_ufp_truthfulness, ufp_wrapper, instance, **audit)) == (
+        _report_key(audit_ufp_truthfulness(lambda i: bounded_ufp(i, 0.5), instance, **audit))
+    )
+
+
 # --------------------------------------------------------------------- #
 # Audits: trace vs from-scratch
 # --------------------------------------------------------------------- #
@@ -374,13 +424,13 @@ def _record_batches(monkeypatch) -> list:
     """Capture the arguments of every ``batch_critical_values`` call an
     online auction makes (the batch pool, the snapshot and the policy)."""
     batches: list = []
-    original = online_payments.batch_critical_values
+    original = online_auction.batch_critical_values
 
     def capture(graph, snapshot, pool, admitted, **kwargs):
         batches.append((graph, snapshot.copy(), list(pool), list(admitted), kwargs))
         return original(graph, snapshot, pool, admitted, **kwargs)
 
-    monkeypatch.setattr(online_payments, "batch_critical_values", capture)
+    monkeypatch.setattr(online_auction, "batch_critical_values", capture)
     return batches
 
 
@@ -405,10 +455,11 @@ def test_online_drain_probes_match_scratch(seed, admission, threshold, monkeypat
         local_of = {index: position for position, (index, _) in enumerate(pool)}
         policy = dict(admission=kwargs["admission"],
                       score_threshold=kwargs["score_threshold"])
-        replayer = online_payments._record_batch(
-            graph, snapshot, snapshot.copy(), requests,
-            [local_of[index] for index in admitted], **policy,
+        replayer = _record_base_run(
+            _BatchDrain(snapshot, **policy), UFPInstance(graph, requests),
+            {local_of[index] for index in admitted}, use_trace=True,
         )
+        assert isinstance(replayer, TraceReplayer)
         for local, request in enumerate(requests):
             for probe in _path_probes(request):
                 probe_requests = list(requests)
