@@ -8,18 +8,19 @@ Everything LP-shaped in the reproduction goes through this package:
 * :mod:`repro.lp.solver` — :func:`solve_lp`, the scipy/HiGHS solve wrapper
   with normalized statuses and dual extraction.
 * :mod:`repro.lp.fractional_ufp` — the relaxation of the Figure 1 ILP
-  (edge-flow formulation), used as the fractional optimum / upper bound in
-  every UFP experiment, with a "repetitions" mode matching Figure 5.
+  (edge-flow formulation, one flow per commodity root), used as the
+  fractional optimum / upper bound in every UFP experiment, with a
+  "repetitions" mode matching Figure 5.
 * :mod:`repro.lp.fractional_muca` — the relaxation of the auction ILP.
 * :mod:`repro.lp.path_lp` — the path formulation solved by column
   generation (pricing = shortest path under the capacity duals), which also
   yields per-request path distributions for randomized rounding.
+* :mod:`repro.lp.duality` — helpers for checking weak duality and building
+  dual objective values from ``(y, z)`` variable sets.
 
 Every model is assembled directly as sparse arrays, one function per model
 (``edge_flow_program``, ``bid_packing_program``, ``path_master_program``),
 and handed to :func:`solve_lp` as one :class:`AssembledLP`.
-* :mod:`repro.lp.duality` — helpers for checking weak duality and building
-  dual objective values from ``(y, z)`` variable sets.
 """
 
 from repro.lp.model import AssembledLP, LPSolution

@@ -9,6 +9,7 @@ from scipy import sparse
 from repro.auctions import Bid, MUCAInstance, random_auction
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
+from repro.graphs.shortest_path import single_source_dijkstra
 from repro.lp import (
     AssembledLP,
     check_weak_duality,
@@ -22,7 +23,7 @@ from repro.lp.duality import minimum_normalized_path_length, ufp_dual_is_feasibl
 from repro.lp.fractional_muca import bid_packing_program
 from repro.lp.fractional_ufp import edge_flow_program
 from repro.lp.path_lp import path_master_program
-from repro.scenarios import enumerate_cells, get_suite
+from repro.scenarios import available_suites, enumerate_cells, get_suite
 from repro.scenarios.regimes import build_cell_instance
 
 
@@ -102,100 +103,152 @@ def _assert_same_program(got: AssembledLP, want: AssembledLP) -> None:
             assert got_part.tobytes() == want_part.tobytes(), f"{key}.{part}"
 
 
-def _per_term_fractional_ufp(instance, repetitions=False):
-    """The edge-flow relaxation built one term at a time through
+def _reference_arcs(graph):
+    """The arc table, built edge by edge: a directed edge is one arc, an
+    undirected edge two (forward, then reverse); disabled edges have none."""
+    arcs = []
+    for eid in range(graph.num_edges):
+        if eid in graph.disabled_edges:
+            continue
+        u, v = graph.edge_endpoints(eid)
+        arcs.append((u, v, eid))
+        if not graph.directed:
+            arcs.append((v, u, eid))
+    return arcs
+
+
+def _per_request_fractional_ufp(instance, repetitions=False):
+    """The edge-flow relaxation with one flow per request, built one term
+    at a time: the oracle for the optimum of :func:`edge_flow_program`.
+
+    Variables are ``X_r``, then the fraction ``g_{r,a} in [0, 1]`` of each
+    request on each arc; conservation rows request-major, vertex-minor;
+    capacity rows ``sum_r d_r * sum_{a in e} g_{r,a} <= c_e``.
+    """
+    graph = instance.graph
+    n = graph.num_vertices
+    arcs = _reference_arcs(graph)
+    upper = np.inf if repetitions else 1.0
+    lp = _PerTermLP()
+    x_vars = [
+        lp.add_variable(objective=req.value, lower=0.0, upper=upper)
+        for req in instance.requests
+    ]
+    g_vars = [
+        [lp.add_variable(objective=0.0, lower=0.0, upper=upper) for _ in arcs]
+        for _ in instance.requests
+    ]
+    # out - in = X_r at the source, -X_r at the target, 0 elsewhere.
+    for r, req in enumerate(instance.requests):
+        for v in range(n):
+            terms: dict[int, float] = {}
+            for a, (tail, head, _) in enumerate(arcs):
+                if tail == v:
+                    terms[g_vars[r][a]] = terms.get(g_vars[r][a], 0.0) + 1.0
+                if head == v:
+                    terms[g_vars[r][a]] = terms.get(g_vars[r][a], 0.0) - 1.0
+            if v == req.source:
+                terms[x_vars[r]] = -1.0
+            elif v == req.target:
+                terms[x_vars[r]] = 1.0
+            if terms:
+                lp.add_eq_constraint(terms, 0.0)
+    for eid in range(graph.num_edges):
+        terms = {}
+        for r, req in enumerate(instance.requests):
+            for a, (_, _, arc_eid) in enumerate(arcs):
+                if arc_eid == eid:
+                    terms[g_vars[r][a]] = req.demand
+        lp.add_le_constraint(terms, graph.edge_capacity(eid))
+    return lp.assemble()
+
+
+def _reference_roots(instance):
+    """Each request's commodity root, recounted from scratch every step: its
+    source on a directed graph; on an undirected one the vertex touching the
+    most uncovered requests (lowest id on ties) takes all of them."""
+    requests = instance.requests
+    if instance.graph.directed:
+        return [req.source for req in requests]
+    roots = [None] * len(requests)
+    while None in roots:
+        touching: dict[int, int] = {}
+        for r, req in enumerate(requests):
+            if roots[r] is None:
+                for v in (req.source, req.target):
+                    touching[v] = touching.get(v, 0) + 1
+        root = min(touching, key=lambda v: (-touching[v], v))
+        for r, req in enumerate(requests):
+            if roots[r] is None and root in (req.source, req.target):
+                roots[r] = root
+    return roots
+
+
+def _per_term_aggregated_ufp(instance, repetitions=False):
+    """The commodity-root relaxation built one term at a time through
     :class:`_PerTermLP` and read back with Python loops: the reference the
     array assembly in :func:`edge_flow_program` must match bit for bit.
 
     Returns the program and a function mapping its solution to
-    ``(routed_fraction, edge_flows, capacity_duals)``.
+    ``(routed_fraction, edge_loads, capacity_duals)``.
     """
     graph = instance.graph
     n = graph.num_vertices
-    m = graph.num_edges
-    num_requests = instance.num_requests
-
-    # Arc table: directed graphs use one arc per edge; undirected graphs two.
-    arc_tails: list[int] = []
-    arc_heads: list[int] = []
-    arc_edge: list[int] = []
-    for eid in range(m):
-        u, v = graph.edge_endpoints(eid)
-        arc_tails.append(u)
-        arc_heads.append(v)
-        arc_edge.append(eid)
-        if not graph.directed:
-            arc_tails.append(v)
-            arc_heads.append(u)
-            arc_edge.append(eid)
-    num_arcs = len(arc_edge)
+    arcs = _reference_arcs(graph)
+    roots = _reference_roots(instance)
+    commodities = sorted(set(roots))
 
     lp = _PerTermLP()
-
-    # Variables: X_r (routed fraction) then g_{r,a} (per-arc fractions).
     x_upper = np.inf if repetitions else 1.0
     x_vars = [
-        lp.add_variable(objective=req.value, lower=0.0, upper=x_upper, name=f"X_{r}")
-        for r, req in enumerate(instance.requests)
+        lp.add_variable(objective=req.value, lower=0.0, upper=x_upper)
+        for req in instance.requests
     ]
-    g_vars = np.empty((num_requests, num_arcs), dtype=np.int64)
-    for r in range(num_requests):
-        g_upper = np.inf if repetitions else 1.0
-        for a in range(num_arcs):
-            g_vars[r, a] = lp.add_variable(
-                objective=0.0, lower=0.0, upper=g_upper, name=f"g_{r}_{a}"
-            )
+    f_vars = [
+        [lp.add_variable(objective=0.0, lower=0.0, upper=np.inf) for _ in arcs]
+        for _ in commodities
+    ]
 
-    # Flow conservation: out - in = X_r at the source, -X_r at the target,
-    # 0 elsewhere, for every request.
-    out_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    in_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    for a in range(num_arcs):
-        out_arcs_of[arc_tails[a]].append(a)
-        in_arcs_of[arc_heads[a]].append(a)
-
-    for r, req in enumerate(instance.requests):
+    # out - in = sum_{r in k} d_r X_r at the root of k, -d_r X_r at the sink
+    # of each r in k, 0 elsewhere.
+    for k, root in enumerate(commodities):
         for v in range(n):
             terms: dict[int, float] = {}
-            for a in out_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) + 1.0
-            for a in in_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) - 1.0
-            if v == req.source:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) - 1.0
+            for r, req in enumerate(instance.requests):
+                if roots[r] != root:
+                    continue
+                sink = req.target if req.source == root else req.source
+                if v == root:
+                    terms[x_vars[r]] = -req.demand
+                elif v == sink:
+                    terms[x_vars[r]] = req.demand
+            for a, (tail, head, _) in enumerate(arcs):
+                if tail == v:
+                    terms[f_vars[k][a]] = terms.get(f_vars[k][a], 0.0) + 1.0
+                if head == v:
+                    terms[f_vars[k][a]] = terms.get(f_vars[k][a], 0.0) - 1.0
+            if terms:
                 lp.add_eq_constraint(terms, 0.0)
-            elif v == req.target:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) + 1.0
-                lp.add_eq_constraint(terms, 0.0)
-            else:
-                if terms:
-                    lp.add_eq_constraint(terms, 0.0)
 
-    # Capacity constraints per logical edge:
-    #     sum_r d_r * sum_{arcs a of e} g_{r,a} <= c_e.
-    capacity_rows: list[int] = []
-    arcs_of_edge: list[list[int]] = [[] for _ in range(m)]
-    for a in range(num_arcs):
-        arcs_of_edge[arc_edge[a]].append(a)
-    for eid in range(m):
-        terms = {}
-        for r, req in enumerate(instance.requests):
-            for a in arcs_of_edge[eid]:
-                terms[int(g_vars[r, a])] = req.demand
-        row = lp.add_le_constraint(terms, graph.edge_capacity(eid))
-        capacity_rows.append(row)
+    # Capacity: sum_k sum_{arcs a of e} f_{k,a} <= c_e, one row per edge id.
+    arcs_of_edge = [
+        [a for a, (_, _, arc_eid) in enumerate(arcs) if arc_eid == eid]
+        for eid in range(graph.num_edges)
+    ]
+    for eid in range(graph.num_edges):
+        terms = {f_vars[k][a]: 1.0 for k in range(len(commodities)) for a in arcs_of_edge[eid]}
+        lp.add_le_constraint(terms, graph.edge_capacity(eid))
 
     def read(solution):
         routed = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
-        edge_flows = np.zeros((num_requests, m), dtype=np.float64)
-        for r, req in enumerate(instance.requests):
-            for eid in range(m):
-                total = 0.0
+        loads = np.zeros(graph.num_edges, dtype=np.float64)
+        for eid in range(graph.num_edges):
+            total = 0.0
+            for k in range(len(commodities)):
                 for a in arcs_of_edge[eid]:
-                    total += float(solution.x[int(g_vars[r, a])])
-                edge_flows[r, eid] = req.demand * total
-        capacity_duals = solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
-        return routed, edge_flows, capacity_duals
+                    total += float(solution.x[f_vars[k][a]])
+            loads[eid] = total
+        return routed, loads, solution.ineq_duals[: graph.num_edges]
 
     return lp, read
 
@@ -268,7 +321,7 @@ class TestFractionalUFP:
         assert result.objective == pytest.approx(4.0)
         assert result.capacity_duals.shape == (3,)
         assert result.capacity_duals[2] == 0.0
-        assert not result.edge_flows[:, 2].any()
+        assert result.edge_loads()[2] == 0.0
 
 
 def _disabled_shortcut_instance() -> UFPInstance:
@@ -280,10 +333,6 @@ def _disabled_shortcut_instance() -> UFPInstance:
         graph,
         [Request(0, 2, 1.0, 4.0), Request(0, 2, 1.0, 3.0), Request(2, 0, 1.0, 2.0)],
     )
-
-
-def _demo_cell_instance(index: int) -> UFPInstance:
-    return build_cell_instance(enumerate_cells(get_suite("demo"))[index])[0]
 
 
 def _multigraph_instance(seed: int, directed: bool) -> UFPInstance:
@@ -308,42 +357,191 @@ def _multigraph_instance(seed: int, directed: bool) -> UFPInstance:
     return UFPInstance(CapacitatedGraph(n, edges, directed=directed), requests)
 
 
+_SUITE_CELLS = [
+    (suite, index)
+    for suite in available_suites()
+    for index in range(len(enumerate_cells(get_suite(suite))))
+]
+
+
+def _suite_cell(suite, index):
+    """A built-in suite cell's instance, and whether the cell bounds it by
+    the Figure 5 relaxation (its own form)."""
+    cell = enumerate_cells(get_suite(suite))[index]
+    return build_cell_instance(cell)[0], cell.mode.get("kind") == "repeated"
+
+
+def _assert_assembled_as_reference(instance, repetitions):
+    """:func:`edge_flow_program` is the term-by-term reference byte for byte,
+    so HiGHS returns the same bits for both."""
+    reference, read = _per_term_aggregated_ufp(instance, repetitions)
+    reference = reference.assemble()
+    _assert_same_program(edge_flow_program(instance, repetitions=repetitions), reference)
+
+    solution = solve_lp(reference)
+    routed, loads, capacity_duals = read(solution)
+    result = solve_fractional_ufp(instance, repetitions=repetitions)
+    assert result.objective.hex() == float(solution.objective).hex()
+    for name, got_array, want_array in (
+        ("routed_fraction", result.routed_fraction, routed),
+        ("edge_loads", result.edge_loads(), loads),
+        ("capacity_duals", result.capacity_duals, capacity_duals),
+    ):
+        assert got_array.shape == want_array.shape, name
+        assert got_array.tobytes() == want_array.tobytes(), name
+
+
+def _assert_per_request_optimum(instance, repetitions, *, exact):
+    """The optimum is the one-flow-per-request program's: the same float
+    when ``exact``, else within 1e-12 relative."""
+    want = solve_lp(_per_request_fractional_ufp(instance, repetitions)).objective
+    got = solve_fractional_ufp(instance, repetitions=repetitions).objective
+    if exact:
+        assert got.hex() == float(want).hex()
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestEdgeFlowAssembly:
-    """The array assembly is bit-identical to the per-term reference: the
-    same matrices reach HiGHS, so the same bits come back."""
+    """The array assembly is bit-identical to the per-term reference of the
+    commodity-root program (the same matrices reach HiGHS, so the same bits
+    come back), and its optimum is that of the program with one flow per
+    request: the same float on every built-in suite cell in the cell's own
+    form, within 1e-12 relative in the Figure 5 form and on the multigraph
+    corpus."""
 
     @staticmethod
-    def _assert_bit_identical(instance, repetitions):
-        reference, read = _per_term_fractional_ufp(instance, repetitions)
-        reference = reference.assemble()
-        _assert_same_program(edge_flow_program(instance, repetitions=repetitions), reference)
-
-        solution = solve_lp(reference)
-        routed, edge_flows, capacity_duals = read(solution)
-        result = solve_fractional_ufp(instance, repetitions=repetitions)
-        assert result.objective.hex() == float(solution.objective).hex()
-        for name, want_array in (
-            ("routed_fraction", routed),
-            ("edge_flows", edge_flows),
-            ("capacity_duals", capacity_duals),
-        ):
-            got_array = getattr(result, name)
-            assert got_array.shape == want_array.shape, name
-            assert got_array.tobytes() == want_array.tobytes(), name
+    def _assert_suite_cell(suite, index):
+        instance, repetitions = _suite_cell(suite, index)
+        _assert_assembled_as_reference(instance, repetitions)
+        _assert_per_request_optimum(instance, repetitions, exact=True)
 
     @pytest.mark.parametrize("index", range(24))
     def test_demo_campaign_cells(self, index):
-        self._assert_bit_identical(_demo_cell_instance(index), repetitions=False)
+        self._assert_suite_cell("demo", index)
 
     @pytest.mark.parametrize("index", range(0, 24, 3))
     def test_demo_campaign_cells_with_repetitions(self, index):
-        self._assert_bit_identical(_demo_cell_instance(index), repetitions=True)
+        instance = _suite_cell("demo", index)[0]
+        _assert_assembled_as_reference(instance, repetitions=True)
+        _assert_per_request_optimum(instance, repetitions=True, exact=False)
+
+    @pytest.mark.parametrize(
+        "suite, index", [case for case in _SUITE_CELLS if case[0] != "demo"]
+    )
+    def test_builtin_suite_cells(self, suite, index):
+        self._assert_suite_cell(suite, index)
 
     @pytest.mark.parametrize("repetitions", [False, True])
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(40))
     def test_random_multigraphs(self, seed, directed, repetitions):
-        self._assert_bit_identical(_multigraph_instance(seed, directed), repetitions)
+        instance = _multigraph_instance(seed, directed)
+        _assert_assembled_as_reference(instance, repetitions)
+        _assert_per_request_optimum(instance, repetitions, exact=False)
+
+
+class TestCommodityGrouping:
+    """Corner cases of the grouping, each solved to the per-request optimum."""
+
+    @staticmethod
+    def _assert_grouped(instance, roots):
+        assert _reference_roots(instance) == roots
+        program = edge_flow_program(instance)
+        num_arcs = sum(
+            (1 if instance.graph.directed else 2)
+            for eid in range(instance.num_edges)
+            if eid not in instance.graph.disabled_edges
+        )
+        assert program.num_variables == instance.num_requests + len(set(roots)) * num_arcs
+        for repetitions in (False, True):
+            _assert_assembled_as_reference(instance, repetitions)
+            _assert_per_request_optimum(instance, repetitions, exact=False)
+
+    @staticmethod
+    def _star_requests():
+        return [Request(0, 2, 1.0, 3.0), Request(1, 2, 1.0, 2.0), Request(3, 2, 0.5, 1.0)]
+
+    def test_directed_graph_roots_are_sources(self):
+        graph = CapacitatedGraph(
+            4, [(0, 1, 1.0), (1, 2, 1.5), (3, 2, 1.0), (0, 2, 0.5)], directed=True
+        )
+        self._assert_grouped(UFPInstance(graph, self._star_requests()), [0, 1, 3])
+
+    def test_undirected_request_hangs_on_its_target(self):
+        graph = CapacitatedGraph(
+            4, [(0, 1, 1.0), (1, 2, 1.5), (3, 2, 1.0), (0, 2, 0.5)], directed=False
+        )
+        self._assert_grouped(UFPInstance(graph, self._star_requests()), [2, 2, 2])
+
+    def test_parallel_edges(self):
+        graph = CapacitatedGraph(
+            3, [(0, 1, 1.0), (0, 1, 0.5), (1, 2, 2.0), (1, 2, 0.25)], directed=False
+        )
+        requests = [Request(0, 2, 1.0, 4.0), Request(2, 0, 1.0, 3.0), Request(1, 2, 0.5, 1.0)]
+        self._assert_grouped(UFPInstance(graph, requests), [2, 2, 2])
+
+    @pytest.mark.parametrize("directed, roots", [(True, [0, 3]), (False, [0, 0])])
+    def test_isolated_terminal(self, directed, roots):
+        """Vertex 3 has no edges: a sink of root 0, or a root of its own."""
+        graph = CapacitatedGraph(4, [(0, 1, 1.0), (1, 2, 1.0)], directed=directed)
+        instance = UFPInstance(graph, [Request(0, 2, 1.0, 2.0), Request(3, 0, 1.0, 5.0)])
+        self._assert_grouped(instance, roots)
+        result = solve_fractional_ufp(instance)
+        assert result.routed_fraction[1] == 0.0
+        assert result.objective == pytest.approx(2.0)
+
+    def test_disabled_edge(self):
+        self._assert_grouped(_disabled_shortcut_instance(), [0, 0, 0])
+
+    def test_every_edge_disabled(self):
+        graph = CapacitatedGraph(
+            3, [(0, 1, 1.0), (1, 2, 1.0)], directed=False, disabled_edges=[0, 1]
+        )
+        instance = UFPInstance(graph, [Request(0, 2, 1.0, 4.0), Request(1, 2, 1.0, 3.0)])
+        self._assert_grouped(instance, [2, 2])
+        result = solve_fractional_ufp(instance)
+        assert result.objective == 0.0
+        assert not result.routed_fraction.any()
+        assert not result.edge_loads().any()
+
+    def test_opposite_requests_share_a_commodity(self):
+        graph = CapacitatedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 0.5)], directed=False)
+        requests = [Request(0, 1, 1.0, 2.0), Request(1, 0, 1.0, 1.5), Request(0, 2, 0.5, 1.0)]
+        self._assert_grouped(UFPInstance(graph, requests), [0, 0, 0])
+
+
+class TestDualCertificate:
+    """The capacity duals certify the optimum: with ``z_r = max(0, v_r -
+    d_r * dist_y(r))`` at ``y = capacity_duals``, ``(y, z)`` is feasible
+    for the dual of Figure 1 and its objective is the LP optimum; in the
+    Figure 5 form ``y`` alone is, with ``z`` dropped."""
+
+    @staticmethod
+    def _assert_duals_certify(instance):
+        for repetitions in (False, True):
+            result = solve_fractional_ufp(instance, repetitions=repetitions)
+            y = result.capacity_duals
+            z = None
+            if not repetitions:
+                z = np.zeros(instance.num_requests)
+                for r, req in enumerate(instance.requests):
+                    tree = single_source_dijkstra(instance.graph, req.source, y)
+                    if tree.reachable(req.target):
+                        z[r] = max(0.0, req.value - req.demand * tree.distance(req.target))
+            assert ufp_dual_is_feasible(instance, y, z)
+            assert ufp_dual_objective(instance, y, z) == pytest.approx(
+                result.objective, rel=1e-9
+            )
+
+    @pytest.mark.parametrize("suite, index", _SUITE_CELLS)
+    def test_builtin_suite_cells(self, suite, index):
+        self._assert_duals_certify(_suite_cell(suite, index)[0])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, seed, directed):
+        self._assert_duals_certify(_multigraph_instance(seed, directed))
 
 
 def _per_term_bid_packing(instance):
