@@ -79,9 +79,7 @@ def test_bench_bounded_muca_medium(benchmark, medium_auction):
 
 def test_bench_fractional_lp(benchmark, medium_instance):
     """The edge-flow LP relaxation of the 80-request instance."""
-    result = benchmark.pedantic(
-        lambda: solve_fractional_ufp(medium_instance), rounds=1, iterations=1
-    )
+    result = benchmark(lambda: solve_fractional_ufp(medium_instance))
     assert result.ok
 
 
@@ -150,5 +148,5 @@ def test_bench_critical_value_payments(benchmark, jobs):
             jobs=jobs,
         )
 
-    payments = benchmark.pedantic(run, rounds=1, iterations=1)
+    payments = benchmark(run)
     assert np.all(payments >= 0.0)

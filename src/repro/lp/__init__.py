@@ -5,8 +5,10 @@ Everything LP-shaped in the reproduction goes through this package:
 * :mod:`repro.lp.model` — the solver-form program record
   (:class:`AssembledLP`: objective, bounds, CSR constraint blocks) and the
   solution record.
-* :mod:`repro.lp.solver` — :func:`solve_lp`, the scipy/HiGHS solve wrapper
-  with normalized statuses and dual extraction.
+* :mod:`repro.lp.solver` — :func:`solve_lp`, the HiGHS solve wrapper: it
+  hands the program to the HiGHS binding scipy vendors
+  (``scipy.optimize._highspy._core``) with linprog's model and options, and
+  returns normalized statuses and duals.
 * :mod:`repro.lp.fractional_ufp` — the relaxation of the Figure 1 ILP
   (edge-flow formulation, one flow per commodity root), used as the
   fractional optimum / upper bound in every UFP experiment, with a

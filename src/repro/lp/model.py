@@ -39,9 +39,8 @@ class AssembledLP:
         Array of shape ``(num_variables, 2)``: lower then upper bound of each
         variable (``inf`` where unbounded).
     A_ub, b_ub:
-        The ``<=`` block as a CSR matrix and its right-hand side; ``None``
-        when there are no such constraints, as :func:`scipy.optimize.linprog`
-        expects.
+        The ``<=`` block as a CSR matrix and its right-hand side; both
+        ``None`` when there are no such constraints.
     A_eq, b_eq:
         The ``==`` block, likewise.
     """

@@ -1,15 +1,17 @@
 """The HiGHS solve wrapper: one :class:`~repro.lp.model.AssembledLP` in, a
 normalized status, the primal point and the row duals out.
 
-HiGHS (through :func:`scipy.optimize.linprog`) is the only method; a
-program without variables is answered here, row by row, without a solver
-call.
+HiGHS is the only method.  The program goes straight to the HiGHS binding
+scipy ships, ``scipy.optimize._highspy._core`` (its vendored copy of
+highspy, HiGHS's own Python API), with the model and options
+:func:`scipy.optimize.linprog` would give it; a program without variables
+is answered here, row by row, without a solver call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from repro.exceptions import LPSolveError
 from repro.lp.model import AssembledLP, LPSolution
@@ -17,13 +19,27 @@ from repro.types import SolverStatus
 
 __all__ = ["solve_lp"]
 
+#: ``linprog(method="highs")``'s option set, in its order.
+_OPTIONS = (
+    ("presolve", "on"),
+    ("simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("highs_debug_level", int(highs.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("output_flag", False),
+    ("log_to_console", False),
+)
+
+#: HiGHS model statuses as linprog reads them; any other reads ``ERROR``.
 _STATUS_MAP = {
-    0: SolverStatus.OPTIMAL,
-    1: SolverStatus.ITERATION_LIMIT,
-    2: SolverStatus.INFEASIBLE,
-    3: SolverStatus.UNBOUNDED,
-    4: SolverStatus.ERROR,
+    highs.HighsModelStatus.kOptimal: SolverStatus.OPTIMAL,
+    highs.HighsModelStatus.kTimeLimit: SolverStatus.ITERATION_LIMIT,
+    highs.HighsModelStatus.kIterationLimit: SolverStatus.ITERATION_LIMIT,
+    highs.HighsModelStatus.kInfeasible: SolverStatus.INFEASIBLE,
+    highs.HighsModelStatus.kModelError: SolverStatus.INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: SolverStatus.UNBOUNDED,
 }
+
+#: linprog's post-solve tolerance on bounds, slacks and residuals.
+_TOLERANCE = np.sqrt(1e-9) * 10
 
 
 def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSolution:
@@ -40,13 +56,27 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
 
     Notes
     -----
-    scipy minimizes, so the objective is negated on the way in and the
+    HiGHS minimizes, so the costs are negated on the way in and the
     returned objective / duals are flipped back to the maximization
     convention: inequality duals are reported non-negative (shadow price of
-    relaxing ``<=`` by one unit increases the maximum by that price).  A
-    program without variables never reaches HiGHS: each of its rows reads
-    ``0 <= b`` or ``0 == b``, so it is optimal with zero duals when every
-    row holds and infeasible otherwise.
+    relaxing ``<=`` by one unit increases the maximum by that price).
+
+    The program reaches ``scipy.optimize._highspy._core`` as one row-wise
+    ``HighsLp``: the ``<=`` rows (``-inf <= A_ub x <= b_ub``), then the
+    ``==`` rows (``b_eq <= A_eq x <= b_eq``).  HiGHS stores it column-wise
+    on load, as the same CSC matrix ``linprog(method="highs")`` passes that
+    binding, and the options are the ones linprog sets: presolve on, the
+    dual simplex strategy, debug level none and no output.  So HiGHS runs
+    linprog's solve, and every bit of the objective, ``x`` and the duals is
+    linprog's; the tests keep linprog as the oracle.  The status is the
+    model status as linprog maps it, then linprog's post-solve check: an
+    optimum with a NaN, or with ``x`` outside its bounds, a ``<=`` slack
+    below zero or an ``==`` residual away from zero by more than
+    ``10·sqrt(1e-9)``, reads ``ERROR``.
+
+    A program without variables never reaches HiGHS: each of its rows
+    reads ``0 <= b`` or ``0 == b``, so it is optimal with zero duals when
+    every row holds and infeasible otherwise.
     """
     n_ub = program.num_le_constraints
     n_eq = program.num_eq_constraints
@@ -65,36 +95,44 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
         status = SolverStatus.INFEASIBLE
         message = "a constant row of the program without variables cannot hold"
     else:
-        result = linprog(
-            c=-program.c,
-            A_ub=program.A_ub,
-            b_ub=program.b_ub,
-            A_eq=program.A_eq,
-            b_eq=program.b_eq,
-            bounds=program.bounds,
-            method="highs",
-        )
-        status = _STATUS_MAP.get(int(result.status), SolverStatus.ERROR)
-        message = result.message
+        b_ub = np.zeros(0) if program.b_ub is None else program.b_ub
+        b_eq = np.zeros(0) if program.b_eq is None else program.b_eq
+        solver = highs._Highs()
+        for option, value in _OPTIONS:
+            solver.setOptionValue(option, value)
+        loaded = solver.passModel(_highs_lp(program, b_ub, b_eq)) != highs.HighsStatus.kError
+        ran = loaded and solver.run() != highs.HighsStatus.kError
+        # linprog reads a model HiGHS refuses to load as a model error.
+        model_status = solver.getModelStatus() if loaded else highs.HighsModelStatus.kModelError
+        status = _STATUS_MAP.get(model_status, SolverStatus.ERROR)
+        message = f"HiGHS model status {solver.modelStatusToString(model_status)}"
+        if status.ok and ran:
+            objective = solver.getInfo().objective_function_value
+            solution = solver.getSolution()
+            x = np.array(solution.col_value)
+            rows = np.array(solution.row_value)
+            # Comparisons with NaN are false, so a NaN fails the check too.
+            if (
+                not np.isnan(objective)
+                and np.all(x >= program.bounds[:, 0] - _TOLERANCE)
+                and np.all(x <= program.bounds[:, 1] + _TOLERANCE)
+                and np.all(b_ub - rows[:n_ub] >= -_TOLERANCE)
+                and np.all(np.abs(b_eq - rows[n_ub:]) <= _TOLERANCE)
+            ):
+                # HiGHS reports duals for the minimization problem; for the
+                # maximization problem the shadow price of a <= constraint
+                # is the negated dual, which is non-negative.
+                duals = -np.array(solution.row_dual)
+                return LPSolution(
+                    status=status,
+                    objective=float(-objective),
+                    x=x,
+                    ineq_duals=duals[:n_ub],
+                    eq_duals=duals[n_ub:],
+                )
+            message = f"the optimum misses a bound or a row by more than {_TOLERANCE:.2e}"
         if status.ok:
-            # HiGHS reports marginals for the minimization problem; for the
-            # maximization problem the shadow price of a <= constraint is
-            # the negated marginal, which is non-negative.
-            if n_ub and result.ineqlin is not None:
-                ineq_duals = -np.asarray(result.ineqlin.marginals, dtype=np.float64)
-            else:
-                ineq_duals = np.zeros(n_ub)
-            if n_eq and result.eqlin is not None:
-                eq_duals = -np.asarray(result.eqlin.marginals, dtype=np.float64)
-            else:
-                eq_duals = np.zeros(n_eq)
-            return LPSolution(
-                status=status,
-                objective=float(-result.fun),
-                x=np.asarray(result.x, dtype=np.float64),
-                ineq_duals=ineq_duals,
-                eq_duals=eq_duals,
-            )
+            status = SolverStatus.ERROR
 
     if raise_on_failure:
         raise LPSolveError(f"LP solve failed with status {status.value!r}: {message}")
@@ -105,3 +143,30 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
         ineq_duals=np.full(n_ub, np.nan),
         eq_duals=np.full(n_eq, np.nan),
     )
+
+
+def _highs_lp(program: AssembledLP, b_ub: np.ndarray, b_eq: np.ndarray) -> highs.HighsLp:
+    """The program as HiGHS's row-wise minimization model.  Every array goes
+    in as a list, which the binding converts faster than an array."""
+    lp = highs.HighsLp()
+    lp.num_col_ = program.num_variables
+    lp.num_row_ = len(b_ub) + len(b_eq)
+    lp.col_cost_ = (-program.c).tolist()
+    lp.col_lower_ = program.bounds[:, 0].tolist()
+    lp.col_upper_ = program.bounds[:, 1].tolist()
+    lp.row_lower_ = [-np.inf] * len(b_ub) + b_eq.tolist()
+    lp.row_upper_ = b_ub.tolist() + b_eq.tolist()
+    start, index, value = [0], [], []
+    for block in (program.A_ub, program.A_eq):
+        if block is not None:
+            start += (block.indptr[1:] + start[-1]).tolist()
+            index += block.indices.tolist()
+            value += block.data.tolist()
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_ = lp.num_col_
+    matrix.num_row_ = lp.num_row_
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
+    return lp

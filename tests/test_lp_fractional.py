@@ -587,10 +587,30 @@ def _per_term_path_master(instance, columns):
     return lp.assemble()
 
 
+def _packing_auction(seed: int) -> MUCAInstance:
+    """A random auction of 30 bids on 12 items of multiplicity 4."""
+    return random_auction(
+        num_items=12, num_bids=30, multiplicity=4.0, bundle_size_range=(1, 5), seed=seed
+    )
+
+
 def _auction_with_unwanted_item(seed: int) -> MUCAInstance:
     """A random auction plus one item (the last) that no bid contains."""
     auction = random_auction(num_items=9, num_bids=30, multiplicity=3.0, seed=seed)
     return MUCAInstance(np.append(auction.multiplicities, 2.0), auction.bids)
+
+
+def _single_item_auction() -> MUCAInstance:
+    """Three bids contending for one unit of one item."""
+    return MUCAInstance(np.array([1.0]), [Bid((0,), 5.0), Bid((0,), 3.0), Bid((0,), 1.0)])
+
+
+def _path_instance(seed: int, directed: bool) -> UFPInstance:
+    """A random 8-vertex instance with 25 requests and capacity 3."""
+    return random_instance(
+        num_vertices=8, edge_probability=0.35, capacity=3.0, num_requests=25,
+        demand_range=(0.5, 1.0), directed=directed, seed=seed,
+    )
 
 
 class TestBidPackingAssembly:
@@ -609,11 +629,7 @@ class TestBidPackingAssembly:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_auctions(self, seed):
-        self._assert_bit_identical(
-            random_auction(
-                num_items=12, num_bids=30, multiplicity=4.0, bundle_size_range=(1, 5), seed=seed
-            )
-        )
+        self._assert_bit_identical(_packing_auction(seed))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_item_without_bids_keeps_its_row(self, seed):
@@ -622,9 +638,7 @@ class TestBidPackingAssembly:
         self._assert_bit_identical(instance)
 
     def test_single_item_contention(self):
-        self._assert_bit_identical(
-            MUCAInstance(np.array([1.0]), [Bid((0,), 5.0), Bid((0,), 3.0), Bid((0,), 1.0)])
-        )
+        self._assert_bit_identical(_single_item_auction())
 
 
 class TestPathMasterAssembly:
@@ -647,12 +661,7 @@ class TestPathMasterAssembly:
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_instances(self, seed, directed):
-        self._assert_bit_identical(
-            random_instance(
-                num_vertices=8, edge_probability=0.35, capacity=3.0, num_requests=25,
-                demand_range=(0.5, 1.0), directed=directed, seed=seed,
-            )
-        )
+        self._assert_bit_identical(_path_instance(seed, directed))
 
     def test_disabled_edge_keeps_its_row(self):
         self._assert_bit_identical(_disabled_shortcut_instance())

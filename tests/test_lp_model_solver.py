@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.exceptions import LPSolveError
-from repro.lp import AssembledLP, solve_lp
+from repro.lp import AssembledLP, LPSolution, solve_lp
+from repro.lp import solver as solver_module
+from repro.lp.fractional_muca import bid_packing_program
+from repro.lp.fractional_ufp import edge_flow_program
+from repro.lp.path_lp import path_master_program, solve_path_lp
 from repro.types import SolverStatus
+
+from test_lp_fractional import (  # the LP cases of the model tests
+    _SUITE_CELLS,
+    _auction_with_unwanted_item,
+    _disabled_shortcut_instance,
+    _multigraph_instance,
+    _packing_auction,
+    _path_instance,
+    _single_item_auction,
+    _suite_cell,
+)
 
 
 def _program(objective, upper=np.inf, *, le=(), eq=()):
@@ -81,6 +99,17 @@ class TestSolver:
         sol = solve_lp(_program([1.0, 2.0, 3.0], 1.0))
         np.testing.assert_allclose(sol.value_of([1, 2]), [1.0, 1.0])
 
+    def test_optimum_failing_the_post_solve_check_reads_error(self, monkeypatch):
+        # At a tolerance of -1 the check wants every x_j <= 1, but the optimum's sum is 3.
+        monkeypatch.setattr(solver_module, "_TOLERANCE", -1.0)
+        program = _program([1.0, 1.0], 2.0, le=[({0: 1.0, 1: 1.0}, 3.0)])
+        with pytest.raises(LPSolveError, match="misses a bound or a row"):
+            solve_lp(program)
+        sol = solve_lp(program, raise_on_failure=False)
+        assert sol.status is SolverStatus.ERROR
+        assert np.isnan(sol.objective) and np.isnan(sol.x).all()
+        assert sol.ineq_duals.shape == (1,) and np.isnan(sol.ineq_duals).all()
+
 
 class TestProgramWithoutVariables:
     """Every row of a program without variables is the constant 0: it is
@@ -133,6 +162,125 @@ class TestProgramWithoutVariables:
         assert (
             solve_lp(self._rows_only([-1.0], [2.0]), raise_on_failure=False).status
             is SolverStatus.INFEASIBLE
+        )
+
+
+_LINPROG_STATUS = {
+    0: SolverStatus.OPTIMAL,
+    1: SolverStatus.ITERATION_LIMIT,
+    2: SolverStatus.INFEASIBLE,
+    3: SolverStatus.UNBOUNDED,
+    4: SolverStatus.ERROR,
+}
+
+
+def _linprog_solution(program: AssembledLP) -> LPSolution:
+    """The program solved through ``scipy.optimize.linprog(method="highs")``:
+    the costs negated on the way in, the objective and the row marginals
+    negated on the way out, and NaN in place of a failed solve's point, as
+    ``solve_lp(program, raise_on_failure=False)`` reports it."""
+    n_ub, n_eq = program.num_le_constraints, program.num_eq_constraints
+    result = linprog(
+        c=-program.c,
+        A_ub=program.A_ub,
+        b_ub=program.b_ub,
+        A_eq=program.A_eq,
+        b_eq=program.b_eq,
+        bounds=program.bounds,
+        method="highs",
+    )
+    status = _LINPROG_STATUS[int(result.status)]
+    if not status.ok:
+        return LPSolution(
+            status=status,
+            objective=float("nan"),
+            x=np.full(program.num_variables, np.nan),
+            ineq_duals=np.full(n_ub, np.nan),
+            eq_duals=np.full(n_eq, np.nan),
+        )
+    return LPSolution(
+        status=status,
+        objective=float(-result.fun),
+        x=np.asarray(result.x, dtype=np.float64),
+        ineq_duals=-np.asarray(result.ineqlin.marginals, dtype=np.float64) if n_ub else np.zeros(0),
+        eq_duals=-np.asarray(result.eqlin.marginals, dtype=np.float64) if n_eq else np.zeros(0),
+    )
+
+
+#: The auctions and path-LP instances of ``test_lp_fractional``'s assembly tests.
+_AUCTIONS = {
+    **{f"random-{seed}": partial(_packing_auction, seed) for seed in range(8)},
+    **{f"unwanted-item-{seed}": partial(_auction_with_unwanted_item, seed) for seed in range(3)},
+    "single-item": _single_item_auction,
+}
+_PATH_INSTANCES = {
+    **{
+        f"random-{seed}-{kind}": partial(_path_instance, seed, kind == "directed")
+        for seed in range(4)
+        for kind in ("directed", "undirected")
+    },
+    "disabled-edge": _disabled_shortcut_instance,
+    **{f"multigraph-{seed}": partial(_multigraph_instance, seed, seed % 2 == 0) for seed in range(4)},
+}
+
+
+class TestLinprogOracle:
+    """:func:`solve_lp` hands HiGHS the model and options ``linprog`` does,
+    so it returns linprog's status and, bit for bit, its objective, point
+    and duals.  A scipy release that moves the binding or its HiGHS build
+    away from linprog's shows here first."""
+
+    @staticmethod
+    def _assert_as_linprog(program: AssembledLP) -> None:
+        got = solve_lp(program, raise_on_failure=False)
+        want = _linprog_solution(program)
+        assert got.status is want.status
+        assert got.objective.hex() == want.objective.hex()
+        for name in ("x", "ineq_duals", "eq_duals"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.shape == want_array.shape, name
+            assert got_array.tobytes() == want_array.tobytes(), name
+
+    @pytest.mark.parametrize("repetitions", [False, True])
+    @pytest.mark.parametrize("suite, index", _SUITE_CELLS)
+    def test_builtin_suite_cells(self, suite, index, repetitions):
+        instance = _suite_cell(suite, index)[0]
+        self._assert_as_linprog(edge_flow_program(instance, repetitions=repetitions))
+
+    @pytest.mark.parametrize("repetitions", [False, True])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, seed, directed, repetitions):
+        instance = _multigraph_instance(seed, directed)
+        self._assert_as_linprog(edge_flow_program(instance, repetitions=repetitions))
+
+    @pytest.mark.parametrize("name", list(_AUCTIONS))
+    def test_bid_packing_programs(self, name):
+        self._assert_as_linprog(bid_packing_program(_AUCTIONS[name]()))
+
+    @pytest.mark.parametrize("name", list(_PATH_INSTANCES))
+    def test_path_master_programs(self, name):
+        """The master over the columns column generation ends with."""
+        instance = _PATH_INSTANCES[name]()
+        columns = list(solve_path_lp(instance).columns)
+        self._assert_as_linprog(path_master_program(instance, columns))
+
+    def test_infeasible_program(self):
+        program = _program([1.0], le=[({0: 1.0}, -5.0)])
+        assert solve_lp(program, raise_on_failure=False).status is SolverStatus.INFEASIBLE
+        self._assert_as_linprog(program)
+
+    def test_unbounded_program(self):
+        self._assert_as_linprog(_program([1.0]))
+
+    def test_equality_rows_only(self):
+        self._assert_as_linprog(
+            _program([2.0, 1.0, 3.0], 4.0, eq=[({0: 1.0, 1: 1.0}, 5.0), ({1: 1.0, 2: 2.0}, 3.0)])
+        )
+
+    def test_inequality_rows_only(self):
+        self._assert_as_linprog(
+            _program([3.0, 2.0, 1.0], 1.0, le=[({0: 1.0, 1: 1.0}, 1.0), ({1: 2.0, 2: 1.0}, 1.5)])
         )
 
 
