@@ -106,7 +106,6 @@ def briest_style_ufp(
         label="BKV-style-UFP",
         remove_selected=True,
         default_cap=lambda: instance.num_requests,
-        capacity_check="ignore",
         max_iterations=None,
         trace=None,
         make_duals=partial(_ConservativeDuals, beta=beta),
@@ -125,7 +124,6 @@ def briest_style_muca(
     allocation = _greedy_bundle_run(
         instance,
         epsilon,
-        capacity_check="ignore",
         max_iterations=None,
         trace=None,
         make_duals=partial(_ConservativeDuals, beta=beta),

@@ -41,7 +41,6 @@ def randomized_rounding_ufp(
     epsilon: float = 0.1,
     *,
     seed: int | np.random.Generator | None = None,
-    drop_violators: bool = True,
 ) -> Allocation:
     """Randomized rounding of the path LP.
 
@@ -57,9 +56,6 @@ def randomized_rounding_ufp(
         Randomness source (the rounding is inherently randomized — which is
         precisely why it cannot be derandomized into a monotone rule by
         simple means).
-    drop_violators:
-        Apply the alteration step that drops any rounded request whose path
-        would exceed a capacity.  Disable only to observe raw rounding.
     """
     if not 0.0 < float(epsilon) < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -84,7 +80,7 @@ def randomized_rounding_ufp(
         choice = int(rng.choice(len(distribution), p=weights))
         column = distribution[choice][0]
         ids = np.asarray(column.edge_ids, dtype=np.int64)
-        if drop_violators and np.any(residual[ids] + 1e-12 < req.demand):
+        if np.any(residual[ids] + 1e-12 < req.demand):
             continue
         residual[ids] -= req.demand
         routed.append(
@@ -114,7 +110,6 @@ def randomized_rounding_muca(
     epsilon: float = 0.1,
     *,
     seed: int | np.random.Generator | None = None,
-    drop_violators: bool = True,
 ) -> MUCAAllocation:
     """Randomized rounding of the fractional auction LP."""
     if not 0.0 < float(epsilon) < 1.0:
@@ -130,7 +125,7 @@ def randomized_rounding_muca(
         if rng.random() >= probability:
             continue
         ids = np.asarray(bid.bundle, dtype=np.int64)
-        if drop_violators and np.any(residual[ids] + 1e-12 < 1.0):
+        if np.any(residual[ids] + 1e-12 < 1.0):
             continue
         residual[ids] -= 1.0
         winners.append(idx)

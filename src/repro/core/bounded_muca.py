@@ -18,44 +18,22 @@ declared bundle as well, so the induced mechanism is truthful even for
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
 from typing import Callable
 
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
-from repro.core.bounded_ufp import CapacityCheck
 from repro.core.dual_state import DualWeights
 from repro.core.pricing_engine import BundlePricingEngine, greedy_rounds
-from repro.exceptions import CapacityBoundError
 from repro.types import RunStats
 
 __all__ = ["bounded_muca"]
-
-
-def _check_capacity_assumption(
-    instance: MUCAInstance, epsilon: float, mode: CapacityCheck
-) -> None:
-    if mode == "ignore":
-        return
-    if instance.meets_capacity_assumption(epsilon):
-        return
-    needed = math.log(max(instance.num_items, 2)) / (epsilon * epsilon)
-    message = (
-        f"auction has B = {instance.capacity_bound():.3g} but Theorem 4.1 requires "
-        f"B >= ln(m)/eps^2 = {needed:.3g} for eps = {epsilon:g}"
-    )
-    if mode == "strict":
-        raise CapacityBoundError(message)
-    warnings.warn(message, stacklevel=3)
 
 
 def bounded_muca(
     instance: MUCAInstance,
     epsilon: float,
     *,
-    capacity_check: CapacityCheck = "ignore",
     max_iterations: int | None = None,
     trace=None,
 ) -> MUCAAllocation:
@@ -64,13 +42,13 @@ def bounded_muca(
     Parameters
     ----------
     instance:
-        The B-bounded multi-unit auction.
+        The B-bounded multi-unit auction.  Any ``B`` runs and the output is
+        always feasible; whether Theorem 4.1's ``B >= ln(m)/eps^2`` holds is
+        :meth:`MUCAInstance.meets_capacity_assumption`.
     epsilon:
         The accuracy parameter in ``(0, 1]``; pass
         :func:`repro.core.bounded_ufp.recommended_epsilon` of the target
         accuracy to obtain the Theorem 4.1 guarantee.
-    capacity_check:
-        As in :func:`repro.core.bounded_ufp.bounded_ufp`.
     max_iterations:
         Optional hard cap on iterations (the natural bound is the number of
         bids).
@@ -88,7 +66,6 @@ def bounded_muca(
     return _greedy_bundle_run(
         instance,
         epsilon,
-        capacity_check=capacity_check,
         max_iterations=max_iterations,
         trace=trace,
     )
@@ -98,7 +75,6 @@ def _greedy_bundle_run(
     instance: MUCAInstance,
     epsilon: float,
     *,
-    capacity_check: CapacityCheck,
     max_iterations: int | None,
     trace,
     make_duals: Callable[..., DualWeights] = DualWeights,
@@ -108,7 +84,6 @@ def _greedy_bundle_run(
     multiplicities and ``epsilon``)."""
     if not 0.0 < float(epsilon) <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    _check_capacity_assumption(instance, float(epsilon), capacity_check)
 
     start = time.perf_counter()
     duals = make_duals(instance.multiplicities, float(epsilon))

@@ -22,21 +22,17 @@ hence (Theorem 2.3) it induces a truthful mechanism, implemented in
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
-from typing import Callable, Literal
+from typing import Callable
 
 from repro.core.dual_state import DualWeights
 from repro.core.pricing_engine import PathPricingEngine, greedy_rounds
-from repro.exceptions import CapacityBoundError, InvalidInstanceError
+from repro.exceptions import InvalidInstanceError
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
 from repro.types import RunStats
 
 __all__ = ["bounded_ufp", "recommended_epsilon"]
-
-CapacityCheck = Literal["ignore", "warn", "strict"]
 
 
 def recommended_epsilon(target_epsilon: float) -> float:
@@ -50,29 +46,10 @@ def recommended_epsilon(target_epsilon: float) -> float:
     return target_epsilon / 6.0
 
 
-def _check_capacity_assumption(
-    instance: UFPInstance, epsilon: float, mode: CapacityCheck
-) -> None:
-    if mode == "ignore":
-        return
-    if instance.meets_capacity_assumption(epsilon):
-        return
-    needed = math.log(max(instance.num_edges, 2)) / (epsilon * epsilon)
-    message = (
-        f"instance has B = {instance.capacity_bound():.3g} but Theorem 3.1 requires "
-        f"B >= ln(m)/eps^2 = {needed:.3g} for eps = {epsilon:g}; the approximation "
-        "guarantee does not apply (feasibility is still enforced by the stopping rule)"
-    )
-    if mode == "strict":
-        raise CapacityBoundError(message)
-    warnings.warn(message, stacklevel=3)
-
-
 def bounded_ufp(
     instance: UFPInstance,
     epsilon: float,
     *,
-    capacity_check: CapacityCheck = "ignore",
     max_iterations: int | None = None,
     trace=None,
 ) -> Allocation:
@@ -83,16 +60,14 @@ def bounded_ufp(
     instance:
         The B-bounded UFP instance.  Demands must lie in ``(0, 1]`` (the
         paper's normalized form); call :meth:`UFPInstance.normalized` first
-        for raw instances.
+        for raw instances.  Any ``B`` runs and the output is always
+        feasible; whether Theorem 3.1's ``B >= ln(m)/eps^2`` holds, so that
+        its guarantee applies, is
+        :meth:`UFPInstance.meets_capacity_assumption`.
     epsilon:
         The accuracy parameter of Algorithm 1, in ``(0, 1]``.  To hit a
         target guarantee of ``(1 + eps) e/(e-1)`` pass
         :func:`recommended_epsilon(eps) <recommended_epsilon>`.
-    capacity_check:
-        How to treat instances that do not satisfy ``B >= ln(m)/eps^2``:
-        ``"ignore"`` (default — run anyway, the output is always feasible),
-        ``"warn"`` or ``"strict"`` (raise
-        :class:`~repro.exceptions.CapacityBoundError`).
     max_iterations:
         Optional hard cap on iterations (the natural bound is ``|R|``).
     trace:
@@ -129,7 +104,6 @@ def bounded_ufp(
         label="Bounded-UFP",
         remove_selected=True,
         default_cap=lambda: instance.num_requests,
-        capacity_check=capacity_check,
         max_iterations=max_iterations,
         trace=trace,
     )
@@ -142,7 +116,6 @@ def _greedy_path_run(
     label: str,
     remove_selected: bool,
     default_cap: Callable[[], int],
-    capacity_check: CapacityCheck,
     max_iterations: int | None,
     trace,
     make_duals: Callable[..., DualWeights] = DualWeights,
@@ -161,7 +134,6 @@ def _greedy_path_run(
             f"{label} expects demands normalized to (0, 1]; call "
             "UFPInstance.normalized() first"
         )
-    _check_capacity_assumption(instance, float(epsilon), capacity_check)
 
     graph = instance.graph
     start = time.perf_counter()

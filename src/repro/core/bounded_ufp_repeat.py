@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.bounded_ufp import CapacityCheck, _greedy_path_run
+from repro.core.bounded_ufp import _greedy_path_run
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
 
@@ -44,7 +44,6 @@ def bounded_ufp_repeat(
     instance: UFPInstance,
     epsilon: float,
     *,
-    capacity_check: CapacityCheck = "ignore",
     max_iterations: int | None = None,
     trace=None,
 ) -> Allocation:
@@ -57,8 +56,6 @@ def bounded_ufp_repeat(
     epsilon:
         Accuracy parameter in ``(0, 1]``; Theorem 5.1 uses ``eps/6`` to reach
         a ``(1 + eps)`` guarantee.
-    capacity_check:
-        As in :func:`repro.core.bounded_ufp.bounded_ufp`.
     max_iterations:
         Optional cap; the default is the paper's bound
         ``ceil(m * c_max / d_min) + m`` which the run never reaches in
@@ -82,7 +79,6 @@ def bounded_ufp_repeat(
         label="Bounded-UFP-Repeat",
         remove_selected=False,
         default_cap=lambda: _repetition_cap(instance),
-        capacity_check=capacity_check,
         max_iterations=max_iterations,
         trace=trace,
     )

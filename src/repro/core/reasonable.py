@@ -62,6 +62,9 @@ __all__ = [
     "partition_tie_break",
 ]
 
+#: Relative tolerance within which two priorities count as tied.
+_TIE_TOLERANCE = 1e-9
+
 
 # ---------------------------------------------------------------------- #
 # Candidates
@@ -284,6 +287,14 @@ def partition_tie_break(
     return min(candidates, key=rank)
 
 
+def _tied(feasible: Sequence) -> list:
+    """The feasible candidates whose priority equals the least one up to
+    ``_TIE_TOLERANCE`` (relative); the tie-break picks among them."""
+    best = min(c.priority for c in feasible)
+    threshold = best + _TIE_TOLERANCE * max(1.0, abs(best)) + 1e-15
+    return [c for c in feasible if c.priority <= threshold]
+
+
 def _first_candidate(candidates: Sequence[PathCandidate]) -> PathCandidate:
     """Default tie-break: lowest request index, then fewest hops."""
     return min(candidates, key=lambda c: (c.request_index, len(c.edge_ids)))
@@ -304,16 +315,14 @@ class ReasonableIterativePathMinimizer:
     priority:
         The reasonable function ``g`` to minimize.
     tie_break:
-        How to choose among candidates whose priorities are equal up to
-        ``tie_tolerance`` (relative).  Defaults to lowest request index.
+        How to choose among candidates whose priorities are equal up to a
+        relative ``1e-9``.  Defaults to lowest request index.
     max_path_hops:
         Cutoff on the number of edges of enumerated simple paths (``None``
         enumerates all simple paths — only do this on small graphs).
     max_paths_per_pair:
         Safety cap on the number of candidate paths kept per
         (source, target) pair.
-    tie_tolerance:
-        Relative tolerance for considering two priorities tied.
 
     Notes
     -----
@@ -331,13 +340,11 @@ class ReasonableIterativePathMinimizer:
         tie_break: TieBreak | None = None,
         max_path_hops: int | None = None,
         max_paths_per_pair: int = 1000,
-        tie_tolerance: float = 1e-9,
     ) -> None:
         self.priority = priority
         self.tie_break = tie_break or _first_candidate
         self.max_path_hops = max_path_hops
         self.max_paths_per_pair = int(max_paths_per_pair)
-        self.tie_tolerance = float(tie_tolerance)
 
     # .................................................................. #
     def _enumerate_paths(
@@ -396,10 +403,7 @@ class ReasonableIterativePathMinimizer:
                     )
             if not feasible:
                 break
-            best = min(c.priority for c in feasible)
-            threshold = best + self.tie_tolerance * max(1.0, abs(best)) + 1e-15
-            candidates = [c for c in feasible if c.priority <= threshold]
-            chosen = self.tie_break(candidates)
+            chosen = self.tie_break(_tied(feasible))
             ids = np.asarray(chosen.edge_ids, dtype=np.int64)
             flows[ids] += chosen.demand
             routed.append(
@@ -437,11 +441,9 @@ class ReasonableIterativeBundleMinimizer:
         priority: BundlePriority,
         *,
         tie_break: BundleTieBreak | None = None,
-        tie_tolerance: float = 1e-9,
     ) -> None:
         self.priority = priority
         self.tie_break = tie_break or _first_bundle
-        self.tie_tolerance = float(tie_tolerance)
 
     def run(self, instance: MUCAInstance) -> MUCAAllocation:
         """Allocate greedily until no bid fits in the residual multiplicities."""
@@ -463,10 +465,7 @@ class ReasonableIterativeBundleMinimizer:
                 feasible.append(BundleCandidate(idx, bid.bundle, bid.value, value))
             if not feasible:
                 break
-            best = min(c.priority for c in feasible)
-            threshold = best + self.tie_tolerance * max(1.0, abs(best)) + 1e-15
-            candidates = [c for c in feasible if c.priority <= threshold]
-            chosen = self.tie_break(candidates, instance)
+            chosen = self.tie_break(_tied(feasible), instance)
             ids = np.asarray(chosen.bundle, dtype=np.int64)
             flows[ids] += 1.0
             winners.append(chosen.bid_index)

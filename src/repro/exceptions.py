@@ -13,7 +13,6 @@ __all__ = [
     "InvalidInstanceError",
     "InvalidRequestError",
     "InfeasibleAllocationError",
-    "CapacityBoundError",
     "NoPathError",
     "LPSolveError",
     "MechanismError",
@@ -35,11 +34,6 @@ class InvalidRequestError(InvalidInstanceError):
 
 class InfeasibleAllocationError(ReproError):
     """An allocation violates edge capacities or item multiplicities."""
-
-
-class CapacityBoundError(ReproError):
-    """The instance does not satisfy the large-capacity assumption required
-    by an algorithm (``B >= ln(m) / eps**2``) and strict mode is enabled."""
 
 
 class NoPathError(ReproError):

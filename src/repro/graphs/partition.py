@@ -237,7 +237,6 @@ def bfs_partition(
     num_regions: int,
     *,
     seed: int | np.random.Generator | None = None,
-    refine_passes: int = 1,
 ) -> GraphPartition:
     """A deterministic seeded multi-source BFS partition for arbitrary graphs.
 
@@ -246,11 +245,11 @@ def bfs_partition(
     vertex, so region numbering is independent of draw order); regions then
     expand one BFS layer per round in round-robin region order, claiming
     unassigned vertices in adjacency order.  Vertices unreachable from
-    every seed are assigned round-robin by vertex id.  ``refine_passes``
-    local sweeps then move border vertices to the neighboring region that
-    most reduces the cut size (a deterministic one-vertex min-cut
-    refinement — ties keep the current region, moves never empty a
-    region), which tightens seeded cuts on graphs without natural blocks.
+    every seed are assigned round-robin by vertex id.  One local sweep then
+    moves border vertices to the neighboring region that most reduces the
+    cut size (a deterministic one-vertex min-cut refinement — ties keep the
+    current region, moves never empty a region), which tightens seeded cuts
+    on graphs without natural blocks.
     """
     n = graph.num_vertices
     k = int(num_regions)
@@ -276,16 +275,14 @@ def bfs_partition(
     unreached = np.flatnonzero(labels < 0)
     for position, vertex in enumerate(unreached):
         labels[vertex] = position % k
-    for _ in range(max(0, int(refine_passes))):
-        if k == 1 or not _refine_once(labels, neighbors, k):
-            break
+    if k > 1:
+        _refine_once(labels, neighbors, k)
     return GraphPartition(graph, labels)
 
 
-def _refine_once(labels: np.ndarray, neighbors: list[list[int]], k: int) -> bool:
-    """One deterministic refinement sweep; returns whether anything moved."""
+def _refine_once(labels: np.ndarray, neighbors: list[list[int]], k: int) -> None:
+    """One deterministic refinement sweep, in place."""
     sizes = np.bincount(labels, minlength=k)
-    moved = False
     for v in range(labels.size):
         current = int(labels[v])
         if sizes[current] <= 1 or not neighbors[v]:
@@ -304,5 +301,3 @@ def _refine_once(labels: np.ndarray, neighbors: list[list[int]], k: int) -> bool
             labels[v] = best_region
             sizes[current] -= 1
             sizes[best_region] += 1
-            moved = True
-    return moved

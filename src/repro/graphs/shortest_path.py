@@ -46,8 +46,8 @@ attaining arc first in ``(dist[tail], CSR position)`` order: the only one
 when there are no ties, else the first of its head's run after one stable
 sort.
 
-*Fallbacks.*  The C path needs scipy, all weights ``> 0`` on the graph's
-arcs and no parallel arcs (scipy's CSR canonicalization sums duplicate
+*Fallbacks.*  The C path needs all weights ``> 0`` on the graph's arcs
+and no parallel arcs (scipy's CSR canonicalization sums duplicate
 entries).  A reached vertex without an attaining arc — reached only through
 a weight absorbed by rounding, ``fl(d + w) == d`` — leaves the settle order
 unprovable, and the tree is recomputed by the loop.  Outside these cases
@@ -63,6 +63,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import NoPathError
 from repro.graphs.graph import CapacitatedGraph
@@ -259,16 +260,9 @@ def dijkstra_lists(
 def _csgraph_arrays(graph: CapacitatedGraph):
     """The graph's arcs as a scipy CSR template plus ``(tails, heads, edge
     ids)`` for the parent rebuild, cached on the graph; ``None`` when the
-    graph has parallel arcs or scipy is missing."""
+    graph has parallel arcs."""
     cache = graph.substrate_cache
     if _CSGRAPH_KEY not in cache:
-        # scipy is imported on the first large graph, so programs whose
-        # graphs all stay on the loop never load its graph module.
-        try:
-            from scipy.sparse import csr_matrix
-        except ImportError:  # pragma: no cover - scipy is installed wherever tests run
-            cache[_CSGRAPH_KEY] = None
-            return None
         n = graph.num_vertices
         indptr = graph.indptr
         heads = graph.adjacency_heads
@@ -288,6 +282,8 @@ def _csgraph_arrays(graph: CapacitatedGraph):
 def _csgraph_tree(graph, weights, source, arrays) -> CompactTree | None:
     """The C tree of ``source``, or ``None`` when its parents are not
     provably the loop's (see the module docstring)."""
+    # Imported on the first C tree, so programs whose graphs all stay on
+    # the loop never load scipy's graph module.
     from scipy.sparse.csgraph import dijkstra
 
     template, tails, heads, eids = arrays

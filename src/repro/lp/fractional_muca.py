@@ -76,13 +76,10 @@ def bid_packing_program(instance: MUCAInstance) -> AssembledLP:
     )
 
 
-def solve_fractional_muca(
-    instance: MUCAInstance,
-    *,
-    raise_on_failure: bool = True,
-) -> FractionalMUCAResult:
-    """Solve the fractional relaxation of a multi-unit auction instance."""
-    solution = solve_lp(bid_packing_program(instance), raise_on_failure=raise_on_failure)
+def solve_fractional_muca(instance: MUCAInstance) -> FractionalMUCAResult:
+    """Solve the fractional relaxation of a multi-unit auction instance; a
+    failed solve raises :class:`~repro.exceptions.LPSolveError`."""
+    solution = solve_lp(bid_packing_program(instance))
     return FractionalMUCAResult(
         objective=float(solution.objective),
         fractions=solution.x,

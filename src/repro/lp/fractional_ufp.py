@@ -59,7 +59,8 @@ class FractionalUFPResult:
         Dual values ``y_e`` of the capacity constraints (the LP analogue of
         the algorithm's edge weights), indexed by edge id.
     status:
-        Solver status (always optimal unless ``raise_on_failure=False``).
+        Solver status (always optimal: a failed solve raises
+        :class:`~repro.exceptions.LPSolveError`).
 
     The flow is solved per commodity root (see the module docstring), so
     there is no per-request flow to report; :meth:`edge_loads` gives the
@@ -225,7 +226,6 @@ def solve_fractional_ufp(
     instance: UFPInstance,
     *,
     repetitions: bool = False,
-    raise_on_failure: bool = True,
 ) -> FractionalUFPResult:
     """Solve the fractional relaxation of ``instance``.
 
@@ -236,8 +236,6 @@ def solve_fractional_ufp(
     repetitions:
         When ``True`` the per-request cap ``X_r <= 1`` is dropped (Figure 5
         relaxation); the optimum is then only bounded by the capacities.
-    raise_on_failure:
-        Raise :class:`~repro.exceptions.LPSolveError` on non-optimal status.
 
     Notes
     -----
@@ -262,17 +260,7 @@ def solve_fractional_ufp(
         )
 
     program = edge_flow_program(instance, repetitions=repetitions)
-    solution = solve_lp(program, raise_on_failure=raise_on_failure)
-
-    if not solution.ok:
-        return FractionalUFPResult(
-            objective=float("nan"),
-            routed_fraction=np.full(num_requests, np.nan),
-            capacity_duals=np.full(m, np.nan),
-            status=solution.status,
-            _loads=np.full(m, np.nan),
-        )
-
+    solution = solve_lp(program)
     # An edge's load is the left-hand side of its capacity row.
     return FractionalUFPResult(
         objective=float(solution.objective),

@@ -32,6 +32,13 @@ from repro.types import SolverStatus
 
 __all__ = ["PathColumn", "PathLPResult", "path_master_program", "solve_path_lp"]
 
+#: Cap on the master re-solves: a truncated column generation would silently
+#: under-estimate the optimum, so reaching it raises instead.
+_MAX_MASTER_SOLVES = 200
+
+#: A priced path enters the master when its reduced cost exceeds this.
+_REDUCED_COST_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class PathColumn:
@@ -150,23 +157,12 @@ def path_master_program(instance: UFPInstance, columns: Sequence[PathColumn]) ->
     )
 
 
-def solve_path_lp(
-    instance: UFPInstance,
-    *,
-    max_iterations: int = 200,
-    tolerance: float = 1e-7,
-    raise_on_failure: bool = True,
-) -> PathLPResult:
+def solve_path_lp(instance: UFPInstance) -> PathLPResult:
     """Solve the Figure 1 relaxation by column generation.
 
-    Parameters
-    ----------
-    max_iterations:
-        Safety cap on the number of master re-solves; exceeding it raises
-        :class:`~repro.exceptions.LPSolveError` because a truncated column
-        generation would silently under-estimate the optimum.
-    tolerance:
-        Reduced-cost tolerance for admitting new columns.
+    A master solve that fails, or a pricing round that still adds columns
+    after ``_MAX_MASTER_SOLVES`` (200) master solves, raises
+    :class:`~repro.exceptions.LPSolveError`.
     """
     graph = instance.graph
     m = graph.num_edges
@@ -197,16 +193,8 @@ def solve_path_lp(
             iterations=0,
         )
 
-    last_solution = None
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        last_solution = solve_lp(
-            path_master_program(instance, columns), raise_on_failure=raise_on_failure
-        )
-        if not last_solution.ok:
-            break  # its x and duals are nan, sized like the master
-
+    for iterations in range(1, _MAX_MASTER_SOLVES + 1):
+        last_solution = solve_lp(path_master_program(instance, columns))
         y = last_solution.ineq_duals[:m]
         z = last_solution.ineq_duals[m:]
         # Guard against tiny negative duals from the solver.
@@ -227,7 +215,7 @@ def solve_path_lp(
                     continue
                 length = tree.distance(req.target)
                 reduced_cost = req.value - z[i] - req.demand * length
-                if reduced_cost > tolerance:
+                if reduced_cost > _REDUCED_COST_TOLERANCE:
                     vertices, edges = tree.path_to(req.target)
                     key = (i, tuple(edges))
                     if key not in known:
@@ -238,7 +226,7 @@ def solve_path_lp(
             break
     else:
         raise LPSolveError(
-            f"column generation did not converge within {max_iterations} iterations"
+            f"column generation did not converge within {_MAX_MASTER_SOLVES} iterations"
         )
 
     return PathLPResult(

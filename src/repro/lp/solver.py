@@ -10,6 +10,8 @@ is answered here, row by row, without a solver call.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
@@ -41,6 +43,13 @@ _STATUS_MAP = {
 #: linprog's post-solve tolerance on bounds, slacks and residuals.
 _TOLERANCE = np.sqrt(1e-9) * 10
 
+_ROWWISE = int(highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
+_CONTINUOUS = np.int32(highs.HighsVarType.kContinuous)
+#: Seeds the concatenation of the matrix's index arrays, which a program
+#: without rows leaves empty.
+_NO_INDICES = np.zeros(0, dtype=np.int32)
+
 
 def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSolution:
     """Solve a program in maximization form with HiGHS.
@@ -62,11 +71,12 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
     relaxing ``<=`` by one unit increases the maximum by that price).
 
     The program reaches ``scipy.optimize._highspy._core`` as one row-wise
-    ``HighsLp``: the ``<=`` rows (``-inf <= A_ub x <= b_ub``), then the
-    ``==`` rows (``b_eq <= A_eq x <= b_eq``).  HiGHS stores it column-wise
-    on load, as the same CSC matrix ``linprog(method="highs")`` passes that
-    binding, and the options are the ones linprog sets: presolve on, the
-    dual simplex strategy, debug level none and no output.  So HiGHS runs
+    model, its arrays passed as they are: the ``<=`` rows (``-inf <= A_ub x
+    <= b_ub``), then the ``==`` rows (``b_eq <= A_eq x <= b_eq``), every
+    column continuous.  HiGHS stores it column-wise on load, as the same
+    CSC matrix ``linprog(method="highs")`` passes that binding, and the
+    options are the ones linprog sets: presolve on, the dual simplex
+    strategy, debug level none and no output.  So HiGHS runs
     linprog's solve, and every bit of the objective, ``x`` and the duals is
     linprog's; the tests keep linprog as the oracle.  The status is the
     model status as linprog maps it, then linprog's post-solve check: an
@@ -100,7 +110,7 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
         solver = highs._Highs()
         for option, value in _OPTIONS:
             solver.setOptionValue(option, value)
-        loaded = solver.passModel(_highs_lp(program, b_ub, b_eq)) != highs.HighsStatus.kError
+        loaded = _pass_model(solver, program, b_ub, b_eq) != highs.HighsStatus.kError
         ran = loaded and solver.run() != highs.HighsStatus.kError
         # linprog reads a model HiGHS refuses to load as a model error.
         model_status = solver.getModelStatus() if loaded else highs.HighsModelStatus.kModelError
@@ -145,28 +155,38 @@ def solve_lp(program: AssembledLP, *, raise_on_failure: bool = True) -> LPSoluti
     )
 
 
-def _highs_lp(program: AssembledLP, b_ub: np.ndarray, b_eq: np.ndarray) -> highs.HighsLp:
-    """The program as HiGHS's row-wise minimization model.  Every array goes
-    in as a list, which the binding converts faster than an array."""
-    lp = highs.HighsLp()
-    lp.num_col_ = program.num_variables
-    lp.num_row_ = len(b_ub) + len(b_eq)
-    lp.col_cost_ = (-program.c).tolist()
-    lp.col_lower_ = program.bounds[:, 0].tolist()
-    lp.col_upper_ = program.bounds[:, 1].tolist()
-    lp.row_lower_ = [-np.inf] * len(b_ub) + b_eq.tolist()
-    lp.row_upper_ = b_ub.tolist() + b_eq.tolist()
-    start, index, value = [0], [], []
-    for block in (program.A_ub, program.A_eq):
-        if block is not None:
-            start += (block.indptr[1:] + start[-1]).tolist()
-            index += block.indices.tolist()
-            value += block.data.tolist()
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kRowwise
-    matrix.num_col_ = lp.num_col_
-    matrix.num_row_ = lp.num_row_
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
-    return lp
+def _pass_model(solver, program: AssembledLP, b_ub: np.ndarray, b_eq: np.ndarray):
+    """Load the program into ``solver`` as HiGHS's row-wise minimization
+    model through the array overload of ``passModel``, which takes the CSR
+    arrays as they are instead of copying them element by element into a
+    ``HighsLp``.  That overload reads the model as empty unless
+    ``integrality`` has one entry per column, so every column is marked
+    continuous.  Returns the load's ``HighsStatus``."""
+    blocks = [block for block in (program.A_ub, program.A_eq) if block is not None]
+    offsets = list(accumulate([0] + [block.nnz for block in blocks]))
+    start = np.concatenate(
+        [_NO_INDICES, *(block.indptr[:-1] + offset for block, offset in zip(blocks, offsets))]
+    )
+    num_rows = len(b_ub) + len(b_eq)
+    # HiGHS reads each array to the length these counts give it, so a
+    # program whose sizes disagree is refused here, as a HighsLp load
+    # refuses it.
+    if program.bounds.shape != (program.num_variables, 2) or len(start) != num_rows:
+        return highs.HighsStatus.kError
+    return solver.passModel(
+        program.num_variables,
+        num_rows,
+        offsets[-1],
+        _ROWWISE,
+        _MINIMIZE,
+        0.0,
+        -program.c,
+        program.bounds[:, 0],
+        program.bounds[:, 1],
+        np.concatenate((np.full(len(b_ub), -np.inf), b_eq)),
+        np.concatenate((b_ub, b_eq)),
+        start,
+        np.concatenate([_NO_INDICES, *(block.indices for block in blocks)]),
+        np.concatenate([np.zeros(0), *(block.data for block in blocks)]),
+        np.full(program.num_variables, _CONTINUOUS),
+    )

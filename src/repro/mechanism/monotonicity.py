@@ -82,7 +82,7 @@ class MonotonicityReport:
 
 
 def _check_monotonicity(
-    algorithm, instance, agent_cls, deviate: Callable, *, trials, include_losers, seed
+    algorithm, instance, agent_cls, deviate: Callable, *, trials, seed
 ) -> MonotonicityReport:
     """The loop of both checks; ``deviate(declared, selected, rng)`` draws
     one deviation.  The call order (one base run, then one run per trial
@@ -95,8 +95,6 @@ def _check_monotonicity(
 
     for index, declared in enumerate(_declarations(instance)):
         selected = index in winners
-        if not selected and not include_losers:
-            continue
         for _ in range(int(trials)):
             deviated = deviate(declared, selected, rng)
             deviated_selected = oracle.probe_selected(index, deviated)
@@ -134,19 +132,18 @@ def check_ufp_monotonicity(
     instance: UFPInstance,
     *,
     trials_per_request: int = 5,
-    include_losers: bool = True,
     seed: int | np.random.Generator | None = None,
 ) -> MonotonicityReport:
     """Sample type deviations and check Definition 2.1 for every request.
 
     For each *winner* the sampled deviations lower the demand and raise the
-    value (the winner must stay selected); for each *loser* (when
-    ``include_losers``) they raise the demand and lower the value (the loser
-    must stay unselected) — the contrapositive of the same property.
+    value (the winner must stay selected); for each *loser* they raise the
+    demand and lower the value (the loser must stay unselected) — the
+    contrapositive of the same property.
     """
     return _check_monotonicity(
         algorithm, instance, UFPAgent, _deviate_request, trials=trials_per_request,
-        include_losers=include_losers, seed=seed,
+        seed=seed,
     )
 
 
@@ -155,14 +152,13 @@ def check_muca_monotonicity(
     instance: MUCAInstance,
     *,
     trials_per_bid: int = 5,
-    include_losers: bool = True,
     seed: int | np.random.Generator | None = None,
 ) -> MonotonicityReport:
     """Value-monotonicity audit for auction algorithms (winners must survive
     value increases; losers must not win after value decreases)."""
     return _check_monotonicity(
         algorithm, instance, MUCAAgent, _deviate_bid, trials=trials_per_bid,
-        include_losers=include_losers, seed=seed,
+        seed=seed,
     )
 
 

@@ -42,6 +42,11 @@ __all__ = [
     "audit_muca_truthfulness",
 ]
 
+#: Utility gains up to this much are attributed to the critical values'
+#: bisection tolerance and not reported; a truthful utility below its
+#: negation breaks individual rationality.
+_UTILITY_TOLERANCE = 1e-4
+
 
 @dataclass(frozen=True)
 class ProfitableDeviation:
@@ -97,13 +102,13 @@ def _audit_agent(task: tuple[int, list]):
     contract of :func:`repro.parallel.pmap`) and the report is
     bit-identical at any ``jobs``."""
     index, misreports = task
-    oracle, agent_cls, tolerance = parallel.worker_payload()
+    oracle, agent_cls = parallel.worker_payload()
     truth = oracle.declared(index)
     truthful_selected, truthful_payment = _outcome(oracle, index, truth)
     truthful_utility = agent_cls.truthful(truth).utility(
         truthful_selected, truthful_payment
     )
-    if truthful_utility < -tolerance:
+    if truthful_utility < -_UTILITY_TOLERANCE:
         raise MechanismError(
             f"truth-telling yields negative utility {truthful_utility:.4g} for agent "
             f"{index}; the payment rule is not individually rational"
@@ -122,7 +127,7 @@ def _audit_agent(task: tuple[int, list]):
         lie_utility = agent_cls(truth, lie).utility(lie_selected, lie_payment)
         gain = lie_utility - truthful_utility
         max_gain = max(max_gain, gain)
-        if gain > tolerance:
+        if gain > _UTILITY_TOLERANCE:
             deviations.append(
                 ProfitableDeviation(
                     agent_index=index,
@@ -137,7 +142,7 @@ def _audit_agent(task: tuple[int, list]):
 
 def _audit(
     algorithm, instance, agent_cls, draw_misreports: Callable, *,
-    agents, tolerance, seed, jobs, use_trace,
+    agents, seed, jobs, use_trace,
 ) -> TruthfulnessReport:
     """The body of both audits.  ``draw_misreports(truth, rng)`` returns one
     agent's random and grid misreports as declarations."""
@@ -153,9 +158,7 @@ def _audit(
     # Draw every agent's misreports up front, in agent order: the RNG
     # consumption of a sequential loop (evaluations never touch the stream).
     tasks = [(index, draw_misreports(declarations[index], rng)) for index in indices]
-    outcomes = parallel.pmap(
-        _audit_agent, tasks, jobs=jobs, payload=(oracle, agent_cls, tolerance)
-    )
+    outcomes = parallel.pmap(_audit_agent, tasks, jobs=jobs, payload=(oracle, agent_cls))
     report = TruthfulnessReport()
     for tried, deviations, max_gain in outcomes:
         report.agents_audited += 1
@@ -172,7 +175,6 @@ def audit_ufp_truthfulness(
     agents: list[int] | None = None,
     misreports_per_agent: int = 6,
     misreport_grid: Sequence[tuple[float, float]] | None = None,
-    tolerance: float = 1e-4,
     seed: int | np.random.Generator | None = None,
     jobs: int | None = None,
     use_trace: bool = False,
@@ -199,9 +201,6 @@ def audit_ufp_truthfulness(
         coverage explicit and seed-independent (the property tests sweep
         e.g. ``{0.5, 1, 2} x {0.25, 0.5, 1, 2, 4}``); demand factors are
         clipped into the normalized ``(0, 1]`` demand range.
-    tolerance:
-        Utility gains below this threshold are attributed to the payment
-        bisection tolerance and not reported.
     jobs:
         Worker processes for the per-agent audits (``None`` → the
         ``REPRO_JOBS`` environment default → serial).  The random draws
@@ -233,7 +232,7 @@ def audit_ufp_truthfulness(
 
     return _audit(
         algorithm, instance, UFPAgent, draw_misreports, agents=agents,
-        tolerance=tolerance, seed=seed, jobs=jobs, use_trace=use_trace,
+        seed=seed, jobs=jobs, use_trace=use_trace,
     )
 
 
@@ -244,7 +243,6 @@ def audit_muca_truthfulness(
     agents: list[int] | None = None,
     misreports_per_agent: int = 6,
     value_grid: Sequence[float] | None = None,
-    tolerance: float = 1e-4,
     seed: int | np.random.Generator | None = None,
     jobs: int | None = None,
     use_trace: bool = False,
@@ -268,5 +266,5 @@ def audit_muca_truthfulness(
 
     return _audit(
         algorithm, instance, MUCAAgent, draw_misreports, agents=agents,
-        tolerance=tolerance, seed=seed, jobs=jobs, use_trace=use_trace,
+        seed=seed, jobs=jobs, use_trace=use_trace,
     )

@@ -238,7 +238,8 @@ class OnlineAuction:
     Parameters
     ----------
     graph:
-        The capacitated substrate the whole stream is routed on.
+        The capacitated substrate the whole stream is routed on; its least
+        capacity is ``B``, the paper's choice for normalized demands.
     epsilon:
         The accuracy parameter of the exponential price update, in
         ``(0, 1]`` (same role as in :func:`repro.core.bounded_ufp`).
@@ -248,9 +249,6 @@ class OnlineAuction:
         The admission price cap for the ``"threshold"`` policy (ignored by
         ``"greedy"``).  The natural unit-free choice is 1.0: admit while the
         declared value covers the current normalized path price.
-    capacity_bound:
-        Override for ``B`` (defaults to ``min_e c_e``, the paper's choice
-        for normalized demands).
     compute_payments:
         Charge every admitted request its batch critical value (bisection
         probes per winner — significantly more work per admitted request;
@@ -281,7 +279,6 @@ class OnlineAuction:
         *,
         admission: AdmissionPolicy = "greedy",
         score_threshold: float = 1.0,
-        capacity_bound: float | None = None,
         compute_payments: bool = False,
         use_trace: bool = True,
         max_requeues: int = 2,
@@ -302,9 +299,7 @@ class OnlineAuction:
         self._use_trace = bool(use_trace)
         self._name = str(name)
 
-        self._duals = DualWeights(
-            graph.capacities, self._epsilon, capacity_bound=capacity_bound
-        )
+        self._duals = DualWeights(graph.capacities, self._epsilon)
         self._engine = PathPricingEngine(graph, (), self._duals)
         # The engine owns the request pool (arrival order == engine-global
         # index order); the auction only keeps per-index arrival metadata.

@@ -50,15 +50,12 @@ class OnlineMUCAAuction:
         multiplicities: np.ndarray | Sequence[float],
         epsilon: float,
         *,
-        capacity_bound: float | None = None,
         name: str = "online-muca",
     ) -> None:
         self._multiplicities = np.asarray(multiplicities, dtype=np.float64)
         self._epsilon = float(epsilon)
         self._name = str(name)
-        self._duals = DualWeights(
-            self._multiplicities, self._epsilon, capacity_bound=capacity_bound
-        )
+        self._duals = DualWeights(self._multiplicities, self._epsilon)
         self._engine = BundlePricingEngine.streaming(self._duals)
         self._bids: list[Bid] = []
         self._admissions: list[BidAdmission] = []

@@ -54,12 +54,11 @@ construction, and the paper's monotonicity and feasibility results
 from __future__ import annotations
 
 import time
-from typing import Literal
 
 import numpy as np
 
 from repro import parallel
-from repro.core.bounded_ufp import _check_capacity_assumption, bounded_ufp
+from repro.core.bounded_ufp import bounded_ufp
 from repro.core.dual_state import DualWeights
 from repro.core.pricing_engine import PathPricingEngine
 from repro.exceptions import InvalidInstanceError
@@ -250,20 +249,18 @@ def partitioned_bounded_ufp(
     partition,
     jobs: int | None = None,
     max_iterations: int | None = None,
-    capacity_check: Literal["ignore", "warn", "strict"] = "ignore",
-    partition_seed: int | None = 0,
 ) -> Allocation:
     """Run ``Bounded-UFP`` region by region over a graph partition.
 
     Parameters
     ----------
-    instance, epsilon, capacity_check, max_iterations:
+    instance, epsilon, max_iterations:
         As for :func:`repro.core.bounded_ufp.bounded_ufp`.
     partition:
         A :class:`~repro.graphs.partition.GraphPartition` over
         ``instance.graph``, an integer region count (``1`` is the trivial
-        partition; larger counts run :func:`bfs_partition` seeded with
-        ``partition_seed``) or a raw per-vertex label array.
+        partition; larger counts run :func:`bfs_partition` with seed 0) or a
+        raw per-vertex label array.
     jobs:
         Per-shard fan-out for the intra-only fast path, resolved by
         :func:`repro.parallel.resolve_jobs` (``None`` consults
@@ -294,12 +291,9 @@ def partitioned_bounded_ufp(
             "Partitioned-Bounded-UFP expects demands normalized to (0, 1]; "
             "call UFPInstance.normalized() first"
         )
-    _check_capacity_assumption(instance, epsilon, capacity_check)
 
     start = time.perf_counter()
-    resolved = resolve_partition(
-        instance.graph, partition, seed=partition_seed
-    )
+    resolved = resolve_partition(instance.graph, partition)
     intra, cross = resolved.split_requests(instance.requests)
     if cross:
         allocation = bounded_ufp(instance, epsilon, max_iterations=max_iterations)

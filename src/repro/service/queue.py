@@ -74,6 +74,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -308,50 +309,19 @@ class Job:
 
     def snapshot(self) -> dict[str, Any]:
         """The replay-identity view: every field the WAL fold determines."""
-        return {
-            "state": self.state,
-            "seq": self.seq,
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "submitted_at": self.submitted_at,
-            "worker": self.worker,
-            "lease_expires_at": self.lease_expires_at,
-            "not_before": self.not_before,
-            "finished_at": self.finished_at,
-            "error": self.error,
-            "error_type": self.error_type,
-            "traceback": self.traceback,
-            "fence": self.fence,
-            "webhook_delivered": self.webhook_delivered,
-            "webhook_failed": self.webhook_failed,
-            "collected": self.collected,
-            "spec": self.spec,
-        }
+        return {name: getattr(self, name) for name in _SNAPSHOT_FIELDS}
 
 
-#: Everything a snapshot must persist to rebuild a :class:`Job` exactly
-#: (``state_snapshot`` equality across a compaction is a tested property).
-_JOB_STATE_FIELDS = (
-    "id",
-    "spec",
-    "state",
-    "seq",
-    "attempts",
-    "max_attempts",
-    "submitted_at",
-    "worker",
-    "lease_expires_at",
-    "not_before",
-    "finished_at",
-    "error",
-    "error_type",
-    "traceback",
-    "fence",
-    "webhook_delivered",
-    "webhook_failed",
-    "collected",
-    "events",
-)
+#: Everything a snapshot must persist to rebuild a :class:`Job` exactly:
+#: every field (``state_snapshot`` equality across a compaction is a tested
+#: property).
+_JOB_STATE_FIELDS = tuple(f.name for f in dataclass_fields(Job))
+
+#: The fields of :meth:`Job.snapshot`: all but the id (the snapshot's key)
+#: and the event count, with the spec last.
+_SNAPSHOT_FIELDS = tuple(
+    name for name in _JOB_STATE_FIELDS if name not in ("id", "events", "spec")
+) + ("spec",)
 
 
 def _job_to_state(job: Job) -> dict[str, Any]:

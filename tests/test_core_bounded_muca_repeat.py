@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.auctions import Bid, MUCAInstance, partition_instance, random_auction
 from repro.core import bounded_muca, bounded_ufp, bounded_ufp_repeat
-from repro.exceptions import CapacityBoundError, InvalidInstanceError
+from repro.exceptions import InvalidInstanceError
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.lp import solve_fractional_muca, solve_fractional_ufp
@@ -82,13 +82,6 @@ class TestBoundedMUCA:
         assert base.is_winner(0)
         shrunk = instance.replace_bid(0, instance.bids[0].with_bundle((0, 2)))
         assert bounded_muca(shrunk, 1.0).is_winner(0)
-
-    def test_capacity_check_modes(self):
-        auction = random_auction(num_items=20, num_bids=10, multiplicity=2.0, seed=0)
-        with pytest.raises(CapacityBoundError):
-            bounded_muca(auction, 0.1, capacity_check="strict")
-        with pytest.warns(UserWarning):
-            bounded_muca(auction, 0.1, capacity_check="warn")
 
     def test_empty_auction(self):
         allocation = bounded_muca(MUCAInstance(np.array([3.0]), []), 0.5)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bounded_ufp, recommended_epsilon
-from repro.exceptions import CapacityBoundError, InvalidInstanceError
+from repro.exceptions import InvalidInstanceError
 from repro.flows import Request, UFPInstance, random_instance, staircase_instance
 from repro.graphs import CapacitatedGraph
 from repro.lp import solve_fractional_ufp
@@ -71,15 +71,6 @@ class TestBasicBehaviour:
         allocation = bounded_ufp(instance, 1.0)
         assert allocation.value == pytest.approx(1.0)
         assert not allocation.is_selected(0)
-
-    def test_capacity_check_modes(self):
-        instance = random_instance(num_vertices=8, capacity=2.0, num_requests=5, seed=0)
-        # B = 2 is far below ln(m)/eps^2 for eps = 0.1.
-        with pytest.raises(CapacityBoundError):
-            bounded_ufp(instance, 0.1, capacity_check="strict")
-        with pytest.warns(UserWarning):
-            bounded_ufp(instance, 0.1, capacity_check="warn")
-        bounded_ufp(instance, 0.1, capacity_check="ignore")
 
     def test_recommended_epsilon(self):
         assert recommended_epsilon(0.6) == pytest.approx(0.1)

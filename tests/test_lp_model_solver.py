@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestSolver:
         assert sol.status is SolverStatus.ERROR
         assert np.isnan(sol.objective) and np.isnan(sol.x).all()
         assert sol.ineq_duals.shape == (1,) and np.isnan(sol.ineq_duals).all()
+
+    @pytest.mark.parametrize("mismatch", ["bounds", "rows"])
+    def test_sizes_that_disagree_read_as_a_model_error(self, mismatch):
+        """HiGHS reads each array to the length the counts give it, so a
+        program whose bounds or right-hand side disagree with its sizes must
+        not reach it; it reads as a model HiGHS refuses, i.e. infeasible."""
+        program = _program([1.0, 1.0], 2.0, le=[({0: 1.0, 1: 1.0}, 3.0)])
+        if mismatch == "bounds":
+            program = dataclasses.replace(program, bounds=program.bounds[:1])
+        else:
+            program = dataclasses.replace(program, b_ub=np.array([3.0, 3.0]))
+        with pytest.raises(LPSolveError, match="Model error"):
+            solve_lp(program)
+        assert solve_lp(program, raise_on_failure=False).status is SolverStatus.INFEASIBLE
 
 
 class TestProgramWithoutVariables:

@@ -9,9 +9,12 @@ truncated (entries folded into the snapshot must not double-apply).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.service import JobQueue, SnapshotError, load_snapshot
+from repro.service.queue import _JOB_STATE_FIELDS, Job, _job_from_state, _job_to_state
 from repro.service.snapshot import snapshot_path
 
 
@@ -105,6 +108,52 @@ class TestCompaction:
         # attempts were not double-counted by the replayed duplicates.
         clock.advance(31.0)
         assert reopened.lease("w9") is not None
+
+    def test_every_job_field_survives_state_and_compaction(self, tmp_path):
+        """A job with every field away from its default round-trips through
+        the state dict, and through ``compact()`` plus a reopen."""
+        job = Job(
+            id="every-field",
+            spec={"suite": _suite("every-field")},
+            state="FAILED",
+            seq=7,
+            attempts=2,
+            max_attempts=4,
+            submitted_at=1_234.5,
+            worker="w9",
+            lease_expires_at=1_300.0,
+            not_before=1_250.0,
+            finished_at=1_260.0,
+            error="boom",
+            error_type="RuntimeError",
+            traceback="Traceback (most recent call last): ...",
+            fence=3,
+            webhook_delivered=True,
+            webhook_failed="HTTP 500",
+            collected=True,
+            events=9,
+        )
+        # A field added to Job without a value here fails this guard.
+        for spec in dataclasses.fields(Job):
+            assert spec.default is dataclasses.MISSING or (
+                getattr(job, spec.name) != spec.default
+            ), spec.name
+        assert _job_from_state(_job_to_state(job)) == job
+
+        queue, clock = _busy_queue(tmp_path)
+        with queue._txn():
+            queue._jobs[job.id] = job
+        expected = queue.state_snapshot()
+        assert expected[job.id] == {
+            name: getattr(job, name) for name in _JOB_STATE_FIELDS
+            if name not in ("id", "events")
+        }
+        queue.compact()
+        reopened = JobQueue(
+            tmp_path / "svc", clock=clock, monotonic=clock, lease_seconds=30.0
+        )
+        assert reopened.get(job.id) == job
+        assert reopened.state_snapshot() == expected
 
     def test_auto_compaction_kicks_in_by_entry_count(self, tmp_path):
         clock = FakeClock()
