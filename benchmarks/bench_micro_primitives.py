@@ -2,7 +2,7 @@
 
 These are not tied to a paper artifact; they document the cost of the
 building blocks (Dijkstra pricing, one Bounded-UFP run, one BKV-style
-baseline run, the edge-flow, path and auction LPs, critical-value payment
+baseline run, the edge-flow and auction LPs, critical-value payment
 computation) so regressions in the substrates are visible independently of
 the experiment sweeps.
 
@@ -32,7 +32,7 @@ from repro.auctions import random_auction
 from repro.baselines import briest_style_ufp
 from repro.graphs import grid_graph, random_digraph, single_source_dijkstra
 from repro.graphs.generators import multi_region_topology
-from repro.lp import solve_fractional_muca, solve_fractional_ufp, solve_path_lp
+from repro.lp import solve_fractional_muca, solve_fractional_ufp
 from repro.mechanism import compute_ufp_payments
 
 
@@ -80,19 +80,13 @@ def test_bench_bounded_muca_medium(benchmark, medium_auction):
 def test_bench_fractional_lp(benchmark, medium_instance):
     """The edge-flow LP relaxation of the 80-request instance."""
     result = benchmark(lambda: solve_fractional_ufp(medium_instance))
-    assert result.ok
-
-
-def test_bench_path_lp(benchmark, medium_instance):
-    """The path LP of the 80-request instance by column generation."""
-    result = benchmark(lambda: solve_path_lp(medium_instance))
-    assert result.ok
+    assert result.objective > 0.0
 
 
 def test_bench_fractional_muca(benchmark, medium_auction):
     """The fractional relaxation of the 200-bid auction."""
     result = benchmark(lambda: solve_fractional_muca(medium_auction))
-    assert result.ok
+    assert result.objective > 0.0
 
 
 def test_bench_briest_style_ufp_medium(benchmark, medium_instance):

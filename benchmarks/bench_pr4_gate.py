@@ -39,6 +39,12 @@ from repro.flows import random_instance
 from repro.mechanism import compute_ufp_payments
 from repro.online import OnlineAuction, bursty_arrivals
 
+#: Every row but ``bounded_ufp_medium`` (which pytest-benchmark calibrates
+#: itself) times one call per round: one untimed warm-up round, then the
+#: mean of 8.  Three rounds without a warm-up let a row's normalized mean
+#: move by up to about 25% between runs of the same code.
+_ROUNDS = {"rounds": 8, "warmup_rounds": 1, "iterations": 1}
+
 
 @pytest.fixture(scope="module")
 def medium_instance():
@@ -68,8 +74,7 @@ def test_gate_payments_medium(benchmark, medium_instance, jobs):
         lambda: compute_ufp_payments(
             algorithm, medium_instance, allocation, jobs=jobs
         ),
-        rounds=3,
-        iterations=1,
+        **_ROUNDS,
     )
     assert np.all(payments >= 0.0)
 
@@ -84,8 +89,7 @@ def test_gate_payments_replay_medium(benchmark, contended_medium_instance, jobs)
             algorithm, contended_medium_instance, allocation,
             jobs=jobs, use_trace=True,
         ),
-        rounds=3,
-        iterations=1,
+        **_ROUNDS,
     )
     assert (payments > 0).sum() == allocation.num_selected
 
@@ -94,8 +98,7 @@ def test_gate_e4_audit_cell(benchmark, jobs):
     """The full E4 experiment (audits through the traced path) (PR 4)."""
     result = benchmark.pedantic(
         lambda: run_experiment("E4", quick=True, seed=7, jobs=jobs),
-        rounds=3,
-        iterations=1,
+        **_ROUNDS,
     )
     assert result.all_claims_hold
 
@@ -110,8 +113,7 @@ def test_gate_e9_cell(benchmark, jobs):
     """The E9 scaling sweep (quick cells) through the harness fan-out."""
     result = benchmark.pedantic(
         lambda: run_experiment("E9", quick=True, seed=7, jobs=jobs),
-        rounds=3,
-        iterations=1,
+        **_ROUNDS,
     )
     assert result.all_claims_hold
 
@@ -136,7 +138,7 @@ def test_gate_campaign_cell_small(benchmark):
     }
     (cell,) = enumerate_cells(suite)
 
-    outcome = benchmark.pedantic(lambda: run_cell(cell), rounds=3, iterations=1)
+    outcome = benchmark.pedantic(lambda: run_cell(cell), **_ROUNDS)
     record = outcome.rows[0]
     assert record["claims_ok"] and record["admitted"] > 0
 
@@ -188,8 +190,7 @@ def test_gate_partition_region_medium(benchmark, region_medium):
         lambda: partitioned_bounded_ufp(
             instance, 0.5, partition=partition, jobs=1
         ),
-        rounds=3,
-        iterations=1,
+        **_ROUNDS,
     )
     assert allocation.is_feasible() and allocation.num_selected > 0
     assert allocation.stats.extra["partition_cross_requests"] == 0.0
@@ -199,9 +200,7 @@ def test_gate_ufp_region_medium_global(benchmark, region_medium):
     """The global solver on the region-medium instance (the partitioned
     row's comparison point)."""
     instance, _partition = region_medium
-    allocation = benchmark.pedantic(
-        lambda: bounded_ufp(instance, 0.5), rounds=3, iterations=1
-    )
+    allocation = benchmark.pedantic(lambda: bounded_ufp(instance, 0.5), **_ROUNDS)
     assert allocation.is_feasible() and allocation.num_selected > 0
 
 
@@ -218,5 +217,5 @@ def test_gate_e10_online_batch(benchmark):
             bursty_arrivals(list(instance.requests), burst_size=8, seed=4)
         )
 
-    online = benchmark.pedantic(run, rounds=3, iterations=1)
+    online = benchmark.pedantic(run, **_ROUNDS)
     assert online.is_feasible()

@@ -29,7 +29,7 @@ from repro.auctions.instance import MUCAInstance
 from repro.flows.allocation import Allocation, RoutedRequest
 from repro.flows.instance import UFPInstance
 from repro.lp.fractional_muca import solve_fractional_muca
-from repro.lp.path_lp import solve_path_lp
+from repro.lp.fractional_ufp import solve_fractional_ufp
 from repro.types import RunStats
 from repro.utils.prng import ensure_rng
 
@@ -42,7 +42,13 @@ def randomized_rounding_ufp(
     *,
     seed: int | np.random.Generator | None = None,
 ) -> Allocation:
-    """Randomized rounding of the path LP.
+    """Randomized rounding of the fractional UFP optimum.
+
+    The edge-flow optimum of :func:`~repro.lp.solve_fractional_ufp` is
+    decomposed into paths
+    (:meth:`~repro.lp.FractionalUFPResult.path_distribution`): request
+    ``r`` routes the fraction ``x_s`` along path ``s``, with ``sum_s x_s =
+    X_r``.
 
     Parameters
     ----------
@@ -62,40 +68,35 @@ def randomized_rounding_ufp(
     rng = ensure_rng(seed)
     start = time.perf_counter()
 
-    lp = solve_path_lp(instance)
-    graph = instance.graph
-    residual = graph.capacities.copy()
+    residual = instance.graph.capacities.copy()
     routed: list[RoutedRequest] = []
+    # An edgeless graph routes nothing and has no relaxation to solve.
+    lp = solve_fractional_ufp(instance) if instance.num_edges else None
 
-    for idx, req in enumerate(instance.requests):
+    for idx, req in enumerate(instance.requests if lp else ()):
         distribution = lp.path_distribution(idx)
         if not distribution:
             continue
-        total = sum(weight for _, weight in distribution)
+        total = sum(fraction for _, _, fraction in distribution)
         accept_probability = (1.0 - float(epsilon)) * min(total, 1.0)
         if rng.random() >= accept_probability:
             continue
-        weights = np.array([w for _, w in distribution], dtype=np.float64)
+        weights = np.array([fraction for _, _, fraction in distribution], dtype=np.float64)
         weights = weights / weights.sum()
         choice = int(rng.choice(len(distribution), p=weights))
-        column = distribution[choice][0]
-        ids = np.asarray(column.edge_ids, dtype=np.int64)
+        vertices, edge_ids, _ = distribution[choice]
+        ids = np.asarray(edge_ids, dtype=np.int64)
         if np.any(residual[ids] + 1e-12 < req.demand):
             continue
         residual[ids] -= req.demand
         routed.append(
-            RoutedRequest(
-                request_index=idx,
-                request=req,
-                vertices=column.vertices,
-                edge_ids=column.edge_ids,
-            )
+            RoutedRequest(request_index=idx, request=req, vertices=vertices, edge_ids=edge_ids)
         )
 
     stats = RunStats(
         iterations=instance.num_requests,
         wall_time_s=time.perf_counter() - start,
-        extra={"lp_objective": lp.objective, "epsilon": float(epsilon)},
+        extra={"lp_objective": lp.objective if lp else 0.0, "epsilon": float(epsilon)},
     )
     return Allocation(
         instance=instance,

@@ -182,8 +182,6 @@ class DualWeights:
             ids = np.unique(np.asarray(edge_ids, dtype=np.int64))
         if ids.size == 0:
             return
-        # The compute kernel's multiplier table returns the bit-exact
-        # budget increment of the per-path arithmetic (see repro.kernels).
         delta = get_kernel().dual_update(
             self._y, self._capacities, ids, self._epsilon, self._B, float(demand)
         )

@@ -10,73 +10,27 @@ bundle scoring of the MUCA engine.  :func:`get_kernel` returns the one
 * ``dijkstra`` — C trees on large graphs, the Python loop on small ones
   (see :mod:`repro.graphs.shortest_path` for the size rule and why both
   give the same bits).
-* ``dual_update`` — a *multiplier table*: the per-edge factors
-  ``exp(eps B d / c_e)`` are computed once over the whole capacity vector
-  per distinct ``(eps, B, d)`` and gathered per committed path.  Payment
-  bisections and trace replays apply the same demands against the same
-  capacities hundreds of times.
+* ``dual_update`` — the factors ``exp(eps B d / c_e)`` of the committed
+  path's edges, applied in place.
 * the pricing engine's tree-cache invalidation index,
   :class:`BitmaskIndex`: each cached tree's parent-edge set is one
   Python-int bitmask, so invalidating a path is one OR and one AND-scan.
 
 Determinism contract
 --------------------
-The table is bit-identical to the per-path arithmetic of
-:func:`repro.kernels.oracles.reference_dual_update` by construction:
-IEEE division is correctly rounded per element, so ``(s / c)[ids] ==
-s / c[ids]``, and numpy's ``exp`` ufunc is positionally stable
-(``np.exp(x)[ids] == np.exp(x[ids])``; ``tests/test_kernels.py``
-re-verifies both).  The bitmask index evicts the same trees as the edge-set
-oracle :class:`repro.kernels.oracles.EdgeSetIndex`.  ``math.exp`` is
-forbidden here: it disagrees with ``np.exp`` in the last ulp on a few
+The bitmask index evicts the same trees as the edge-set oracle
+:class:`repro.kernels.oracles.EdgeSetIndex`.  ``math.exp`` is forbidden in
+the dual update: it disagrees with ``np.exp`` in the last ulp on a few
 percent of inputs.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
 from repro.graphs.shortest_path import shortest_path_tree
 
 __all__ = ["BitmaskIndex", "Kernel", "get_kernel"]
-
-#: Above this edge count a full-vector exp table costs more than the
-#: per-path gathers it saves under typical path lengths; the update then
-#: computes the path's factors directly (the same bits either way).
-_TABLE_MAX_EDGES = 4096
-#: Per-capacity-vector cap on distinct (epsilon, B, demand) tables.
-_TABLE_MAX_ENTRIES = 128
-
-# capacity-array id -> (weakref to the array, {(eps, B, demand): table}).
-# Keyed by id() with a weakref finalizer so a freed capacity vector drops
-# its tables; the finalizer double-checks identity to survive id reuse.
-# A module-global store, because the hot consumers (payment probes) build a
-# fresh DualWeights per probe around a shared capacity array.
-_TABLE_STORE: dict[int, tuple[weakref.ref, dict]] = {}
-
-
-def _multiplier_table(capacities, epsilon, B, demand):
-    key = id(capacities)
-    entry = _TABLE_STORE.get(key)
-    if entry is None or entry[0]() is not capacities:
-        def _evict(_ref, _key=key):
-            stored = _TABLE_STORE.get(_key)
-            if stored is not None and stored[0]() is None:
-                del _TABLE_STORE[_key]
-
-        entry = (weakref.ref(capacities, _evict), {})
-        _TABLE_STORE[key] = entry
-    tables = entry[1]
-    tkey = (epsilon, B, demand)
-    table = tables.get(tkey)
-    if table is None:
-        if len(tables) >= _TABLE_MAX_ENTRIES:
-            tables.clear()
-        table = np.exp(epsilon * B * demand / capacities)
-        tables[tkey] = table
-    return table
 
 
 class BitmaskIndex:
@@ -139,14 +93,11 @@ class Kernel:
     def dual_update(self, y, capacities, ids, epsilon, B, demand):
         """Multiply ``y[ids]`` by ``exp(eps B d / c)`` in place; returns the
         budget increment ``sum c_e (y_e' - y_e)`` as a float."""
-        if capacities.shape[0] > _TABLE_MAX_EDGES:
-            mult = np.exp(epsilon * B * demand / capacities[ids])
-        else:
-            mult = _multiplier_table(capacities, epsilon, B, demand)[ids]
+        caps = capacities[ids]
         old = y[ids]
-        new = old * mult
+        new = old * np.exp(epsilon * B * demand / caps)
         y[ids] = new
-        return float(capacities[ids] @ (new - old))
+        return float(caps @ (new - old))
 
     def bundle_scores(self, weights, flat, starts, values):
         """Per-bundle price/value lower bounds over the flattened CSR

@@ -1,27 +1,14 @@
-"""Test oracles for the compute kernel's commit path.
+"""Test oracle for the compute kernel's tree-cache invalidation index.
 
-The straightforward forms of the two commit-path primitives that
-:class:`repro.kernels.Kernel` and :class:`repro.kernels.BitmaskIndex`
-replace, kept beside :func:`repro.graphs.shortest_path.reference_dijkstra`
-and :mod:`repro.core.reference` so the differential tests can check the
-production forms against them.  Nothing in the program runs these.
+The straightforward form of :class:`repro.kernels.BitmaskIndex`, kept
+beside :func:`repro.graphs.shortest_path.reference_dijkstra` and
+:mod:`repro.core.reference` so the differential tests can check the
+production form against it.  Nothing in the program runs it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["EdgeSetIndex", "reference_dual_update"]
-
-
-def reference_dual_update(y, capacities, ids, epsilon, B, demand):
-    """The per-path exponential dual update: ``y[ids] *= exp(eps B d /
-    c[ids])`` in place; returns the budget increment as a float."""
-    caps = capacities[ids]
-    old = y[ids]
-    new = old * np.exp(epsilon * B * demand / caps)
-    y[ids] = new
-    return float(caps @ (new - old))
+__all__ = ["EdgeSetIndex"]
 
 
 class EdgeSetIndex:

@@ -12,24 +12,21 @@ Everything LP-shaped in the reproduction goes through this package:
 * :mod:`repro.lp.fractional_ufp` — the relaxation of the Figure 1 ILP
   (edge-flow formulation, one flow per commodity root), used as the
   fractional optimum / upper bound in every UFP experiment, with a
-  "repetitions" mode matching Figure 5.
+  "repetitions" mode matching Figure 5.  Its optimum decomposes into
+  per-request path distributions, which randomized rounding samples.
 * :mod:`repro.lp.fractional_muca` — the relaxation of the auction ILP.
-* :mod:`repro.lp.path_lp` — the path formulation solved by column
-  generation (pricing = shortest path under the capacity duals), which also
-  yields per-request path distributions for randomized rounding.
 * :mod:`repro.lp.duality` — helpers for checking weak duality and building
   dual objective values from ``(y, z)`` variable sets.
 
 Every model is assembled directly as sparse arrays, one function per model
-(``edge_flow_program``, ``bid_packing_program``, ``path_master_program``),
-and handed to :func:`solve_lp` as one :class:`AssembledLP`.
+(``edge_flow_program``, ``bid_packing_program``), and handed to
+:func:`solve_lp` as one :class:`AssembledLP`.
 """
 
 from repro.lp.model import AssembledLP, LPSolution
 from repro.lp.solver import solve_lp
 from repro.lp.fractional_ufp import FractionalUFPResult, solve_fractional_ufp
 from repro.lp.fractional_muca import FractionalMUCAResult, solve_fractional_muca
-from repro.lp.path_lp import PathLPResult, solve_path_lp
 from repro.lp.duality import ufp_dual_objective, check_weak_duality
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "solve_fractional_ufp",
     "FractionalMUCAResult",
     "solve_fractional_muca",
-    "PathLPResult",
-    "solve_path_lp",
     "ufp_dual_objective",
     "check_weak_duality",
 ]

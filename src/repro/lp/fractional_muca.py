@@ -16,7 +16,6 @@ from scipy import sparse
 from repro.auctions.instance import MUCAInstance
 from repro.lp.model import AssembledLP
 from repro.lp.solver import solve_lp
-from repro.types import SolverStatus
 
 __all__ = ["FractionalMUCAResult", "bid_packing_program", "solve_fractional_muca"]
 
@@ -33,18 +32,11 @@ class FractionalMUCAResult:
         Array over bids with the fractional acceptance ``x_r in [0, 1]``.
     item_duals:
         Dual prices ``y_u`` of the multiplicity constraints.
-    status:
-        Solver status.
     """
 
     objective: float
     fractions: np.ndarray
     item_duals: np.ndarray
-    status: SolverStatus
-
-    @property
-    def ok(self) -> bool:
-        return self.status.ok
 
 
 def bid_packing_program(instance: MUCAInstance) -> AssembledLP:
@@ -84,5 +76,4 @@ def solve_fractional_muca(instance: MUCAInstance) -> FractionalMUCAResult:
         objective=float(solution.objective),
         fractions=solution.x,
         item_duals=solution.ineq_duals,
-        status=solution.status,
     )

@@ -21,15 +21,18 @@ Decomposing a commodity's flow into paths from the root splits it back
 into one flow per request, so the optimum is that of the program with one
 flow per request: ``max sum_r v_r X_r`` is the optimum of the relaxation of
 the Figure 1 ILP and upper bounds the integral optimum, which is how every
-experiment uses it.  Per-request flows are not reported; the result
-carries the total load of each edge.  With ``repetitions=True`` the
-per-request cap ``X_r <= 1`` is dropped, matching the relaxation of the
-Figure 5 ILP (unsplittable flow with repetitions).
+experiment uses it.  The result carries the commodity arc flows;
+:meth:`FractionalUFPResult.path_distribution` makes that decomposition,
+which is the path solution of Figure 1 the randomized-rounding baseline
+samples.  With ``repetitions=True`` the per-request cap ``X_r <= 1`` is
+dropped, matching the relaxation of the Figure 5 ILP (unsplittable flow
+with repetitions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -39,9 +42,16 @@ from repro.flows.instance import UFPInstance
 from repro.graphs.graph import CapacitatedGraph
 from repro.lp.model import AssembledLP
 from repro.lp.solver import solve_lp
-from repro.types import SolverStatus
 
 __all__ = ["FractionalUFPResult", "edge_flow_program", "solve_fractional_ufp"]
+
+#: Arc flow, and a request's fraction on a path, at or below this is solver
+#: noise: the path decomposition neither follows nor reports it.
+_NOISE = 1e-12
+
+#: One path of a request: its vertices and edge ids from source to target,
+#: and the fraction of the request routed along it.
+_PathFraction = tuple[tuple[int, ...], tuple[int, ...], float]
 
 
 @dataclass(frozen=True)
@@ -58,29 +68,46 @@ class FractionalUFPResult:
     capacity_duals:
         Dual values ``y_e`` of the capacity constraints (the LP analogue of
         the algorithm's edge weights), indexed by edge id.
-    status:
-        Solver status (always optimal: a failed solve raises
-        :class:`~repro.exceptions.LPSolveError`).
 
-    The flow is solved per commodity root (see the module docstring), so
-    there is no per-request flow to report; :meth:`edge_loads` gives the
-    demand units crossing each edge, summed over the commodities.
+    The flow is solved per commodity root (see the module docstring):
+    :meth:`edge_loads` gives the demand units crossing each edge, summed
+    over the commodities, and :meth:`path_distribution` splits the
+    commodity flows back into per-request paths.
     """
 
     objective: float
     routed_fraction: np.ndarray
     capacity_duals: np.ndarray
-    status: SolverStatus
     _loads: np.ndarray = field(repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.status.ok
+    _instance: UFPInstance = field(repr=False)
+    # f_{k,a} in the column order of edge_flow_program: the entries of the
+    # solution past the X_r block.
+    _arc_flows: np.ndarray = field(repr=False)
 
     def edge_loads(self) -> np.ndarray:
         """Total demand load per edge of the fractional solution (both
         orientations summed for undirected graphs)."""
         return self._loads.copy()
+
+    def path_distribution(self, request_index: int) -> list[_PathFraction]:
+        """The paths of one request, each with the fraction of the request
+        it carries; the fractions sum to ``X_r``.
+
+        The commodity flows are decomposed deterministically.  Commodities
+        go in increasing root order.  A walk leaves the root, each step
+        along the first arc (in arc-table order) with more than ``1e-12``
+        of flow, and cancels the flow of any cycle it closes.  It stops at
+        the first sink still short of inflow and pushes the bottleneck
+        amount along its path.  A sink's pieces go to its requests in index
+        order, ``d_r X_r`` to each, a piece split where needed; a request
+        hung on its target gets its paths reversed.  Fractions of ``1e-12``
+        or less are dropped.
+        """
+        return list(self._paths[request_index])
+
+    @cached_property
+    def _paths(self) -> list[list[_PathFraction]]:
+        return _decompose(self._instance, self.routed_fraction, self._arc_flows)
 
 
 def _arcs(graph: CapacitatedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,25 +129,34 @@ def _arcs(graph: CapacitatedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _commodity_roots(
-    graph: CapacitatedGraph, sources: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """The root each request hangs on: its source on a directed graph, the
-    greedy endpoint cover's pick on an undirected one."""
-    if graph.directed:
-        return sources
-    n = graph.num_vertices
-    roots = np.full(len(sources), -1, dtype=np.int64)
-    # touching[v] counts the uncovered requests with an endpoint at v.
-    touching = np.bincount(sources, minlength=n) + np.bincount(targets, minlength=n)
-    while (uncovered := roots < 0).any():
-        root = int(np.argmax(touching))
-        hung = uncovered & ((sources == root) | (targets == root))
-        roots[hung] = root
-        # A hung request's other endpoint loses one uncovered request.
-        touching -= np.bincount(sources[hung] + targets[hung] - root, minlength=n)
-        touching[root] = 0
-    return roots
+def _commodities(
+    instance: UFPInstance,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The request grouping: each request's root and sink, the commodity
+    roots in increasing vertex id, and each request's commodity (the index
+    of its root there).
+
+    A request hangs on its source on a directed graph and on the greedy
+    endpoint cover's pick on an undirected one; its sink is its other
+    endpoint.
+    """
+    sources = np.array([req.source for req in instance.requests], dtype=np.int64)
+    targets = np.array([req.target for req in instance.requests], dtype=np.int64)
+    roots = sources
+    if not instance.graph.directed:
+        n = instance.num_vertices
+        roots = np.full(len(sources), -1, dtype=np.int64)
+        # touching[v] counts the uncovered requests with an endpoint at v.
+        touching = np.bincount(sources, minlength=n) + np.bincount(targets, minlength=n)
+        while (uncovered := roots < 0).any():
+            root = int(np.argmax(touching))
+            hung = uncovered & ((sources == root) | (targets == root))
+            roots[hung] = root
+            # A hung request's other endpoint loses one uncovered request.
+            touching -= np.bincount(sources[hung] + targets[hung] - root, minlength=n)
+            touching[root] = 0
+    commodity_roots, commodity = np.unique(roots, return_inverse=True)
+    return roots, sources + targets - roots, commodity_roots, commodity
 
 
 def edge_flow_program(instance: UFPInstance, *, repetitions: bool = False) -> AssembledLP:
@@ -140,13 +176,7 @@ def edge_flow_program(instance: UFPInstance, *, repetitions: bool = False) -> As
     arc_tail, arc_head, arc_edge = _arcs(graph)
     num_arcs = len(arc_edge)
     demands = instance.demands_array()
-    sources = np.array([req.source for req in instance.requests], dtype=np.int64)
-    targets = np.array([req.target for req in instance.requests], dtype=np.int64)
-    roots = _commodity_roots(graph, sources, targets)
-    # A request's sink is its endpoint other than its root.
-    sinks = sources + targets - roots
-    # commodity[r] indexes the roots in increasing vertex id.
-    commodity_roots, commodity = np.unique(roots, return_inverse=True)
+    roots, sinks, commodity_roots, commodity = _commodities(instance)
     num_commodities = len(commodity_roots)
     num_variables = num_requests + num_commodities * num_arcs
     # f_cols[k, a] is the column of f_{k,a}.
@@ -243,7 +273,8 @@ def solve_fractional_ufp(
     at a degenerate optimum HiGHS may return it with flow around a cycle.
     Neither changes the objective, ``X_r`` or the duals;
     :meth:`FractionalUFPResult.edge_loads` reports the flow as returned,
-    cycles included.
+    cycles included, and :meth:`FractionalUFPResult.path_distribution`
+    cancels the cycles.
     """
     m = instance.graph.num_edges
     num_requests = instance.num_requests
@@ -255,8 +286,9 @@ def solve_fractional_ufp(
             objective=0.0,
             routed_fraction=np.zeros(0),
             capacity_duals=np.zeros(m),
-            status=SolverStatus.OPTIMAL,
             _loads=np.zeros(m),
+            _instance=instance,
+            _arc_flows=np.zeros(0),
         )
 
     program = edge_flow_program(instance, repetitions=repetitions)
@@ -266,6 +298,91 @@ def solve_fractional_ufp(
         objective=float(solution.objective),
         routed_fraction=solution.x[:num_requests],
         capacity_duals=solution.ineq_duals,
-        status=solution.status,
         _loads=program.A_ub @ solution.x,
+        _instance=instance,
+        _arc_flows=solution.x[num_requests:],
     )
+
+
+def _walk(
+    root: int,
+    out_arcs: dict[int, list[int]],
+    flow: list[float],
+    heads: list[int],
+    need: dict[int, float],
+) -> tuple[list[int], list[int]]:
+    """A walk from ``root`` along the first arc with flow out of each
+    vertex, ending at the first sink with ``need`` left or at a dead end;
+    returns its vertices and arcs.  The flow of a cycle it closes is
+    cancelled in ``flow`` and the cycle cut from the walk."""
+    vertices, arcs = [root], []
+    while need.get(vertices[-1], 0.0) <= _NOISE:
+        arc = next((a for a in out_arcs.get(vertices[-1], ()) if flow[a] > _NOISE), None)
+        if arc is None:
+            break
+        head = heads[arc]
+        if head in vertices:
+            start = vertices.index(head)
+            cycle = arcs[start:] + [arc]
+            amount = min(flow[a] for a in cycle)
+            for a in cycle:
+                flow[a] -= amount
+            del vertices[start + 1 :], arcs[start:]
+        else:
+            vertices.append(head)
+            arcs.append(arc)
+    return vertices, arcs
+
+
+def _decompose(
+    instance: UFPInstance, routed_fraction: np.ndarray, arc_flows: np.ndarray
+) -> list[list[_PathFraction]]:
+    """Every request's paths (see :meth:`FractionalUFPResult.path_distribution`)."""
+    tails, heads, arc_edges = (part.tolist() for part in _arcs(instance.graph))
+    _, sinks, commodity_roots, commodity = _commodities(instance)
+    demands = instance.demands_array()
+    flows = arc_flows.reshape(len(commodity_roots), len(arc_edges))
+    paths: list[list[_PathFraction]] = [[] for _ in range(instance.num_requests)]
+    for k, root in enumerate(commodity_roots.tolist()):
+        members = np.flatnonzero(commodity == k).tolist()
+        # need[t]: the inflow sink t has still to absorb.
+        need = dict.fromkeys(sinks[members].tolist(), 0.0)
+        for r in members:
+            need[int(sinks[r])] += demands[r] * routed_fraction[r]
+        flow = flows[k].tolist()
+        out_arcs: dict[int, list[int]] = {}
+        for a in np.flatnonzero(flows[k] > _NOISE).tolist():
+            out_arcs.setdefault(tails[a], []).append(a)
+        pieces: dict[int, list[list]] = {sink: [] for sink in need}
+        while any(left > _NOISE for left in need.values()):
+            vertices, arcs = _walk(root, out_arcs, flow, heads, need)
+            end = vertices[-1]
+            if need.get(end, 0.0) > _NOISE:
+                amount = min(need[end], *(flow[a] for a in arcs))
+                for a in arcs:
+                    flow[a] -= amount
+                need[end] -= amount
+                pieces[end].append([vertices, [arc_edges[a] for a in arcs], amount])
+            elif arcs:
+                # Flow that reaches a dead end is solver noise.
+                flow[arcs[-1]] = 0.0
+            else:
+                break
+        for r in members:
+            request = instance.requests[r]
+            want = demands[r] * routed_fraction[r]
+            queue = pieces[int(sinks[r])]
+            while want > 0.0 and queue:
+                vertices, edge_ids, amount = queue[0]
+                take = min(amount, want)
+                want -= take
+                queue[0][2] -= take
+                if take == amount:
+                    queue.pop(0)
+                fraction = take / request.demand
+                if fraction <= _NOISE:
+                    continue
+                if request.target == root:
+                    vertices, edge_ids = vertices[::-1], edge_ids[::-1]
+                paths[r].append((tuple(vertices), tuple(edge_ids), float(fraction)))
+    return paths

@@ -7,22 +7,20 @@ alternative implementation kept as an oracle:
 * ``tree_path("lists")`` runs the Python loop on every graph;
   ``tree_path("scipy")`` sets the C-tree vertex threshold to 0, so every
   graph that qualifies (weights > 0, no parallel arcs) gets C trees.
-* ``commit_path("lists")`` swaps the commit path for its oracles: the
-  per-path dual update and the edge-set invalidation index.
-  ``commit_path("numpy")`` is the production multiplier table and bitmask
-  index, unchanged.
+* ``commit_path("lists")`` swaps the commit path's invalidation index for
+  its oracle, the edge-set index.  ``commit_path("numpy")`` is the
+  production bitmask index, unchanged.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from unittest import mock
 
 from repro.core import pricing_engine
-from repro.kernels import Kernel
-from repro.kernels.oracles import EdgeSetIndex, reference_dual_update
+from repro.kernels.oracles import EdgeSetIndex
 
 # repro.graphs re-exports a function named shortest_path that shadows the
 # module attribute; import the module itself.
@@ -41,20 +39,8 @@ def tree_path(name: str):
 
 @contextmanager
 def commit_path(name: str):
-    if name not in COMMIT_PATHS:
-        raise KeyError(name)
-    with ExitStack() as stack:
-        if name == "lists":
-            stack.enter_context(
-                mock.patch.object(
-                    Kernel,
-                    "dual_update",
-                    lambda self, *args: reference_dual_update(*args),
-                )
-            )
-            stack.enter_context(
-                mock.patch.object(pricing_engine, "BitmaskIndex", EdgeSetIndex)
-            )
+    index = {"lists": EdgeSetIndex, "numpy": pricing_engine.BitmaskIndex}[name]
+    with mock.patch.object(pricing_engine, "BitmaskIndex", index):
         yield
 
 

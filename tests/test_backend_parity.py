@@ -3,9 +3,9 @@
 Two parts of the compute path have a second implementation kept as an
 oracle (see ``compute_paths.py``): shortest-path trees (``lists``, the
 Python loop, or ``scipy``, C trees with the threshold at 0 so even the
-small corpus graphs take them) and the commit path (``lists``, the per-path
-dual update and edge-set index, or ``numpy``, the production multiplier
-table and bitmask index).  This suite replays the differential-fuzz corpus
+small corpus graphs take them) and the commit path's invalidation index
+(``lists``, the edge-set index, or ``numpy``, the production bitmask
+index).  This suite replays the differential-fuzz corpus
 (the same pinned-seed instance distribution as ``test_differential_fuzz``)
 once per combination and compares every run exactly against the memoized
 ``(lists, lists)`` reference.  Instances are rebuilt from the seed for each
@@ -112,8 +112,8 @@ def _muca_auction(seed):
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", MUCA_SEEDS)
 def test_bounded_muca_parity(seed, combo):
-    # MUCA never builds a tree (bundle sums, not paths), but it does run
-    # the dual updates; the commit path must leave the auction untouched.
+    # MUCA never builds a tree (bundle sums, not paths), so no invalidation
+    # index runs; every combination must leave the auction untouched.
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     actual, expected = _run_combo(
         "muca", seed, combo,

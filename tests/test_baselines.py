@@ -26,7 +26,7 @@ from repro.core.reference import reference_bounded_muca, reference_bounded_ufp
 from repro.exceptions import InvalidInstanceError
 from repro.flows import Request, UFPInstance, random_instance, staircase_instance
 from repro.graphs import CapacitatedGraph
-from repro.lp import solve_fractional_muca, solve_fractional_ufp
+from repro.lp import fractional_ufp, solve_fractional_muca, solve_fractional_ufp
 
 
 class TestGreedyUFP:
@@ -245,6 +245,23 @@ class TestRandomizedRounding:
         # With scaling (1 - eps) = 0.9 and no contention the expected value is
         # ~0.9 * OPT; allow generous slack for the sampling noise.
         assert allocation.value >= 0.6 * lp
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            UFPInstance(CapacitatedGraph(3, [], directed=True), [Request(0, 2, 1.0, 4.0)]),
+            UFPInstance(CapacitatedGraph(2, [(0, 1, 2.0)], directed=True), []),
+        ],
+        ids=["edgeless", "no-requests"],
+    )
+    def test_nothing_to_route_solves_no_lp(self, instance, monkeypatch):
+        def no_solve(program):
+            raise AssertionError("solve_lp ran")
+
+        monkeypatch.setattr(fractional_ufp, "solve_lp", no_solve)
+        allocation = randomized_rounding_ufp(instance, 0.2, seed=1)
+        assert allocation.num_selected == 0
+        assert allocation.stats.extra["lp_objective"] == 0.0
 
     def test_invalid_epsilon(self, contended_instance):
         with pytest.raises(ValueError):

@@ -76,8 +76,8 @@ class TestRegistry:
 
 class TestFastExperimentsEndToEnd:
     """E2, E3, E5, E6 and E8 are deterministic and fast; their claims must
-    hold.  E5 and E8 run the auction LP, the path LP (through randomized
-    rounding) and the BKV-style baseline end to end."""
+    hold.  E5 and E8 run the auction LP, randomized rounding of the
+    decomposed edge-flow optimum and the BKV-style baseline end to end."""
 
     @pytest.mark.parametrize("experiment_id", ["E2", "E3", "E5", "E6", "E8"])
     def test_claims_hold(self, experiment_id):

@@ -7,14 +7,14 @@ kernel layer itself:
 * :func:`repro.kernels.get_kernel` returns one kernel, whose ``dijkstra``
   is the size-selected tree (the retired selection knobs are covered in
   ``test_env_precedence.py``);
-* the floating-point properties the multiplier table's bit-identity *proof*
-  rests on (positional stability of ``np.exp`` and scalar division) — if a
-  numpy build ever broke these, this is the test that should fail first,
-  with a message pointing at the right invariant;
-* per-primitive differential tests against the oracles of
-  :mod:`repro.kernels.oracles`: ``dual_update`` against the per-path
-  arithmetic, the bitmask invalidation index against the edge-set index,
-  ``bundle_scores`` against per-bundle sums;
+* the floating-point properties that give an edge the same dual-update
+  factor whichever path array it is updated in (positional stability of
+  ``np.exp`` and scalar division) — if a numpy build ever broke these,
+  this is the test that should fail first, with a message pointing at the
+  right invariant;
+* per-primitive differential tests against the oracles: the bitmask
+  invalidation index against the edge-set index of
+  :mod:`repro.kernels.oracles`, ``bundle_scores`` against per-bundle sums;
 * end-to-end: traced payments and campaign-store content hashes are
   bit-identical across tree paths and commit paths and across ``jobs=``.
 """
@@ -26,15 +26,14 @@ import json
 import numpy as np
 import pytest
 
-from compute_paths import COMMIT_PATHS, TREE_PATHS, commit_path, compute_path
+from compute_paths import COMMIT_PATHS, TREE_PATHS, compute_path
 from repro import kernels
 from repro.core.bounded_ufp import bounded_ufp
-from repro.core.dual_state import DualWeights
 from repro.flows.generators import random_instance
 from repro.graphs.generators import grid_graph
 from repro.graphs.shortest_path import shortest_path_tree
 from repro.kernels import BitmaskIndex, Kernel
-from repro.kernels.oracles import EdgeSetIndex, reference_dual_update
+from repro.kernels.oracles import EdgeSetIndex
 from repro.mechanism.payments import compute_ufp_payments
 from repro.utils.prng import ensure_rng
 
@@ -62,13 +61,14 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
-# The floating-point invariants behind the multiplier table
+# The floating-point invariants behind the dual update
 # --------------------------------------------------------------------- #
 class TestBitIdentityInvariants:
     def test_np_exp_is_positionally_stable(self):
         """``np.exp(x)[ids] == np.exp(x[ids])`` bit for bit: the ufunc
         applies the same scalar routine per element regardless of vector
-        shape.  The multiplier-table dual update is built on this."""
+        shape, so an edge's dual-update factor does not depend on the
+        other edges of its path."""
         rng = ensure_rng(20070611)
         x = rng.uniform(-30.0, 30.0, size=4096)
         ids = rng.integers(0, x.size, size=512)
@@ -81,70 +81,6 @@ class TestBitIdentityInvariants:
         x = rng.uniform(0.1, 50.0, size=4096)
         ids = rng.integers(0, x.size, size=512)
         np.testing.assert_array_equal((3.7 / x)[ids], 3.7 / x[ids])
-
-
-# --------------------------------------------------------------------- #
-# dual_update
-# --------------------------------------------------------------------- #
-def _random_dual_case(seed, m):
-    rng = ensure_rng(seed)
-    capacities = rng.uniform(1.0, 30.0, size=m)
-    y = 1.0 / capacities.copy()
-    k = int(rng.integers(1, max(2, m // 3)))
-    ids = np.unique(rng.integers(0, m, size=k))
-    return capacities, y, ids, float(rng.uniform(0.2, 1.0))
-
-
-class TestDualUpdate:
-    @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("m", [5, 64, 4096, 5000])
-    def test_numpy_matches_lists_bit_for_bit(self, seed, m):
-        """The multiplier table (m <= 4096) and the large-m direct path
-        must both reproduce the per-path oracle's update and delta."""
-        capacities, y0, ids, demand = _random_dual_case(seed, m)
-        y_a, y_b = y0.copy(), y0.copy()
-        delta_a = reference_dual_update(y_a, capacities, ids, 0.5, 3.0, demand)
-        delta_b = Kernel().dual_update(y_b, capacities, ids, 0.5, 3.0, demand)
-        np.testing.assert_array_equal(y_a, y_b)
-        assert delta_a == delta_b
-
-    def test_repeated_demands_hit_the_table(self, monkeypatch):
-        """The multiplier table is shared across DualWeights instances on
-        the same capacity array (the payment-probe access pattern)."""
-        calls = {"exp": 0}
-        real_exp = np.exp
-
-        def counting_exp(x, *a, **kw):
-            calls["exp"] += 1
-            return real_exp(x, *a, **kw)
-
-        monkeypatch.setattr(kernels.np, "exp", counting_exp)
-        capacities = ensure_rng(7).uniform(1.0, 10.0, size=64)
-        k = Kernel()
-        for _ in range(5):
-            y = 1.0 / capacities.copy()
-            ids = np.arange(8)
-            k.dual_update(y, capacities, ids, 0.5, 3.0, 0.75)
-        assert calls["exp"] == 1  # one table build, four gathers
-
-    def test_dualweights_dispatches_through_kernel(self):
-        """End to end through DualWeights: the production commit path and
-        the oracle land on the same weights, budget and last increment."""
-        capacities = ensure_rng(11).uniform(1.0, 10.0, size=32)
-        results = []
-        for name in COMMIT_PATHS:
-            with commit_path(name):
-                d = DualWeights(capacities, 0.5)
-                for step in range(6):
-                    d.apply_selection(
-                        np.arange(step, step + 5, dtype=np.int64),
-                        0.5 + 0.05 * step,
-                        assume_unique=True,
-                    )
-                results.append(
-                    (d.weights.tobytes(), d.budget, d.last_budget_increment)
-                )
-        assert results[0] == results[1]
 
 
 # --------------------------------------------------------------------- #

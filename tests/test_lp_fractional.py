@@ -1,4 +1,5 @@
-"""Tests for the fractional UFP / MUCA relaxations, the path LP and duality helpers."""
+"""Tests for the fractional UFP / MUCA relaxations, the path decomposition of
+the UFP optimum and the duality helpers."""
 
 from __future__ import annotations
 
@@ -12,17 +13,16 @@ from repro.graphs import CapacitatedGraph
 from repro.graphs.shortest_path import single_source_dijkstra
 from repro.lp import (
     AssembledLP,
+    FractionalUFPResult,
     check_weak_duality,
     solve_fractional_muca,
     solve_fractional_ufp,
     solve_lp,
-    solve_path_lp,
     ufp_dual_objective,
 )
 from repro.lp.duality import minimum_normalized_path_length, ufp_dual_is_feasible
 from repro.lp.fractional_muca import bid_packing_program
 from repro.lp.fractional_ufp import edge_flow_program
-from repro.lp.path_lp import path_master_program
 from repro.scenarios import available_suites, enumerate_cells, get_suite
 from repro.scenarios.regimes import build_cell_instance
 
@@ -259,7 +259,6 @@ class TestFractionalUFP:
         # Capacity 2, three unit requests of values 5, 3, 2: best fractional
         # solution routes the two most valuable ones.
         assert result.objective == pytest.approx(8.0)
-        assert result.ok
         np.testing.assert_allclose(result.edge_loads(), [2.0], atol=1e-6)
 
     def test_uncontended_routes_everything(self, diamond_instance):
@@ -373,7 +372,7 @@ def _suite_cell(suite, index):
 
 def _assert_assembled_as_reference(instance, repetitions):
     """:func:`edge_flow_program` is the term-by-term reference byte for byte,
-    so HiGHS returns the same bits for both."""
+    so HiGHS returns the same bits for both; returns the solved result."""
     reference, read = _per_term_aggregated_ufp(instance, repetitions)
     reference = reference.assemble()
     _assert_same_program(edge_flow_program(instance, repetitions=repetitions), reference)
@@ -389,6 +388,29 @@ def _assert_assembled_as_reference(instance, repetitions):
     ):
         assert got_array.shape == want_array.shape, name
         assert got_array.tobytes() == want_array.tobytes(), name
+    return result
+
+
+def _assert_decomposes(instance, result):
+    """:meth:`FractionalUFPResult.path_distribution` splits the optimum into
+    simple source-to-target paths over live edges: each request's fractions
+    sum to its ``X_r`` and no edge carries more than the LP's load."""
+    graph = instance.graph
+    loads = np.zeros(graph.num_edges)
+    for r, req in enumerate(instance.requests):
+        distribution = result.path_distribution(r)
+        total = sum(fraction for _, _, fraction in distribution)
+        assert abs(total - result.routed_fraction[r]) <= 1e-9
+        for vertices, edge_ids, fraction in distribution:
+            assert fraction > 1e-12
+            assert (vertices[0], vertices[-1]) == (req.source, req.target)
+            assert len(set(vertices)) == len(vertices) == len(edge_ids) + 1
+            for tail, head, eid in zip(vertices, vertices[1:], edge_ids):
+                assert eid not in graph.disabled_edges
+                ends = graph.edge_endpoints(eid)
+                assert ends == (tail, head) or (not graph.directed and ends == (head, tail))
+            np.add.at(loads, list(edge_ids), fraction * req.demand)
+    assert np.all(loads <= result.edge_loads() + 1e-9)
 
 
 def _assert_per_request_optimum(instance, repetitions, *, exact):
@@ -408,12 +430,12 @@ class TestEdgeFlowAssembly:
     come back), and its optimum is that of the program with one flow per
     request: the same float on every built-in suite cell in the cell's own
     form, within 1e-12 relative in the Figure 5 form and on the multigraph
-    corpus."""
+    corpus.  The optimum decomposes into paths on every one of them."""
 
     @staticmethod
     def _assert_suite_cell(suite, index):
         instance, repetitions = _suite_cell(suite, index)
-        _assert_assembled_as_reference(instance, repetitions)
+        _assert_decomposes(instance, _assert_assembled_as_reference(instance, repetitions))
         _assert_per_request_optimum(instance, repetitions, exact=True)
 
     @pytest.mark.parametrize("index", range(24))
@@ -423,7 +445,7 @@ class TestEdgeFlowAssembly:
     @pytest.mark.parametrize("index", range(0, 24, 3))
     def test_demo_campaign_cells_with_repetitions(self, index):
         instance = _suite_cell("demo", index)[0]
-        _assert_assembled_as_reference(instance, repetitions=True)
+        _assert_decomposes(instance, _assert_assembled_as_reference(instance, repetitions=True))
         _assert_per_request_optimum(instance, repetitions=True, exact=False)
 
     @pytest.mark.parametrize(
@@ -437,12 +459,13 @@ class TestEdgeFlowAssembly:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_multigraphs(self, seed, directed, repetitions):
         instance = _multigraph_instance(seed, directed)
-        _assert_assembled_as_reference(instance, repetitions)
+        _assert_decomposes(instance, _assert_assembled_as_reference(instance, repetitions))
         _assert_per_request_optimum(instance, repetitions, exact=False)
 
 
 class TestCommodityGrouping:
-    """Corner cases of the grouping, each solved to the per-request optimum."""
+    """Corner cases of the grouping, each solved to the per-request optimum
+    and decomposed into paths."""
 
     @staticmethod
     def _assert_grouped(instance, roots):
@@ -455,7 +478,7 @@ class TestCommodityGrouping:
         )
         assert program.num_variables == instance.num_requests + len(set(roots)) * num_arcs
         for repetitions in (False, True):
-            _assert_assembled_as_reference(instance, repetitions)
+            _assert_decomposes(instance, _assert_assembled_as_reference(instance, repetitions))
             _assert_per_request_optimum(instance, repetitions, exact=False)
 
     @staticmethod
@@ -564,29 +587,6 @@ def _per_term_bid_packing(instance):
     return lp.assemble()
 
 
-def _per_term_path_master(instance, columns):
-    """The restricted path-LP master built one term at a time: a capacity
-    row for every edge id, then a row per request."""
-    graph = instance.graph
-    lp = _PerTermLP()
-    col_vars = [
-        lp.add_variable(
-            objective=instance.requests[col.request_index].value, lower=0.0, upper=np.inf
-        )
-        for col in columns
-    ]
-    for eid in range(graph.num_edges):
-        terms = {}
-        for ci, col in enumerate(columns):
-            if eid in col.edge_ids:
-                terms[col_vars[ci]] = instance.requests[col.request_index].demand
-        lp.add_le_constraint(terms, graph.edge_capacity(eid))
-    for r in range(instance.num_requests):
-        terms = {col_vars[ci]: 1.0 for ci, col in enumerate(columns) if col.request_index == r}
-        lp.add_le_constraint(terms, 1.0)
-    return lp.assemble()
-
-
 def _packing_auction(seed: int) -> MUCAInstance:
     """A random auction of 30 bids on 12 items of multiplicity 4."""
     return random_auction(
@@ -603,14 +603,6 @@ def _auction_with_unwanted_item(seed: int) -> MUCAInstance:
 def _single_item_auction() -> MUCAInstance:
     """Three bids contending for one unit of one item."""
     return MUCAInstance(np.array([1.0]), [Bid((0,), 5.0), Bid((0,), 3.0), Bid((0,), 1.0)])
-
-
-def _path_instance(seed: int, directed: bool) -> UFPInstance:
-    """A random 8-vertex instance with 25 requests and capacity 3."""
-    return random_instance(
-        num_vertices=8, edge_probability=0.35, capacity=3.0, num_requests=25,
-        demand_range=(0.5, 1.0), directed=directed, seed=seed,
-    )
 
 
 class TestBidPackingAssembly:
@@ -641,74 +633,50 @@ class TestBidPackingAssembly:
         self._assert_bit_identical(_single_item_auction())
 
 
-class TestPathMasterAssembly:
-    """The array-assembled path-LP master is the per-term one, byte for
-    byte, over the columns column generation ends with."""
+class TestPathDecomposition:
+    """The cases of :meth:`FractionalUFPResult.path_distribution` that the
+    assembly corpus does not force."""
 
-    @staticmethod
-    def _assert_bit_identical(instance):
-        result = solve_path_lp(instance)
-        columns = list(result.columns)
-        reference = _per_term_path_master(instance, columns)
-        _assert_same_program(path_master_program(instance, columns), reference)
-        solution = solve_lp(reference)
-        m = instance.num_edges
-        assert result.objective.hex() == float(solution.objective).hex()
-        assert result.weights.tobytes() == solution.x.tobytes()
-        assert result.capacity_duals.tobytes() == solution.ineq_duals[:m].tobytes()
-        assert result.request_duals.tobytes() == solution.ineq_duals[m:].tobytes()
-
-    @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_instances(self, seed, directed):
-        self._assert_bit_identical(_path_instance(seed, directed))
-
-    def test_disabled_edge_keeps_its_row(self):
-        self._assert_bit_identical(_disabled_shortcut_instance())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_multigraphs(self, seed):
-        self._assert_bit_identical(_multigraph_instance(seed, directed=seed % 2 == 0))
-
-
-class TestPathLP:
-    def test_matches_edge_formulation_on_random_instances(self):
-        instances = [
-            random_instance(
-                num_vertices=8, edge_probability=0.35, capacity=3.0,
-                num_requests=12, demand_range=(0.5, 1.0), seed=seed,
-            )
-            for seed in range(3)
+    def test_requests_sharing_a_sink_split_a_piece(self):
+        """Two paths of 0.75 reach sink 2; request 0 (demand 1) takes the
+        first and a quarter of the second, request 1 (demand 0.5) the rest."""
+        graph = CapacitatedGraph(
+            4, [(0, 1, 0.75), (1, 2, 0.75), (0, 3, 0.75), (3, 2, 0.75)], directed=True
+        )
+        instance = UFPInstance(graph, [Request(0, 2, 1.0, 2.0), Request(0, 2, 0.5, 1.0)])
+        result = solve_fractional_ufp(instance)
+        np.testing.assert_array_equal(result.routed_fraction, [1.0, 1.0])
+        assert result.path_distribution(0) == [
+            ((0, 1, 2), (0, 1), 0.75),
+            ((0, 3, 2), (2, 3), 0.25),
         ]
-        instances.append(_disabled_shortcut_instance())
-        for instance in instances:
-            edge_form = solve_fractional_ufp(instance)
-            path_form = solve_path_lp(instance)
-            assert path_form.objective == pytest.approx(edge_form.objective, rel=1e-5, abs=1e-6)
+        assert result.path_distribution(1) == [((0, 3, 2), (2, 3), 1.0)]
 
-    def test_matches_on_contended_single_edge(self, contended_instance):
-        result = solve_path_lp(contended_instance)
-        assert result.objective == pytest.approx(8.0)
-        # Path distribution of the winning requests sums to ~1.
-        assert result.routed_fraction(0) == pytest.approx(1.0, abs=1e-6)
-        assert result.routed_fraction(2) == pytest.approx(0.0, abs=1e-6)
+    def test_request_hung_on_its_target_is_reversed(self):
+        """Vertex 0 ends both requests, so it roots them and their flow runs
+        from their targets."""
+        graph = CapacitatedGraph(3, [(0, 1, 1.0), (0, 2, 1.0)], directed=False)
+        instance = UFPInstance(graph, [Request(1, 0, 1.0, 2.0), Request(2, 0, 0.5, 1.0)])
+        result = solve_fractional_ufp(instance)
+        assert result.path_distribution(0) == [((1, 0), (0,), 1.0)]
+        assert result.path_distribution(1) == [((2, 0), (1,), 1.0)]
 
-    def test_column_generation_terminates_and_reports_iterations(self, diamond_instance):
-        result = solve_path_lp(diamond_instance)
-        assert result.iterations >= 1
-        assert result.ok
-
-    def test_path_distribution_entries_are_valid_paths(self, diamond_instance):
-        result = solve_path_lp(diamond_instance)
-        for idx in range(diamond_instance.num_requests):
-            for column, weight in result.path_distribution(idx):
-                assert weight > 0
-                assert column.vertices[0] == diamond_instance.requests[idx].source
-                assert column.vertices[-1] == diamond_instance.requests[idx].target
-
-    def test_empty_instance(self, diamond_graph):
-        result = solve_path_lp(UFPInstance(diamond_graph, []))
-        assert result.objective == 0.0
+    def test_cycle_is_cancelled_not_followed(self):
+        """Arc flows as HiGHS may return them at a degenerate optimum: the
+        first arc out of 1 enters the cycle 1 -> 2 -> 1, whose flow is
+        cancelled; the walk then leaves 1 by the next arc."""
+        graph = CapacitatedGraph(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)], directed=True
+        )
+        result = FractionalUFPResult(
+            objective=1.0,
+            routed_fraction=np.array([1.0]),
+            capacity_duals=np.zeros(4),
+            _loads=np.array([1.0, 0.5, 0.5, 1.0]),
+            _instance=UFPInstance(graph, [Request(0, 3, 1.0, 1.0)]),
+            _arc_flows=np.array([1.0, 0.5, 0.5, 1.0]),
+        )
+        assert result.path_distribution(0) == [((0, 1, 3), (0, 3), 1.0)]
 
 
 class TestFractionalMUCA:
@@ -716,7 +684,6 @@ class TestFractionalMUCA:
         result = solve_fractional_muca(tiny_auction)
         # All four bids fit within multiplicity 2 of each item.
         assert result.objective == pytest.approx(10.0)
-        assert result.ok
 
     def test_contention_forces_choice(self):
         from repro.auctions import Bid, MUCAInstance

@@ -17,16 +17,13 @@ from repro.lp import AssembledLP, LPSolution, solve_lp
 from repro.lp import solver as solver_module
 from repro.lp.fractional_muca import bid_packing_program
 from repro.lp.fractional_ufp import edge_flow_program
-from repro.lp.path_lp import path_master_program, solve_path_lp
 from repro.types import SolverStatus
 
 from test_lp_fractional import (  # the LP cases of the model tests
     _SUITE_CELLS,
     _auction_with_unwanted_item,
-    _disabled_shortcut_instance,
     _multigraph_instance,
     _packing_auction,
-    _path_instance,
     _single_item_auction,
     _suite_cell,
 )
@@ -222,20 +219,11 @@ def _linprog_solution(program: AssembledLP) -> LPSolution:
     )
 
 
-#: The auctions and path-LP instances of ``test_lp_fractional``'s assembly tests.
+#: The auctions of ``test_lp_fractional``'s assembly tests.
 _AUCTIONS = {
     **{f"random-{seed}": partial(_packing_auction, seed) for seed in range(8)},
     **{f"unwanted-item-{seed}": partial(_auction_with_unwanted_item, seed) for seed in range(3)},
     "single-item": _single_item_auction,
-}
-_PATH_INSTANCES = {
-    **{
-        f"random-{seed}-{kind}": partial(_path_instance, seed, kind == "directed")
-        for seed in range(4)
-        for kind in ("directed", "undirected")
-    },
-    "disabled-edge": _disabled_shortcut_instance,
-    **{f"multigraph-{seed}": partial(_multigraph_instance, seed, seed % 2 == 0) for seed in range(4)},
 }
 
 
@@ -272,13 +260,6 @@ class TestLinprogOracle:
     @pytest.mark.parametrize("name", list(_AUCTIONS))
     def test_bid_packing_programs(self, name):
         self._assert_as_linprog(bid_packing_program(_AUCTIONS[name]()))
-
-    @pytest.mark.parametrize("name", list(_PATH_INSTANCES))
-    def test_path_master_programs(self, name):
-        """The master over the columns column generation ends with."""
-        instance = _PATH_INSTANCES[name]()
-        columns = list(solve_path_lp(instance).columns)
-        self._assert_as_linprog(path_master_program(instance, columns))
 
     def test_infeasible_program(self):
         program = _program([1.0], le=[({0: 1.0}, -5.0)])
