@@ -39,11 +39,15 @@ from repro.flows import random_instance
 from repro.mechanism import compute_ufp_payments
 from repro.online import OnlineAuction, bursty_arrivals
 
-#: Every row but ``bounded_ufp_medium`` (which pytest-benchmark calibrates
-#: itself) times one call per round: one untimed warm-up round, then the
-#: mean of 8.  Three rounds without a warm-up let a row's normalized mean
-#: move by up to about 25% between runs of the same code.
-_ROUNDS = {"rounds": 8, "warmup_rounds": 1, "iterations": 1}
+#: Every row times one untimed warm-up round, then the mean of 8.  Three
+#: rounds without a warm-up let a row's normalized mean move by up to about
+#: 25% between runs of the same code.  A row whose call takes a few ms
+#: passes ``iterations=`` so that a round times enough calls for its 8
+#: rounds to span about 2 s, as the other rows' rounds of one call each
+#: (220-540 ms) do: 8 rounds of one 3-ms call sample the host's speed over
+#: a 25-ms window, and such rows' normalized means spread 33-40% from run
+#: to run.
+_ROUNDS = {"rounds": 8, "warmup_rounds": 1}
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +108,10 @@ def test_gate_e4_audit_cell(benchmark, jobs):
 
 
 def test_gate_bounded_ufp_medium(benchmark, medium_instance):
-    """One full Bounded-UFP run on the medium instance."""
-    allocation = benchmark(lambda: bounded_ufp(medium_instance, 0.3))
+    """One full Bounded-UFP run on the medium instance (about 2.4 ms)."""
+    allocation = benchmark.pedantic(
+        lambda: bounded_ufp(medium_instance, 0.3), **_ROUNDS, iterations=100
+    )
     assert allocation.is_feasible()
 
 
@@ -138,7 +144,8 @@ def test_gate_campaign_cell_small(benchmark):
     }
     (cell,) = enumerate_cells(suite)
 
-    outcome = benchmark.pedantic(lambda: run_cell(cell), **_ROUNDS)
+    # About 10.5 ms per cell.
+    outcome = benchmark.pedantic(lambda: run_cell(cell), **_ROUNDS, iterations=24)
     record = outcome.rows[0]
     assert record["claims_ok"] and record["admitted"] > 0
 
@@ -217,5 +224,6 @@ def test_gate_e10_online_batch(benchmark):
             bursty_arrivals(list(instance.requests), burst_size=8, seed=4)
         )
 
-    online = benchmark.pedantic(run, **_ROUNDS)
+    # About 2.8 ms per stream.
+    online = benchmark.pedantic(run, **_ROUNDS, iterations=90)
     assert online.is_feasible()

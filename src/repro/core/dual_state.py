@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels import get_kernel
-
 __all__ = ["DualWeights"]
 
 
@@ -182,9 +180,13 @@ class DualWeights:
             ids = np.unique(np.asarray(edge_ids, dtype=np.int64))
         if ids.size == 0:
             return
-        delta = get_kernel().dual_update(
-            self._y, self._capacities, ids, self._epsilon, self._B, float(demand)
-        )
+        # np.exp, never math.exp: the two disagree in the last ulp on a few
+        # percent of inputs.
+        caps = self._capacities[ids]
+        old = self._y[ids]
+        new = old * np.exp(self._epsilon * self._B * float(demand) / caps)
+        self._y[ids] = new
+        delta = float(caps @ (new - old))
         self._budget += delta
         self._updates += 1
         self._last_delta = delta

@@ -45,8 +45,9 @@ valid — not merely as a bound:
 hence a fresh Dijkstra run would reproduce the cached tree *bit for bit*,
 including tie-breaking — which is what keeps the engine's selected paths
 byte-identical to the reference implementation.  Each cached tree carries
-its parent-edge set as a bitmask; a selection evicts exactly the trees whose
-set intersects the selected path.
+its parent-edge set as a bitmask (``CompactTree.edge_mask``); a commit ORs
+the selected path's edges into one mask and evicts exactly the cached trees
+whose mask meets it.
 
 Because the initial weights ``y_e = 1/c_e`` are a function of the graph
 alone, the trees priced at the start of a run are additionally memoized on
@@ -87,7 +88,7 @@ import numpy as np
 from repro.core.dual_state import DualWeights
 from repro.graphs.graph import CapacitatedGraph
 from repro.graphs.shortest_path import CompactTree
-from repro.kernels import BitmaskIndex, get_kernel
+from repro.kernels import get_kernel
 
 __all__ = [
     "PathPricingEngine",
@@ -203,10 +204,10 @@ class PricingStats:
     eager_equivalent_calls: int = 0
     memo_misses: int = 0
     memo_evictions: int = 0
-    #: Compute-kernel work units (see :mod:`repro.kernels`): shortest-path
-    #: trees computed, dual updates applied, bundle-score sweeps.  The
-    #: count does not depend on which tree implementation ran, so bench
-    #: regressions are attributable without perturbing any pinned output.
+    #: Hot-loop work units: shortest-path trees computed, dual updates
+    #: applied, bundle-score sweeps.  The count does not depend on which
+    #: tree implementation ran, so bench regressions are attributable
+    #: without perturbing any pinned output.
     kernel_calls: int = 0
 
     @property
@@ -307,11 +308,9 @@ class PathPricingEngine:
         # Live request count per source — used only for the eager-equivalent
         # statistics (how many trees the reference strategy would compute).
         self._source_live: dict[int, int] = {}
-        # source -> tree; all registered trees are exact under the current
+        # source -> tree; all cached trees are exact under the current
         # weights.
         self._trees: dict[int, CompactTree] = {}
-        # Which cached trees use which edges.
-        self._index = BitmaskIndex()
         # Bumped whenever a source's tree is evicted; heap entries carry the
         # epoch their score was computed at, so staleness is an int compare.
         self._source_epoch: dict[int, int] = {}
@@ -358,10 +357,6 @@ class PathPricingEngine:
         if wl is None:
             wl = self._w_list = self._weights.tolist()
         return wl
-
-    def _register_tree(self, source: int, tree: CompactTree) -> None:
-        self._trees[source] = tree
-        self._index.register(source, tree)
 
     def _bind_memos(self, graph: CapacitatedGraph) -> None:
         """Share shortest-path trees across engines on ``graph`` through its
@@ -417,14 +412,18 @@ class PathPricingEngine:
     def _get_tree(self, source: int) -> CompactTree:
         tree = self._trees.get(source)
         if tree is None:
-            tree = self._compute_tree(source)
-            self._register_tree(source, tree)
+            tree = self._trees[source] = self._compute_tree(source)
             return tree
         self.stats.tree_reuses += 1
         return tree
 
     def _invalidate_edges(self, edge_ids: Sequence[int]) -> None:
-        for source in self._index.invalidate(edge_ids):
+        """Evict every cached tree that uses one of ``edge_ids``."""
+        probe = 0
+        for eid in edge_ids:
+            probe |= 1 << eid
+        hit = [s for s, tree in self._trees.items() if tree.edge_mask & probe]
+        for source in hit:
             del self._trees[source]
             self._source_epoch[source] = self._source_epoch.get(source, 0) + 1
             self.stats.trees_invalidated += 1
@@ -555,15 +554,18 @@ class PathPricingEngine:
     # ------------------------------------------------------------------ #
     def commit(self, selection: Selection) -> None:
         """Apply the exponential dual update for ``selection`` and maintain
-        the caches."""
-        req = self._requests[selection.index]
+        the caches: :meth:`replay_commit`, then, when the winner stays
+        selectable, its re-push."""
         # Simple paths have distinct edges, and sorting reproduces the
         # np.unique ordering, so the incremental budget arithmetic is
         # bit-identical to the reference.
         ids = np.asarray(sorted(selection.edge_ids), dtype=np.int64)
-        self._duals.apply_selection(ids, req.demand, assume_unique=True)
-        self.stats.kernel_calls += 1
-        self._invalidate_path(selection)
+        self.replay_commit(selection.index, ids, selection.edge_ids)
+        if not self._remove_selected:
+            # The winner stays selectable; its own tree was just evicted, so
+            # epoch -1 forces a re-pricing before it can win again.  Its old
+            # score remains a valid lower bound (weights only grew).
+            heapq.heappush(self._heap, (selection.score, selection.index, -1))
 
     def requeue(self, selection: Selection) -> None:
         """Return an *uncommitted* selection to the pool.
@@ -579,23 +581,6 @@ class PathPricingEngine:
             self._heap,
             (selection.score, selection.index, self._source_epoch.get(source, 0)),
         )
-
-    def _invalidate_path(self, selection: Selection) -> None:
-        """Evict every cached tree using an edge of the selected path and
-        return (or retire) the winner, after its dual update."""
-        # Weights changed: drop the memoized list/bytes forms.
-        self._w_list = None
-        self._w_bytes = None
-        self._invalidate_edges(selection.edge_ids)
-        idx = selection.index
-        if self._remove_selected:
-            self._selected[idx] = 1
-            self._retire(idx)
-        else:
-            # The winner stays selectable; its own tree was just evicted, so
-            # epoch -1 forces a re-pricing before it can win again.  Its old
-            # score remains a valid lower bound (weights only grew).
-            heapq.heappush(self._heap, (selection.score, idx, -1))
 
     # ------------------------------------------------------------------ #
     # Substrate mutation (fault injection)
@@ -656,7 +641,6 @@ class PathPricingEngine:
         self._w_bytes = None
         self._bind_memos(graph)
         self._trees = {}
-        self._index = BitmaskIndex()
         for source in list(self._source_epoch):
             self._source_epoch[source] += 1
         self._heap = []
@@ -686,7 +670,6 @@ class PathPricingEngine:
             pending=self._pending,
             source_live=tuple(self._source_live.items()),
             trees=tuple(self._trees.items()),
-            edge_sources=self._index.snapshot(),
             source_epoch=tuple(self._source_epoch.items()),
         )
 
@@ -705,8 +688,6 @@ class PathPricingEngine:
         self._pending = checkpoint.pending
         self._source_live = dict(checkpoint.source_live)
         self._trees = dict(checkpoint.trees)
-        self._index = BitmaskIndex()
-        self._index.restore(checkpoint.edge_sources)
         self._source_epoch = dict(checkpoint.source_epoch)
         self._w_list = None
         self._w_bytes = None
@@ -717,18 +698,22 @@ class PathPricingEngine:
         sorted_edge_ids: np.ndarray,
         edge_ids: Sequence[int],
     ) -> None:
-        """Re-apply one *recorded* selection without re-running selection:
-        the exact dual update (bit-identical — same sorted id array, same
-        demand), tree invalidation and pool bookkeeping.
+        """Apply the dual update, tree invalidation and pool bookkeeping of
+        request ``index`` winning on the path ``edge_ids`` (``sorted_edge_ids``
+        as a sorted ``int64`` array): what :meth:`commit` does, also used by
+        the trace replayer to re-apply recorded rounds without re-selecting.
+        The dual arithmetic is bit-identical either way (same sorted id
+        array, same demand).
 
         In keep-selectable mode (repetitions) the winner's pre-existing
-        heap entry remains its valid lower bound, so no re-push is needed;
-        the epoch bump from the tree eviction forces a re-pricing before it
-        can win again.
+        heap entry remains its valid lower bound, so a replay needs no
+        re-push; the epoch bump from the tree eviction forces a re-pricing
+        before it can win again.
         """
         req = self._requests[index]
         self._duals.apply_selection(sorted_edge_ids, req.demand, assume_unique=True)
         self.stats.kernel_calls += 1
+        # Weights changed: drop the memoized list/bytes forms.
         self._w_list = None
         self._w_bytes = None
         self._invalidate_edges(edge_ids)
@@ -773,7 +758,6 @@ class PathEngineCheckpoint:
         "pending",
         "source_live",
         "trees",
-        "edge_sources",
         "source_epoch",
     )
 
@@ -787,7 +771,6 @@ class PathEngineCheckpoint:
         pending: int,
         source_live: tuple,
         trees: tuple,
-        edge_sources: tuple,
         source_epoch: tuple,
     ) -> None:
         self.num_requests = num_requests
@@ -797,7 +780,6 @@ class PathEngineCheckpoint:
         self.pending = pending
         self.source_live = source_live
         self.trees = trees
-        self.edge_sources = edge_sources
         self.source_epoch = source_epoch
 
 
@@ -838,7 +820,6 @@ class BundlePricingEngine:
         # ordering keys only, never winning scores.
         self._dirty = bytearray(b"\x01") * n
         self._pending = n
-        self._kernel = get_kernel()
         self.stats = PricingStats()
 
         item_to_bids: dict[int, list[int]] = {}
@@ -855,15 +836,14 @@ class BundlePricingEngine:
             # One CSR sweep.  reduceat sums sequentially while the reference
             # ndarray.sum is pairwise, so for large bundles the two can
             # differ by a few ulps in either direction.  Heap keys must be
-            # true lower bounds of the reference scores; the kernel shaves a
-            # relative 1e-9 (orders of magnitude above the worst-case
-            # summation error, which is bounded by ~bundle_size * 2^-52
-            # relative) to guarantee it, at the cost of at most one extra
-            # heap pop per bid.
-            scores = self._kernel.bundle_scores(
-                duals.weights, flat, starts,
-                np.asarray(self._values, dtype=np.float64),
-            )
+            # true lower bounds of the reference scores; a relative 1e-9
+            # shave (orders of magnitude above the worst-case summation
+            # error, which is bounded by ~bundle_size * 2^-52 relative)
+            # guarantees it, at the cost of at most one extra heap pop per
+            # bid.
+            prices = np.add.reduceat(duals.weights[flat], starts)
+            values = np.asarray(self._values, dtype=np.float64)
+            scores = (prices / values) * (1.0 - 1e-9)
             self.stats.kernel_calls += 1
             self._heap = [(float(scores[i]), i) for i in range(n)]
             heapq.heapify(self._heap)

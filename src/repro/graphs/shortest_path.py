@@ -143,17 +143,6 @@ class ShortestPathResult:
         edges.reverse()
         return tuple(vertices), tuple(edges)
 
-    def used_edge_ids(self) -> set[int]:
-        """The set of edge ids appearing as parent edges anywhere in the tree.
-
-        This is the invalidation footprint used by the tree caches: as long
-        as no weight of an edge in this set changes (and no weight decreases
-        at all), a rerun of Dijkstra would reproduce this exact tree.
-        """
-        used = set(self.parent_edge.tolist())
-        used.discard(-1)
-        return used
-
 
 class CompactTree:
     """A shortest-path tree in the form the hot paths keep it.
@@ -161,9 +150,9 @@ class CompactTree:
     ``dist`` is an ``array('d')`` and the parents are ``array('i')``: their
     items index as Python ``float`` and ``int`` (no numpy scalar boxing) at
     a quarter of a list's memory.  ``edge_mask`` has bit ``e`` set for
-    every parent edge ``e`` — the footprint the pricing engine's
-    invalidation index keys on.  Trees are immutable once built, so caches
-    and checkpoints share them by reference.
+    every parent edge ``e``: the pricing engine evicts a cached tree when
+    its mask meets a committed path.  Trees are immutable once built, so
+    caches and checkpoints share them by reference.
     """
 
     __slots__ = ("source", "dist", "parent_vertex", "parent_edge", "edge_mask")
@@ -401,8 +390,8 @@ def single_source_dijkstra(
 
     Notes
     -----
-    The tree comes from :func:`shortest_path_tree` through the compute
-    kernel (:mod:`repro.kernels`).  Without ``targets`` it is bit-for-bit
+    The tree comes from :func:`shortest_path_tree` through the tree hook
+    of :mod:`repro.kernels`.  Without ``targets`` it is bit-for-bit
     identical to :func:`reference_dijkstra`; with ``targets`` the two agree
     on the requested targets.
     """

@@ -35,8 +35,9 @@ DEFAULT_COLUMNS = (
     "ratio",
     "value_ratio",
     "revenue",
-    # Compute-kernel work units (trees computed, dual updates applied; see
-    # repro.kernels) — attributes bench regressions to kernel-shaped work.
+    # Hot-loop work units (trees computed, dual updates applied, bundle
+    # sweeps; see PricingStats.kernel_calls) — attributes bench regressions
+    # to that work.
     "kernel_calls",
     # Partitioned-solving columns (present only on offline cells whose mode
     # set a "partition" entry; see repro.partition).

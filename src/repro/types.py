@@ -15,22 +15,14 @@ from typing import Mapping
 __all__ = [
     "Direction",
     "SolverStatus",
-    "ApproximationTarget",
     "RunStats",
     "E_OVER_E_MINUS_1",
-    "one_minus_one_over_e",
     "ufp_capacity_threshold",
 ]
 
 #: The constant ``e / (e - 1)`` — the approximation ratio the paper's
 #: Bounded-UFP and Bounded-MUCA algorithms approach (Theorems 3.1 and 4.1).
 E_OVER_E_MINUS_1: float = math.e / (math.e - 1.0)
-
-
-def one_minus_one_over_e() -> float:
-    """Return ``1 - 1/e``, the fraction of the optimum achieved in the
-    Figure 2 lower-bound instance as ``B`` grows (Theorem 3.11)."""
-    return 1.0 - 1.0 / math.e
 
 
 def ufp_capacity_threshold(num_edges: int, epsilon: float) -> float:
@@ -73,14 +65,6 @@ class SolverStatus(enum.Enum):
     @property
     def ok(self) -> bool:
         return self is SolverStatus.OPTIMAL
-
-
-class ApproximationTarget(enum.Enum):
-    """Which optimum a measured ratio is computed against."""
-
-    FRACTIONAL_LP = "fractional_lp"
-    INTEGRAL_EXACT = "integral_exact"
-    KNOWN_OPTIMUM = "known_optimum"
 
 
 @dataclass(frozen=True)

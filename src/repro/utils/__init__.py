@@ -4,12 +4,7 @@ backoff, durable JSONL."""
 from repro.utils.backoff import BackoffPolicy
 from repro.utils.prng import ensure_rng, spawn_rngs
 from repro.utils.tables import Table, format_float
-from repro.utils.validation import (
-    check_finite,
-    check_positive,
-    check_probability,
-    check_in_unit_interval,
-)
+from repro.utils.validation import check_finite, check_positive
 
 __all__ = [
     "BackoffPolicy",
@@ -19,6 +14,4 @@ __all__ = [
     "format_float",
     "check_finite",
     "check_positive",
-    "check_probability",
-    "check_in_unit_interval",
 ]

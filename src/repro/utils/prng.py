@@ -8,11 +8,9 @@ reproducible by default), or an already-constructed
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "ensure_rng", "spawn_rngs", "random_seed_sequence"]
+__all__ = ["DEFAULT_SEED", "ensure_rng", "spawn_rngs"]
 
 #: Seed used when the caller passes ``None``.  Chosen arbitrarily but fixed so
 #: that "no seed" still yields reproducible experiments.
@@ -48,16 +46,3 @@ def spawn_rngs(seed: int | np.random.Generator | None, count: int) -> list[np.ra
     parent = ensure_rng(seed)
     seeds = parent.integers(0, 2**63 - 1, size=count, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def random_seed_sequence(seed: int | None, labels: Sequence[str] | Iterable[str]) -> dict[str, int]:
-    """Map each label to a derived integer seed.
-
-    The mapping depends only on ``seed`` and the order of ``labels``; it is
-    used by the experiment harness to give every experiment cell a stable
-    seed that survives re-ordering of unrelated cells.
-    """
-    labels = list(labels)
-    rng = ensure_rng(seed)
-    seeds = rng.integers(0, 2**31 - 1, size=len(labels), dtype=np.int64)
-    return {label: int(s) for label, s in zip(labels, seeds)}

@@ -3,16 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Any
 
-__all__ = [
-    "check_finite",
-    "check_positive",
-    "check_nonnegative",
-    "check_probability",
-    "check_in_unit_interval",
-    "check_integer",
-]
+__all__ = ["check_finite", "check_positive"]
 
 
 def check_finite(value: float, name: str) -> float:
@@ -29,40 +21,3 @@ def check_positive(value: float, name: str) -> float:
     if value <= 0.0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
-
-
-def check_nonnegative(value: float, name: str) -> float:
-    """Return ``value`` as float, requiring it to be >= 0."""
-    value = check_finite(value, name)
-    if value < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` as float, requiring it to lie in ``[0, 1]``."""
-    value = check_finite(value, name)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
-def check_in_unit_interval(value: float, name: str, *, open_left: bool = True) -> float:
-    """Return ``value`` as float, requiring it to lie in ``(0, 1]`` (default)
-    or ``[0, 1]`` when ``open_left`` is False."""
-    value = check_finite(value, name)
-    low_ok = value > 0.0 if open_left else value >= 0.0
-    if not (low_ok and value <= 1.0):
-        interval = "(0, 1]" if open_left else "[0, 1]"
-        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
-    return value
-
-
-def check_integer(value: Any, name: str, *, minimum: int | None = None) -> int:
-    """Return ``value`` as int, optionally enforcing a lower bound."""
-    if isinstance(value, bool) or not isinstance(value, (int,)) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    ivalue = int(value)
-    if minimum is not None and ivalue < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {ivalue}")
-    return ivalue

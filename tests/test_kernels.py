@@ -1,8 +1,7 @@
-"""The compute kernel: its one instance and its commit-path primitives.
+"""The three hot loops of an auction round, and the tree hook.
 
-The broad end-to-end parity matrix lives in ``test_backend_parity.py`` and
-the tree-level parity in ``test_tree_parity.py``; this module covers the
-kernel layer itself:
+The broad end-to-end parity suite lives in ``test_backend_parity.py`` and
+the tree-level parity in ``test_tree_parity.py``; this module covers:
 
 * :func:`repro.kernels.get_kernel` returns one kernel, whose ``dijkstra``
   is the size-selected tree (the retired selection knobs are covered in
@@ -12,28 +11,35 @@ kernel layer itself:
   ``np.exp`` and scalar division) — if a numpy build ever broke these,
   this is the test that should fail first, with a message pointing at the
   right invariant;
-* per-primitive differential tests against the oracles: the bitmask
-  invalidation index against the edge-set index of
-  :mod:`repro.kernels.oracles`, ``bundle_scores`` against per-bundle sums;
+* the MUCA engine's initial bundle scores against per-bundle sums;
+* the path engine's tree-cache invalidation, checked after every commit
+  against fresh trees and against each cached tree's parent edges;
 * end-to-end: traced payments and campaign-store content hashes are
-  bit-identical across tree paths and commit paths and across ``jobs=``.
+  bit-identical across tree paths and across ``jobs=``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from compute_paths import COMMIT_PATHS, TREE_PATHS, compute_path
+from compute_paths import TREE_PATHS, tree_path
+from test_differential_fuzz import REPEAT_SEEDS, UFP_SEEDS, _ufp_instance
+
 from repro import kernels
+from repro.core import DualWeights, PathPricingEngine
 from repro.core.bounded_ufp import bounded_ufp
+from repro.core.bounded_ufp_repeat import bounded_ufp_repeat
+from repro.core.pricing_engine import BundlePricingEngine, greedy_rounds
 from repro.flows.generators import random_instance
 from repro.graphs.generators import grid_graph
 from repro.graphs.shortest_path import shortest_path_tree
-from repro.kernels import BitmaskIndex, Kernel
-from repro.kernels.oracles import EdgeSetIndex
+from repro.kernels import Kernel
 from repro.mechanism.payments import compute_ufp_payments
 from repro.utils.prng import ensure_rng
 
@@ -84,90 +90,154 @@ class TestBitIdentityInvariants:
 
 
 # --------------------------------------------------------------------- #
-# Invalidation index
-# --------------------------------------------------------------------- #
-class _FakeTree:
-    """A tree as the indexes read it: parent edges and their bitmask."""
-
-    def __init__(self, edges):
-        edges = sorted(set(edges))
-        self.parent_edge = [-1] + edges
-        self.edge_mask = sum(1 << e for e in edges)
-
-
-class TestInvalidationIndex:
-    @pytest.mark.parametrize("seed", range(15))
-    def test_bitmask_index_matches_edge_set_index(self, seed):
-        """Differential test: a random register/invalidate workload evicts
-        the identical source sets from the bitmask index and the oracle."""
-        rng = ensure_rng(seed)
-        a, b = EdgeSetIndex(), BitmaskIndex()
-        live: dict[int, _FakeTree] = {}
-
-        def invalidate(edges):
-            hit = a.invalidate(edges)
-            assert b.invalidate(edges) == hit
-            for s in hit:
-                live.pop(s)
-
-        for step in range(120):
-            op = int(rng.integers(0, 3))
-            if op <= 1:  # register (engine contract: evict before re-register)
-                source = int(rng.integers(0, 12))
-                if source in live:
-                    invalidate(live[source].parent_edge[1:])
-                tree = _FakeTree(
-                    int(e) for e in rng.integers(0, 64, size=rng.integers(1, 9))
-                )
-                live[source] = tree
-                a.register(source, tree)
-                b.register(source, tree)
-            else:  # invalidate a random edge set
-                invalidate([int(e) for e in rng.integers(0, 64, size=3)])
-
-    def test_snapshots_restore_across_flavors(self):
-        """A checkpoint restores into a fresh index of its own flavor, and
-        both flavors then evict the same sources."""
-        trees = {1: _FakeTree({2, 5}), 3: _FakeTree({5, 9}), 7: _FakeTree({0})}
-        a, b = EdgeSetIndex(), BitmaskIndex()
-        for s, t in trees.items():
-            a.register(s, t)
-            b.register(s, t)
-        a2, b2 = EdgeSetIndex(), BitmaskIndex()
-        a2.restore(a.snapshot())
-        b2.restore(b.snapshot())
-        assert b2.invalidate([5]) == a2.invalidate([5]) == [1, 3]
-        assert b2.invalidate([0]) == a2.invalidate([0]) == [7]
-        assert b2.invalidate([2, 9]) == a2.invalidate([2, 9]) == []
-
-
-# --------------------------------------------------------------------- #
 # Bundle scoring
 # --------------------------------------------------------------------- #
 class TestBundleScores:
     @pytest.mark.parametrize("seed", range(10))
     def test_tiers_agree_bit_for_bit(self, seed):
-        """The one-pass CSR sweep agrees bit for bit with the shaved
-        ``reduceat`` expression and never exceeds the per-bundle reference
-        score ``weights[bundle].sum() / value`` the fold compares."""
+        """The MUCA engine's initial heap keys, one CSR sweep, agree bit for
+        bit with the shaved ``reduceat`` expression and never exceed the
+        per-bundle reference score ``weights[bundle].sum() / value``."""
         rng = ensure_rng(seed)
         n = int(rng.integers(1, 30))
         sizes = rng.integers(1, 6, size=n)
         flat = rng.integers(0, 40, size=int(sizes.sum()))
         starts = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
-        weights = rng.uniform(0.01, 2.0, size=40)
+        duals = DualWeights(rng.uniform(0.5, 100.0, size=40), 0.5)
+        weights = duals.weights
         values = rng.uniform(0.5, 5.0, size=n)
-        scores = Kernel().bundle_scores(weights, flat, starts, values)
+        bundles = [flat[start : start + int(sizes[i])] for i, start in enumerate(starts)]
+        bids = [
+            SimpleNamespace(bundle=b.tolist(), value=float(v))
+            for b, v in zip(bundles, values)
+        ]
+        engine = BundlePricingEngine(SimpleNamespace(bids=bids), duals)
+        keys = {i: key for key, i in engine._heap}
         expected = (np.add.reduceat(weights[flat], starts) / values) * (1.0 - 1e-9)
-        np.testing.assert_array_equal(scores, expected)
-        for i, start in enumerate(starts.tolist()):
-            bundle = flat[start : start + int(sizes[i])]
-            assert scores[i] <= weights[bundle].sum() / values[i]
+        assert [keys[i] for i in range(n)] == expected.tolist()
+        for i, bundle in enumerate(bundles):
+            assert keys[i] <= weights[bundle].sum() / values[i]
 
 
 # --------------------------------------------------------------------- #
-# End to end: payments and store hashes across compute paths and jobs
+# Tree-cache invalidation of the path engine
+# --------------------------------------------------------------------- #
+def _assert_cached_trees_exact(engine):
+    """Every cached tree equals a fresh tree under the current weights."""
+    for source, tree in engine._trees.items():
+        fresh = shortest_path_tree(engine._graph, engine._weights, source)
+        assert list(tree.dist) == list(fresh.dist), source
+        assert list(tree.parent_vertex) == list(fresh.parent_vertex), source
+        assert list(tree.parent_edge) == list(fresh.parent_edge), source
+        assert tree.edge_mask == fresh.edge_mask, source
+
+
+@contextmanager
+def _checked_engines():
+    """Patch :class:`PathPricingEngine` so every commit, replay commit,
+    checkpoint restore and substrate rebind is checked on the spot; yields
+    the count of checks made per method.
+
+    After a commit, the evicted sources must be exactly the cached ones
+    whose ``parent_edge`` array holds an edge of the committed path (read
+    from the arrays, not from ``edge_mask``, so a wrong mask shows up) and
+    every tree left in the cache must be exact: a stale tree and an extra
+    eviction both fail.
+    """
+    counts = {"commit": 0, "replay_commit": 0, "restore": 0, "rebind_substrate": 0}
+    commit = PathPricingEngine.commit
+    replay_commit = PathPricingEngine.replay_commit
+    restore = PathPricingEngine.restore
+    rebind = PathPricingEngine.rebind_substrate
+
+    def check_evictions(name, engine, before, path):
+        path = set(path)
+        stale = {s for s, tree in before.items() if path.intersection(tree.parent_edge)}
+        assert set(engine._trees) == set(before) - stale
+        _assert_cached_trees_exact(engine)
+        counts[name] += 1
+
+    def checked_commit(self, selection):
+        before = dict(self._trees)
+        commit(self, selection)
+        check_evictions("commit", self, before, selection.edge_ids)
+
+    def checked_replay_commit(self, index, sorted_edge_ids, edge_ids):
+        before = dict(self._trees)
+        replay_commit(self, index, sorted_edge_ids, edge_ids)
+        check_evictions("replay_commit", self, before, edge_ids)
+
+    def checked_restore(self, checkpoint):
+        restore(self, checkpoint)
+        _assert_cached_trees_exact(self)
+        counts["restore"] += 1
+
+    def checked_rebind(self, graph, duals):
+        rebind(self, graph, duals)
+        _assert_cached_trees_exact(self)
+        counts["rebind_substrate"] += 1
+
+    with mock.patch.multiple(
+        PathPricingEngine,
+        commit=checked_commit,
+        replay_commit=checked_replay_commit,
+        restore=checked_restore,
+        rebind_substrate=checked_rebind,
+    ):
+        yield counts
+
+
+class TestEngineInvalidation:
+    @pytest.mark.parametrize("trees", TREE_PATHS)
+    @pytest.mark.parametrize("seed", UFP_SEEDS[1:5])  # UFP_SEEDS[0] routes nothing
+    def test_bounded_ufp(self, seed, trees):
+        with tree_path(trees), _checked_engines() as counts:
+            allocation = bounded_ufp(_ufp_instance(seed), [0.3, 0.5, 1.0][seed % 3])
+        assert counts["commit"] == len(allocation.routed) > 0
+
+    @pytest.mark.parametrize("trees", TREE_PATHS)
+    @pytest.mark.parametrize("seed", REPEAT_SEEDS[:4])
+    def test_bounded_ufp_repeat(self, seed, trees):
+        instance = _ufp_instance(seed, max_requests=10)
+        with tree_path(trees), _checked_engines() as counts:
+            allocation = bounded_ufp_repeat(instance, [0.5, 1.0][seed % 2])
+        assert counts["commit"] == len(allocation.routed) > 0
+
+    @pytest.mark.parametrize("trees", TREE_PATHS)
+    def test_traced_payments(self, trees):
+        """Trace replays restore checkpoints and re-apply recorded rounds
+        through ``replay_commit``."""
+        instance = _payment_instance(23)
+        with tree_path(trees), _checked_engines() as counts:
+            allocation = bounded_ufp(instance, 0.5)
+            compute_ufp_payments(
+                lambda i, **kw: bounded_ufp(i, 0.5, **kw),
+                instance,
+                allocation,
+                use_trace=True,
+            )
+        assert counts["restore"] > 0
+        assert counts["replay_commit"] > counts["commit"]
+
+    @pytest.mark.parametrize("trees", TREE_PATHS)
+    def test_rebind_substrate(self, trees):
+        instance = _payment_instance(31)
+        graph = instance.graph
+        with tree_path(trees), _checked_engines() as counts:
+            duals = DualWeights(graph.capacities, 0.5)
+            engine = PathPricingEngine(graph, list(instance.requests), duals)
+            for _ in zip(range(4), greedy_rounds(engine)):
+                pass
+            mutated = graph.with_capacities(graph.capacities * 0.75, disabled_edges=[0])
+            engine.rebind_substrate(mutated, duals.with_capacities(mutated.capacities))
+            rounds = list(greedy_rounds(engine))
+        assert counts["rebind_substrate"] == 1
+        assert counts["commit"] == 4 + len(rounds)
+
+
+# --------------------------------------------------------------------- #
+# End to end: payments and store hashes across tree paths and jobs
 # --------------------------------------------------------------------- #
 def _payment_instance(seed):
     return random_instance(
@@ -180,19 +250,16 @@ def _payment_instance(seed):
     )
 
 
-_PATHS = [(trees, commit) for trees in TREE_PATHS for commit in COMMIT_PATHS]
-
-
 class TestEndToEndParity:
     @pytest.mark.parametrize("use_trace", [True, False])
     def test_traced_payments_identical_across_kernels(self, use_trace):
         outputs = []
-        for path in _PATHS:
-            with compute_path(*path):
+        for trees in TREE_PATHS:
+            with tree_path(trees):
                 inst = _payment_instance(23)
-                allocation = bounded_ufp(inst, 0.3)
+                allocation = bounded_ufp(inst, 0.5)
                 payments = compute_ufp_payments(
-                    lambda i, **kw: bounded_ufp(i, 0.3, **kw),
+                    lambda i, **kw: bounded_ufp(i, 0.5, **kw),
                     inst,
                     allocation,
                     use_trace=use_trace,
@@ -204,12 +271,13 @@ class TestEndToEndParity:
                         payments.tobytes(),
                     )
                 )
+        assert outputs[0][0], "the instance routes nothing"
         assert all(out == outputs[0] for out in outputs[1:])
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_store_content_hash_identical_across_kernels(self, tmp_path, jobs):
         """The acceptance headline: a campaign's store hash is the same on
-        every compute path, at jobs=1 and jobs=4."""
+        on both tree paths, at jobs=1 and jobs=4."""
         from repro.scenarios.runner import run_campaign
         from repro.scenarios.store import ResultStore
 
@@ -237,9 +305,9 @@ class TestEndToEndParity:
             ],
         }
         hashes = []
-        for path in _PATHS:
-            with compute_path(*path):
-                store = ResultStore(tmp_path / f"{'-'.join(path)}-{jobs}")
+        for trees in TREE_PATHS:
+            with tree_path(trees):
+                store = ResultStore(tmp_path / f"{trees}-{jobs}")
                 result = run_campaign(suite, store=store, jobs=jobs)
                 assert result.all_cells_ok
                 hashes.append(store.content_hash(result.records))
