@@ -12,10 +12,12 @@ the tree-level parity in ``test_tree_parity.py``; this module covers:
   this is the test that should fail first, with a message pointing at the
   right invariant;
 * the MUCA engine's initial bundle scores against per-bundle sums;
-* the path engine's tree-cache invalidation, checked after every commit
-  against fresh trees and against each cached tree's parent edges;
+* the path engine's tree-cache eviction: its ``edge_mask`` probe against
+  the parent-edge oracle of ``compute_paths.py`` on random workloads and
+  across a checkpoint restore, and on real runs after every commit,
+  checked against fresh trees and each cached tree's parent edges;
 * end-to-end: traced payments and campaign-store content hashes are
-  bit-identical across tree paths and across ``jobs=``.
+  bit-identical across tree paths and commit paths and across ``jobs=``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from compute_paths import TREE_PATHS, tree_path
+from compute_paths import (
+    COMMIT_PATHS,
+    TREE_PATHS,
+    commit_path,
+    compute_path,
+    stale_sources,
+    tree_path,
+)
 from test_differential_fuzz import REPEAT_SEEDS, UFP_SEEDS, _ufp_instance
 
 from repro import kernels
@@ -121,7 +130,91 @@ class TestBundleScores:
 
 
 # --------------------------------------------------------------------- #
-# Tree-cache invalidation of the path engine
+# Tree-cache eviction against its oracle
+# --------------------------------------------------------------------- #
+class _FakeTree:
+    """A tree as the eviction reads it: parent edges and their bitmask."""
+
+    def __init__(self, edges):
+        edges = sorted(set(edges))
+        self.parent_edge = [-1] + edges
+        self.edge_mask = sum(1 << e for e in edges)
+
+
+def _empty_engine():
+    """A path engine with no requests, whose tree cache the tests fill with
+    :class:`_FakeTree` objects for ``_invalidate_edges`` to evict from."""
+    graph = grid_graph(3, 3, 1.0)
+    return PathPricingEngine(graph, [], DualWeights(graph.capacities, 0.5))
+
+
+def _evict(engine, edge_ids, commit):
+    """Run ``engine``'s eviction on commit path ``commit``; return the
+    evicted sources, sorted."""
+    before = set(engine._trees)
+    with commit_path(commit):
+        engine._invalidate_edges(edge_ids)
+    return sorted(before - set(engine._trees))
+
+
+class TestInvalidationIndex:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_bitmask_index_matches_edge_set_index(self, seed):
+        """Differential test: a random register/invalidate workload evicts
+        the identical source sets through the engine's ``edge_mask`` probe
+        and through the parent-edge oracle, and leaves both engines with the
+        same cache, epochs and ``trees_invalidated``."""
+        rng = ensure_rng(seed)
+        engines = {commit: _empty_engine() for commit in COMMIT_PATHS}
+        evictions = 0
+
+        def invalidate(edges):
+            nonlocal evictions
+            want = stale_sources(engines["numpy"]._trees, edges)
+            for commit, engine in engines.items():
+                assert _evict(engine, edges, commit) == want, commit
+            evictions += len(want)
+
+        for step in range(120):
+            op = int(rng.integers(0, 3))
+            if op <= 1:  # register (engine contract: evict before re-register)
+                source = int(rng.integers(0, 12))
+                cached = engines["numpy"]._trees.get(source)
+                if cached is not None:
+                    invalidate(cached.parent_edge[1:])
+                tree = _FakeTree(
+                    int(e) for e in rng.integers(0, 128, size=rng.integers(1, 9))
+                )
+                for engine in engines.values():
+                    engine._trees[source] = tree
+            else:  # invalidate a random edge set
+                invalidate([int(e) for e in rng.integers(0, 128, size=3)])
+
+        a, b = engines.values()
+        assert list(a._trees) == list(b._trees)
+        assert a._source_epoch == b._source_epoch
+        assert a.stats.trees_invalidated == b.stats.trees_invalidated == evictions > 0
+
+    def test_snapshots_restore_across_flavors(self):
+        """A checkpoint restores the tree cache into a fresh engine, and both
+        commit paths then evict the same sources from it."""
+        trees = {1: _FakeTree({2, 5}), 3: _FakeTree({5, 9}), 7: _FakeTree({70})}
+        engine = _empty_engine()
+        engine._trees.update(trees)
+        checkpoint = engine.fork()
+        for commit in COMMIT_PATHS:
+            restored = _empty_engine()
+            restored.restore(checkpoint)
+            assert _evict(restored, [5], commit) == [1, 3]
+            assert _evict(restored, [70], commit) == [7]
+            assert _evict(restored, [2, 9], commit) == []
+            assert restored._source_epoch == {1: 1, 3: 1, 7: 1}
+            assert restored.stats.trees_invalidated == 3
+        assert engine._trees == trees
+
+
+# --------------------------------------------------------------------- #
+# Tree-cache invalidation of the path engine on real runs
 # --------------------------------------------------------------------- #
 def _assert_cached_trees_exact(engine):
     """Every cached tree equals a fresh tree under the current weights."""
@@ -152,9 +245,7 @@ def _checked_engines():
     rebind = PathPricingEngine.rebind_substrate
 
     def check_evictions(name, engine, before, path):
-        path = set(path)
-        stale = {s for s, tree in before.items() if path.intersection(tree.parent_edge)}
-        assert set(engine._trees) == set(before) - stale
+        assert set(engine._trees) == set(before) - set(stale_sources(before, path))
         _assert_cached_trees_exact(engine)
         counts[name] += 1
 
@@ -237,7 +328,7 @@ class TestEngineInvalidation:
 
 
 # --------------------------------------------------------------------- #
-# End to end: payments and store hashes across tree paths and jobs
+# End to end: payments and store hashes across compute paths and jobs
 # --------------------------------------------------------------------- #
 def _payment_instance(seed):
     return random_instance(
@@ -250,12 +341,15 @@ def _payment_instance(seed):
     )
 
 
+_PATHS = [(trees, commit) for trees in TREE_PATHS for commit in COMMIT_PATHS]
+
+
 class TestEndToEndParity:
     @pytest.mark.parametrize("use_trace", [True, False])
     def test_traced_payments_identical_across_kernels(self, use_trace):
         outputs = []
-        for trees in TREE_PATHS:
-            with tree_path(trees):
+        for path in _PATHS:
+            with compute_path(*path):
                 inst = _payment_instance(23)
                 allocation = bounded_ufp(inst, 0.5)
                 payments = compute_ufp_payments(
@@ -277,7 +371,7 @@ class TestEndToEndParity:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_store_content_hash_identical_across_kernels(self, tmp_path, jobs):
         """The acceptance headline: a campaign's store hash is the same on
-        on both tree paths, at jobs=1 and jobs=4."""
+        every compute path, at jobs=1 and jobs=4."""
         from repro.scenarios.runner import run_campaign
         from repro.scenarios.store import ResultStore
 
@@ -305,9 +399,9 @@ class TestEndToEndParity:
             ],
         }
         hashes = []
-        for trees in TREE_PATHS:
-            with tree_path(trees):
-                store = ResultStore(tmp_path / f"{trees}-{jobs}")
+        for path in _PATHS:
+            with compute_path(*path):
+                store = ResultStore(tmp_path / f"{'-'.join(path)}-{jobs}")
                 result = run_campaign(suite, store=store, jobs=jobs)
                 assert result.all_cells_ok
                 hashes.append(store.content_hash(result.records))
