@@ -5,7 +5,7 @@ The four PR 3 headline timings (payments on the medium instance, one
 stream) plus the two trace-replay rows this PR commits to:
 
 * ``payments_replay_medium`` — critical-value payments for every winner of
-  the *contended* medium instance with tracing on.  The committed baseline
+  the *contended* medium instance from the probe tables.  The committed baseline
   encodes the trace path's speedup over the from-scratch path; a regression
   here means the per-agent probe tables stopped paying for themselves.
 * ``e4_audit_cell`` — the E4 truthfulness audit cell through the traced
@@ -70,13 +70,14 @@ def contended_medium_instance():
 
 
 def test_gate_payments_medium(benchmark, medium_instance, jobs):
-    """Critical-value payments for every winner of the medium instance."""
+    """Critical-value payments for every winner of the medium instance,
+    each probe a re-run (the path the committed baseline timed)."""
     algorithm = partial(bounded_ufp, epsilon=0.3)
     allocation = bounded_ufp(medium_instance, 0.3)
 
     payments = benchmark.pedantic(
         lambda: compute_ufp_payments(
-            algorithm, medium_instance, allocation, jobs=jobs
+            algorithm, medium_instance, allocation, jobs=jobs, use_trace=False
         ),
         **_ROUNDS,
     )
@@ -90,8 +91,7 @@ def test_gate_payments_replay_medium(benchmark, contended_medium_instance, jobs)
 
     payments = benchmark.pedantic(
         lambda: compute_ufp_payments(
-            algorithm, contended_medium_instance, allocation,
-            jobs=jobs, use_trace=True,
+            algorithm, contended_medium_instance, allocation, jobs=jobs
         ),
         **_ROUNDS,
     )

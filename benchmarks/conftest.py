@@ -33,26 +33,12 @@ def pytest_addoption(parser):
         "experiment cells); default: REPRO_JOBS env or serial, 0 = all "
         "cores.  Results are bit-identical at any --jobs.",
     )
-    parser.addoption(
-        "--no-trace",
-        action="store_true",
-        help="run the benchmarked payments/audits with from-scratch probe "
-        "runs instead of checkpointed trace replay (results are "
-        "bit-identical; use for A/B timing of the replay engine)",
-    )
 
 
 @pytest.fixture(scope="session")
 def jobs(request):
     """The ``--jobs`` knob, forwarded into payments/experiment calls."""
     return request.config.getoption("--jobs")
-
-
-@pytest.fixture(scope="session")
-def use_trace(request):
-    """The ``--no-trace`` knob, forwarded as ``use_trace=`` where benches
-    exercise the trace-replay engine."""
-    return not request.config.getoption("--no-trace")
 
 
 def run_and_report(

@@ -98,8 +98,6 @@ def _greedy_bundle_run(
     if trace is not None:
         trace.begin_bundle_run(
             engine=engine,
-            duals=duals,
-            epsilon=float(epsilon),
             iteration_cap=iteration_cap,
             instance=instance,
         )
@@ -114,7 +112,7 @@ def _greedy_bundle_run(
     stopped_by_budget = bool(engine.num_pending) and not duals.within_budget
 
     if trace is not None:
-        trace.finish(engine, duals, stopped_by_budget=stopped_by_budget)
+        trace.finish(engine)
 
     stats = RunStats(
         iterations=len(winners),

@@ -154,8 +154,6 @@ def _greedy_path_run(
         trace.begin_path_run(
             mode="ufp" if remove_selected else "repeat",
             engine=engine,
-            duals=duals,
-            epsilon=float(epsilon),
             iteration_cap=iteration_cap,
             instance=instance,
         )
@@ -180,7 +178,7 @@ def _greedy_path_run(
     )
 
     if trace is not None:
-        trace.finish(engine, duals, stopped_by_budget=stopped_by_budget)
+        trace.finish(engine)
 
     stats = RunStats(
         iterations=len(routed),

@@ -151,14 +151,12 @@ class RunTrace:
         "mode",
         "instance",
         "requests",
-        "epsilon",
         "iteration_cap",
         "admission",
         "score_threshold",
         "rounds",
         "first_win",
         "checkpoints",
-        "stopped_by_budget",
         "completed",
     )
 
@@ -168,23 +166,17 @@ class RunTrace:
         self.mode = mode
         self.instance = None
         self.requests: tuple = ()
-        self.epsilon = 0.0
         self.iteration_cap: int | None = None
         self.admission: str | None = None
         self.score_threshold = math.inf
         self.rounds: list[TraceRound] = []
         self.first_win: dict[int, int] = {}
         self.checkpoints: list[TraceCheckpoint] = []
-        self.stopped_by_budget = False
         self.completed = False
 
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
-
-    @property
-    def num_checkpoints(self) -> int:
-        return len(self.checkpoints)
 
 
 #: Rounds between checkpoints at the start of a recorded run.
@@ -226,8 +218,6 @@ class TraceRecorder:
         *,
         mode: str,
         engine: PathPricingEngine,
-        duals: DualWeights,
-        epsilon: float,
         iteration_cap: int | None,
         instance,
         admission: str | None = None,
@@ -242,18 +232,15 @@ class TraceRecorder:
         t = RunTrace(mode=mode)
         t.instance = instance
         t.requests = tuple(instance.requests)
-        t.epsilon = float(epsilon)
         t.iteration_cap = iteration_cap
         t.admission = admission
         t.score_threshold = float(score_threshold)
-        self._begin(t, engine, duals)
+        self._begin(t, engine)
 
     def begin_bundle_run(
         self,
         *,
         engine: BundlePricingEngine,
-        duals: DualWeights,
-        epsilon: float,
         iteration_cap: int | None,
         instance,
     ) -> None:
@@ -261,9 +248,8 @@ class TraceRecorder:
         t = RunTrace(mode="muca")
         t.instance = instance
         t.requests = tuple(instance.bids)
-        t.epsilon = float(epsilon)
         t.iteration_cap = iteration_cap
-        self._begin(t, engine, duals)
+        self._begin(t, engine)
 
     def record_round(self, engine, selection: Selection) -> None:
         """Record one committed winner and checkpoint when due.
@@ -284,17 +270,14 @@ class TraceRecorder:
         )
         t.first_win.setdefault(selection.index, len(t.rounds) - 1)
         if len(t.rounds) - t.checkpoints[-1].round_index >= self._interval:
-            self._take_checkpoint(engine, engine.duals)
+            self._take_checkpoint(engine)
 
-    def finish(
-        self, engine, duals: DualWeights, *, stopped_by_budget: bool
-    ) -> None:
+    def finish(self, engine) -> None:
         """Seal the trace (taking a final checkpoint, where loser tables
         start) and publish it."""
         t = self._require_active()
         if t.checkpoints[-1].round_index < len(t.rounds):
-            self._take_checkpoint(engine, duals)
-        t.stopped_by_budget = bool(stopped_by_budget)
+            self._take_checkpoint(engine)
         t.completed = True
         self.trace = t
         self._active = None
@@ -312,10 +295,10 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _begin(self, t: RunTrace, engine, duals: DualWeights) -> None:
+    def _begin(self, t: RunTrace, engine) -> None:
         self._active = t
         self.trace = None
-        self._take_checkpoint(engine, duals)
+        self._take_checkpoint(engine)
 
     def _require_active(self) -> RunTrace:
         if self._active is None:
@@ -324,10 +307,10 @@ class TraceRecorder:
             )
         return self._active
 
-    def _take_checkpoint(self, engine, duals: DualWeights) -> None:
+    def _take_checkpoint(self, engine) -> None:
         t = self._active
         t.checkpoints.append(
-            TraceCheckpoint(len(t.rounds), duals.copy(), engine.fork())
+            TraceCheckpoint(len(t.rounds), engine.duals.copy(), engine.fork())
         )
         if len(t.checkpoints) > MAX_CHECKPOINTS:
             # Thin to every other checkpoint (round 0 stays) and double the

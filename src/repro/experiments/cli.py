@@ -7,7 +7,10 @@ Subcommands
 ``run <id>|all``
     Run one experiment (or all of them) and print the result tables and the
     claim pass/fail summary.  ``--full`` switches from the quick sweep to the
-    full sweep; ``--json`` emits machine-readable output.
+    full sweep; ``--json`` emits machine-readable output.  Payments and
+    truthfulness audits answer their probes from probe tables
+    (:mod:`repro.core.trace`), since every experiment's allocation rule
+    accepts ``trace=``.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serial; 0 = all cores; results are bit-identical at any --jobs)",
     )
     run_parser.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="answer payment/audit probe runs from scratch instead of by "
-        "checkpointed trace replay (results are bit-identical; use for "
-        "A/B timing)",
-    )
-    run_parser.add_argument(
         "--json", action="store_true", help="emit JSON instead of text tables"
     )
     return parser
@@ -83,18 +79,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     quick = not args.full
-    use_trace = not args.no_trace
     failed = False
     if args.experiment.lower() == "all":
-        results = run_all(
-            quick=quick, seed=args.seed, jobs=args.jobs, use_trace=use_trace
-        )
+        results = run_all(quick=quick, seed=args.seed, jobs=args.jobs)
         for result in results.values():
             _print_result(result, args.json)
             failed = failed or not result.all_claims_hold
     else:
         result = get_experiment(args.experiment).run(
-            quick=quick, seed=args.seed, jobs=args.jobs, use_trace=use_trace
+            quick=quick, seed=args.seed, jobs=args.jobs
         )
         _print_result(result, args.json)
         failed = not result.all_claims_hold

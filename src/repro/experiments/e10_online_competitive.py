@@ -147,7 +147,7 @@ def _payment_cell(task) -> CellOutcome:
     """The payment-enabled cell: batch critical values vs offline critical
     values.  Capacities are tight enough that both mechanisms actually
     charge (offline critical values are 0 on uncontended instances)."""
-    quick, rng, use_trace = task
+    quick, rng = task
     outcome = CellOutcome()
     payment_instance = isp_instance(
         num_core=3,
@@ -159,8 +159,7 @@ def _payment_cell(task) -> CellOutcome:
     )
     offline = bounded_ufp(payment_instance, EPSILON)
     offline_payments = compute_ufp_payments(
-        partial(bounded_ufp, epsilon=EPSILON), payment_instance, offline,
-        use_trace=use_trace,
+        partial(bounded_ufp, epsilon=EPSILON), payment_instance, offline
     )
     auction = OnlineAuction(
         payment_instance.graph,
@@ -168,7 +167,6 @@ def _payment_cell(task) -> CellOutcome:
         admission="threshold",
         score_threshold=1.0,
         compute_payments=True,
-        use_trace=use_trace,
         name=payment_instance.name,
     )
     online = auction.run(
@@ -207,12 +205,10 @@ def _cell(task) -> CellOutcome:
 
 
 def run(
-    *, quick: bool = True, seed: int | None = None, jobs: int | None = None,
-    use_trace: bool = True,
+    *, quick: bool = True, seed: int | None = None, jobs: int | None = None
 ) -> ExperimentResult:
-    """Run the E10 online-vs-offline sweep (``use_trace`` routes the payment
-    cell's offline and online payments through the probe tables; numbers
-    are bit-identical)."""
+    """Run the E10 online-vs-offline sweep (the payment cell's offline and
+    online payments are answered from probe tables)."""
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -232,7 +228,7 @@ def run(
             _workloads(quick, rngs[:2]), rngs[2:4]
         )
     ]
-    tasks.append(("payments", quick, rngs[4], use_trace))
+    tasks.append(("payments", quick, rngs[4]))
     result.merge(map_cells(_cell, tasks, jobs=jobs))
 
     total_tree_reuses = sum(

@@ -33,8 +33,8 @@ EPSILON = 0.3
 
 
 def _cell(task) -> CellOutcome:
-    """One audit stage; ``task = (stage, instance, quick, rng, use_trace)``."""
-    stage, instance, quick, rng, use_trace = task
+    """One audit stage; ``task = (stage, instance, quick, rng)``."""
+    stage, instance, quick, rng = task
     outcome = CellOutcome()
     monotone_rule = partial(bounded_ufp, epsilon=EPSILON)
 
@@ -104,7 +104,6 @@ def _cell(task) -> CellOutcome:
             agents=audited_agents,
             misreports_per_agent=3 if quick else 8,
             seed=rng,
-            use_trace=use_trace,
         )
         outcome.add_row(
             algorithm="Bounded-UFP + critical payments",
@@ -122,14 +121,13 @@ def run(
     quick: bool = True,
     seed: int | None = None,
     jobs: int | None = None,
-    use_trace: bool = True,
 ) -> ExperimentResult:
     """Run the E4 audits.
 
-    ``use_trace`` routes the truthfulness audit's thousands of
-    single-declaration probe runs through the checkpointed trace-replay
-    engine (:mod:`repro.core.trace`); the audit outcome is bit-identical
-    either way, only wall-clock changes."""
+    The truthfulness audit answers its thousands of single-declaration
+    probes from the probe tables of one recorded run
+    (:mod:`repro.core.trace`); the monotonicity audits re-run their rules,
+    since they test the rules themselves."""
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -157,10 +155,10 @@ def run(
         seed=rngs[1],
     )
     tasks = [
-        ("monotonicity", instance, quick, rngs[2], use_trace),
-        ("exactness", instance, quick, None, use_trace),
-        ("rounding", congested, quick, rngs[3], use_trace),
-        ("truthfulness", instance, quick, rngs[4], use_trace),
+        ("monotonicity", instance, quick, rngs[2]),
+        ("exactness", instance, quick, None),
+        ("rounding", congested, quick, rngs[3]),
+        ("truthfulness", instance, quick, rngs[4]),
     ]
     result.merge(map_cells(_cell, tasks, jobs=jobs))
 

@@ -27,7 +27,7 @@ PAPER_CLAIM = "value(Bounded-UFP-Repeat(eps)) >= OPT_rep / (1 + 6 eps) when B >=
 
 def _cell(task) -> CellOutcome:
     """One repetitions-vs-plain cell; ``task`` carries its own RNG."""
-    (eps, capacity, num_vertices, num_requests), rng, use_trace = task
+    (eps, capacity, num_vertices, num_requests), rng = task
     outcome = CellOutcome()
     instance = random_instance(
         num_vertices=num_vertices,
@@ -50,14 +50,13 @@ def _cell(task) -> CellOutcome:
     plain_ratio = ratio(fractional_plain.objective, plain_allocation.value)
 
     # Revenue of the truthful mechanism induced by the plain (monotone)
-    # rule: critical-value payments for every winner, answered by
-    # checkpointed trace replay when enabled (bit-identical payments).
+    # rule: critical-value payments for every winner, answered from the
+    # probe tables of one recorded run.
     replay_stats: dict = {}
     payments = compute_ufp_payments(
         partial(bounded_ufp, epsilon=eps),
         instance,
         plain_allocation,
-        use_trace=use_trace,
         replay_stats=replay_stats,
     )
     revenue = float(payments.sum())
@@ -107,10 +106,9 @@ def run(
     quick: bool = True,
     seed: int | None = None,
     jobs: int | None = None,
-    use_trace: bool = True,
 ) -> ExperimentResult:
-    """Run the E7 sweep (``use_trace`` routes the revenue payments through
-    the checkpointed trace-replay engine; numbers are bit-identical)."""
+    """Run the E7 sweep (the revenue payments are answered from probe
+    tables, whose work the ``replay_rounds_recomputed`` column counts)."""
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -127,8 +125,7 @@ def run(
         else [(0.35, 35.0, 12, 16), (0.30, 45.0, 12, 16), (0.25, 70.0, 12, 18), (0.20, 110.0, 10, 16)]
     )
     rngs = spawn_rngs(seed, len(cells))
-    tasks = [(cell, rng, use_trace) for cell, rng in zip(cells, rngs)]
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(map_cells(_cell, list(zip(cells, rngs)), jobs=jobs))
 
     result.notes = (
         f"the (1 + 6 eps) guarantee contrasts with the e/(e-1) ~ {E_OVER_E_MINUS_1:.3f} "

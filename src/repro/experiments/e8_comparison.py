@@ -95,7 +95,7 @@ def _cell(task) -> CellOutcome:
     """One workload cell (full algorithm grid), or the small exact cell."""
     outcome = CellOutcome()
     if task[0] == "small-exact":
-        _, small, _ = task
+        _, small = task
         exact = exact_ufp(small, max_paths_per_request=40, max_path_hops=6)
         primal_dual = bounded_ufp(small, 1.0)
         frac_small = solve_fractional_ufp(small)
@@ -121,7 +121,7 @@ def _cell(task) -> CellOutcome:
         )
         return outcome
 
-    workload_name, instance, use_trace = task
+    workload_name, instance = task
     fractional = solve_fractional_ufp(instance)
     values: dict[str, float] = {}
     bounded_allocation = None
@@ -142,14 +142,13 @@ def _cell(task) -> CellOutcome:
         outcome.claim("every algorithm outputs a feasible allocation", feasible)
 
     # Truthful-mechanism revenue sample for the monotone rule: critical
-    # values of the first winners, answered by trace replay when enabled.
+    # values of the first winners, answered from probe tables.
     sample = sorted(bounded_allocation.selected_indices())[:_REVENUE_SAMPLE]
     payments = compute_ufp_payments(
         partial(bounded_ufp, epsilon=EPSILON),
         instance,
         bounded_allocation,
         winners=sample,
-        use_trace=use_trace,
     )
     sampled_value = sum(instance.requests[i].value for i in sample)
     outcome.add_row(
@@ -177,10 +176,8 @@ def run(
     quick: bool = True,
     seed: int | None = None,
     jobs: int | None = None,
-    use_trace: bool = True,
 ) -> ExperimentResult:
-    """Run the E8 comparison grid (``use_trace`` routes the revenue sample
-    through the checkpointed trace-replay engine; bit-identical numbers)."""
+    """Run the E8 comparison grid."""
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -195,10 +192,7 @@ def run(
         seed=spawn_rngs(seed, 4)[3],
     )
     # Exact optimum as ground truth on a small extra cell.
-    tasks: list = [
-        (name, instance, use_trace) for name, instance in workloads.items()
-    ]
-    tasks.append(("small-exact", small, use_trace))
+    tasks = [*workloads.items(), ("small-exact", small)]
     result.merge(map_cells(_cell, tasks, jobs=jobs))
 
     result.notes = (

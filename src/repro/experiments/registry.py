@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -47,17 +46,10 @@ class ExperimentSpec:
         quick: bool = True,
         seed: int | None = None,
         jobs: int | None = None,
-        use_trace: bool = True,
     ) -> ExperimentResult:
         """Run the experiment; ``jobs`` fans its cells out over worker
-        processes and ``use_trace`` routes payment/audit probe runs through
-        the checkpointed trace-replay engine where the experiment supports
-        it (results are bit-identical at any ``jobs`` and either
-        ``use_trace``)."""
-        kwargs = dict(quick=quick, seed=seed, jobs=jobs)
-        if "use_trace" in inspect.signature(self.runner).parameters:
-            kwargs["use_trace"] = use_trace
-        return self.runner(**kwargs)
+        processes (results are bit-identical at any ``jobs``)."""
+        return self.runner(quick=quick, seed=seed, jobs=jobs)
 
 
 _MODULES = [
@@ -106,12 +98,9 @@ def run_experiment(
     quick: bool = True,
     seed: int | None = None,
     jobs: int | None = None,
-    use_trace: bool = True,
 ) -> ExperimentResult:
     """Run one experiment and return its result."""
-    return get_experiment(experiment_id).run(
-        quick=quick, seed=seed, jobs=jobs, use_trace=use_trace
-    )
+    return get_experiment(experiment_id).run(quick=quick, seed=seed, jobs=jobs)
 
 
 def run_all(
@@ -119,12 +108,9 @@ def run_all(
     quick: bool = True,
     seed: int | None = None,
     jobs: int | None = None,
-    use_trace: bool = True,
 ) -> dict[str, ExperimentResult]:
     """Run every registered experiment, in id order."""
     return {
-        experiment_id: EXPERIMENTS[experiment_id].run(
-            quick=quick, seed=seed, jobs=jobs, use_trace=use_trace
-        )
+        experiment_id: EXPERIMENTS[experiment_id].run(quick=quick, seed=seed, jobs=jobs)
         for experiment_id in available_experiments()
     }

@@ -7,9 +7,10 @@ mechanism.  This package implements that construction generically:
 * :mod:`repro.mechanism.agents` — true vs. declared types and agent utility.
 * :mod:`repro.mechanism.payments` — critical values by bisection over the
   declared value, every probe answered by a *selection oracle* ("is agent
-  ``i`` selected declaring ``x``?"): a re-run of the allocation algorithm,
-  or the agent's probe table from one recorded run (``use_trace``).  The
-  audits and monotonicity checks below ask the same oracles.
+  ``i`` selected declaring ``x``?"): the agent's probe table from one
+  recorded run when the algorithm accepts ``trace=``, else a re-run of the
+  algorithm.  The audits and monotonicity checks below ask the same
+  oracles.
 * :mod:`repro.mechanism.truthful` — the full mechanisms
   (:func:`~repro.mechanism.truthful.run_truthful_ufp_mechanism`,
   :func:`~repro.mechanism.truthful.run_truthful_muca_mechanism`).
@@ -20,12 +21,7 @@ mechanism.  This package implements that construction generically:
 """
 
 from repro.mechanism.agents import UFPAgent, MUCAAgent
-from repro.mechanism.payments import (
-    critical_value_ufp,
-    critical_value_muca,
-    compute_ufp_payments,
-    compute_muca_payments,
-)
+from repro.mechanism.payments import compute_ufp_payments, compute_muca_payments
 from repro.mechanism.truthful import (
     MechanismResult,
     run_truthful_ufp_mechanism,
@@ -46,8 +42,6 @@ from repro.mechanism.verification import (
 __all__ = [
     "UFPAgent",
     "MUCAAgent",
-    "critical_value_ufp",
-    "critical_value_muca",
     "compute_ufp_payments",
     "compute_muca_payments",
     "MechanismResult",

@@ -10,16 +10,19 @@ The critical value is found by bisection over the declared value, each
 probe asking a **selection oracle**: *is agent ``i`` selected when it
 declares ``x``, all else fixed?*  An oracle is any object with
 ``declared(index)`` (the base ``Request`` or ``Bid``) and
-``probe_selected(index, declaration) -> bool``.  :class:`_RerunOracle`
-re-runs the algorithm; the trace replayers of :mod:`repro.core.trace` answer
-from the agent's probe table (``use_trace=True``).  Their answers are
-identical and :func:`_critical_value` is the one bisection over them, with
-fixed tolerances, so a payment is the same float whichever answers.  The
-audits and monotonicity checks of this package ask the same oracles, and an
-online batch (:func:`repro.online.auction.batch_critical_values`) is paid
-through the same body as :func:`compute_ufp_payments`, its algorithm being
-the batch drain.  A winner costs ``O(log((v_hi - v_lo) / tol))`` probes;
-experiments that only need allocations should not compute payments.
+``probe_selected(index, declaration) -> bool``.  The algorithm picks the
+oracle (:func:`_record_base_run`): one that accepts ``trace=`` (the
+``repro.core`` solvers, the online batch drain) records one base run, and
+the trace replayers of :mod:`repro.core.trace` answer from the agent's probe
+table; any other callable gets :class:`_RerunOracle`, which re-runs it per
+probe.  Their answers are identical and :func:`_critical_value` is the one
+bisection over them, with fixed tolerances, so a payment is the same float
+whichever answers.  The audits and monotonicity checks of this package ask
+the same oracles, and an online batch
+(:func:`repro.online.auction.batch_critical_values`) is paid through the
+same body as :func:`compute_ufp_payments`, its algorithm being the batch
+drain.  A winner costs ``O(log((v_hi - v_lo) / tol))`` probes; experiments
+that only need allocations should not compute payments.
 
 Every probe instance produced by :meth:`UFPInstance.replace_request` shares
 the original (immutable) graph object, so the re-run oracle's probe runs all
@@ -47,12 +50,7 @@ from repro.exceptions import MechanismError
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
 
-__all__ = [
-    "critical_value_ufp",
-    "critical_value_muca",
-    "compute_ufp_payments",
-    "compute_muca_payments",
-]
+__all__ = ["compute_ufp_payments", "compute_muca_payments"]
 
 UFPAlgorithm = Callable[[UFPInstance], Allocation]
 MUCAAlgorithm = Callable[[MUCAInstance], MUCAAllocation]
@@ -98,9 +96,7 @@ class _RerunOracle:
         return ReplayStats()
 
 
-def _critical_value(
-    oracle, index: int, declared=None, *, known_selected: bool = True
-) -> float:
+def _critical_value(oracle, index: int, declared=None) -> float:
     """Critical value of agent ``index`` declaring ``declared`` (default:
     its base declaration), probing values at its demand or bundle through
     ``oracle``.
@@ -109,21 +105,17 @@ def _critical_value(
     bisection brackets the threshold: the returned ``c`` is selected, and
     (unless ``c`` is effectively zero) ``c`` minus the tolerance is not.
 
-    ``known_selected=True`` asserts the caller has already observed the
-    agent selected at ``declared``: payments, audits and online batches
-    only price declarations they have seen selected, so the confirming
-    probe is skipped.  This is a *contract*, not a hint: a declaration that
-    is not selected yields a meaningless bound instead of a
-    :class:`~repro.exceptions.MechanismError`.  The public entry points pass
-    false so that a loser raises.
+    The caller must have observed the agent selected at ``declared``:
+    payments, audits and online batches only price declarations they have
+    seen selected, so no probe confirms it.  This is a *contract*, not a
+    hint: a declaration that is not selected yields a meaningless bound.
 
     Probes are memoized on the exact probed value, so the ``tiny``
-    quick-exit probe, the confirming probe and any midpoint that lands on a
-    previously-probed value never ask the oracle twice.  The probe
-    *sequence* depends only on the answers, and every oracle answers every
-    probe exactly as a from-scratch run would, so the returned float is
-    bit-identical across the from-scratch, trace-replay and any-``jobs``
-    paths.
+    quick-exit probe and any midpoint that lands on a previously-probed
+    value never ask the oracle twice.  The probe *sequence* depends only on
+    the answers, and every oracle answers every probe exactly as a
+    from-scratch run would, so the returned float is bit-identical across
+    the from-scratch, trace-replay and any-``jobs`` paths.
     """
     index = int(index)
     declared = oracle.declared(index) if declared is None else declared
@@ -138,10 +130,6 @@ def _critical_value(
             )
         return hit
 
-    if not known_selected and not probe(declared.value):
-        raise MechanismError(
-            "critical value requested for a declaration that is not selected"
-        )
     low = 0.0
     high = float(declared.value)
     # Quick exit: selected even at a negligible positive value -> payment ~ 0.
@@ -159,42 +147,15 @@ def _critical_value(
     return high
 
 
-def critical_value_ufp(
-    algorithm: UFPAlgorithm, instance: UFPInstance, request_index: int
-) -> float:
-    """Critical value of one *winning* request under ``algorithm``.
-
-    The declared demand is held fixed; only the declared value is varied.
-    Raises :class:`~repro.exceptions.MechanismError` when the request is not
-    selected under its declaration (losers pay nothing — do not call this).
-
-    All probe instances share ``instance.graph``, so when ``algorithm`` is an
-    engine-backed solver (:func:`repro.core.bounded_ufp`, ...) the bisection
-    re-runs reuse the warm per-graph initial-weight tree cache — see the
-    module docstring.
-    """
-    return _critical_value(
-        _RerunOracle(algorithm, instance), request_index, known_selected=False
-    )
-
-
-def critical_value_muca(
-    algorithm: MUCAAlgorithm, instance: MUCAInstance, bid_index: int
-) -> float:
-    """Critical value of one *winning* bid under ``algorithm``."""
-    return _critical_value(
-        _RerunOracle(algorithm, instance), bid_index, known_selected=False
-    )
-
-
 def _record_base_run(
-    algorithm, instance, expected_winners: set[int] | None = None, *, use_trace: bool
+    algorithm, instance, expected_winners: set[int] | None = None, *,
+    use_trace: bool = True,
 ):
     """The selection oracle for probes around ``instance``: the replayer
-    of a traced base run under ``use_trace`` when ``algorithm`` accepts
-    ``trace=``, else the :class:`_RerunOracle`.  A caller that holds an
-    allocation passes its ``expected_winners``; the base run (traced, or
-    one plain run) must reproduce them or
+    of a traced base run when ``algorithm`` accepts ``trace=`` (and
+    ``use_trace`` leaves it on), else the :class:`_RerunOracle`.  A caller
+    that holds an allocation passes its ``expected_winners``; the base run
+    (traced, or one plain run) must reproduce them or
     :class:`~repro.exceptions.MechanismError` is raised, which is what lets
     every payment bisection skip its confirming probe."""
     base = oracle = None
@@ -204,11 +165,10 @@ def _record_base_run(
         if recorder.trace is None:
             # A **kwargs wrapper that swallowed trace=: every probe will run
             # from scratch; tell the user rather than being silently slower
-            # than use_trace=False.
+            # than the tables.
             warnings.warn(
-                "use_trace=True had no effect: the algorithm accepted but did "
-                "not forward the trace= keyword; falling back to from-scratch "
-                "probe runs",
+                "the algorithm accepted but did not forward the trace= "
+                "keyword; falling back to from-scratch probe runs",
                 stacklevel=4,
             )
         else:
@@ -233,8 +193,8 @@ def _payment_task(index: int) -> tuple[float, ReplayStats]:
 
 
 def _payments(
-    algorithm, instance, winner_set: set[int], *, winners=None, jobs, use_trace,
-    replay_stats=None,
+    algorithm, instance, winner_set: set[int], *, winners=None, jobs,
+    use_trace=True, replay_stats=None,
 ) -> np.ndarray:
     """The body of both ``compute_*_payments`` and of online batch payments:
     critical values of ``winners`` (default: all of ``winner_set``), zero
@@ -262,7 +222,7 @@ def compute_ufp_payments(
     *,
     winners: Iterable[int] | None = None,
     jobs: int | None = None,
-    use_trace: bool = False,
+    use_trace: bool = True,
     replay_stats: dict | None = None,
 ) -> np.ndarray:
     """Critical-value payments for every request (losers pay zero).
@@ -272,9 +232,15 @@ def compute_ufp_payments(
     algorithm:
         The (monotone, exact) allocation rule; **must** be the same
         deterministic callable that produced ``allocation``.  One base run
-        (the traced one under ``use_trace``) must reproduce its winner set
-        or :class:`~repro.exceptions.MechanismError` is raised; no bisection
-        then spends a probe confirming that its winner is selected.
+        (the traced one, when ``algorithm`` accepts ``trace=``) must
+        reproduce its winner set or :class:`~repro.exceptions.MechanismError`
+        is raised; no bisection then spends a probe confirming that its
+        winner is selected.  An ``algorithm`` that accepts ``trace=`` (the
+        ``repro.core`` solvers do) has every winner's probes answered from
+        its table, one run with the winner excluded
+        (:mod:`repro.core.trace`); any other callable is re-run per probe,
+        and a ``**kwargs`` wrapper that drops ``trace=`` is too, with a
+        warning.  Payments are bit-identical either way.
     allocation:
         The allocation under the declared types.
     winners:
@@ -288,19 +254,14 @@ def compute_ufp_payments(
         ``jobs``.  The selection oracle ships once per worker (inherited
         copy-on-write under ``fork``, with the warm per-graph tree memo).
     use_trace:
-        Record the base run's trace and answer a winner's probes from its
-        table, one run with the winner excluded (:mod:`repro.core.trace`),
-        instead of re-running ``algorithm`` per probe.  Payments are
-        bit-identical either way.  Needs an ``algorithm`` that accepts
-        ``trace=`` (the ``repro.core`` solvers do): opaque wrappers fall
-        back to re-runs silently, a ``**kwargs`` wrapper that drops
-        ``trace=`` with a warning.
+        ``False`` re-runs ``algorithm`` per probe even when it accepts
+        ``trace=``, for timing the re-run path against the tables.
     replay_stats:
         Optional dict that receives the tables' work counters
         (``replay_probes``, ``replay_rounds_skipped``,
-        ``replay_rounds_replayed``, ``replay_rounds_recomputed``) of a
-        traced run, summed over per-task counters so they read the same at
-        any ``jobs``.  Left untouched when tracing is off or unavailable.
+        ``replay_rounds_replayed``, ``replay_rounds_recomputed``), summed
+        over per-task counters so they read the same at any ``jobs``.  Left
+        untouched when the probes re-run ``algorithm``.
     """
     return _payments(
         algorithm, instance, _winner_set(allocation), winners=winners,
@@ -315,12 +276,13 @@ def compute_muca_payments(
     *,
     winners: Iterable[int] | None = None,
     jobs: int | None = None,
-    use_trace: bool = False,
     replay_stats: dict | None = None,
 ) -> np.ndarray:
     """Critical-value payments for every bid (losers pay zero); the
-    parameters are those of :func:`compute_ufp_payments`."""
+    parameters are those of :func:`compute_ufp_payments` (which alone has
+    ``use_trace``: to re-run a solver here, hand it in as a plain
+    callable)."""
     return _payments(
         algorithm, instance, _winner_set(allocation), winners=winners,
-        jobs=jobs, use_trace=use_trace, replay_stats=replay_stats,
+        jobs=jobs, replay_stats=replay_stats,
     )

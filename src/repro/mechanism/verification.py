@@ -14,8 +14,10 @@ such rules unusable as mechanisms.
 
 Both audits share one per-agent loop over one selection oracle
 (:mod:`repro.mechanism.payments`) that answers every outcome and payment
-probe; UFP and MUCA differ only in how misreports are drawn and in the agent
-class, which reports the type as ``(demand, value)`` or ``(value,)``.
+probe: the probe tables of one recorded truthful run when the algorithm
+accepts ``trace=``, else a re-run per probe.  UFP and MUCA differ only in
+how misreports are drawn and in the agent class, which reports the type as
+``(demand, value)`` or ``(value,)``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _audit_agent(task: tuple[int, list]):
 
 def _audit(
     algorithm, instance, agent_cls, draw_misreports: Callable, *,
-    agents, seed, jobs, use_trace,
+    agents, seed, jobs,
 ) -> TruthfulnessReport:
     """The body of both audits.  ``draw_misreports(truth, rng)`` returns one
     agent's random and grid misreports as declarations."""
@@ -153,7 +155,7 @@ def _audit(
     for index in indices:
         if not 0 <= index < count:
             raise IndexError(f"agent index {index} is out of range for {count} agents")
-    oracle = _record_base_run(algorithm, instance, use_trace=use_trace)
+    oracle = _record_base_run(algorithm, instance)
 
     # Draw every agent's misreports up front, in agent order: the RNG
     # consumption of a sequential loop (evaluations never touch the stream).
@@ -177,14 +179,20 @@ def audit_ufp_truthfulness(
     misreport_grid: Sequence[tuple[float, float]] | None = None,
     seed: int | np.random.Generator | None = None,
     jobs: int | None = None,
-    use_trace: bool = False,
 ) -> TruthfulnessReport:
     """Audit the mechanism induced by ``algorithm`` + critical-value payments.
 
     Parameters
     ----------
     algorithm:
-        The allocation rule (assumed deterministic).
+        The allocation rule (assumed deterministic).  When it accepts
+        ``trace=`` (the ``repro.core`` solvers do), the truthful run is
+        recorded once and every evaluation (the lie's selection *and* its
+        payment probes, each a single-declaration perturbation) is answered
+        from the agent's table, one run with the agent excluded
+        (:mod:`repro.core.trace`); any other callable is re-run per probe,
+        and a ``**kwargs`` wrapper that drops ``trace=`` is too, with a
+        warning.  The report is bit-identical either way.
     instance:
         The instance of *true* types.
     agents:
@@ -206,14 +214,6 @@ def audit_ufp_truthfulness(
         ``REPRO_JOBS`` environment default → serial).  The random draws
         happen up front in agent order from the single RNG stream, so the
         report is bit-identical at any ``jobs``.
-    use_trace:
-        Record the truthful base run once and answer every evaluation (the
-        lie's selection *and* its payment probes, each a single-declaration
-        perturbation) from the agent's table, one run with the agent
-        excluded (:mod:`repro.core.trace`), instead of re-running
-        ``algorithm``.  The report is bit-identical either way.  Falls back
-        silently when ``algorithm`` does not accept ``trace=``, and with a
-        warning when a ``**kwargs`` wrapper drops it.
     """
 
     def draw_misreports(request, rng) -> list:
@@ -232,7 +232,7 @@ def audit_ufp_truthfulness(
 
     return _audit(
         algorithm, instance, UFPAgent, draw_misreports, agents=agents,
-        seed=seed, jobs=jobs, use_trace=use_trace,
+        seed=seed, jobs=jobs,
     )
 
 
@@ -245,16 +245,15 @@ def audit_muca_truthfulness(
     value_grid: Sequence[float] | None = None,
     seed: int | np.random.Generator | None = None,
     jobs: int | None = None,
-    use_trace: bool = False,
 ) -> TruthfulnessReport:
     """Value-misreport audit of the auction mechanism (known single-minded).
 
     ``value_grid`` optionally adds deterministic value *multipliers* tried
     for every audited bid on top of the random draws (the MUCA analogue of
-    :func:`audit_ufp_truthfulness`'s ``misreport_grid``); ``agents``,
-    ``jobs`` and ``use_trace`` behave as there (an index outside
+    :func:`audit_ufp_truthfulness`'s ``misreport_grid``); ``algorithm``,
+    ``agents`` and ``jobs`` behave as there (an index outside
     ``[0, num_bids)`` raises, the report is bit-identical at any ``jobs``
-    and with or without tracing)."""
+    and whichever oracle answers)."""
 
     def draw_misreports(bid, rng) -> list:
         values = [
@@ -266,5 +265,5 @@ def audit_muca_truthfulness(
 
     return _audit(
         algorithm, instance, MUCAAgent, draw_misreports, agents=agents,
-        seed=seed, jobs=jobs, use_trace=use_trace,
+        seed=seed, jobs=jobs,
     )

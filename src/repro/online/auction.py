@@ -38,9 +38,9 @@ allocation rule like any other (:class:`_BatchDrain`; monotone, since it is
 ``Bounded-UFP``'s loop run from a snapshot), so
 :func:`batch_critical_values` pays its winners through the body of
 :func:`~repro.mechanism.payments.compute_ufp_payments`: one recorded drain
-and the winners' probe tables, or one re-run drain per probe.  Every drain
-starts from the same snapshot weights, so the per-graph tree memo makes the
-probes warm-start on cached shortest-path trees.
+and the winners' probe tables, since the drain accepts ``trace=``.  Every
+drain starts from the same snapshot weights, so the per-graph tree memo
+makes the drains warm-start on cached shortest-path trees.
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ class _BatchDrain:
             trace.begin_path_run(
                 mode="drain",
                 engine=engine,
-                duals=duals,
-                epsilon=duals.epsilon,
                 iteration_cap=None,
                 instance=instance,
                 admission=self._admission,
@@ -164,7 +162,7 @@ class _BatchDrain:
             trace=trace,
         )
         if trace is not None:
-            trace.finish(engine, duals, stopped_by_budget=not duals.within_budget)
+            trace.finish(engine)
         routed = [
             RoutedRequest(
                 request_index=selection.index,
@@ -185,9 +183,12 @@ def batch_critical_values(
     *,
     admission: AdmissionPolicy,
     score_threshold: float,
-    use_trace: bool = True,
 ) -> dict[int, float]:
     """Critical values for the winners of one online batch.
+
+    The base drain is recorded and each winner's probes are answered from
+    its table, one drain with the winner excluded (see
+    :mod:`repro.core.trace`).
 
     Parameters
     ----------
@@ -211,11 +212,6 @@ def batch_critical_values(
         :class:`~repro.exceptions.MechanismError`.
     admission / score_threshold:
         The live run's admission policy, forwarded to every drain.
-    use_trace:
-        Record the base drain and answer each winner's probes from its
-        table (one drain with the winner excluded; see
-        :mod:`repro.core.trace`) instead of one full drain per probe.
-        Payments are bit-identical either way.
 
     Returns
     -------
@@ -226,8 +222,7 @@ def batch_critical_values(
     local_of = {index: position for position, (index, _) in enumerate(pool)}
     drain = _BatchDrain(snapshot, admission=admission, score_threshold=score_threshold)
     payments = _payments(
-        drain, instance, {local_of[index] for index in admitted},
-        jobs=1, use_trace=use_trace,
+        drain, instance, {local_of[index] for index in admitted}, jobs=1
     )
     return {index: float(payments[local_of[index]]) for index in admitted}
 
@@ -251,13 +246,9 @@ class OnlineAuction:
         declared value covers the current normalized path price.
     compute_payments:
         Charge every admitted request its batch critical value (bisection
-        probes per winner — significantly more work per admitted request;
-        leave off when only the allocation matters).
-    use_trace:
-        Answer payment-bisection probes from per-winner tables of one
-        recorded drain per admitting batch (one excluded drain per winner)
-        instead of one full drain per probe; payments are bit-identical
-        either way.  See :func:`batch_critical_values`.
+        probes per winner, answered from the tables of one recorded drain
+        per admitting batch — see :func:`batch_critical_values`; leave off
+        when only the allocation matters).
     max_requeues:
         Fault-injection knob: how many times a fault-revoked winner may
         re-enter the live pool for possible re-admission.  Bounded so
@@ -280,7 +271,6 @@ class OnlineAuction:
         admission: AdmissionPolicy = "greedy",
         score_threshold: float = 1.0,
         compute_payments: bool = False,
-        use_trace: bool = True,
         max_requeues: int = 2,
         compensation_rate: float = 0.0,
         name: str = "online",
@@ -296,7 +286,6 @@ class OnlineAuction:
         self._admission: AdmissionPolicy = admission
         self._threshold = float(score_threshold)
         self._compute_payments = bool(compute_payments)
-        self._use_trace = bool(use_trace)
         self._name = str(name)
 
         self._duals = DualWeights(graph.capacities, self._epsilon)
@@ -619,7 +608,6 @@ class OnlineAuction:
                 [selection.index for selection in admitted],
                 admission=self._admission,
                 score_threshold=self._threshold,
-                use_trace=self._use_trace,
             )
             self._payments.update(payments)
             events = [

@@ -321,7 +321,6 @@ def _offline_metrics(
             solver,
             instance,
             allocation,
-            use_trace=bool(mode.get("use_trace", True)),
             replay_stats=replay_stats,
         )
         values = instance.values_array()

@@ -331,7 +331,7 @@ class TestSubstrateCaches:
             with pytest.raises(MechanismError, match="mismatch"):
                 pay(opaque, declared, paid)
             with pytest.raises(MechanismError, match="mismatch"):
-                pay(partial(solver, epsilon=0.5), declared, paid, use_trace=True)
+                pay(partial(solver, epsilon=0.5), declared, paid)
 
     def test_initial_trees_survive_memo_eviction(self):
         from repro.core.pricing_engine import (

@@ -8,7 +8,8 @@ focused tests in ``test_core_pricing_engine.py`` cover hand-built corner
 cases; this module sweeps ~50 random instances per solver (pinned seeds, so
 failures reproduce) and asserts exact equality:
 
-* ``bounded_ufp``           vs ``reference_bounded_ufp``
+* ``bounded_ufp``           vs ``reference_bounded_ufp``, on the corpus and
+  on the contended family (:func:`_contended_instance`)
 * ``bounded_ufp_repeat``    vs ``reference_bounded_ufp_repeat``
 * ``bounded_muca``          vs ``reference_bounded_muca``
 * ``single_source_dijkstra`` vs ``reference_dijkstra`` (distances, parents)
@@ -18,6 +19,8 @@ must replay offline ``Bounded-UFP`` decision by decision.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from repro.core.reference import (
     reference_bounded_ufp,
     reference_bounded_ufp_repeat,
 )
-from repro.flows import hotspot_instance, random_instance
+from repro.flows import UFPInstance, hotspot_instance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.graphs.generators import random_digraph, random_graph
 from repro.graphs.shortest_path import reference_dijkstra, single_source_dijkstra
@@ -86,6 +89,56 @@ def _ufp_instance(seed: int, *, max_requests: int = 24):
     )
 
 
+#: The accuracy parameter the contended family's capacities are scaled to.
+CONTENDED_EPSILON = 0.5
+
+
+def _contended_instance(seed: int) -> UFPInstance:
+    """A random instance on which Bounded-UFP stops on the budget mid-run.
+
+    8-12 vertices, edge probability 0.3 and 40-60 requests of demand 0.5-1,
+    with every capacity rescaled to ``B = (1 + ln(m)/eps) * U[1.05, 1.15]``
+    at ``eps = CONTENDED_EPSILON``.  Below ``1 + ln(m)/eps`` the starting
+    budget ``m`` already exceeds ``e^{eps(B-1)}`` and nothing is admitted;
+    just above it the budget fires after some rounds, so winners pay
+    positive critical values.  The corpus of :func:`_ufp_instance` mostly
+    admits nothing or everyone, where every payment is zero."""
+    rng = ensure_rng(seed)
+    base = random_instance(
+        num_vertices=int(rng.integers(8, 13)),
+        edge_probability=0.3,
+        capacity=1.0,
+        num_requests=int(rng.integers(40, 61)),
+        demand_range=(0.5, 1.0),
+        seed=rng,
+    )
+    m = base.num_edges
+    capacity = (1.0 + math.log(m) / CONTENDED_EPSILON) * float(rng.uniform(1.05, 1.15))
+    graph = base.graph.with_capacities(np.full(m, capacity))
+    return UFPInstance(graph, base.requests, name="contended")
+
+
+def _ufp_cases(seeds) -> list:
+    """``(seed, contended)`` inputs: every seed of the corpus (id ``<seed>``),
+    then the contended family on the same seeds (id ``contended-<seed>``)."""
+    return [pytest.param(seed, False, id=str(seed)) for seed in seeds] + [
+        pytest.param(seed, True, id=f"contended-{seed}") for seed in seeds
+    ]
+
+
+def _ufp_case(seed: int, contended: bool) -> tuple[UFPInstance, float]:
+    """The instance and epsilon of one :func:`_ufp_cases` input."""
+    if contended:
+        return _contended_instance(seed), CONTENDED_EPSILON
+    return _ufp_instance(seed), [0.3, 0.5, 1.0][seed % 3]
+
+
+def _assert_budget_stop(allocation) -> None:
+    """The run admitted at least one request and then stopped on the budget."""
+    assert allocation.num_selected >= 1
+    assert allocation.stats.stopped_by_budget
+
+
 def _assert_same_allocation(actual, expected) -> None:
     assert [r.request_index for r in actual.routed] == [
         r.request_index for r in expected.routed
@@ -95,13 +148,13 @@ def _assert_same_allocation(actual, expected) -> None:
     assert actual.value == expected.value  # exact, not approx
 
 
-@pytest.mark.parametrize("seed", UFP_SEEDS)
-def test_bounded_ufp_matches_reference(seed):
-    instance = _ufp_instance(seed)
-    epsilon = [0.3, 0.5, 1.0][seed % 3]
-    _assert_same_allocation(
-        bounded_ufp(instance, epsilon), reference_bounded_ufp(instance, epsilon)
-    )
+@pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS))
+def test_bounded_ufp_matches_reference(seed, contended):
+    instance, epsilon = _ufp_case(seed, contended)
+    allocation = bounded_ufp(instance, epsilon)
+    _assert_same_allocation(allocation, reference_bounded_ufp(instance, epsilon))
+    if contended:
+        _assert_budget_stop(allocation)
 
 
 @pytest.mark.parametrize("seed", REPEAT_SEEDS)

@@ -8,6 +8,7 @@ tested in isolation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -107,33 +108,48 @@ class TestFastExperimentsEndToEnd:
             assert row["fraction"] >= row["paper_fraction_bound"] - 1e-9
 
 
-class TestTraceToggle:
-    def test_e10_honours_use_trace(self, monkeypatch):
-        """E10's payment cell traces its offline and online payments exactly
-        when ``use_trace`` asks for it, and prints the same rows either way."""
-        from repro.core.trace import TraceReplayer
+class TestProbeOracles:
+    @pytest.mark.parametrize("experiment_id", ["E4", "E8", "E10"])
+    def test_tables_and_reruns_print_the_same_bytes(self, experiment_id, monkeypatch):
+        """Payments and audits answer their probes from the probe tables,
+        since every experiment's rule accepts ``trace=``; with
+        ``supports_trace`` patched to say no, they re-run the rule (in E10's
+        online cell, the batch drain).  The quick run prints the same JSON
+        bytes either way.  Spies show which oracle answered: the table run
+        calls ``TraceReplayer.probe_selected``, and the re-run one calls
+        ``_RerunOracle.probe_selected`` and builds no replayer.  E7 is left
+        out: its ``replay_rounds_recomputed`` column reads 0 on re-runs."""
+        from repro.core import trace
         from repro.mechanism import payments
 
-        base_runs: list = []
-        record_base_run = payments._record_base_run
+        calls: Counter = Counter()
 
-        def spy_base_run(*args, **kwargs):
-            oracle = record_base_run(*args, **kwargs)
-            base_runs.append(isinstance(oracle, TraceReplayer))
-            return oracle
+        def spy(cls, name: str) -> None:
+            original = getattr(cls, name)
 
-        monkeypatch.setattr(payments, "_record_base_run", spy_base_run)
-        outputs = {}
-        for use_trace in (False, True):
-            base_runs.clear()
-            result = get_experiment("E10").run(
-                quick=True, seed=7, jobs=1, use_trace=use_trace
-            )
-            outputs[use_trace] = json.dumps(result.to_dict(), default=float)
-            # The offline payments' base run, plus one per admitting batch.
-            assert len(base_runs) > 1
-            assert set(base_runs) == {use_trace}
-        assert outputs[False] == outputs[True]
+            def counted(*args, **kwargs):
+                calls[f"{cls.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(trace._ReplayerBase, "__init__")
+        spy(trace.TraceReplayer, "probe_selected")
+        spy(payments._RerunOracle, "probe_selected")
+        outputs = []
+        for tables in (True, False):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                if not tables:
+                    patch.setattr(payments, "supports_trace", lambda algorithm: False)
+                result = get_experiment(experiment_id).run(quick=True, jobs=1)
+            outputs.append(json.dumps(result.to_dict(), default=float))
+            if tables:
+                assert calls["TraceReplayer.probe_selected"] > 0
+            else:
+                assert calls["_RerunOracle.probe_selected"] > 0
+                assert calls["_ReplayerBase.__init__"] == 0
+        assert outputs[0] == outputs[1]
 
 
 class TestCLI:

@@ -10,7 +10,6 @@ import pytest
 
 from repro.auctions import Bid, MUCAInstance
 from repro.core import bounded_muca, bounded_ufp
-from repro.exceptions import MechanismError
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.mechanism import (
@@ -23,8 +22,6 @@ from repro.mechanism import (
     check_ufp_monotonicity,
     compute_muca_payments,
     compute_ufp_payments,
-    critical_value_muca,
-    critical_value_ufp,
     run_truthful_muca_mechanism,
     run_truthful_ufp_mechanism,
 )
@@ -68,10 +65,11 @@ class TestCriticalValuePayments:
         algorithm = partial(bounded_ufp, epsilon=1.0)
         allocation = algorithm(contended_instance)
         assert allocation.is_selected(0) and allocation.is_selected(1)
-        payment_0 = critical_value_ufp(algorithm, contended_instance, 0)
-        payment_1 = critical_value_ufp(algorithm, contended_instance, 1)
-        assert payment_0 == pytest.approx(2.0, abs=1e-3)
-        assert payment_1 == pytest.approx(2.0, abs=1e-3)
+        for winner in (0, 1):
+            payments = compute_ufp_payments(
+                algorithm, contended_instance, allocation, winners=[winner]
+            )
+            assert payments[winner] == pytest.approx(2.0, abs=1e-3)
 
     def test_payment_never_exceeds_declared_value(self, contended_instance):
         algorithm = partial(bounded_ufp, epsilon=1.0)
@@ -87,11 +85,6 @@ class TestCriticalValuePayments:
         allocation = algorithm(roomy_diamond_instance)
         payments = compute_ufp_payments(algorithm, roomy_diamond_instance, allocation)
         np.testing.assert_allclose(payments, 0.0, atol=1e-6)
-
-    def test_critical_value_on_loser_raises(self, contended_instance):
-        algorithm = partial(bounded_ufp, epsilon=1.0)
-        with pytest.raises(MechanismError):
-            critical_value_ufp(algorithm, contended_instance, 2)
 
     def test_payments_restricted_to_subset(self, contended_instance):
         algorithm = partial(bounded_ufp, epsilon=1.0)
@@ -110,11 +103,11 @@ class TestCriticalValuePayments:
         algorithm = partial(bounded_muca, epsilon=1.0)
         allocation = algorithm(instance)
         assert allocation.is_winner(0)
-        payment = critical_value_muca(algorithm, instance, 0)
+        payment = compute_muca_payments(algorithm, instance, allocation, winners=[0])[0]
         # Must beat the displaced bid of value 2.
         assert payment == pytest.approx(2.0, abs=1e-3)
         payments = compute_muca_payments(algorithm, instance, allocation)
-        assert payments[0] == pytest.approx(payment, abs=1e-6)
+        assert payments[0] == payment
 
 
 class TestTruthfulMechanisms:
@@ -338,14 +331,16 @@ class TestTruthfulnessAudits:
         )
         assert report.agents_audited == 1
 
-    @pytest.mark.parametrize("use_trace", [False, True])
+    @pytest.mark.parametrize("tables", [False, True])
     @pytest.mark.parametrize("kind", ["ufp", "muca"])
     @pytest.mark.parametrize("position", ["negative", "past_end"])
     def test_audit_rejects_out_of_range_agents(
-        self, contended_instance, kind, position, use_trace
+        self, contended_instance, kind, position, tables
     ):
         """Every audited index must lie in ``[0, n)``: a negative index must
-        not audit the last agent, nor one past the end fail elsewhere."""
+        not audit the last agent, nor one past the end fail elsewhere,
+        whether the probe tables (a solver) or re-runs (a plain callable)
+        would answer."""
         if kind == "ufp":
             audit, algorithm = audit_ufp_truthfulness, partial(bounded_ufp, epsilon=1.0)
             instance = contended_instance
@@ -356,10 +351,12 @@ class TestTruthfulnessAudits:
                 np.array([2.0]), [Bid((0,), 5.0), Bid((0,), 3.0), Bid((0,), 2.0)]
             )
             count = instance.num_bids
+        if not tables:
+            algorithm = lambda declared, rule=algorithm: rule(declared)  # noqa: E731
         index = -1 if position == "negative" else count
         message = f"agent index {index} is out of range for {count} agents"
         with pytest.raises(IndexError, match=re.escape(message)):
-            audit(algorithm, instance, agents=[index], seed=0, use_trace=use_trace)
+            audit(algorithm, instance, agents=[index], seed=0)
 
 
 @pytest.mark.property

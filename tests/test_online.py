@@ -19,6 +19,7 @@ from repro.flows import (
     random_instance,
 )
 from repro.graphs import CapacitatedGraph
+from repro.mechanism import payments
 from repro.online import (
     Batch,
     OnlineAuction,
@@ -369,17 +370,19 @@ class TestOnlinePayments:
         assert admitted[0] == pytest.approx(2.0, abs=1e-3)
         assert admitted[1] == pytest.approx(2.0, abs=1e-3)
 
-    @pytest.mark.parametrize("use_trace", [True, False])
-    def test_admissions_the_drain_does_not_reproduce_raise(self, use_trace):
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_admissions_the_drain_does_not_reproduce_raise(self, tables, monkeypatch):
         """The batch's base drain must admit exactly the winners being paid
-        (here it admits 0 and 1), traced or not, as offline payments do."""
+        (here it admits 0 and 1), traced or re-run, as offline payments do."""
+        if not tables:
+            monkeypatch.setattr(payments, "supports_trace", lambda algorithm: False)
         graph = CapacitatedGraph(2, [(0, 1, 2.0)], directed=True)
         pool = [(0, Request(0, 1, 1.0, 5.0)), (1, Request(0, 1, 1.0, 3.0)),
                 (2, Request(0, 1, 1.0, 2.0))]
         with pytest.raises(MechanismError, match="different winner set"):
             batch_critical_values(
                 graph, DualWeights(graph.capacities, 1.0), pool, [0, 2],
-                admission="greedy", score_threshold=1.0, use_trace=use_trace,
+                admission="greedy", score_threshold=1.0,
             )
 
     def test_payments_are_individually_rational_and_zero_for_losers(self):

@@ -12,11 +12,16 @@ differential-fuzz corpus (the same seed derivation as
   ``bounded_muca`` vs the solvers run from scratch on the perturbed input,
   including score-decreasing misreports that read the lazy prefix;
 * single probes of recorded online batch drains vs from-scratch drains;
-* critical-value payments with ``use_trace=True`` vs ``use_trace=False``,
-  on loop trees and on C trees;
-* truthfulness audits with and without tracing;
-* online batch payments (greedy and threshold policies) with and without
-  tracing, plus ``jobs=4 == jobs=1`` with tracing on.
+* critical-value payments from tables vs re-runs, on loop trees and on C
+  trees, over the corpus and the contended family whose winners pay
+  positive critical values;
+* truthfulness audits from tables vs re-runs;
+* online batch payments (greedy and threshold policies) from tables vs
+  re-run drains, plus ``jobs=4 == jobs=1`` from tables.
+
+The tables answer whenever the algorithm accepts ``trace=``.  The re-run
+side gets a plain callable (:func:`_rerun`), or, for online auctions, whose
+drain is built inside, ``supports_trace`` patched to say no.
 """
 
 from __future__ import annotations
@@ -33,7 +38,10 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
     ONLINE_SEEDS,
     REPEAT_SEEDS,
     UFP_SEEDS,
+    _assert_budget_stop,
     _assert_same_allocation,
+    _ufp_case,
+    _ufp_cases,
     _ufp_instance,
 )
 
@@ -51,6 +59,7 @@ from repro.core.trace import MAX_CHECKPOINTS
 from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.mechanism import compute_muca_payments, compute_ufp_payments
+from repro.mechanism import payments as payments_module
 from repro.mechanism.payments import _record_base_run
 from repro.mechanism.verification import (
     audit_muca_truthfulness,
@@ -74,6 +83,12 @@ DEMAND_FACTORS = (0.5, 1.0, 1.7)
 #: Bid value multipliers: every ``PROBE_FACTOR`` plus one part in 1e7 on
 #: either side of the declaration.
 MUCA_VALUE_FACTORS = PROBE_FACTORS + (1.0 - 1e-7, 1.0 + 1e-7)
+
+
+def _rerun(algorithm):
+    """``algorithm`` as a plain callable: it takes no ``trace=``, so every
+    probe re-runs it."""
+    return lambda declared: algorithm(declared)
 
 
 def _muca_auction(seed: int):
@@ -184,8 +199,8 @@ def test_exact_tie_goes_to_the_lower_index():
             assert replayer.probe_selected(idx, probe) == expected
     assert replayer.probe_selected(0, instance.requests[0].with_value(2.0))
     assert not replayer.probe_selected(1, instance.requests[1].with_value(1.0))
-    plain = compute_ufp_payments(run, instance, allocation)
-    traced = compute_ufp_payments(run, instance, allocation, use_trace=True)
+    plain = compute_ufp_payments(run, instance, allocation, use_trace=False)
+    traced = compute_ufp_payments(run, instance, allocation)
     np.testing.assert_array_equal(plain, traced)
 
 
@@ -196,21 +211,23 @@ PAYMENT_SEEDS = UFP_SEEDS[::6]  # every 6th corpus case: payments cost ~|R| runs
 
 
 @pytest.mark.parametrize("trees", TREE_PATHS)
-@pytest.mark.parametrize("seed", PAYMENT_SEEDS)
-def test_ufp_payments_bit_identical(seed, trees):
+@pytest.mark.parametrize("seed,contended", _ufp_cases(PAYMENT_SEEDS))
+def test_ufp_payments_bit_identical(seed, contended, trees):
     with tree_path(trees):
-        instance = _ufp_instance(seed)
-        epsilon = [0.3, 0.5, 1.0][seed % 3]
+        instance, epsilon = _ufp_case(seed, contended)
         algorithm = partial(bounded_ufp, epsilon=epsilon)
         allocation = bounded_ufp(instance, epsilon)
-        plain = compute_ufp_payments(algorithm, instance, allocation)
+        plain = compute_ufp_payments(algorithm, instance, allocation, use_trace=False)
         stats: dict = {}
         traced = compute_ufp_payments(
-            algorithm, instance, allocation, use_trace=True, replay_stats=stats
+            algorithm, instance, allocation, replay_stats=stats
         )
     np.testing.assert_array_equal(plain, traced)
     if allocation.num_selected:
         assert stats["replay_probes"] >= 0
+    if contended:
+        _assert_budget_stop(allocation)
+        assert traced.max() > 0.0
 
 
 @pytest.mark.parametrize("seed", MUCA_SEEDS[::6])
@@ -219,8 +236,8 @@ def test_muca_payments_bit_identical(seed):
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     algorithm = partial(bounded_muca, epsilon=epsilon)
     allocation = bounded_muca(auction, epsilon)
-    plain = compute_muca_payments(algorithm, auction, allocation)
-    traced = compute_muca_payments(algorithm, auction, allocation, use_trace=True)
+    plain = compute_muca_payments(_rerun(algorithm), auction, allocation)
+    traced = compute_muca_payments(algorithm, auction, allocation)
     np.testing.assert_array_equal(plain, traced)
 
 
@@ -243,9 +260,9 @@ def test_payments_jobs_invariant_with_trace():
         allocation = solver(declared, 0.3)
         serial_stats: dict = {}
         fanned_stats: dict = {}
-        serial = pay(algorithm, declared, allocation, use_trace=True, jobs=1,
+        serial = pay(algorithm, declared, allocation, jobs=1,
                      replay_stats=serial_stats)
-        fanned = pay(algorithm, declared, allocation, use_trace=True, jobs=4,
+        fanned = pay(algorithm, declared, allocation, jobs=4,
                      replay_stats=fanned_stats)
         np.testing.assert_array_equal(serial, fanned)
         assert serial_stats["replay_probes"] > 0
@@ -274,8 +291,8 @@ def test_kwargs_wrapper_that_drops_trace_falls_back_to_reruns():
     def wrapped(entry, *args, **kwargs):
         with pytest.warns(UserWarning) as caught:
             line = inspect.currentframe().f_lineno + 1
-            result = entry(*args, use_trace=True, **kwargs)
-        (warning,) = [w for w in caught if "use_trace=True had no effect" in str(w.message)]
+            result = entry(*args, **kwargs)
+        (warning,) = [w for w in caught if "did not forward the trace=" in str(w.message)]
         assert (warning.filename, warning.lineno) == (__file__, line)
         return result
 
@@ -315,20 +332,20 @@ def _report_key(report):
     )
 
 
-@pytest.mark.parametrize("seed", UFP_SEEDS[::12])
-def test_ufp_audit_bit_identical(seed):
-    instance = _ufp_instance(seed)
-    epsilon = [0.3, 0.5, 1.0][seed % 3]
+@pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS[::12]))
+def test_ufp_audit_bit_identical(seed, contended):
+    instance, epsilon = _ufp_case(seed, contended)
     rule = partial(bounded_ufp, epsilon=epsilon)
     agents = _probe_indices(instance.num_requests, seed)
     plain = audit_ufp_truthfulness(
-        rule, instance, agents=agents, misreports_per_agent=4, seed=seed
+        _rerun(rule), instance, agents=agents, misreports_per_agent=4, seed=seed
     )
     traced = audit_ufp_truthfulness(
-        rule, instance, agents=agents, misreports_per_agent=4, seed=seed,
-        use_trace=True,
+        rule, instance, agents=agents, misreports_per_agent=4, seed=seed
     )
     assert _report_key(plain) == _report_key(traced)
+    if contended:
+        _assert_budget_stop(rule(instance))
 
 
 @pytest.mark.parametrize("seed", MUCA_SEEDS[::12])
@@ -338,11 +355,10 @@ def test_muca_audit_bit_identical(seed):
     rule = partial(bounded_muca, epsilon=epsilon)
     agents = _probe_indices(auction.num_bids, seed)
     plain = audit_muca_truthfulness(
-        rule, auction, agents=agents, misreports_per_agent=4, seed=seed
+        _rerun(rule), auction, agents=agents, misreports_per_agent=4, seed=seed
     )
     traced = audit_muca_truthfulness(
-        rule, auction, agents=agents, misreports_per_agent=4, seed=seed,
-        use_trace=True,
+        rule, auction, agents=agents, misreports_per_agent=4, seed=seed
     )
     assert _report_key(plain) == _report_key(traced)
 
@@ -355,11 +371,11 @@ def test_audit_jobs_invariant_with_trace():
     rule = partial(bounded_ufp, epsilon=0.3)
     serial = audit_ufp_truthfulness(
         rule, instance, agents=list(range(10)), misreports_per_agent=4,
-        seed=7, use_trace=True, jobs=1,
+        seed=7, jobs=1,
     )
     fanned = audit_ufp_truthfulness(
         rule, instance, agents=list(range(10)), misreports_per_agent=4,
-        seed=7, use_trace=True, jobs=4,
+        seed=7, jobs=4,
     )
     assert _report_key(serial) == _report_key(fanned)
 
@@ -400,18 +416,20 @@ def test_online_payments_bit_identical(seed, admission, threshold, monkeypatch):
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     checked = _check_checkpoint_heaps(monkeypatch) if admission == "threshold" else None
 
-    def stream(use_trace):
+    def stream():
         auction = OnlineAuction(
             instance.graph, epsilon,
             admission=admission, score_threshold=threshold,
-            compute_payments=True, use_trace=use_trace,
+            compute_payments=True,
         )
         return auction.run(
             bursty_arrivals(list(instance.requests), burst_size=5, seed=seed % 97)
         )
 
-    plain = stream(False)
-    traced = stream(True)
+    with monkeypatch.context() as patch:
+        patch.setattr(payments_module, "supports_trace", lambda algorithm: False)
+        plain = stream()
+    traced = stream()
     np.testing.assert_array_equal(plain.payments, traced.payments)
     assert [r.request_index for r in plain.routed] == [
         r.request_index for r in traced.routed
@@ -457,7 +475,7 @@ def test_online_drain_probes_match_scratch(seed, admission, threshold, monkeypat
                       score_threshold=kwargs["score_threshold"])
         replayer = _record_base_run(
             _BatchDrain(snapshot, **policy), UFPInstance(graph, requests),
-            {local_of[index] for index in admitted}, use_trace=True,
+            {local_of[index] for index in admitted},
         )
         assert isinstance(replayer, TraceReplayer)
         for local, request in enumerate(requests):
@@ -487,10 +505,10 @@ def test_traced_run_reports_stats_and_matches_untraced():
     plain = bounded_ufp(instance, 0.4)
     _assert_same_allocation(traced, plain)
     assert traced.stats.extra["trace_rounds"] == recorder.trace.num_rounds
-    assert traced.stats.extra["trace_checkpoints"] == recorder.trace.num_checkpoints
+    assert traced.stats.extra["trace_checkpoints"] == len(recorder.trace.checkpoints)
     assert recorder.trace.completed
     # Checkpoint 0 plus at least one more on a 30-round run.
-    assert recorder.trace.num_checkpoints >= 2
+    assert len(recorder.trace.checkpoints) >= 2
 
 
 def test_checkpoint_count_stays_bounded_on_long_runs():
@@ -502,4 +520,4 @@ def test_checkpoint_count_stays_bounded_on_long_runs():
     bounded_ufp_repeat(instance, 0.5, trace=recorder, max_iterations=2000)
     trace = recorder.trace
     assert trace.num_rounds > 100  # repetitions make this a long run
-    assert trace.num_checkpoints <= MAX_CHECKPOINTS + 1  # plus the final one
+    assert len(trace.checkpoints) <= MAX_CHECKPOINTS + 1  # plus the final one
