@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repository benchmark.
+
+Runs ``perfbench/run.py`` in two checkouts of the repository, one pair of
+runs at a time, alternating which checkout goes first, and summarizes every
+end-to-end metric of ``BENCHMARK.json``::
+
+    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W --pairs N \\
+        [--seed S --seconds 25]
+
+Before every run it deletes the checkout's ``__pycache__`` directories, so
+neither side reads bytecode the other does not (``setup_s`` includes the
+import).  It stops on the first run that is not ``correct`` or that has
+failed ops.  For each metric it prints the parent's median and quartiles,
+the change's median, the ratio of the two medians, and in how many pairs
+the change was better (by the metric's ``better`` direction).  One run per
+side tells nothing on a shared host; the pairs and the parent's quartile
+spread do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_result(stdout: str, label: str) -> dict:
+    """The JSON result line that ends a ``perfbench/run.py`` output; exits
+    when the run is not correct or had failed ops."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(
+            f"{label}: correct={result['correct']}, failed={result['failed']}; stopping"
+        )
+    return result
+
+
+def _run(checkout: Path, args: argparse.Namespace) -> dict:
+    for cache in list(checkout.rglob("__pycache__")):
+        shutil.rmtree(cache, ignore_errors=True)
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+    ]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: exited {done.returncode}\n{done.stderr}")
+    return run_result(done.stdout, str(checkout))
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per end-to-end metric over paired results (``parent[i]``
+    and ``change[i]`` are pair ``i``)."""
+    lines = []
+    for spec in end_to_end:
+        name = spec["name"]
+        before = [result["metrics"][name]["value"] for result in parent]
+        after = [result["metrics"][name]["value"] for result in change]
+        q1, median, q3 = _quartiles(before)
+        changed = statistics.median(after)
+        lower = spec["better"] == "lower"
+        won = sum((b < a) if lower else (b > a) for a, b in zip(before, after))
+        ratio = changed / median if median else float("nan")
+        lines.append(
+            f"{name:16s} parent median {median:.4g} (q1 {q1:.4g}, q3 {q3:.4g}, "
+            f"IQR {q3 - q1:.4g})  change median {changed:.4g}  "
+            f"ratio {ratio:.3f}  change better in {won} of {len(after)} pairs"
+        )
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    args = parser.parse_args(argv)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    parent: list[dict] = []
+    change: list[dict] = []
+    for pair in range(args.pairs):
+        order = [(args.parent, parent), (args.change, change)]
+        for checkout, results in order if pair % 2 == 0 else order[::-1]:
+            results.append(_run(checkout.resolve(), args))
+        first = "parent" if pair % 2 == 0 else "change"
+        print(f"pair {pair} ({first} first), parent/change: " + ", ".join(
+            f"{name} {parent[-1]['metrics'][name]['value']:.4g}/"
+            f"{change[-1]['metrics'][name]['value']:.4g}"
+            for name in (spec["name"] for spec in end_to_end)
+        ), flush=True)
+    for line in summarize(parent, change, end_to_end):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -96,10 +96,8 @@ def _greedy_bundle_run(
     iteration_cap = max_iterations if max_iterations is not None else instance.num_bids
 
     if trace is not None:
-        trace.begin_bundle_run(
-            engine=engine,
-            iteration_cap=iteration_cap,
-            instance=instance,
+        trace.begin_run(
+            engine=engine, iteration_cap=iteration_cap, requests=instance.bids
         )
 
     # Lines 3-6 run inside greedy_rounds: stop on the dual budget

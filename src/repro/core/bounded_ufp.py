@@ -151,11 +151,8 @@ def _greedy_path_run(
         graph, instance.requests, duals, remove_selected=remove_selected
     )
     if trace is not None:
-        trace.begin_path_run(
-            mode="ufp" if remove_selected else "repeat",
-            engine=engine,
-            iteration_cap=iteration_cap,
-            instance=instance,
+        trace.begin_run(
+            engine=engine, iteration_cap=iteration_cap, requests=instance.requests
         )
 
     # Line 5 (the dual budget rule) and lines 10-11 (the exponential weight

@@ -230,7 +230,9 @@ class DualWeights:
         return clone
 
     def copy(self) -> "DualWeights":
-        """A deep copy (used when exploring hypothetical selections)."""
+        """A copy with its own weight vector (the capacities are shared:
+        they never change).  Engine forks and online batch drains start
+        from one."""
         clone = DualWeights.__new__(DualWeights)
         clone._capacities = self._capacities
         clone._epsilon = self._epsilon
@@ -240,33 +242,6 @@ class DualWeights:
         clone._updates = self._updates
         clone._last_delta = self._last_delta
         return clone
-
-    def restore_from(self, snapshot: "DualWeights") -> None:
-        """In-place restore of this state to ``snapshot``'s.
-
-        The payment bisections replay dozens of probes from the same dual
-        snapshot; restoring into an existing scratch object reuses its
-        weight buffer (one ``np.copyto`` into ``_y``) instead of allocating
-        a fresh ``_y.copy()`` per probe.  Both objects must describe the
-        same substrate (same capacity vector); after the call this object is
-        indistinguishable from ``snapshot.copy()`` — weights, incremental
-        budget and update counter included — which the invariant tests
-        assert probe by probe.
-        """
-        if self._y.shape != snapshot._y.shape:
-            raise ValueError(
-                "restore_from requires dual states over the same edge set"
-            )
-        if self._capacities is not snapshot._capacities and not np.array_equal(
-            self._capacities, snapshot._capacities
-        ):
-            raise ValueError("restore_from requires identical capacities")
-        np.copyto(self._y, snapshot._y)
-        self._epsilon = snapshot._epsilon
-        self._B = snapshot._B
-        self._budget = snapshot._budget
-        self._updates = snapshot._updates
-        self._last_delta = snapshot._last_delta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -73,6 +73,17 @@ admission threshold) in one fixed order and commits each winner.  The three
 solvers of the paper, the BKV-style baseline, every online drain and every
 trace replay run through it, so a replay makes the live run's decisions by
 construction.
+
+Forks
+-----
+``fork()`` returns an independent engine in the same state, on its own
+copy of the dual weights.  It shares everything immutable (the cached
+trees, which an eviction drops from a dict but never mutates, the
+per-graph tree memos, the request or bid pool) and copies the heap, the
+flags and the bookkeeping.  A run trace keeps forks as its checkpoints,
+and a replay walks a fork of one (:mod:`repro.core.trace`).  Engines whose
+pool still takes arrivals (the online auctions' live engines) are never
+forked, so the shared pool never grows under a fork.
 """
 
 from __future__ import annotations
@@ -93,8 +104,6 @@ from repro.kernels import get_kernel
 __all__ = [
     "PathPricingEngine",
     "BundlePricingEngine",
-    "PathEngineCheckpoint",
-    "BundleEngineCheckpoint",
     "PricingStats",
     "Selection",
     "greedy_rounds",
@@ -649,48 +658,40 @@ class PathPricingEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore (the trace-replay substrate)
+    # Forks (the trace-replay substrate)
     # ------------------------------------------------------------------ #
-    def fork(self) -> "PathEngineCheckpoint":
-        """Snapshot the engine's mutable state into an immutable checkpoint.
+    def fork(self) -> "PathPricingEngine":
+        """An independent engine in this engine's state, on its own
+        :meth:`DualWeights.copy` (see *Forks* in the module docstring); its
+        stats start at zero.
 
-        Cached :class:`~repro.graphs.shortest_path.CompactTree` objects are
-        immutable, so the snapshot
-        shares them by reference (copy-on-write for free: a later eviction
-        replaces dict entries, never mutates a tree) — only the heap, the
-        flag arrays and the bookkeeping dicts are copied.  The owning
-        :class:`DualWeights` is *not* captured; checkpoint it alongside
-        (``duals.copy()``) and restore both together.
+        The attributes are assigned in ``__init__``'s order, so a fork has
+        the instance layout the hot loops' attribute reads are specialized
+        for: a new attribute goes in both places.
         """
-        return PathEngineCheckpoint(
-            num_requests=len(self._requests),
-            heap=tuple(self._heap),
-            selected=bytes(self._selected),
-            dropped=bytes(self._dropped),
-            pending=self._pending,
-            source_live=tuple(self._source_live.items()),
-            trees=tuple(self._trees.items()),
-            source_epoch=tuple(self._source_epoch.items()),
-        )
-
-    def restore(self, checkpoint: "PathEngineCheckpoint") -> None:
-        """Reset the mutable state to ``checkpoint`` (same request pool).
-
-        The caller must restore the owning :class:`DualWeights` to the
-        matching snapshot *before* calling (heap scores are lower bounds
-        only relative to those weights).
-        """
-        if checkpoint.num_requests != len(self._requests):
-            raise ValueError("checkpoint belongs to a different request pool")
-        self._heap = list(checkpoint.heap)
-        self._selected = bytearray(checkpoint.selected)
-        self._dropped = bytearray(checkpoint.dropped)
-        self._pending = checkpoint.pending
-        self._source_live = dict(checkpoint.source_live)
-        self._trees = dict(checkpoint.trees)
-        self._source_epoch = dict(checkpoint.source_epoch)
-        self._w_list = None
-        self._w_bytes = None
+        fork = PathPricingEngine.__new__(PathPricingEngine)
+        duals = self._duals.copy()
+        fork._graph = self._graph
+        fork._requests = self._requests
+        fork._duals = duals
+        fork._weights = duals.weights
+        fork._n = self._n
+        fork._kernel = self._kernel
+        fork._w_list = None
+        fork._w_bytes = None
+        fork._memo_cap = self._memo_cap
+        fork._tree_memo = self._tree_memo
+        fork._initial_tree_memo = self._initial_tree_memo
+        fork._remove_selected = self._remove_selected
+        fork.stats = PricingStats()
+        fork._selected = bytearray(self._selected)
+        fork._dropped = bytearray(self._dropped)
+        fork._pending = self._pending
+        fork._source_live = dict(self._source_live)
+        fork._trees = dict(self._trees)
+        fork._source_epoch = dict(self._source_epoch)
+        fork._heap = list(self._heap)
+        return fork
 
     def replay_commit(
         self,
@@ -739,48 +740,6 @@ class PathPricingEngine:
         guard-rejected winner.  Lingering heap entries are lazily deleted,
         as for unroutable drops."""
         self._drop(index)
-
-
-class PathEngineCheckpoint:
-    """Immutable snapshot of a :class:`PathPricingEngine`'s mutable state.
-
-    Produced by :meth:`PathPricingEngine.fork`, consumed by
-    :meth:`PathPricingEngine.restore`.  Trees are shared by reference
-    (immutable); every container is stored in a frozen form so one
-    checkpoint can seed any number of restores.
-    """
-
-    __slots__ = (
-        "num_requests",
-        "heap",
-        "selected",
-        "dropped",
-        "pending",
-        "source_live",
-        "trees",
-        "source_epoch",
-    )
-
-    def __init__(
-        self,
-        *,
-        num_requests: int,
-        heap: tuple,
-        selected: bytes,
-        dropped: bytes,
-        pending: int,
-        source_live: tuple,
-        trees: tuple,
-        source_epoch: tuple,
-    ) -> None:
-        self.num_requests = num_requests
-        self.heap = heap
-        self.selected = selected
-        self.dropped = dropped
-        self.pending = pending
-        self.source_live = source_live
-        self.trees = trees
-        self.source_epoch = source_epoch
 
 
 class _EmptyBidPool:
@@ -921,9 +880,6 @@ class BundlePricingEngine:
         """Apply the dual update of the selected bid and retire it."""
         self.replay_commit(selection.index)
 
-    # ------------------------------------------------------------------ #
-    # Checkpoint / restore (the trace-replay substrate)
-    # ------------------------------------------------------------------ #
     def replay_commit(self, index: int) -> None:
         """Apply the dual update and bookkeeping of bid ``index`` winning —
         what :meth:`commit` does, also used by the trace replayer to
@@ -938,27 +894,22 @@ class BundlePricingEngine:
                 if not self._selected[j]:
                     self._dirty[j] = 1
 
-    def fork(self) -> "BundleEngineCheckpoint":
-        """Snapshot the mutable state (bundles/values/incidence are static
-        per bid pool and stay shared).  Checkpoint the owning
-        :class:`DualWeights` alongside."""
-        return BundleEngineCheckpoint(
-            num_bids=len(self._bundles),
-            heap=tuple(self._heap),
-            selected=bytes(self._selected),
-            dirty=bytes(self._dirty),
-            pending=self._pending,
-        )
-
-    def restore(self, checkpoint: "BundleEngineCheckpoint") -> None:
-        """Reset to ``checkpoint`` (same bid pool); restore the owning
-        :class:`DualWeights` first."""
-        if checkpoint.num_bids != len(self._bundles):
-            raise ValueError("checkpoint belongs to a different bid pool")
-        self._heap = list(checkpoint.heap)
-        self._selected = bytearray(checkpoint.selected)
-        self._dirty = bytearray(checkpoint.dirty)
-        self._pending = checkpoint.pending
+    def fork(self) -> "BundlePricingEngine":
+        """An independent engine in this engine's state, on its own
+        :meth:`DualWeights.copy`; it shares the bid pool's bundles, values
+        and item incidence (see :meth:`PathPricingEngine.fork`, whose
+        attribute-order rule applies here too)."""
+        fork = BundlePricingEngine.__new__(BundlePricingEngine)
+        fork._duals = self._duals.copy()
+        fork._bundles = self._bundles
+        fork._values = self._values
+        fork._selected = bytearray(self._selected)
+        fork._dirty = bytearray(self._dirty)
+        fork._pending = self._pending
+        fork.stats = PricingStats()
+        fork._item_to_bids = self._item_to_bids
+        fork._heap = list(self._heap)
+        return fork
 
     def current_price(self, index: int) -> float:
         """Exact bundle price ``sum_{u in U_r} y_u`` under current weights."""
@@ -970,27 +921,6 @@ class BundlePricingEngine:
         if not self._selected[index]:
             self._selected[index] = 1
             self._pending -= 1
-
-
-class BundleEngineCheckpoint:
-    """Immutable snapshot of a :class:`BundlePricingEngine`'s mutable state."""
-
-    __slots__ = ("num_bids", "heap", "selected", "dirty", "pending")
-
-    def __init__(
-        self,
-        *,
-        num_bids: int,
-        heap: tuple,
-        selected: bytes,
-        dirty: bytes,
-        pending: int,
-    ) -> None:
-        self.num_bids = num_bids
-        self.heap = heap
-        self.selected = selected
-        self.dirty = dirty
-        self.pending = pending
 
 
 def greedy_rounds(

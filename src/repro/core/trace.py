@@ -9,11 +9,11 @@ from one recorded run:
   ``bounded_ufp_repeat``, ``bounded_muca`` or an online batch drain, which
   hand it to :func:`~repro.core.pricing_engine.greedy_rounds`, records the
   base run of an instance — per committed round: the winner, its exact
-  score and the dual-update edge set — plus periodic **checkpoints**: a
-  :class:`~repro.core.dual_state.DualWeights` copy and a
-  :meth:`~repro.core.pricing_engine.PathPricingEngine.fork` engine snapshot
-  (cached shortest-path trees are immutable and shared by reference, so a
-  checkpoint is heap + flags + bookkeeping, not a deep copy);
+  score and the dual-update edge set — plus periodic **checkpoints**, each a
+  :meth:`~repro.core.pricing_engine.PathPricingEngine.fork` of the run's
+  engine (its own dual-weight copy; cached shortest-path trees are immutable
+  and shared, so a checkpoint is duals + heap + flags + bookkeeping, not a
+  deep copy).  A checkpoint is never run, only forks of it;
 * a :class:`TraceReplayer` (:class:`BundleTraceReplayer` for MUCA) answers
   ``probe_selected(index, declaration)``, where the declaration is a
   ``Request`` (a ``Bid`` for MUCA), from a per-agent **table** built from
@@ -45,10 +45,10 @@ from-scratch run's.
 Agent ``i``'s table holds one row ``(x_t, s_t, j_t)`` per round.  Removing
 an agent changes nothing before the round ``k`` it first wins, so the rows
 before ``k`` are the base run's rounds.  From ``k`` on, the replayer
-restores the checkpoint at or before ``k``, re-applies the recorded dual
-updates up to ``k``, drops ``i`` and runs ``greedy_rounds`` with the base
-run's remaining cap and threshold.  A loser's excluded run is the base run
-itself.  Two things keep tables cheap:
+forks the checkpoint at or before ``k``, re-applies the recorded dual
+updates up to ``k`` to the fork, drops ``i`` and runs ``greedy_rounds`` on
+it with the base run's remaining cap and threshold.  A loser's excluded
+run is the base run itself.  Two things keep tables cheap:
 
 * **lazy prefix** — ``i`` lost every round before ``k`` under its own
   declaration, so those rows can only select a probe whose score lies below
@@ -76,7 +76,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.dual_state import DualWeights
 from repro.core.pricing_engine import (
     BundlePricingEngine,
     PathPricingEngine,
@@ -133,14 +132,16 @@ class TraceRound:
 
 
 class TraceCheckpoint:
-    """State *before* round ``round_index``: a dual-weight copy plus an
-    engine snapshot (trees shared by reference)."""
+    """The run's state *before* round ``round_index``: a fork of its engine
+    (:meth:`~repro.core.pricing_engine.PathPricingEngine.fork`), which is
+    never run itself; replays walk forks of it."""
 
-    __slots__ = ("round_index", "duals", "engine")
+    __slots__ = ("round_index", "engine")
 
-    def __init__(self, round_index: int, duals: DualWeights, engine) -> None:
+    def __init__(
+        self, round_index: int, engine: PathPricingEngine | BundlePricingEngine
+    ) -> None:
         self.round_index = round_index
-        self.duals = duals
         self.engine = engine
 
 
@@ -148,8 +149,6 @@ class RunTrace:
     """The acceptance trace of one recorded solver run."""
 
     __slots__ = (
-        "mode",
-        "instance",
         "requests",
         "iteration_cap",
         "admission",
@@ -160,15 +159,18 @@ class RunTrace:
         "completed",
     )
 
-    def __init__(self, *, mode: str) -> None:
-        if mode not in ("ufp", "repeat", "muca", "drain"):
-            raise ValueError(f"unknown trace mode {mode!r}")
-        self.mode = mode
-        self.instance = None
-        self.requests: tuple = ()
-        self.iteration_cap: int | None = None
-        self.admission: str | None = None
-        self.score_threshold = math.inf
+    def __init__(
+        self,
+        *,
+        requests: Sequence,
+        iteration_cap: int | None,
+        admission: str | None,
+        score_threshold: float,
+    ) -> None:
+        self.requests = tuple(requests)
+        self.iteration_cap = iteration_cap
+        self.admission = admission
+        self.score_threshold = float(score_threshold)
         self.rounds: list[TraceRound] = []
         self.first_win: dict[int, int] = {}
         self.checkpoints: list[TraceCheckpoint] = []
@@ -192,7 +194,7 @@ class TraceRecorder:
     Pass an instance as ``trace=`` to :func:`repro.core.bounded_ufp`,
     :func:`repro.core.bounded_ufp_repeat`, :func:`repro.core.bounded_muca`
     or an online batch drain (``repro.online.auction._BatchDrain``).  The
-    solver brackets the run with ``begin_*_run``/:meth:`finish`; in between,
+    solver brackets the run with :meth:`begin_run`/:meth:`finish`; in between,
     :func:`~repro.core.pricing_engine.greedy_rounds` (given the recorder as
     ``trace=``) calls :meth:`record_round` after each commit.  After the
     run, :attr:`trace` holds the completed :class:`RunTrace` and
@@ -201,8 +203,7 @@ class TraceRecorder:
     Checkpoints start at every :data:`CHECKPOINT_INTERVAL` rounds; the
     interval doubles whenever more than :data:`MAX_CHECKPOINTS` snapshots
     accumulate (thinning to every other one), bounding memory at roughly
-    ``MAX_CHECKPOINTS * (O(m) duals + O(pool) engine state)`` for runs of
-    any length.
+    ``MAX_CHECKPOINTS * O(m + pool)`` engine forks for runs of any length.
     """
 
     def __init__(self) -> None:
@@ -213,43 +214,29 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     # Solver-facing hooks
     # ------------------------------------------------------------------ #
-    def begin_path_run(
+    def begin_run(
         self,
         *,
-        mode: str,
-        engine: PathPricingEngine,
+        engine: PathPricingEngine | BundlePricingEngine,
         iteration_cap: int | None,
-        instance,
+        requests: Sequence,
         admission: str | None = None,
         score_threshold: float = math.inf,
     ) -> None:
-        """Start recording a path-mode run (``ufp``/``repeat``/``drain``)
-        of ``instance``.
+        """Start recording a run of ``engine`` over ``requests`` (the
+        instance's requests, or its bids for ``bounded_muca``).
 
         Must be called right after engine construction: checkpoint 0
         captures the pristine state.
         """
-        t = RunTrace(mode=mode)
-        t.instance = instance
-        t.requests = tuple(instance.requests)
-        t.iteration_cap = iteration_cap
-        t.admission = admission
-        t.score_threshold = float(score_threshold)
-        self._begin(t, engine)
-
-    def begin_bundle_run(
-        self,
-        *,
-        engine: BundlePricingEngine,
-        iteration_cap: int | None,
-        instance,
-    ) -> None:
-        """Start recording a ``bounded_muca`` run."""
-        t = RunTrace(mode="muca")
-        t.instance = instance
-        t.requests = tuple(instance.bids)
-        t.iteration_cap = iteration_cap
-        self._begin(t, engine)
+        self._active = RunTrace(
+            requests=requests,
+            iteration_cap=iteration_cap,
+            admission=admission,
+            score_threshold=score_threshold,
+        )
+        self.trace = None
+        self._take_checkpoint(engine)
 
     def record_round(self, engine, selection: Selection) -> None:
         """Record one committed winner and checkpoint when due.
@@ -295,23 +282,16 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _begin(self, t: RunTrace, engine) -> None:
-        self._active = t
-        self.trace = None
-        self._take_checkpoint(engine)
-
     def _require_active(self) -> RunTrace:
         if self._active is None:
             raise RuntimeError(
-                "TraceRecorder hooks called outside a begin_*/finish window"
+                "TraceRecorder hooks called outside a begin_run/finish window"
             )
         return self._active
 
     def _take_checkpoint(self, engine) -> None:
         t = self._active
-        t.checkpoints.append(
-            TraceCheckpoint(len(t.rounds), engine.duals.copy(), engine.fork())
-        )
+        t.checkpoints.append(TraceCheckpoint(len(t.rounds), engine.fork()))
         if len(t.checkpoints) > MAX_CHECKPOINTS:
             # Thin to every other checkpoint (round 0 stays) and double the
             # interval: memory stays bounded for arbitrarily long runs.
@@ -321,9 +301,9 @@ class TraceRecorder:
 
 @dataclass
 class ReplayStats:
-    """Work counters of probe tables: probes answered, and rounds restored
-    from a checkpoint (skipped), re-applied from the trace (replayed) or
-    re-run live (recomputed) while building tables."""
+    """Work counters of probe tables: probes answered, and rounds covered
+    by the checkpoint a walk forks (skipped), re-applied from the trace
+    (replayed) or re-run live (recomputed) while building tables."""
 
     probes: int = 0
     rounds_skipped: int = 0
@@ -361,14 +341,13 @@ class _Table:
 
 
 class _ReplayerBase:
-    """Table building shared by the path and bundle replayers.  Subclasses
-    own one scratch engine and :class:`DualWeights`, restored in place from
-    a checkpoint for every table walk, and define :meth:`_read` (the
-    agent's exact distance or bundle price, plus what a commit must touch to
-    change it), :meth:`_touches` and :meth:`_replay`."""
+    """Table building shared by the path and bundle replayers.  Every table
+    walk runs on a fresh fork of a checkpoint engine (:meth:`_walk_to`).
+    Subclasses define :meth:`_read` (the agent's exact distance or bundle
+    price, plus what a commit must touch to change it), :meth:`_touches`
+    and :meth:`_replay`."""
 
     _engine: PathPricingEngine | BundlePricingEngine
-    _duals: DualWeights
 
     def __init__(self, trace: RunTrace) -> None:
         if not trace.completed:
@@ -404,13 +383,12 @@ class _ReplayerBase:
         return table
 
     def _walk_to(self, round_index: int, stats: ReplayStats) -> None:
-        """Put the scratch state at the start of base round ``round_index``:
-        restore the last checkpoint at or before it and re-apply the
-        recorded rounds in between."""
+        """Make :attr:`_engine` the base run's state at the start of round
+        ``round_index``: a fork of the last checkpoint at or before it, with
+        the recorded rounds in between re-applied."""
         t = self._trace
         checkpoint = t.checkpoints[bisect_right(self._cp_rounds, round_index) - 1]
-        self._duals.restore_from(checkpoint.duals)
-        self._engine.restore(checkpoint.engine)
+        self._engine = checkpoint.engine.fork()
         for r in range(checkpoint.round_index, round_index):
             self._replay(t.rounds[r])
         stats.rounds_skipped += checkpoint.round_index
@@ -430,7 +408,9 @@ class _ReplayerBase:
         )
         assert k < total or not rows, "a loser's excluded run is the base run"
         stats.rounds_recomputed += len(rows)
-        end_open = len(rows) < cap and self._duals.within_budget and x != math.inf
+        end_open = (
+            len(rows) < cap and self._engine.duals.within_budget and x != math.inf
+        )
         return _Table(rows, end_open, x, stats)
 
     def _prefix(self, index: int, table: _Table) -> list:
@@ -473,19 +453,8 @@ class _ReplayerBase:
 
 
 class TraceReplayer(_ReplayerBase):
-    """Probe tables for path-mode traces (ufp / repeat / drain)."""
-
-    def __init__(self, trace: RunTrace) -> None:
-        super().__init__(trace)
-        if trace.mode not in ("ufp", "repeat", "drain"):
-            raise ValueError(f"not a path-mode trace: {trace.mode!r}")
-        self._duals = trace.checkpoints[0].duals.copy()
-        self._engine = PathPricingEngine(
-            trace.instance.graph,
-            list(trace.requests),
-            self._duals,
-            remove_selected=trace.mode != "repeat",
-        )
+    """Probe tables for path-engine traces (``bounded_ufp``,
+    ``bounded_ufp_repeat``, online batch drains)."""
 
     def probe_selected(self, index: int, request) -> bool:
         """Whether the run with ``index`` declaring ``request`` (same
@@ -524,13 +493,6 @@ class BundleTraceReplayer(_ReplayerBase):
     """Probe tables for ``bounded_muca`` traces (value probes: a probed
     ``Bid`` keeps the declared bundle)."""
 
-    def __init__(self, trace: RunTrace) -> None:
-        super().__init__(trace)
-        if trace.mode != "muca":
-            raise ValueError(f"not a muca trace: {trace.mode!r}")
-        self._duals = trace.checkpoints[0].duals.copy()
-        self._engine = BundlePricingEngine(trace.instance, self._duals)
-
     def probe_selected(self, index: int, bid) -> bool:
         """Whether the run with bid ``index`` declaring ``bid`` (same
         bundle) wins."""
@@ -562,7 +524,7 @@ class BundleTraceReplayer(_ReplayerBase):
 
 
 def make_replayer(trace: RunTrace) -> TraceReplayer | BundleTraceReplayer:
-    """Build the replayer matching a trace's mode."""
-    if trace.mode == "muca":
+    """Build the replayer matching the engine a trace was recorded on."""
+    if isinstance(trace.checkpoints[0].engine, BundlePricingEngine):
         return BundleTraceReplayer(trace)
     return TraceReplayer(trace)

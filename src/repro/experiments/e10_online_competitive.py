@@ -30,8 +30,9 @@ from typing import Iterable
 
 import numpy as np
 
+from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells
+from repro.experiments.harness import CellOutcome, ExperimentResult
 from repro.flows.generators import isp_instance, random_instance
 from repro.flows.instance import UFPInstance
 from repro.flows.request import Request
@@ -229,7 +230,7 @@ def run(
         )
     ]
     tasks.append(("payments", quick, rngs[4]))
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     total_tree_reuses = sum(
         row["tree_reuses"] for row in result.rows if not math.isnan(row["tree_reuses"])

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 
+from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.flows.generators import random_instance
 from repro.lp.fractional_ufp import solve_fractional_ufp
 from repro.mechanism.monotonicity import check_exactness
@@ -87,7 +88,7 @@ def run(
         Root seed of the sweep (deterministic default).
     jobs:
         Worker processes for the cell fan-out (results are bit-identical at
-        any ``jobs``; see :func:`repro.experiments.harness.map_cells`).
+        any ``jobs``; see :func:`repro.parallel.pmap`).
     """
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
@@ -128,7 +129,7 @@ def run(
         for position, cell in enumerate(cells)
         for repeat in range(repeats)
     ]
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     result.notes = (
         "Random directed G(n, p) workloads; ratios are against the fractional LP "

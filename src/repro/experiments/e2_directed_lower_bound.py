@@ -12,6 +12,7 @@ tie-elimination variant run under ``Bounded-UFP`` itself.
 
 from __future__ import annotations
 
+from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.reasonable import (
     BoundedUFPPriority,
@@ -20,7 +21,7 @@ from repro.core.reasonable import (
     UnitCapacityPriority,
     staircase_tie_break,
 )
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.flows.generators import staircase_instance
 from repro.types import E_OVER_E_MINUS_1
 
@@ -125,7 +126,7 @@ def run(
     epsilon = 0.5
     cells = [(10, 4), (16, 6)] if quick else [(10, 4), (16, 6), (24, 8), (32, 10)]
     result.merge(
-        map_cells(_cell, [(ell, B, epsilon) for ell, B in cells], jobs=jobs)
+        parallel.pmap(_cell, [(ell, B, epsilon) for ell, B in cells], jobs=jobs)
     )
 
     result.notes = (

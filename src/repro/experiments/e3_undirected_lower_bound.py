@@ -8,6 +8,7 @@ capacities do not admit a PTAS within this family (Corollary 3.13).
 
 from __future__ import annotations
 
+from repro import parallel
 from repro.core.reasonable import (
     BoundedUFPPriority,
     HopBiasedPriority,
@@ -15,7 +16,7 @@ from repro.core.reasonable import (
     UnitCapacityPriority,
     ring7_tie_break,
 )
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.flows.generators import ring7_instance
 from repro.lp.fractional_ufp import solve_fractional_ufp
 
@@ -86,7 +87,7 @@ def run(
     )
     capacities = [4, 8] if quick else [4, 8, 16, 32, 64]
     epsilon = 0.5
-    result.merge(map_cells(_cell, [(B, epsilon) for B in capacities], jobs=jobs))
+    result.merge(parallel.pmap(_cell, [(B, epsilon) for B in capacities], jobs=jobs))
 
     result.notes = (
         "the 4/3 gap is capacity-independent: increasing B does not help any "

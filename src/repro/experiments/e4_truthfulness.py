@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro import parallel
 from repro.baselines.randomized_rounding import randomized_rounding_ufp
 from repro.core.bounded_ufp import bounded_ufp
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells
+from repro.experiments.harness import CellOutcome, ExperimentResult
 from repro.flows.generators import random_instance
 from repro.mechanism.monotonicity import check_exactness, check_ufp_monotonicity
 from repro.mechanism.verification import audit_ufp_truthfulness
@@ -160,7 +161,7 @@ def run(
         ("rounding", congested, quick, rngs[3]),
         ("truthfulness", instance, quick, rngs[4]),
     ]
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     result.notes = (
         f"instance: n={instance.num_vertices}, m={instance.num_edges}, "

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro import parallel
 from repro.auctions.generators import correlated_auction, random_auction
 from repro.core.bounded_muca import bounded_muca
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.lp.fractional_muca import solve_fractional_muca
 from repro.mechanism.monotonicity import check_muca_monotonicity
 from repro.types import E_OVER_E_MINUS_1
@@ -117,7 +118,7 @@ def run(
     rngs = spawn_rngs(seed, len(cells) + 1)
     tasks: list = list(zip(cells, rngs[: len(cells)]))
     tasks.append(("spot", rngs[len(cells)]))
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     result.notes = "ratios measured against the fractional packing LP optimum."
     return result

@@ -8,13 +8,14 @@ On the partition family, a reasonable iterative bundle minimizing algorithm
 
 from __future__ import annotations
 
+from repro import parallel
 from repro.auctions.lower_bounds import partition_instance
 from repro.core.reasonable import (
     BundleExponentialPriority,
     ReasonableIterativeBundleMinimizer,
     partition_tie_break,
 )
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.lp.fractional_muca import solve_fractional_muca
 
 EXPERIMENT_ID = "E6"
@@ -76,7 +77,7 @@ def run(
     )
     cells = [(3, 4), (5, 4)] if quick else [(3, 4), (5, 4), (7, 6), (9, 6), (11, 8)]
     epsilon = 0.5
-    result.merge(map_cells(_cell, [(p, B, epsilon) for p, B in cells], jobs=jobs))
+    result.merge(parallel.pmap(_cell, [(p, B, epsilon) for p, B in cells], jobs=jobs))
 
     result.notes = "ratios increase towards 4/3 as p grows, independent of B."
     return result

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.bounded_ufp_repeat import bounded_ufp_repeat
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.flows.generators import random_instance
 from repro.lp.fractional_ufp import solve_fractional_ufp
 from repro.mechanism.payments import compute_ufp_payments
@@ -125,7 +126,7 @@ def run(
         else [(0.35, 35.0, 12, 16), (0.30, 45.0, 12, 16), (0.25, 70.0, 12, 18), (0.20, 110.0, 10, 16)]
     )
     rngs = spawn_rngs(seed, len(cells))
-    result.merge(map_cells(_cell, list(zip(cells, rngs)), jobs=jobs))
+    result.merge(parallel.pmap(_cell, list(zip(cells, rngs)), jobs=jobs))
 
     result.notes = (
         f"the (1 + 6 eps) guarantee contrasts with the e/(e-1) ~ {E_OVER_E_MINUS_1:.3f} "

@@ -14,12 +14,13 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
+from repro import parallel
 from repro.baselines.briest import briest_style_ufp
 from repro.baselines.exact import exact_ufp
 from repro.baselines.greedy import greedy_ufp_by_density, greedy_ufp_by_value
 from repro.baselines.randomized_rounding import randomized_rounding_ufp
 from repro.core.bounded_ufp import bounded_ufp
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ExperimentResult, ratio
 from repro.mechanism.payments import compute_ufp_payments
 from repro.flows.generators import (
     hotspot_instance,
@@ -193,7 +194,7 @@ def run(
     )
     # Exact optimum as ground truth on a small extra cell.
     tasks = [*workloads.items(), ("small-exact", small)]
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     result.notes = (
         "ratios are against the fractional optimum; randomized rounding is included "

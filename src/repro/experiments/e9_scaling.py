@@ -10,9 +10,10 @@ scaling trend (it is not a theorem, so no claim is attached to it).
 
 from __future__ import annotations
 
+from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.bounded_ufp_repeat import bounded_ufp_repeat
-from repro.experiments.harness import CellOutcome, ExperimentResult, map_cells
+from repro.experiments.harness import CellOutcome, ExperimentResult
 from repro.flows.generators import random_instance
 from repro.utils.prng import spawn_rngs
 
@@ -113,7 +114,7 @@ def run(
     rngs = spawn_rngs(seed, len(sizes))
     epsilon = 0.3
     tasks = [(size, rng, epsilon) for size, rng in zip(sizes, rngs)]
-    result.merge(map_cells(_cell, tasks, jobs=jobs))
+    result.merge(parallel.pmap(_cell, tasks, jobs=jobs))
 
     result.notes = "wall-clock times are informational; the claims are the iteration bounds."
     return result

@@ -1,25 +1,22 @@
 """Common result container and helpers for experiments.
 
-Besides the :class:`ExperimentResult` container this module hosts the
-experiment **fan-out**: every E-module shapes its sweep as a list of
-independent cell tasks (each carrying its own pre-derived RNG), a
-module-level cell function returning a :class:`CellOutcome`, and one
-:func:`map_cells` call.  ``map_cells`` routes the cells through
-:func:`repro.parallel.pmap`, so ``repro.experiments --jobs N`` fans a sweep
-out over worker processes while keeping the merged result bit-identical to
-the serial run (rows and claims are reassembled in cell order; wall-clock
-columns are, as always, timing-noise)."""
+Every E-module shapes its sweep as a list of independent cell tasks (each
+carrying its own pre-derived RNG), a module-level cell function returning a
+:class:`CellOutcome`, and one :func:`repro.parallel.pmap` call, so
+``repro.experiments --jobs N`` fans a sweep out over worker processes while
+keeping the merged result bit-identical to the serial run (rows and claims
+are reassembled in cell order; wall-clock columns are, as always,
+timing-noise)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro import parallel
 from repro.utils.tables import Table
 
-__all__ = ["ExperimentResult", "CellOutcome", "map_cells", "ratio"]
+__all__ = ["ExperimentResult", "CellOutcome", "ratio"]
 
 
 def ratio(optimum: float, achieved: float) -> float:
@@ -48,25 +45,6 @@ class CellOutcome:
 
     def claim(self, description: str, holds: bool) -> None:
         self.claims.append((description, bool(holds)))
-
-
-def map_cells(
-    cell_fn: Callable[[Any], CellOutcome],
-    tasks: Sequence[Any],
-    *,
-    jobs: int | None = None,
-    on_error: str = "raise",
-) -> list[CellOutcome]:
-    """Run ``cell_fn`` over independent cell tasks, serially or fanned out.
-
-    Thin façade over :func:`repro.parallel.pmap`; the determinism contract
-    applies — each task must carry everything its cell needs (parameters and
-    a pre-derived RNG), so results are bit-identical at any ``jobs``.
-    With ``on_error="capture"`` a failing (or crashing) cell yields a
-    :class:`repro.parallel.WorkerError` in its slot instead of aborting the
-    other cells.
-    """
-    return parallel.pmap(cell_fn, tasks, jobs=jobs, on_error=on_error)
 
 
 @dataclass

@@ -152,7 +152,7 @@ class CompactTree:
     a quarter of a list's memory.  ``edge_mask`` has bit ``e`` set for
     every parent edge ``e``: the pricing engine evicts a cached tree when
     its mask meets a committed path.  Trees are immutable once built, so
-    caches and checkpoints share them by reference.
+    engine forks share them by reference.
     """
 
     __slots__ = ("source", "dist", "parent_vertex", "parent_edge", "edge_mask")

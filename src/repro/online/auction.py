@@ -99,7 +99,7 @@ def drain_engine(
 
     ``trace`` optionally records the drain as a
     :class:`repro.core.trace.TraceRecorder` run (the caller is responsible
-    for ``begin_path_run``/``finish`` around this call — see
+    for ``begin_run``/``finish`` around this call — see
     :class:`_BatchDrain`).
 
     ``capacity_guard`` is the fault-mode feasibility backstop: a callable
@@ -125,9 +125,8 @@ class _BatchDrain:
     ``drain(instance, *, trace=None)`` drains ``instance.requests`` (the
     batch's pool) from the dual state ``snapshot`` under the live run's
     policy and returns the admissions as an :class:`Allocation`.  Each call
-    restores one scratch :class:`DualWeights` from the snapshot in place,
-    so the probes of a batch's critical values allocate no weight vector;
-    the snapshot itself is never mutated.
+    drains on its own ``snapshot.copy()``, so the snapshot itself is never
+    mutated.
     """
 
     def __init__(
@@ -138,20 +137,18 @@ class _BatchDrain:
         score_threshold: float,
     ) -> None:
         self._snapshot = snapshot
-        self._duals = snapshot.copy()
         self._admission = admission
         self._threshold = score_threshold
 
     def __call__(self, instance: UFPInstance, *, trace=None) -> Allocation:
-        duals = self._duals
-        duals.restore_from(self._snapshot)
-        engine = PathPricingEngine(instance.graph, instance.requests, duals)
+        engine = PathPricingEngine(
+            instance.graph, instance.requests, self._snapshot.copy()
+        )
         if trace is not None:
-            trace.begin_path_run(
-                mode="drain",
+            trace.begin_run(
                 engine=engine,
                 iteration_cap=None,
-                instance=instance,
+                requests=instance.requests,
                 admission=self._admission,
                 score_threshold=self._threshold,
             )

@@ -19,7 +19,8 @@ Determinism contract
   (``ProcessPoolExecutor.map`` semantics);
 * all randomness must be *pre-derived* per task before the fan-out — pass
   seeds or pre-spawned :class:`numpy.random.Generator` objects inside the
-  tasks (see :func:`derive_seeds`); workers never share an RNG stream;
+  tasks (see :func:`repro.utils.prng.spawn_rngs`); workers never share an
+  RNG stream;
 * ``fn`` must be a pure function of ``(task, payload)``: shared mutable
   state would diverge between the serial and parallel paths.
 
@@ -58,12 +59,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-import numpy as np
-
 __all__ = [
     "pmap",
     "resolve_jobs",
-    "derive_seeds",
     "worker_payload",
     "in_worker",
     "WorkerError",
@@ -180,22 +178,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return max(1, jobs)
 
 
-def derive_seeds(seed: int | np.random.Generator | None, count: int) -> list[int]:
-    """Derive ``count`` independent integer seeds from a root seed.
-
-    The derivation matches :func:`repro.utils.prng.spawn_rngs` (one parent
-    generator, one ``integers`` draw per child), so a sweep that used to
-    spawn generators serially can pre-derive the same per-task seeds, ship
-    them to workers, and reconstruct identical generators there.
-    """
-    from repro.utils.prng import ensure_rng
-
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    parent = ensure_rng(seed)
-    return [int(s) for s in parent.integers(0, 2**63 - 1, size=count, dtype=np.int64)]
-
-
 def _fork_child_init() -> None:
     """Initializer for fork-context workers: state is inherited, only the
     in-worker flag needs flipping (it is False in the parent at fork time)."""
@@ -232,18 +214,11 @@ def _invoke_capture_chunk(chunk: Sequence[Any]) -> list[Any]:
     return out
 
 
-def _default_chunk_size(num_tasks: int, jobs: int) -> int:
-    # Four chunks per worker balances scheduling slack against per-chunk
-    # pickling overhead; tiny task lists degenerate to one task per chunk.
-    return max(1, math.ceil(num_tasks / (jobs * 4)))
-
-
 def pmap(
     fn: Callable[[T], R],
     tasks: Iterable[T] | Sequence[T],
     *,
     jobs: int | None = None,
-    chunk_size: int | None = None,
     payload: Any = None,
     on_error: str = "raise",
 ) -> list[R]:
@@ -260,9 +235,8 @@ def pmap(
         The task sequence; results are returned in the same order.
     jobs:
         Worker processes.  ``None`` → ``REPRO_JOBS`` env var → 1.  ``1``
-        runs in-process (bit-identical results either way).
-    chunk_size:
-        Tasks per pickled work item (default: ~4 chunks per worker).
+        runs in-process (bit-identical results either way).  Tasks travel
+        in chunks, about four per worker.
     payload:
         Large read-only state shipped once per worker instead of per task;
         read it inside ``fn`` via :func:`worker_payload`.
@@ -300,8 +274,9 @@ def pmap(
         finally:
             _WORKER_FN, _WORKER_PAYLOAD = prev_fn, prev_payload
 
-    if chunk_size is None:
-        chunk_size = _default_chunk_size(len(tasks), jobs)
+    # Four chunks per worker balances scheduling slack against per-chunk
+    # pickling overhead; tiny task lists degenerate to one task per chunk.
+    per_chunk = max(1, math.ceil(len(tasks) / (jobs * 4)))
 
     start_methods = multiprocessing.get_all_start_methods()
     use_fork = "fork" in start_methods
@@ -334,10 +309,10 @@ def pmap(
             )
         if on_error != "capture":
             with executor:
-                return list(executor.map(_invoke, tasks, chunksize=chunk_size))
+                return list(executor.map(_invoke, tasks, chunksize=per_chunk))
         chunks = [
-            tasks[start : start + chunk_size]
-            for start in range(0, len(tasks), chunk_size)
+            tasks[start : start + per_chunk]
+            for start in range(0, len(tasks), per_chunk)
         ]
         by_chunk: list[list[Any] | None] = [None] * len(chunks)
         broken: list[int] = []

@@ -15,9 +15,8 @@ product of
   critical-value payments), the repetitions variant, and online streaming
   auctions (:mod:`repro.scenarios.runner`).
 
-Campaign cells fan out through :func:`repro.experiments.harness.map_cells`
-(and hence :func:`repro.parallel.pmap` — bit-identical at any ``jobs``)
-and every completed cell is committed to a persistent JSONL
+Campaign cells fan out through :func:`repro.parallel.pmap` (bit-identical
+at any ``jobs``) and every completed cell is committed to a persistent JSONL
 :class:`~repro.scenarios.store.ResultStore` as one self-checking line
 (its cell's content hash, its record and a SHA-256 of both), so
 ``repro.scenarios run/resume`` skips already-computed cells after a crash

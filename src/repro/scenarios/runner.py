@@ -7,8 +7,7 @@ the online streaming auction — and returns a flat, JSON-safe record of
 deterministic metrics (no wall-clock: records must be bit-identical at any
 ``jobs``, which is what makes store hashes comparable across runs).
 
-Cells flow through :func:`repro.experiments.harness.map_cells` (and hence
-:func:`repro.parallel.pmap`) in *waves*: after each wave the completed
+Cells flow through :func:`repro.parallel.pmap` in *waves*: after each wave the completed
 cells are committed to the :class:`~repro.scenarios.store.ResultStore` in
 cell order, one self-checking line per cell, so a killed campaign resumes
 from its committed lines and recomputes only what is missing.  Wave size
@@ -46,7 +45,7 @@ from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.bounded_ufp_repeat import bounded_ufp_repeat
 from repro.exceptions import InvalidInstanceError
-from repro.experiments.harness import CellOutcome, map_cells, ratio
+from repro.experiments.harness import CellOutcome, ratio
 from repro.flows.instance import UFPInstance
 from repro.mechanism.payments import compute_ufp_payments
 from repro.online.arrivals import (
@@ -651,7 +650,7 @@ def run_campaign(
             # SIGALRM-interrupted attempt (half-updated duals, a poisoned
             # pricing heap) can leak into the retry.  The regression test
             # pins retried-after-timeout == untimed, bit for bit.
-            outcomes = map_cells(
+            outcomes = parallel.pmap(
                 _guarded_run_cell,
                 [(cell, cell_timeout) for cell in remaining],
                 jobs=jobs,

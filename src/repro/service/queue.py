@@ -21,11 +21,12 @@ Delivery semantics
   *before* the DONE acknowledgement (effectively exactly once).
 * **Fenced leases** — every lease carries a monotonically increasing
   fencing token (global across the root, persisted in the LEASED event).
-  ``heartbeat``/``complete``/``report_failure`` reject a stale token with
-  :class:`LeaseLostError`: a worker whose lease expired and was re-leased
-  to a peer can never acknowledge over the peer's run, no matter how the
-  schedulers interleave.  Result directories are suffixed by token on the
-  supervisor side, so two live attempts never interleave writes either.
+  ``heartbeat``/``complete``/``report_failure`` require it and reject a
+  stale token with :class:`LeaseLostError`: a worker whose lease expired
+  and was re-leased to a peer can never acknowledge over the peer's run,
+  no matter how the schedulers interleave.  Result directories are
+  suffixed by token on the supervisor side, so two live attempts never
+  interleave writes either.
 * **Circuit breaker** — every failure or lease expiry increments the job's
   attempt count; at ``max_attempts`` the job trips to FAILED (quarantined
   with its error and full traceback, never silently dropped or retried
@@ -734,7 +735,7 @@ class JobQueue:
                 at=self.clock(),
             )
 
-    def _held(self, job_id: str, worker: str, token: int | None = None) -> Job:
+    def _held(self, job_id: str, worker: str, token: int) -> Job:
         job = self._jobs.get(job_id)
         if job is None:
             raise UnknownJobError(job_id)
@@ -743,7 +744,7 @@ class JobQueue:
                 f"job {job_id} is not held by {worker!r} "
                 f"(state={job.state}, worker={job.worker!r})"
             )
-        if token is not None and job.fence != token:
+        if job.fence != token:
             raise LeaseLostError(
                 f"stale fencing token {token} for job {job_id} "
                 f"(current token {job.fence}) — the lease was re-issued"
@@ -756,7 +757,7 @@ class JobQueue:
         worker: str,
         now: float | None = None,
         *,
-        token: int | None = None,
+        token: int,
     ) -> Job:
         """Extend the lease; raises :class:`LeaseLostError` if it is gone.
 
@@ -783,7 +784,7 @@ class JobQueue:
         job_id: str,
         worker: str,
         *,
-        token: int | None = None,
+        token: int,
         content_hash: str | None = None,
     ) -> Job:
         """Acknowledge success.  The caller must have committed the result
@@ -806,10 +807,10 @@ class JobQueue:
         worker: str,
         error: str,
         *,
+        token: int,
         error_type: str = "JobError",
         traceback: str | None = None,
         delay: float = 0.0,
-        token: int | None = None,
     ) -> Job:
         """Record a failed attempt: re-queue with backoff, or trip the
         breaker to FAILED once ``max_attempts`` is reached (quarantine —

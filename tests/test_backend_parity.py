@@ -23,8 +23,8 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
     DIJKSTRA_SEEDS,
     MUCA_SEEDS,
     ONLINE_SEEDS,
-    REPEAT_SEEDS,
-    UFP_SEEDS,
+    REPEAT_CASES,
+    UFP_CASES,
     _assert_same_allocation,
     _ufp_instance,
 )
@@ -65,7 +65,7 @@ def _run_combo(family, seed, combo, make_instance, solve):
 
 
 @pytest.mark.parametrize("combo", COMBOS)
-@pytest.mark.parametrize("seed", UFP_SEEDS)
+@pytest.mark.parametrize("seed", UFP_CASES)
 def test_bounded_ufp_parity(seed, combo):
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     actual, expected = _run_combo(
@@ -77,7 +77,7 @@ def test_bounded_ufp_parity(seed, combo):
 
 
 @pytest.mark.parametrize("combo", COMBOS)
-@pytest.mark.parametrize("seed", REPEAT_SEEDS)
+@pytest.mark.parametrize("seed", REPEAT_CASES)
 def test_bounded_ufp_repeat_parity(seed, combo):
     epsilon = [0.5, 1.0][seed % 2]
     actual, expected = _run_combo(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.auctions import random_auction
 from repro.core import (
+    BundlePricingEngine,
     DualWeights,
     PathPricingEngine,
     bounded_muca,
@@ -29,6 +30,7 @@ from repro.core import (
     reference_bounded_ufp,
     reference_bounded_ufp_repeat,
 )
+from repro.core.pricing_engine import greedy_rounds
 from repro.flows import random_instance
 from repro.graphs import random_digraph, reference_dijkstra, single_source_dijkstra
 from repro.mechanism import compute_ufp_payments
@@ -429,6 +431,60 @@ class TestStreamingEngineAPI:
         assert (first.index, first.score, first.edge_ids) == (
             again.index, again.score, again.edge_ids
         )
+
+
+# --------------------------------------------------------------------- #
+# Forks: independent engines, in the constructor's instance layout
+# --------------------------------------------------------------------- #
+def _rounds(engine):
+    return [
+        (selection.index, selection.score, selection.edge_ids)
+        for selection in greedy_rounds(engine)
+    ]
+
+
+class TestFork:
+    def _path_engine(self):
+        instance = random_instance(
+            num_vertices=9, edge_probability=0.3, capacity=10.0,
+            num_requests=20, demand_range=(0.3, 1.0), seed=5,
+        )
+        duals = DualWeights(instance.graph.capacities, 0.5)
+        return PathPricingEngine(instance.graph, instance.requests, duals)
+
+    def _bundle_engine(self):
+        auction = random_auction(
+            num_items=8, num_bids=20, multiplicity=12.0, bundle_size_range=(1, 3),
+            seed=5,
+        )
+        return BundlePricingEngine(auction, DualWeights(auction.multiplicities, 0.5))
+
+    @pytest.mark.parametrize("make", ["_path_engine", "_bundle_engine"])
+    def test_fork_has_the_constructor_layout(self, make):
+        """A fork's attributes are assigned in ``__init__``'s order, so
+        attribute reads on the hot loops meet one instance layout."""
+        engine = getattr(self, make)()
+        for _ in zip(range(3), greedy_rounds(engine)):
+            pass
+        fork = engine.fork()
+        assert list(vars(fork)) == list(vars(getattr(self, make)()))
+        assert list(vars(fork.fork())) == list(vars(fork))
+
+    @pytest.mark.parametrize("make", ["_path_engine", "_bundle_engine"])
+    def test_fork_runs_independently(self, make):
+        """A fork taken mid-run finishes the run exactly as the engine it
+        was forked from, and neither run moves the other's duals."""
+        engine = getattr(self, make)()
+        head = list(zip(range(3), greedy_rounds(engine)))
+        assert len(head) == 3
+        fork = engine.fork()
+        assert fork.duals is not engine.duals
+        weights = engine.duals.weights.copy()
+        tail = _rounds(fork)
+        assert tail
+        assert np.array_equal(engine.duals.weights, weights)
+        assert _rounds(engine) == tail
+        assert engine.duals.weights.tobytes() == fork.duals.weights.tobytes()
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,10 @@ failures reproduce) and asserts exact equality:
 * ``bounded_muca``          vs ``reference_bounded_muca``
 * ``single_source_dijkstra`` vs ``reference_dijkstra`` (distances, parents)
 
+The Bounded-UFP and repetitions corpora keep 13 and 4 seeds that route
+nothing (``UFP_EMPTY``, ``REPEAT_EMPTY``) and add as many spares that do
+(``UFP_SPARES``, ``REPEAT_SPARES``), so 50 cases of each route something.
+
 The online driver is included too: a whole stream submitted as one batch
 must replay offline ``Bounded-UFP`` decision by decision.
 """
@@ -51,6 +55,32 @@ REPEAT_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=50)]
 MUCA_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=50)]
 DIJKSTRA_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=50)]
 ONLINE_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=10)]
+#: The next draws of the same stream, where the spares below come from.
+_SPARE_DRAWS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=23)]
+
+#: Corpus seeds whose run routes nothing at their suite's epsilon: the
+#: starting budget ``m`` already exceeds ``e^{eps(B-1)}``, so both sides of
+#: every comparison on them stop before the first round.
+UFP_EMPTY = (
+    1385405112, 273010486, 191759064, 19711483, 1825666469, 760496935,
+    2115074043, 121633782, 775256091, 194407857, 550982277, 231014553,
+    1691693866,
+)
+REPEAT_EMPTY = (1737198678, 1797203766, 1704566390, 242723650)
+
+#: One spare per empty seed: the routing draws of ``_SPARE_DRAWS``, in stream
+#: order, the Bounded-UFP spares first.  The engine-vs-reference,
+#: probe-replay and tree-parity suites run ``UFP_CASES`` and
+#: ``REPEAT_CASES``, so 50 of each suite's corpus cases route something
+#: (``test_corpus_cases_route_something`` keeps it so).
+UFP_SPARES = [
+    855398816, 1369192198, 748785652, 1784441702, 578738828, 1945629450,
+    1815957869, 641361370, 2008521134, 179811747, 1726992998, 1122025228,
+    705784961,
+]
+REPEAT_SPARES = [2138436915, 1816831148, 382220844, 692999219]
+UFP_CASES = UFP_SEEDS + UFP_SPARES
+REPEAT_CASES = REPEAT_SEEDS + REPEAT_SPARES
 
 
 def _ufp_instance(seed: int, *, max_requests: int = 24):
@@ -118,10 +148,11 @@ def _contended_instance(seed: int) -> UFPInstance:
     return UFPInstance(graph, base.requests, name="contended")
 
 
-def _ufp_cases(seeds) -> list:
-    """``(seed, contended)`` inputs: every seed of the corpus (id ``<seed>``),
-    then the contended family on the same seeds (id ``contended-<seed>``)."""
-    return [pytest.param(seed, False, id=str(seed)) for seed in seeds] + [
+def _ufp_cases(seeds, spares=()) -> list:
+    """``(seed, contended)`` inputs: every seed of the corpus and of
+    ``spares`` (id ``<seed>``), then the contended family on ``seeds`` (id
+    ``contended-<seed>``)."""
+    return [pytest.param(seed, False, id=str(seed)) for seed in (*seeds, *spares)] + [
         pytest.param(seed, True, id=f"contended-{seed}") for seed in seeds
     ]
 
@@ -131,6 +162,42 @@ def _ufp_case(seed: int, contended: bool) -> tuple[UFPInstance, float]:
     if contended:
         return _contended_instance(seed), CONTENDED_EPSILON
     return _ufp_instance(seed), [0.3, 0.5, 1.0][seed % 3]
+
+
+def _corpus_case(seed: int, repeat: bool) -> tuple[UFPInstance, float]:
+    """The instance and epsilon of the Bounded-UFP corpus case of ``seed``
+    (the repetitions one with ``repeat``)."""
+    if repeat:
+        return _ufp_instance(seed, max_requests=10), [0.5, 1.0][seed % 2]
+    return _ufp_instance(seed), [0.3, 0.5, 1.0][seed % 3]
+
+
+def _routes(seed: int, repeat: bool) -> bool:
+    """Whether the corpus case of ``seed`` routes at least one request."""
+    solve = bounded_ufp_repeat if repeat else bounded_ufp
+    return bool(solve(*_corpus_case(seed, repeat)).routed)
+
+
+def test_corpus_cases_route_something():
+    """Every corpus case routes a request, except the pinned empty seeds,
+    which stop on their starting budget; and the spares are the routing
+    draws that follow the corpus in the pinned stream."""
+    for cases, empty, repeat in (
+        (UFP_CASES, UFP_EMPTY, False),
+        (REPEAT_CASES, REPEAT_EMPTY, True),
+    ):
+        assert [seed for seed in cases if not _routes(seed, repeat)] == list(empty)
+        assert len(cases) - len(empty) == 50
+        for seed in empty:
+            instance, epsilon = _corpus_case(seed, repeat)
+            budget_limit = math.exp(epsilon * (instance.graph.capacities.min() - 1.0))
+            assert instance.num_edges > budget_limit, seed
+    draws = iter(_SPARE_DRAWS)
+    spares = [
+        [next(seed for seed in draws if _routes(seed, repeat)) for _ in empty]
+        for empty, repeat in ((UFP_EMPTY, False), (REPEAT_EMPTY, True))
+    ]
+    assert spares == [UFP_SPARES, REPEAT_SPARES]
 
 
 def _assert_budget_stop(allocation) -> None:
@@ -148,7 +215,7 @@ def _assert_same_allocation(actual, expected) -> None:
     assert actual.value == expected.value  # exact, not approx
 
 
-@pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS))
+@pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS, UFP_SPARES))
 def test_bounded_ufp_matches_reference(seed, contended):
     instance, epsilon = _ufp_case(seed, contended)
     allocation = bounded_ufp(instance, epsilon)
@@ -157,7 +224,7 @@ def test_bounded_ufp_matches_reference(seed, contended):
         _assert_budget_stop(allocation)
 
 
-@pytest.mark.parametrize("seed", REPEAT_SEEDS)
+@pytest.mark.parametrize("seed", REPEAT_CASES)
 def test_bounded_ufp_repeat_matches_reference(seed):
     instance = _ufp_instance(seed, max_requests=10)
     epsilon = [0.5, 1.0][seed % 2]

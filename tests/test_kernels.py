@@ -14,8 +14,8 @@ the tree-level parity in ``test_tree_parity.py``; this module covers:
 * the MUCA engine's initial bundle scores against per-bundle sums;
 * the path engine's tree-cache eviction: its ``edge_mask`` probe against
   the parent-edge oracle of ``compute_paths.py`` on random workloads and
-  across a checkpoint restore, and on real runs after every commit,
-  checked against fresh trees and each cached tree's parent edges;
+  on a fork, and on real runs after every commit and fork, checked
+  against fresh trees and each cached tree's parent edges;
 * end-to-end: traced payments and campaign-store content hashes are
   bit-identical across tree paths and commit paths and across ``jobs=``.
 """
@@ -38,7 +38,7 @@ from compute_paths import (
     stale_sources,
     tree_path,
 )
-from test_differential_fuzz import REPEAT_SEEDS, UFP_SEEDS, _ufp_instance
+from test_differential_fuzz import REPEAT_SEEDS, UFP_EMPTY, UFP_SEEDS, _ufp_instance
 
 from repro import kernels
 from repro.core import DualWeights, PathPricingEngine
@@ -196,21 +196,21 @@ class TestInvalidationIndex:
         assert a.stats.trees_invalidated == b.stats.trees_invalidated == evictions > 0
 
     def test_snapshots_restore_across_flavors(self):
-        """A checkpoint restores the tree cache into a fresh engine, and both
-        commit paths then evict the same sources from it."""
+        """A fork carries the tree cache, both commit paths evict the same
+        sources from it, and the forked engine keeps its cache."""
         trees = {1: _FakeTree({2, 5}), 3: _FakeTree({5, 9}), 7: _FakeTree({70})}
         engine = _empty_engine()
         engine._trees.update(trees)
-        checkpoint = engine.fork()
         for commit in COMMIT_PATHS:
-            restored = _empty_engine()
-            restored.restore(checkpoint)
-            assert _evict(restored, [5], commit) == [1, 3]
-            assert _evict(restored, [70], commit) == [7]
-            assert _evict(restored, [2, 9], commit) == []
-            assert restored._source_epoch == {1: 1, 3: 1, 7: 1}
-            assert restored.stats.trees_invalidated == 3
+            fork = engine.fork()
+            assert _evict(fork, [5], commit) == [1, 3]
+            assert _evict(fork, [70], commit) == [7]
+            assert _evict(fork, [2, 9], commit) == []
+            assert fork._source_epoch == {1: 1, 3: 1, 7: 1}
+            assert fork.stats.trees_invalidated == 3
         assert engine._trees == trees
+        assert engine._source_epoch == {}
+        assert engine.stats.trees_invalidated == 0
 
 
 # --------------------------------------------------------------------- #
@@ -229,8 +229,9 @@ def _assert_cached_trees_exact(engine):
 @contextmanager
 def _checked_engines():
     """Patch :class:`PathPricingEngine` so every commit, replay commit,
-    checkpoint restore and substrate rebind is checked on the spot; yields
-    the count of checks made per method.
+    fork and substrate rebind is checked on the spot (a fork's tree cache
+    must be exact under its own weights); yields the count of checks made
+    per method.
 
     After a commit, the evicted sources must be exactly the cached ones
     whose ``parent_edge`` array holds an edge of the committed path (read
@@ -238,10 +239,10 @@ def _checked_engines():
     every tree left in the cache must be exact: a stale tree and an extra
     eviction both fail.
     """
-    counts = {"commit": 0, "replay_commit": 0, "restore": 0, "rebind_substrate": 0}
+    counts = {"commit": 0, "replay_commit": 0, "fork": 0, "rebind_substrate": 0}
     commit = PathPricingEngine.commit
     replay_commit = PathPricingEngine.replay_commit
-    restore = PathPricingEngine.restore
+    fork = PathPricingEngine.fork
     rebind = PathPricingEngine.rebind_substrate
 
     def check_evictions(name, engine, before, path):
@@ -259,10 +260,11 @@ def _checked_engines():
         replay_commit(self, index, sorted_edge_ids, edge_ids)
         check_evictions("replay_commit", self, before, edge_ids)
 
-    def checked_restore(self, checkpoint):
-        restore(self, checkpoint)
-        _assert_cached_trees_exact(self)
-        counts["restore"] += 1
+    def checked_fork(self):
+        forked = fork(self)
+        _assert_cached_trees_exact(forked)
+        counts["fork"] += 1
+        return forked
 
     def checked_rebind(self, graph, duals):
         rebind(self, graph, duals)
@@ -273,7 +275,7 @@ def _checked_engines():
         PathPricingEngine,
         commit=checked_commit,
         replay_commit=checked_replay_commit,
-        restore=checked_restore,
+        fork=checked_fork,
         rebind_substrate=checked_rebind,
     ):
         yield counts
@@ -281,7 +283,9 @@ def _checked_engines():
 
 class TestEngineInvalidation:
     @pytest.mark.parametrize("trees", TREE_PATHS)
-    @pytest.mark.parametrize("seed", UFP_SEEDS[1:5])  # UFP_SEEDS[0] routes nothing
+    @pytest.mark.parametrize(
+        "seed", [seed for seed in UFP_SEEDS if seed not in UFP_EMPTY][:4]
+    )
     def test_bounded_ufp(self, seed, trees):
         with tree_path(trees), _checked_engines() as counts:
             allocation = bounded_ufp(_ufp_instance(seed), [0.3, 0.5, 1.0][seed % 3])
@@ -297,8 +301,8 @@ class TestEngineInvalidation:
 
     @pytest.mark.parametrize("trees", TREE_PATHS)
     def test_traced_payments(self, trees):
-        """Trace replays restore checkpoints and re-apply recorded rounds
-        through ``replay_commit``."""
+        """Trace recording forks checkpoints, and replays fork them and
+        re-apply recorded rounds through ``replay_commit``."""
         instance = _payment_instance(23)
         with tree_path(trees), _checked_engines() as counts:
             allocation = bounded_ufp(instance, 0.5)
@@ -308,7 +312,7 @@ class TestEngineInvalidation:
                 allocation,
                 use_trace=True,
             )
-        assert counts["restore"] > 0
+        assert counts["fork"] > 0
         assert counts["replay_commit"] > counts["commit"]
 
     @pytest.mark.parametrize("trees", TREE_PATHS)

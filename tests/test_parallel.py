@@ -100,15 +100,6 @@ class TestPmap:
         with pytest.warns(UserWarning):
             assert parallel.resolve_jobs(None) == 1
 
-    def test_derive_seeds_matches_spawn_rngs(self):
-        from repro.utils.prng import spawn_rngs
-
-        seeds = parallel.derive_seeds(123, 6)
-        rngs = spawn_rngs(123, 6)
-        rebuilt = [np.random.default_rng(s) for s in seeds]
-        for a, b in zip(rebuilt, rngs):
-            assert a.integers(0, 2**31).item() == b.integers(0, 2**31).item()
-
 
 class TestPaymentsJobsDeterminism:
     def test_ufp_payments_bit_identical_across_jobs(self):
@@ -296,9 +287,7 @@ class TestCaptureMode:
         # Task 2 SIGKILLs its worker.  Capture mode must report exactly that
         # task as a WorkerCrash and still return every other task's result
         # (via the isolated per-task retry of the poisoned chunks).
-        results = parallel.pmap(
-            _kill_self, range(6), jobs=2, chunk_size=1, on_error="capture"
-        )
+        results = parallel.pmap(_kill_self, range(6), jobs=2, on_error="capture")
         assert isinstance(results[2], parallel.WorkerError)
         assert results[2].error_type == "WorkerCrash"
         for x in (0, 1, 3, 4, 5):
@@ -308,7 +297,7 @@ class TestCaptureMode:
         from concurrent.futures.process import BrokenProcessPool
 
         with pytest.raises(BrokenProcessPool):
-            parallel.pmap(_kill_self, range(6), jobs=2, chunk_size=1)
+            parallel.pmap(_kill_self, range(6), jobs=2)
 
 
 class TestCapturedTracebacks:
@@ -316,7 +305,7 @@ class TestCapturedTracebacks:
     boundary, so a quarantined failure is debuggable from the record alone."""
 
     def test_capture_preserves_the_raising_frame(self):
-        results = parallel.pmap(_boom, range(4), jobs=2, chunk_size=1, on_error="capture")
+        results = parallel.pmap(_boom, range(4), jobs=2, on_error="capture")
         error = results[1]
         assert isinstance(error, parallel.WorkerError)
         assert "ValueError: boom at 1" in error.traceback
@@ -326,7 +315,7 @@ class TestCapturedTracebacks:
         """jobs=1 and jobs=N captures must be the same bytes — the capture
         site's own frame is trimmed so only the task's frames remain."""
         serial = parallel.pmap(_boom, range(4), jobs=1, on_error="capture")
-        pooled = parallel.pmap(_boom, range(4), jobs=2, chunk_size=1, on_error="capture")
+        pooled = parallel.pmap(_boom, range(4), jobs=2, on_error="capture")
         assert serial[1].traceback == pooled[1].traceback
 
     def test_pickle_roundtrip_keeps_the_traceback(self):

@@ -219,19 +219,19 @@ class TestJobQueue:
     def test_heartbeat_extends_and_detects_loss(self, tmp_path):
         queue, clock = self._queue(tmp_path)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         clock.advance(20.0)
-        extended = queue.heartbeat(job.id, "w0")
+        extended = queue.heartbeat(job.id, "w0", token=token)
         assert extended.lease_expires_at == clock.now + 30.0
         with pytest.raises(LeaseLostError):
-            queue.heartbeat(job.id, "w1")
+            queue.heartbeat(job.id, "w1", token=token)
         with pytest.raises(UnknownJobError):
-            queue.heartbeat("nope", "w0")
+            queue.heartbeat("nope", "w0", token=token)
 
     def test_expired_lease_requeues_and_counts_an_attempt(self, tmp_path):
         queue, clock = self._queue(tmp_path)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         clock.advance(31.0)
         requeued = queue.lease("w1")
         assert requeued.id == job.id
@@ -239,13 +239,15 @@ class TestJobQueue:
         # The original holder discovers the loss at its next heartbeat.
         clock.advance(1.0)
         with pytest.raises(LeaseLostError):
-            queue.heartbeat(job.id, "w0")
+            queue.heartbeat(job.id, "w0", token=token)
 
     def test_circuit_breaker_quarantines_poison_jobs(self, tmp_path):
         queue, clock = self._queue(tmp_path, max_attempts=2)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
-        queue.report_failure(job.id, "w0", "boom", error_type="ValueError", delay=0.0)
+        token = queue.lease("w0").fence
+        queue.report_failure(
+            job.id, "w0", "boom", token=token, error_type="ValueError", delay=0.0
+        )
         assert queue.get(job.id).state == "QUEUED"
         queue.lease("w0")
         clock.advance(31.0)  # second attempt dies silently: lease expires
@@ -264,11 +266,12 @@ class TestJobQueue:
     def test_failure_traceback_survives_in_status(self, tmp_path):
         queue, _ = self._queue(tmp_path, max_attempts=1)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         queue.report_failure(
             job.id,
             "w0",
             "ValueError: boom",
+            token=token,
             error_type="ValueError",
             traceback="Traceback (most recent call last):\n  ...\nValueError: boom\n",
         )
@@ -280,18 +283,18 @@ class TestJobQueue:
     def test_cancel_revokes_the_lease(self, tmp_path):
         queue, _ = self._queue(tmp_path)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         queue.cancel(job.id)
         with pytest.raises(LeaseLostError):
-            queue.complete(job.id, "w0")
+            queue.complete(job.id, "w0", token=token)
         # Cancelling a terminal job is a no-op, not an error.
         assert queue.cancel(job.id).state == "CANCELLED"
 
     def test_retry_backoff_holds_the_job_back(self, tmp_path):
         queue, clock = self._queue(tmp_path)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
-        queue.report_failure(job.id, "w0", "boom", delay=10.0)
+        token = queue.lease("w0").fence
+        queue.report_failure(job.id, "w0", "boom", token=token, delay=10.0)
         assert queue.lease("w0") is None  # not_before still in the future
         clock.advance(10.0)
         assert queue.lease("w0").id == job.id
@@ -304,11 +307,14 @@ class TestJobQueue:
         done, _ = queue.submit({"suite": _suite("b")})
         flaky, _ = queue.submit({"suite": _suite("c")})
         queue.lease("w0")  # a -> RUNNING
-        queue.lease("w1")  # b -> RUNNING
-        queue.heartbeat(done.id, "w1")
-        queue.complete(done.id, "w1")
-        queue.lease("w2")  # c -> RUNNING
-        queue.report_failure(flaky.id, "w2", "boom", error_type="ValueError", delay=5.0)
+        done_token = queue.lease("w1").fence  # b -> RUNNING
+        queue.heartbeat(done.id, "w1", token=done_token)
+        queue.complete(done.id, "w1", token=done_token)
+        flaky_token = queue.lease("w2").fence  # c -> RUNNING
+        queue.report_failure(
+            flaky.id, "w2", "boom", token=flaky_token, error_type="ValueError",
+            delay=5.0,
+        )
         expected = queue.state_snapshot()
 
         for _ in range(2):  # replay is deterministic, not just correct once
@@ -496,6 +502,12 @@ class TestFencing:
             queue.heartbeat(job.id, "w0", token=stale_token)
         with pytest.raises(LeaseLostError, match="stale fencing token"):
             queue.report_failure(job.id, "w0", "late", token=stale_token)
+        # No call skips the check by leaving the token out.
+        for call in (queue.complete, queue.heartbeat):
+            with pytest.raises(TypeError):
+                call(job.id, "w0")
+        with pytest.raises(TypeError):
+            queue.report_failure(job.id, "w0", "late")
         # The current holder's token still works.
         assert queue.complete(job.id, "w0", token=again_token).state == "DONE"
 
@@ -540,28 +552,28 @@ class TestClockJumps:
         time, so stepping the wall clock back hours changes nothing."""
         queue, wall, mono = self._queue(tmp_path, max_attempts=10)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         wall.advance(-36_000.0)  # operator steps the wall clock back 10h
         mono.advance(31.0)  # ...but 31 real seconds pass
         stolen = queue.lease("w1")
         assert stolen is not None and stolen.id == job.id
         with pytest.raises(LeaseLostError):
-            queue.heartbeat(job.id, "w0")
+            queue.heartbeat(job.id, "w0", token=token)
 
     def test_forward_wall_jump_cannot_expire_a_live_lease(self, tmp_path):
         queue, wall, mono = self._queue(tmp_path)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
+        token = queue.lease("w0").fence
         wall.advance(36_000.0)  # NTP steps the wall clock forward 10h
         mono.advance(1.0)  # ...one real second later
         assert queue.lease("w1") is None  # the lease is still live
-        assert queue.heartbeat(job.id, "w0").state == "RUNNING"
+        assert queue.heartbeat(job.id, "w0", token=token).state == "RUNNING"
 
     def test_backwards_wall_jump_cannot_extend_retry_backoff(self, tmp_path):
         queue, wall, mono = self._queue(tmp_path, max_attempts=10)
         job, _ = queue.submit({"suite": _suite()})
-        queue.lease("w0")
-        queue.report_failure(job.id, "w0", "boom", delay=5.0)
+        token = queue.lease("w0").fence
+        queue.report_failure(job.id, "w0", "boom", token=token, delay=5.0)
         wall.advance(-36_000.0)
         assert queue.lease("w1") is None  # backoff holds (5 mono seconds)
         mono.advance(5.0)

@@ -52,10 +52,9 @@ def _busy_queue(tmp_path, **kwargs):
     done, _ = queue.submit({"suite": _suite("a")})
     flaky, _ = queue.submit({"suite": _suite("b")})
     running, _ = queue.submit({"suite": _suite("c")})
-    queue.lease("w0")
-    queue.complete(done.id, "w0")
-    queue.lease("w1")
-    queue.report_failure(flaky.id, "w1", "boom", delay=5.0)
+    queue.complete(done.id, "w0", token=queue.lease("w0").fence)
+    token = queue.lease("w1").fence
+    queue.report_failure(flaky.id, "w1", "boom", token=token, delay=5.0)
     queue.lease("w2")  # c -> RUNNING, lease outstanding
     return queue, clock
 
@@ -188,8 +187,7 @@ class TestCompaction:
         )
         job, _ = first.submit({"suite": _suite("a")})
         assert second.get(job.id).state == "QUEUED"  # cursor is warm
-        first.lease("w0")
-        first.complete(job.id, "w0")
+        first.complete(job.id, "w0", token=first.lease("w0").fence)
         first.compact()
         b, _ = first.submit({"suite": _suite("b")})
         assert second.get(job.id).state == "DONE"

@@ -15,7 +15,8 @@ differential-fuzz corpus (the same seed derivation as
 * critical-value payments from tables vs re-runs, on loop trees and on C
   trees, over the corpus and the contended family whose winners pay
   positive critical values;
-* truthfulness audits from tables vs re-runs;
+* truthfulness audits from tables vs re-runs, probe answer by probe
+  answer;
 * online batch payments (greedy and threshold policies) from tables vs
   re-run drains, plus ``jobs=4 == jobs=1`` from tables.
 
@@ -36,7 +37,8 @@ from compute_paths import TREE_PATHS, tree_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     MUCA_SEEDS,
     ONLINE_SEEDS,
-    REPEAT_SEEDS,
+    REPEAT_CASES,
+    UFP_CASES,
     UFP_SEEDS,
     _assert_budget_stop,
     _assert_same_allocation,
@@ -47,6 +49,7 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
 
 from repro.auctions import correlated_auction, random_auction
 from repro.core import (
+    BundleTraceReplayer,
     PathPricingEngine,
     TraceRecorder,
     TraceReplayer,
@@ -60,7 +63,7 @@ from repro.flows import Request, UFPInstance, random_instance
 from repro.graphs import CapacitatedGraph
 from repro.mechanism import compute_muca_payments, compute_ufp_payments
 from repro.mechanism import payments as payments_module
-from repro.mechanism.payments import _record_base_run
+from repro.mechanism.payments import _record_base_run, _RerunOracle
 from repro.mechanism.verification import (
     audit_muca_truthfulness,
     audit_ufp_truthfulness,
@@ -144,7 +147,7 @@ def _assert_path_probes_match_scratch(run, instance, seed) -> None:
             )
 
 
-@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(UFP_SEEDS))
+@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(UFP_CASES))
 def test_ufp_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
@@ -152,7 +155,7 @@ def test_ufp_probe_replay_matches_scratch(seed, max_iterations):
     _assert_path_probes_match_scratch(run, instance, seed)
 
 
-@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(REPEAT_SEEDS))
+@pytest.mark.parametrize("seed,max_iterations", _with_binding_cap(REPEAT_CASES))
 def test_repeat_probe_replay_matches_scratch(seed, max_iterations):
     instance = _ufp_instance(seed, max_requests=10)
     epsilon = [0.5, 1.0][seed % 2]
@@ -332,35 +335,66 @@ def _report_key(report):
     )
 
 
+def _logged_audit(monkeypatch, audit, rule, declared, **kwargs):
+    """Run ``audit`` at ``jobs=1`` with every selection oracle's
+    ``probe_selected`` spied on.  Returns the report, the oracle classes that
+    answered and the ``(index, declaration, answer)`` log of every probe."""
+    log: list = []
+    answered: set = set()
+
+    def spy(original):
+        def probe_selected(self, index, declaration):
+            answer = original(self, index, declaration)
+            answered.add(type(self))
+            log.append((index, declaration, answer))
+            return answer
+
+        return probe_selected
+
+    with monkeypatch.context() as patch:
+        for oracle in (_RerunOracle, TraceReplayer, BundleTraceReplayer):
+            patch.setattr(oracle, "probe_selected", spy(oracle.probe_selected))
+        report = audit(rule, declared, misreports_per_agent=4, jobs=1, **kwargs)
+    return report, answered, log
+
+
+def _assert_audits_agree(monkeypatch, audit, rule, declared, replayer, **kwargs):
+    """The re-run audit and the table audit give the same report and ask
+    the same probes with the same answers, in the same order: a table that
+    answers a misreport wrongly fails here even when the wrong answer makes
+    no deviation profitable."""
+    plain, plain_by, plain_log = _logged_audit(
+        monkeypatch, audit, _rerun(rule), declared, **kwargs
+    )
+    traced, traced_by, traced_log = _logged_audit(
+        monkeypatch, audit, rule, declared, **kwargs
+    )
+    assert (plain_by, traced_by) == ({_RerunOracle}, {replayer})
+    assert _report_key(plain) == _report_key(traced)
+    assert traced_log == plain_log
+
+
 @pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS[::12]))
-def test_ufp_audit_bit_identical(seed, contended):
+def test_ufp_audit_bit_identical(seed, contended, monkeypatch):
     instance, epsilon = _ufp_case(seed, contended)
     rule = partial(bounded_ufp, epsilon=epsilon)
-    agents = _probe_indices(instance.num_requests, seed)
-    plain = audit_ufp_truthfulness(
-        _rerun(rule), instance, agents=agents, misreports_per_agent=4, seed=seed
+    _assert_audits_agree(
+        monkeypatch, audit_ufp_truthfulness, rule, instance, TraceReplayer,
+        agents=_probe_indices(instance.num_requests, seed), seed=seed,
     )
-    traced = audit_ufp_truthfulness(
-        rule, instance, agents=agents, misreports_per_agent=4, seed=seed
-    )
-    assert _report_key(plain) == _report_key(traced)
     if contended:
         _assert_budget_stop(rule(instance))
 
 
 @pytest.mark.parametrize("seed", MUCA_SEEDS[::12])
-def test_muca_audit_bit_identical(seed):
+def test_muca_audit_bit_identical(seed, monkeypatch):
     auction = _muca_auction(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     rule = partial(bounded_muca, epsilon=epsilon)
-    agents = _probe_indices(auction.num_bids, seed)
-    plain = audit_muca_truthfulness(
-        _rerun(rule), auction, agents=agents, misreports_per_agent=4, seed=seed
+    _assert_audits_agree(
+        monkeypatch, audit_muca_truthfulness, rule, auction, BundleTraceReplayer,
+        agents=_probe_indices(auction.num_bids, seed), seed=seed,
     )
-    traced = audit_muca_truthfulness(
-        rule, auction, agents=agents, misreports_per_agent=4, seed=seed
-    )
-    assert _report_key(plain) == _report_key(traced)
 
 
 def test_audit_jobs_invariant_with_trace():
@@ -395,12 +429,12 @@ def _check_checkpoint_heaps(monkeypatch) -> list:
     def checked_finish(self, *args, **kwargs):
         finish(self, *args, **kwargs)
         for checkpoint in self.trace.checkpoints:
-            state = checkpoint.engine
-            in_heap = {entry[1] for entry in state.heap}
+            engine = checkpoint.engine
+            in_heap = {entry[1] for entry in engine._heap}
             missing = [
                 i
-                for i in range(state.num_requests)
-                if not (state.selected[i] or state.dropped[i]) and i not in in_heap
+                for i in range(engine.num_requests)
+                if engine.is_live(i) and i not in in_heap
             ]
             assert not missing, (checkpoint.round_index, missing)
         checked.append(self.trace)
