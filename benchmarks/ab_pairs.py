@@ -12,10 +12,11 @@ Before every run it deletes the checkout's ``__pycache__`` directories, so
 neither side reads bytecode the other does not (``setup_s`` includes the
 import).  It stops on the first run that is not ``correct`` or that has
 failed ops.  For each metric it prints the parent's median and quartiles,
-the change's median, the ratio of the two medians, and in how many pairs
-the change was better (by the metric's ``better`` direction).  One run per
-side tells nothing on a shared host; the pairs and the parent's quartile
-spread do.
+the change's median, the ratio of the two medians, in how many pairs the
+change was better (by the metric's ``better`` direction), and a verdict
+(:func:`verdict`, which reads the metric's ``bound``).  One run per side
+tells nothing on a shared host; the pairs and the parent's quartile spread
+do.
 """
 
 from __future__ import annotations
@@ -62,6 +63,36 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """The reading of one metric over paired runs (``before[i]`` and
+    ``after[i]`` are pair ``i``), checked in this order:
+
+    * ``gain``: the change won at least 9 of every 10 pairs (a tie counts
+      for neither side), and its median beats the parent's by more than the
+      parent's IQR;
+    * ``unresolved``: the parent's IQR exceeds ``bound`` times its median,
+      and not every change run beats every parent run;
+    * ``no worse``: the change's median is within ``bound`` (a fraction of
+      the parent's median) of the parent's;
+    * ``worse``: none of the above.
+    """
+    # Negate a higher-is-better metric, so lower is better below; the IQR
+    # and the distances between medians keep their size.
+    sign = 1.0 if better == "lower" else -1.0
+    before = [sign * value for value in before]
+    after = [sign * value for value in after]
+    q1, median, q3 = _quartiles(before)
+    changed = statistics.median(after)
+    won = sum(b < a for a, b in zip(before, after))
+    if 10 * won >= 9 * len(after) and median - changed > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(median) and not max(after) < min(before):
+        return "unresolved"
+    if changed - median <= bound * abs(median):
+        return "no worse"
+    return "worse"
+
+
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
     """One line per end-to-end metric over paired results (``parent[i]``
     and ``change[i]`` are pair ``i``)."""
@@ -75,10 +106,12 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         lower = spec["better"] == "lower"
         won = sum((b < a) if lower else (b > a) for a, b in zip(before, after))
         ratio = changed / median if median else float("nan")
+        reading = verdict(before, after, spec["better"], spec["bound"])
         lines.append(
             f"{name:16s} parent median {median:.4g} (q1 {q1:.4g}, q3 {q3:.4g}, "
             f"IQR {q3 - q1:.4g})  change median {changed:.4g}  "
-            f"ratio {ratio:.3f}  change better in {won} of {len(after)} pairs"
+            f"ratio {ratio:.3f}  change better in {won} of {len(after)} pairs  "
+            f"verdict: {reading}"
         )
     return lines
 

@@ -170,8 +170,8 @@ class CapacitatedGraph:
                 lookup.setdefault(key, []).append(eid)
         self._edge_lookup = lookup
 
-        # Lazily-populated cache of derived, immutable artifacts (plain-list
-        # CSR for the Dijkstra hot loop, the Bellman-Ford arc list, shortest
+        # Lazily-populated cache of derived, immutable artifacts (the
+        # Dijkstra loop's arc tuples, the Bellman-Ford arc list, shortest
         # path trees under the initial dual weights 1/c).  The graph itself is
         # immutable, so everything derived purely from its topology and
         # capacities can be computed once and shared across algorithm runs.
@@ -269,24 +269,6 @@ class CapacitatedGraph:
         store values that are functions of the graph alone plus their key.
         """
         return self._substrate_cache
-
-    def csr_lists(self) -> tuple[list[int], list[int], list[int]]:
-        """The CSR adjacency as plain Python lists ``(indptr, heads, eids)``.
-
-        The Dijkstra hot loop indexes adjacency per arc; plain lists avoid
-        the numpy scalar boxing (`int()` / `float()` per arc) that dominates
-        the pure-numpy representation for graphs of this size.  Built once
-        and cached.
-        """
-        cached = self._substrate_cache.get("csr_lists")
-        if cached is None:
-            cached = (
-                self._indptr.tolist(),
-                self._adj_heads.tolist(),
-                self._adj_edge_ids.tolist(),
-            )
-            self._substrate_cache["csr_lists"] = cached
-        return cached
 
     def bellman_ford_arcs(self) -> list[tuple[int, int, int]]:
         """The arc list ``[(tail, head, edge_id), ...]`` used by Bellman-Ford.

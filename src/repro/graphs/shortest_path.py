@@ -16,9 +16,9 @@ partition shards' and :func:`single_source_dijkstra`'s — comes from
   ``scipy.sparse.csgraph.dijkstra`` for the one source and rebuilds the
   parents with numpy (see below);
 * on smaller graphs, where one scipy call costs more than the whole Python
-  loop, it runs :func:`dijkstra_lists`, an array-heap Dijkstra over flat
-  Python lists (the CSR adjacency pre-extracted once per graph via
-  :meth:`~repro.graphs.graph.CapacitatedGraph.csr_lists`).
+  loop, it runs a binary-heap Dijkstra over Python lists, reading each
+  vertex's arcs from a tuple of ``(head, edge id)`` pairs built once per
+  graph.
 
 Both return the same :class:`CompactTree`, bit for bit.  The loop breaks
 ties like :func:`reference_dijkstra`, the differential-testing oracle: heap
@@ -26,6 +26,18 @@ entries are ``(dist, vertex)`` tuples (so equal distances settle in vertex
 order), and a relaxation only overwrites a parent on a strict improvement
 (so the first arc, in CSR order from the earliest-settled tail, that
 attains the final distance is the parent).
+
+The oracle keeps a settled set; the loop needs none, because two facts
+make both of its checks redundant:
+
+* *A popped entry is stale exactly when* ``d > dist[u]``.  A vertex is
+  pushed only on a strict improvement, so its pushed distances strictly
+  decrease and only the last one equals ``dist[u]``: the one pop that finds
+  ``d == dist[u]`` is the vertex's settle.
+* *A relaxation into an expanded vertex never improves it.*  Pops come out
+  in non-decreasing ``d`` (every push is ``fl(d + w) >= d``), and weights
+  are non-negative, so an arc out of a later tail sums to
+  ``fl(d + w) >= d >= dist[v]`` and fails the strict test.
 
 Why the C tree has the loop's bits
 ----------------------------------
@@ -72,7 +84,6 @@ __all__ = [
     "C_TREE_MIN_VERTICES",
     "CompactTree",
     "ShortestPathResult",
-    "dijkstra_lists",
     "shortest_path_tree",
     "single_source_dijkstra",
     "reference_dijkstra",
@@ -82,13 +93,14 @@ __all__ = [
 
 #: Graphs with at least this many vertices get C trees.  Measured per tree
 #: under dual-shaped weights on square grids: the loop wins on 36 vertices,
-#: the two are even on 64 and the C path wins from 100 on (about 2x, and
-#: 3.5x or more on the 360-vertex ISP composite; the loop and C rows of
-#: ``benchmarks/bench_micro_primitives.py`` bracket the threshold).  The
-#: campaign, service and auction graphs have at most 36 vertices.
+#: the two are about even on 64 and the C path wins from 100 on (1.3-1.5x
+#: there, and 3x or more on the 360-vertex ISP composite; the loop and C
+#: rows of ``benchmarks/bench_micro_primitives.py`` bracket the threshold).
+#: The campaign, service and auction graphs have at most 36 vertices.
 C_TREE_MIN_VERTICES = 100
 
 _CSGRAPH_KEY = "shortest_path/csgraph_arrays"
+_LOOP_KEY = "shortest_path/loop_arcs"
 
 
 @dataclass(frozen=True)
@@ -192,28 +204,38 @@ def _validate_weights(graph: CapacitatedGraph, weights: np.ndarray) -> np.ndarra
     return weights
 
 
-def dijkstra_lists(
-    n: int,
-    indptr: list[int],
-    adj_heads: list[int],
-    adj_edge_ids: list[int],
-    w: list[float],
-    source: int,
-    targets: set[int] | None = None,
-) -> tuple[list[float], list[int], list[int]]:
-    """The Dijkstra loop over flat Python lists.
+def _loop_arcs(graph: CapacitatedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex, the tuple of ``(head, edge id)`` pairs of its arcs in CSR
+    order, as Python ints, cached on the graph: the loop reads one pair per
+    arc, with no numpy scalar boxing and no second index."""
+    cache = graph.substrate_cache
+    arcs = cache.get(_LOOP_KEY)
+    if arcs is None:
+        indptr = graph.indptr.tolist()
+        heads = graph.adjacency_heads.tolist()
+        pairs = list(zip(heads, graph.adjacency_edge_ids.tolist()))
+        arcs = cache[_LOOP_KEY] = tuple(
+            tuple(pairs[indptr[u]:indptr[u + 1]]) for u in range(graph.num_vertices)
+        )
+    return arcs
 
-    Returns ``(dist, parent_vertex, parent_edge)`` as plain lists
-    (unreachable vertices carry ``inf`` / ``-1``).  With ``targets`` the
-    loop stops once all of them are settled: only their entries are then
-    exact, other vertices may keep tentative values.  Arithmetic and
-    tie-breaking are bit-identical to :func:`reference_dijkstra`.
+
+def _loop_tree(graph, w, source, targets) -> CompactTree:
+    """The loop's tree of ``source`` under the weights list ``w``.
+
+    A heap entry is stale exactly when ``d > dist[u]``, and relaxing into
+    an expanded vertex never improves it (see the module docstring), so the
+    loop keeps no settled set.  With ``targets`` it stops once all of them
+    are expanded: only their entries are then exact, other vertices may keep
+    tentative values.  Arithmetic and tie-breaking are bit-identical to
+    :func:`reference_dijkstra`.
     """
+    arcs = _loop_arcs(graph)
+    n = len(arcs)
     inf = float("inf")
     dist = [inf] * n
     parent_vertex = [-1] * n
     parent_edge = [-1] * n
-    settled = bytearray(n)
 
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -225,25 +247,28 @@ def dijkstra_lists(
     heappush = heapq.heappush
     while heap:
         d, u = heappop(heap)
-        if settled[u]:
+        if d > dist[u]:
             continue
-        settled[u] = 1
         if remaining is not None:
             remaining.discard(u)
             if not remaining:
                 break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = adj_heads[k]
-            if settled[v]:
-                continue
-            nd = d + w[adj_edge_ids[k]]
+        for v, e in arcs[u]:
+            nd = d + w[e]
             if nd < dist[v]:
                 dist[v] = nd
                 parent_vertex[v] = u
-                parent_edge[v] = adj_edge_ids[k]
+                parent_edge[v] = e
                 heappush(heap, (nd, v))
 
-    return dist, parent_vertex, parent_edge
+    mask = 0
+    for e in parent_edge:
+        if e >= 0:
+            mask |= 1 << e
+    return CompactTree(
+        source, array("d", dist), array("i", parent_vertex),
+        array("i", parent_edge), mask,
+    )
 
 
 def _csgraph_arrays(graph: CapacitatedGraph):
@@ -342,26 +367,14 @@ def shortest_path_tree(
     ``weights.tolist()`` for the loop — callers that build several trees
     under one weight vector convert it once.
     """
-    n = graph.num_vertices
-    if n >= C_TREE_MIN_VERTICES:
+    if graph.num_vertices >= C_TREE_MIN_VERTICES:
         arrays = _csgraph_arrays(graph)
         if arrays is not None:
             tree = _csgraph_tree(graph, weights, source, arrays)
             if tree is not None:
                 return tree
-    indptr, heads, eids = graph.csr_lists()
     w = get_weights_list() if get_weights_list is not None else weights.tolist()
-    dist, parent_vertex, parent_edge = dijkstra_lists(
-        n, indptr, heads, eids, w, source, targets
-    )
-    mask = 0
-    for eid in parent_edge:
-        if eid >= 0:
-            mask |= 1 << eid
-    return CompactTree(
-        source, array("d", dist), array("i", parent_vertex),
-        array("i", parent_edge), mask,
-    )
+    return _loop_tree(graph, w, source, targets)
 
 
 def single_source_dijkstra(

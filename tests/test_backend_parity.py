@@ -22,7 +22,7 @@ from compute_paths import COMMIT_PATHS, TREE_PATHS, compute_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     DIJKSTRA_SEEDS,
     MUCA_SEEDS,
-    ONLINE_SEEDS,
+    ONLINE_CASES,
     REPEAT_CASES,
     UFP_CASES,
     _assert_same_allocation,
@@ -149,7 +149,7 @@ def test_dijkstra_parity(seed, combo):
 
 
 @pytest.mark.parametrize("combo", COMBOS)
-@pytest.mark.parametrize("seed", ONLINE_SEEDS)
+@pytest.mark.parametrize("seed", ONLINE_CASES)
 def test_online_stream_parity(seed, combo):
     epsilon = [0.3, 0.5, 1.0][seed % 3]
 

@@ -33,6 +33,7 @@ from repro.core import (
 from repro.core.pricing_engine import greedy_rounds
 from repro.flows import random_instance
 from repro.graphs import random_digraph, reference_dijkstra, single_source_dijkstra
+from repro.graphs.shortest_path import _loop_arcs
 from repro.mechanism import compute_ufp_payments
 
 
@@ -248,13 +249,15 @@ class TestSubstrateCaches:
         assert arcs1 is arcs2  # built once
         assert len(arcs1) == graph.num_edges  # directed: one arc per edge
 
-    def test_csr_lists_are_cached_and_consistent(self):
+    def test_loop_arcs_are_cached_and_consistent(self):
         graph = random_digraph(12, 0.3, 4.0, seed=2)
-        indptr, heads, eids = graph.csr_lists()
-        assert graph.csr_lists() is graph.csr_lists()
-        assert indptr == graph.indptr.tolist()
-        assert heads == graph.adjacency_heads.tolist()
-        assert eids == graph.adjacency_edge_ids.tolist()
+        arcs = _loop_arcs(graph)
+        assert _loop_arcs(graph) is arcs
+        assert len(arcs) == graph.num_vertices
+        for u, pairs in enumerate(arcs):
+            heads, eids = graph.out_arcs(u)
+            assert pairs == tuple(zip(heads.tolist(), eids.tolist()))
+            assert all(type(v) is int and type(e) is int for v, e in pairs)
 
     def test_warm_tree_cache_reused_across_runs(self):
         instance = random_instance(

@@ -12,11 +12,15 @@ failures reproduce) and asserts exact equality:
   on the contended family (:func:`_contended_instance`)
 * ``bounded_ufp_repeat``    vs ``reference_bounded_ufp_repeat``
 * ``bounded_muca``          vs ``reference_bounded_muca``
-* ``single_source_dijkstra`` vs ``reference_dijkstra`` (distances, parents)
+* ``single_source_dijkstra`` vs ``reference_dijkstra`` (distances, parents),
+  under uniform weights and under exact ties, zero weights, absorbed
+  weights and early-exit targets
 
 The Bounded-UFP and repetitions corpora keep 13 and 4 seeds that route
 nothing (``UFP_EMPTY``, ``REPEAT_EMPTY``) and add as many spares that do
 (``UFP_SPARES``, ``REPEAT_SPARES``), so 50 cases of each route something.
+The online seeds keep the 4 whose streams admit nothing (``ONLINE_EMPTY``)
+beside 4 spares that admit (``ONLINE_SPARES``).
 
 The online driver is included too: a whole stream submitted as one batch
 must replay offline ``Bounded-UFP`` decision by decision.
@@ -57,6 +61,8 @@ DIJKSTRA_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=50)]
 ONLINE_SEEDS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=10)]
 #: The next draws of the same stream, where the spares below come from.
 _SPARE_DRAWS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=23)]
+#: The draws after those, where the online spares come from.
+_ONLINE_SPARE_DRAWS = [int(s) for s in _SEED_RNG.integers(0, 2**31 - 1, size=8)]
 
 #: Corpus seeds whose run routes nothing at their suite's epsilon: the
 #: starting budget ``m`` already exceeds ``e^{eps(B-1)}``, so both sides of
@@ -81,6 +87,15 @@ UFP_SPARES = [
 REPEAT_SPARES = [2138436915, 1816831148, 382220844, 692999219]
 UFP_CASES = UFP_SEEDS + UFP_SPARES
 REPEAT_CASES = REPEAT_SEEDS + REPEAT_SPARES
+
+#: Online seeds whose whole stream admits nothing under the greedy policy
+#: (offline Bounded-UFP on them routes nothing either), and one spare per
+#: empty seed: the admitting draws of ``_ONLINE_SPARE_DRAWS``, in stream
+#: order.  The online suites run ``ONLINE_CASES``, so 10 of their cases
+#: admit something (``test_online_cases_admit_something`` keeps it so).
+ONLINE_EMPTY = (1360890429, 1076473494, 967198296, 2090504346)
+ONLINE_SPARES = [53339342, 840421602, 1627599897, 598595287]
+ONLINE_CASES = ONLINE_SEEDS + ONLINE_SPARES
 
 
 def _ufp_instance(seed: int, *, max_requests: int = 24):
@@ -200,6 +215,26 @@ def test_corpus_cases_route_something():
     assert spares == [UFP_SPARES, REPEAT_SPARES]
 
 
+def _online_admits(seed: int) -> bool:
+    """Whether the online case of ``seed``, its whole stream in one batch
+    under the greedy policy, admits at least one request."""
+    instance = _ufp_instance(seed)
+    auction = OnlineAuction(instance.graph, [0.3, 0.5, 1.0][seed % 3])
+    return bool(auction.run(iter([Batch(time=0.0, requests=instance.requests)])).routed)
+
+
+def test_online_cases_admit_something():
+    """Every online case admits a request under the greedy policy, except
+    the pinned empty seeds; and the spares are the admitting draws that
+    follow the corpus spares in the pinned stream."""
+    empty = [seed for seed in ONLINE_CASES if not _online_admits(seed)]
+    assert empty == list(ONLINE_EMPTY)
+    assert len(ONLINE_CASES) - len(ONLINE_EMPTY) == len(ONLINE_SEEDS)
+    draws = iter(_ONLINE_SPARE_DRAWS)
+    spares = [next(seed for seed in draws if _online_admits(seed)) for _ in ONLINE_EMPTY]
+    assert spares == ONLINE_SPARES
+
+
 def _assert_budget_stop(allocation) -> None:
     """The run admitted at least one request and then stopped on the budget."""
     assert allocation.num_selected >= 1
@@ -262,8 +297,9 @@ def test_bounded_muca_matches_reference(seed):
     assert actual.value == expected.value
 
 
-@pytest.mark.parametrize("seed", DIJKSTRA_SEEDS)
-def test_dijkstra_matches_reference(seed):
+def _dijkstra_graph(seed: int):
+    """The 4-20-vertex graph of a Dijkstra seed and the generator that
+    built it, positioned for the weights."""
     rng = ensure_rng(seed)
     num_vertices = int(rng.integers(4, 20))
     build = random_digraph if seed % 2 else random_graph
@@ -274,16 +310,67 @@ def test_dijkstra_matches_reference(seed):
         seed=rng,
         ensure_connected=bool(rng.integers(0, 2)),
     )
+    return graph, rng
+
+
+def _assert_same_entries(actual, expected, vertices=slice(None)) -> None:
+    for field in ("distances", "parent_vertex", "parent_edge"):
+        np.testing.assert_array_equal(
+            getattr(actual, field)[vertices], getattr(expected, field)[vertices]
+        )
+
+
+@pytest.mark.parametrize("seed", DIJKSTRA_SEEDS)
+def test_dijkstra_matches_reference(seed):
+    graph, rng = _dijkstra_graph(seed)
     weights = rng.uniform(1e-6, 10.0, size=graph.num_edges)
-    source = int(rng.integers(0, num_vertices))
-    fast = single_source_dijkstra(graph, source, weights)
-    oracle = reference_dijkstra(graph, source, weights)
-    np.testing.assert_array_equal(fast.distances, oracle.distances)
-    np.testing.assert_array_equal(fast.parent_vertex, oracle.parent_vertex)
-    np.testing.assert_array_equal(fast.parent_edge, oracle.parent_edge)
+    source = int(rng.integers(0, graph.num_vertices))
+    _assert_same_entries(
+        single_source_dijkstra(graph, source, weights),
+        reference_dijkstra(graph, source, weights),
+    )
 
 
-@pytest.mark.parametrize("seed", ONLINE_SEEDS)
+#: Weights the uniform draw above never produces.  ``ties``: small
+#: integers, so equal path sums everywhere and the parent rule decides.
+#: ``zeros``: the same with about a quarter of the weights exactly 0.0, so
+#: a relaxation can reach a vertex at its own distance.  ``absorbed``:
+#: ``1e20`` beside ``1.0``, so ``fl(d + 1.0) == d`` past any heavy edge.
+#: ``targets``: all three at once, with an early-exit set.
+HARD_WEIGHTS = ["ties", "zeros", "absorbed", "targets"]
+
+
+@pytest.mark.parametrize("kind", HARD_WEIGHTS)
+@pytest.mark.parametrize("seed", DIJKSTRA_SEEDS)
+def test_dijkstra_matches_reference_on_hard_weights(seed, kind):
+    """The loop below the C-tree threshold keeps the reference's settle
+    order and tie rule where exact ties, zero weights and absorbed weights
+    make them matter; with ``targets`` only the targets' entries are
+    compared, as only those are exact."""
+    graph, rng = _dijkstra_graph(seed)
+    m = graph.num_edges
+    if kind == "ties":
+        weights = rng.integers(1, 4, size=m).astype(np.float64)
+    elif kind == "zeros":
+        weights = rng.integers(0, 4, size=m).astype(np.float64)
+        weights[rng.integers(0, m)] = 0.0
+    elif kind == "absorbed":
+        weights = np.where(rng.random(m) < 0.3, 1e20, 1.0)
+    else:
+        weights = rng.choice([0.0, 1.0, 2.0, 1e20], size=m)
+    source = int(rng.integers(0, graph.num_vertices))
+    targets = None
+    if kind == "targets":
+        size = int(rng.integers(1, graph.num_vertices + 1))
+        targets = {int(t) for t in rng.choice(graph.num_vertices, size, replace=False)}
+    actual = single_source_dijkstra(graph, source, weights, targets=targets)
+    expected = reference_dijkstra(graph, source, weights, targets=targets)
+    _assert_same_entries(
+        actual, expected, slice(None) if targets is None else sorted(targets)
+    )
+
+
+@pytest.mark.parametrize("seed", ONLINE_CASES)
 def test_single_batch_online_stream_matches_reference_offline(seed):
     """The online driver fed the whole workload at once IS Bounded-UFP —
     and therefore must also match the eager reference oracle exactly."""

@@ -20,6 +20,12 @@ differential-fuzz corpus (the same seed derivation as
 * online batch payments (greedy and threshold policies) from tables vs
   re-run drains, plus ``jobs=4 == jobs=1`` from tables.
 
+The payment and audit slices of the corpus keep their plain cases that
+route nothing beside as many spares that route (``PAYMENT_SPARES``,
+``AUDIT_SPARES``), and the online suites run ``ONLINE_CASES``; a guard
+fails when any other plain payment, audit or greedy online case routes
+nothing.
+
 The tables answer whenever the algorithm accepts ``trace=``.  The re-run
 side gets a plain callable (:func:`_rerun`), or, for online auctions, whose
 drain is built inside, ``supports_trace`` patched to say no.
@@ -36,12 +42,16 @@ import pytest
 from compute_paths import TREE_PATHS, tree_path
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     MUCA_SEEDS,
-    ONLINE_SEEDS,
+    ONLINE_CASES,
+    ONLINE_EMPTY,
     REPEAT_CASES,
     UFP_CASES,
+    UFP_EMPTY,
     UFP_SEEDS,
+    UFP_SPARES,
     _assert_budget_stop,
     _assert_same_allocation,
+    _routes,
     _ufp_case,
     _ufp_cases,
     _ufp_instance,
@@ -211,10 +221,26 @@ def test_exact_tie_goes_to_the_lower_index():
 # Payments: trace vs from-scratch, loop trees and C trees
 # --------------------------------------------------------------------- #
 PAYMENT_SEEDS = UFP_SEEDS[::6]  # every 6th corpus case: payments cost ~|R| runs each
+AUDIT_SEEDS = UFP_SEEDS[::12]
+#: The two slices take 5 of their 9 and 2 of their 5 plain cases from
+#: ``UFP_EMPTY``, where every payment is zero and no audit sees a winner;
+#: as many corpus spares ride beside them, so 9 plain payment cases and 5
+#: plain audits route something.
+PAYMENT_SPARES = UFP_SPARES[:5]
+AUDIT_SPARES = UFP_SPARES[5:7]
+
+
+def test_payment_and_audit_cases_route_something():
+    """Every plain payment and audit case routes a request, except the
+    slices' empty corpus seeds."""
+    for seeds, spares in ((PAYMENT_SEEDS, PAYMENT_SPARES), (AUDIT_SEEDS, AUDIT_SPARES)):
+        empty = [seed for seed in seeds if seed in UFP_EMPTY]
+        assert [seed for seed in (*seeds, *spares) if not _routes(seed, False)] == empty
+        assert len(spares) == len(empty)
 
 
 @pytest.mark.parametrize("trees", TREE_PATHS)
-@pytest.mark.parametrize("seed,contended", _ufp_cases(PAYMENT_SEEDS))
+@pytest.mark.parametrize("seed,contended", _ufp_cases(PAYMENT_SEEDS, PAYMENT_SPARES))
 def test_ufp_payments_bit_identical(seed, contended, trees):
     with tree_path(trees):
         instance, epsilon = _ufp_case(seed, contended)
@@ -374,7 +400,7 @@ def _assert_audits_agree(monkeypatch, audit, rule, declared, replayer, **kwargs)
     assert traced_log == plain_log
 
 
-@pytest.mark.parametrize("seed,contended", _ufp_cases(UFP_SEEDS[::12]))
+@pytest.mark.parametrize("seed,contended", _ufp_cases(AUDIT_SEEDS, AUDIT_SPARES))
 def test_ufp_audit_bit_identical(seed, contended, monkeypatch):
     instance, epsilon = _ufp_case(seed, contended)
     rule = partial(bounded_ufp, epsilon=epsilon)
@@ -444,7 +470,7 @@ def _check_checkpoint_heaps(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("admission,threshold", [("greedy", 1.0), ("threshold", 1.5)])
-@pytest.mark.parametrize("seed", ONLINE_SEEDS)
+@pytest.mark.parametrize("seed", ONLINE_CASES)
 def test_online_payments_bit_identical(seed, admission, threshold, monkeypatch):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
@@ -468,6 +494,8 @@ def test_online_payments_bit_identical(seed, admission, threshold, monkeypatch):
     assert [r.request_index for r in plain.routed] == [
         r.request_index for r in traced.routed
     ]
+    if admission == "greedy":
+        assert bool(traced.routed) == (seed not in ONLINE_EMPTY)
     if checked is not None:
         assert checked or not traced.routed
 
@@ -490,7 +518,7 @@ def _record_batches(monkeypatch) -> list:
     "admission,threshold",
     [("greedy", 1.0), ("threshold", 1.5), ("threshold", 0.4)],
 )
-@pytest.mark.parametrize("seed", ONLINE_SEEDS)
+@pytest.mark.parametrize("seed", ONLINE_CASES)
 def test_online_drain_probes_match_scratch(seed, admission, threshold, monkeypatch):
     """Each recorded batch drain answers demand and value misreports of
     every pool member exactly as a from-scratch drain from the same

@@ -7,8 +7,8 @@ tie-breaking rule.  Three layers pin that this changes no bit:
 
 * **Trees.**  On graphs above the threshold — multi-region composites,
   grids, random graphs and digraphs, with weights rounded to force exact
-  ties, unreachable vertices and disabled edges — the C tree equals
-  :func:`dijkstra_lists` and :func:`reference_dijkstra` array for array.
+  ties, unreachable vertices and disabled edges — the C tree equals the
+  loop's tree and :func:`reference_dijkstra` array for array.
   Parallel arcs, a zero weight and a weight absorbed by rounding fall back
   to the loop's tree.
 * **Corpus.**  ``test_backend_parity.py`` replays the differential-fuzz
@@ -48,7 +48,6 @@ from repro.graphs.generators import (  # noqa: E402
 )
 from repro.graphs.shortest_path import (  # noqa: E402
     C_TREE_MIN_VERTICES,
-    dijkstra_lists,
     reference_dijkstra,
     shortest_path_tree,
 )
@@ -94,14 +93,11 @@ def _weights(kind: str, graph: CapacitatedGraph, rng) -> np.ndarray:
 
 
 def _assert_same_tree(tree, graph, weights, source) -> None:
-    indptr, heads, eids = graph.csr_lists()
-    dist, parent_vertex, parent_edge = dijkstra_lists(
-        graph.num_vertices, indptr, heads, eids, weights.tolist(), source
-    )
-    assert list(tree.dist) == dist
-    assert list(tree.parent_vertex) == parent_vertex
-    assert list(tree.parent_edge) == parent_edge
-    assert tree.edge_mask == sum(1 << e for e in set(parent_edge) if e >= 0)
+    loop = _sp._loop_tree(graph, weights.tolist(), source, None)
+    assert tree.dist == loop.dist
+    assert tree.parent_vertex == loop.parent_vertex
+    assert tree.parent_edge == loop.parent_edge
+    assert tree.edge_mask == sum(1 << e for e in set(loop.parent_edge) if e >= 0)
     oracle = reference_dijkstra(graph, source, weights)
     np.testing.assert_array_equal(np.asarray(tree.dist), oracle.distances)
     np.testing.assert_array_equal(np.asarray(tree.parent_vertex), oracle.parent_vertex)
