@@ -126,7 +126,8 @@ def test_gate_e9_cell(benchmark, jobs):
 
 def test_gate_campaign_cell_small(benchmark):
     """One small scenario-campaign cell end to end (PR 5): topology build,
-    regime resolution, offline Bounded-UFP clearing and the LP bound."""
+    regime resolution, offline Bounded-UFP clearing and the Figure 1 bound,
+    which the initial-tree routing settles on this cell without HiGHS."""
     from repro.scenarios import enumerate_cells, run_cell
 
     suite = {
@@ -144,8 +145,8 @@ def test_gate_campaign_cell_small(benchmark):
     }
     (cell,) = enumerate_cells(suite)
 
-    # About 10.5 ms per cell.
-    outcome = benchmark.pedantic(lambda: run_cell(cell), **_ROUNDS, iterations=24)
+    # About 4-6 ms per cell.
+    outcome = benchmark.pedantic(lambda: run_cell(cell), **_ROUNDS, iterations=60)
     record = outcome.rows[0]
     assert record["claims_ok"] and record["admitted"] > 0
 

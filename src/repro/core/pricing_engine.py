@@ -54,6 +54,7 @@ alone, the trees priced at the start of a run are additionally memoized on
 :attr:`CapacitatedGraph.substrate_cache` and shared across runs — the
 critical-value payment bisection re-runs the whole mechanism dozens of times
 per winner on the same graph and hits this warm cache every probe.
+:func:`initial_tree` reads that memo from outside an engine.
 
 Selection order
 ---------------
@@ -107,6 +108,7 @@ __all__ = [
     "PricingStats",
     "Selection",
     "greedy_rounds",
+    "initial_tree",
 ]
 
 #: Key under which shortest-path trees are memoized on
@@ -130,6 +132,31 @@ _INITIAL_TREE_MEMO_KEY = "pricing_engine/tree_memo_initial"
 #: mechanism-design instances that motivate the memo (payment bisections
 #: re-run the solver dozens of times) keep them all.
 _TREE_MEMO_BUDGET_BYTES = 64 * 1024 * 1024
+
+
+def _memo_key(weight_bytes: bytes, source: int) -> tuple[bytes, int]:
+    """The key of a tree in either memo: the exact bytes of the weight
+    vector it was computed under, and its source."""
+    return weight_bytes, source
+
+
+def initial_tree(graph: CapacitatedGraph, source: int) -> CompactTree:
+    """The shortest-path tree of ``source`` under the initial weights
+    ``y = 1/c``, the first tree every run on ``graph`` prices ``source``
+    with.
+
+    Once an engine on ``graph`` has priced ``source`` (every source with a
+    request, after a ``bounded_ufp`` run), this is the very tree it
+    memoized on :attr:`CapacitatedGraph.substrate_cache`.  On a miss the
+    tree is built through the tree hook and not memoized, so no engine's
+    memo hits or tree counts move.
+    """
+    weights = 1.0 / graph.capacities
+    memo = graph.substrate_cache.get(_INITIAL_TREE_MEMO_KEY, {})
+    tree = memo.get(_memo_key(weights.tobytes(), source))
+    if tree is None:
+        tree = get_kernel().dijkstra(graph, weights, source)
+    return tree
 
 
 class _TreeMemoLRU:
@@ -384,7 +411,7 @@ class PathPricingEngine:
         wb = self._w_bytes
         if wb is None:
             wb = self._w_bytes = self._weights.tobytes()
-        key = (wb, source)
+        key = _memo_key(wb, source)
         tree = self._initial_tree_memo.get(key)
         if tree is None:
             tree = self._tree_memo.get(key)

@@ -22,7 +22,10 @@ Workload modes (the ``"mode"`` axis):
   ``payments: true`` adds
   critical-value payments (trace-replay accelerated) and revenue/replay
   columns; ``bound: "lp"`` (default) adds the fractional LP optimum and
-  the approximation ratio.
+  the approximation ratio.  HiGHS solves the LP only when routing every
+  request along its initial shortest-path tree does not fit the
+  capacities; when it fits, the optimum is the total declared value
+  (``_lp_bound``).
 * ``{"kind": "repeated", ...}`` — ``Bounded-UFP-Repeat`` (Theorem 5.1).
 * ``{"kind": "online", "arrivals": "poisson" | "bursty" | "adversarial" |
   "trace", "admission": "greedy" | "threshold", "payments": false,
@@ -33,6 +36,7 @@ Workload modes (the ``"mode"`` axis):
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -44,6 +48,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.bounded_ufp_repeat import bounded_ufp_repeat
+from repro.core.pricing_engine import initial_tree
 from repro.exceptions import InvalidInstanceError
 from repro.experiments.harness import CellOutcome, ratio
 from repro.flows.instance import UFPInstance
@@ -108,13 +113,57 @@ class CampaignResult:
 # ---------------------------------------------------------------------- #
 def _lp_bound(instance: UFPInstance, mode: Mapping[str, Any]) -> float | None:
     """The cell's fractional LP bound: the Figure 1 relaxation, or the
-    Figure 5 one (no per-request cap) for a ``repeated`` cell."""
+    Figure 5 one (no per-request cap) for a ``repeated`` cell.
+
+    The Figure 1 optimum is at most the total declared value, since every
+    ``X_r <= 1``, and a routing of every request within capacity attains
+    it.  So when :func:`_initial_routing_value` finds one, that is the
+    bound and HiGHS is not called.  The Figure 5 program has no cap, and
+    is always solved.
+    """
     if mode.get("bound", "lp") == "none":
         return None
+    repetitions = mode.get("kind") == "repeated"
+    if not repetitions:
+        value = _initial_routing_value(instance)
+        if value is not None:
+            return value
     from repro.lp.fractional_ufp import solve_fractional_ufp
 
-    repetitions = mode.get("kind") == "repeated"
     return float(solve_fractional_ufp(instance, repetitions=repetitions).objective)
+
+
+def _initial_routing_value(instance: UFPInstance) -> float | None:
+    """The total declared value when routing every request along its
+    source's tree under the initial weights ``y = 1/c`` reaches every target
+    and loads no edge beyond its capacity; ``None`` otherwise.
+
+    After the cell's ``bounded_ufp`` run the trees are the ones it
+    memoized (:func:`~repro.core.pricing_engine.initial_tree`), so the
+    check builds none.  The total is summed left to right from ``0.0`` in
+    request order, the order of the values among HiGHS's columns: that
+    sum is HiGHS's objective at this optimum, bit for bit, on every case
+    ``tests/test_lp_bound.py`` checks.  Builtin ``sum`` compensates from
+    Python 3.12 on, and ``math.fsum`` and numpy's pairwise sum round
+    differently.
+    """
+    graph = instance.graph
+    load = [0.0] * graph.num_edges
+    trees = {}
+    for request in instance.requests:
+        tree = trees.get(request.source)
+        if tree is None:
+            tree = trees[request.source] = initial_tree(graph, request.source)
+        if tree.dist[request.target] == math.inf:
+            return None
+        for edge in tree.path_to(request.target)[1]:
+            load[edge] += request.demand
+    if any(used > capacity for used, capacity in zip(load, graph.capacities.tolist())):
+        return None
+    total = 0.0
+    for value in instance.values_array().tolist():
+        total += value
+    return total
 
 
 def _resolve_epsilon(mode: Mapping[str, Any], instance: UFPInstance) -> float:
@@ -140,11 +189,9 @@ def _resolve_epsilon(mode: Mapping[str, Any], instance: UFPInstance) -> float:
     """
     epsilon = mode.get("epsilon", "auto")
     if epsilon == "auto":
-        import math as _math
-
-        log_m = _math.log(max(2, instance.graph.num_edges))
+        log_m = math.log(max(2, instance.graph.num_edges))
         bound = max(1e-9, float(instance.capacity_bound()))
-        return min(1.0, max(0.05, _math.sqrt(log_m / bound)))
+        return min(1.0, max(0.05, math.sqrt(log_m / bound)))
     return float(epsilon)
 
 

@@ -365,6 +365,69 @@ class TestSubstrateCaches:
         assert duals.path_length(np.array([], dtype=np.int64)) == 0.0
 
 
+class TestInitialTree:
+    """``initial_tree`` reads the engines' initial-weight memo."""
+
+    @staticmethod
+    def _instance():
+        return random_instance(
+            num_vertices=10, edge_probability=0.3, capacity=20.0,
+            num_requests=20, demand_range=(0.3, 1.0), seed=7,
+        )
+
+    @staticmethod
+    def _spy_hook(monkeypatch) -> list:
+        import repro.kernels
+
+        built = []
+        hook = repro.kernels.Kernel.dijkstra
+
+        def spy(self, graph, weights, source, *args, **kwargs):
+            built.append(source)
+            return hook(self, graph, weights, source, *args, **kwargs)
+
+        monkeypatch.setattr(repro.kernels.Kernel, "dijkstra", spy)
+        return built
+
+    def test_after_a_run_returns_the_memoized_tree(self, monkeypatch):
+        from repro.core.pricing_engine import _INITIAL_TREE_MEMO_KEY, initial_tree
+        from repro.graphs.shortest_path import shortest_path_tree
+
+        instance = self._instance()
+        graph = instance.graph
+        bounded_ufp(instance, 0.4)
+        memoized = {
+            source: tree
+            for (_, source), tree in graph.substrate_cache[_INITIAL_TREE_MEMO_KEY].items()
+        }
+        assert set(memoized) == {request.source for request in instance.requests}
+        built = self._spy_hook(monkeypatch)
+        for source, tree in memoized.items():
+            assert initial_tree(graph, source) is tree
+        assert built == []
+        for source, tree in memoized.items():
+            fresh = shortest_path_tree(graph, 1.0 / graph.capacities, source)
+            assert list(tree.dist) == list(fresh.dist)
+            assert list(tree.parent_vertex) == list(fresh.parent_vertex)
+            assert list(tree.parent_edge) == list(fresh.parent_edge)
+            assert tree.edge_mask == fresh.edge_mask
+
+    def test_a_miss_builds_through_the_hook_and_moves_no_count(self, monkeypatch):
+        from repro.core.pricing_engine import initial_tree
+
+        instance, twin = self._instance(), self._instance()
+        built = self._spy_hook(monkeypatch)
+        for request in instance.requests:
+            initial_tree(instance.graph, request.source)
+        assert len(built) == len(instance.requests)
+        # Nothing was memoized: a run counts the trees a run on a twin
+        # graph does.
+        assert (
+            bounded_ufp(instance, 0.4).stats.extra
+            == bounded_ufp(twin, 0.4).stats.extra
+        )
+
+
 # --------------------------------------------------------------------- #
 # Streaming admission into a live engine (the repro.online substrate)
 # --------------------------------------------------------------------- #
