@@ -8,6 +8,10 @@ end-to-end metric of ``BENCHMARK.json``::
     python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W --pairs N \\
         [--seed S --seconds 25]
 
+``N`` must be an even number of pairs, so that each side goes first in half
+of them: the run that goes second in a pair can read several percent
+slower.  An odd ``N`` is refused before any run.
+
 Before every run it deletes the checkout's ``__pycache__`` directories, so
 neither side reads bytecode the other does not (``setup_s`` includes the
 import).  It stops on the first run that is not ``correct`` or that has
@@ -116,12 +120,21 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return lines
 
 
+def _even_pairs(text: str) -> int:
+    pairs = int(text)
+    if pairs < 2 or pairs % 2:
+        raise argparse.ArgumentTypeError(
+            f"{text} pairs: give an even number, so each side goes first equally often"
+        )
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=_even_pairs, required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)

@@ -114,3 +114,15 @@ def test_verdict_of_a_higher_is_better_metric(after, expected):
     change = [ab_pairs.run_result(_stdout(1.0, v), "change") for v in after]
     _, line = ab_pairs.summarize(parent, change, END_TO_END)
     assert line.endswith(f"verdict: {expected}")
+
+
+def test_an_odd_pair_count_is_refused_before_any_run(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", no_run)
+    argv = ["parent", "change", "--workload", "auction_payments", "--pairs", "5"]
+    with pytest.raises(SystemExit) as stop:
+        ab_pairs.main(argv)
+    assert stop.value.code == 2
+    assert "even number" in capsys.readouterr().err
