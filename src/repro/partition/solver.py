@@ -3,12 +3,13 @@
 Two paths, chosen by where the requests live:
 
 **Intra-only fast path** (every request's terminals share a region).  Each
-shard runs its own ``PathPricingEngine`` + ``DualWeights`` to exhaustion —
-fanned out across processes via :func:`repro.parallel.pmap` — and records
-its full greedy selection sequence.  A serial coordinator then merges the
-sequences: each step takes the current head with the least ``(score,
-global request index)`` and applies the global dual-budget stopping rule
-before consuming it.
+shard owns a ``PathPricingEngine`` + ``DualWeights`` and yields its greedy
+selection sequence one step at a time.  The coordinator merges the shard
+streams in lockstep: each step takes the current head with the least
+``(score, global request index)`` and applies the global dual-budget
+stopping rule before consuming it, and only the shard whose head it
+consumed computes its next step.  When the budget stops the merge, each
+shard has computed at most one step past its last consumed one.
 
 The merge is **unconditionally** bit-identical to a global run on the
 substrate with its cut edges disabled (same engines, same relabeled
@@ -22,7 +23,8 @@ Why the merge reproduces the cut-disabled global run exactly:
 
 * a shard's dual state evolves only through its own commits, so its
   selection *sequence* is independent of how commits interleave with other
-  shards — running it to exhaustion up front loses nothing;
+  shards — computing its next step only once the merge consumes its head
+  yields the same sequence as running it ahead;
 * shards price over order-preserving compact relabelings (vertices and
   edge ids both ascending in global id), so Dijkstra tie-breaking and the
   sorted-id dual-update dot products round exactly as in the global run;
@@ -53,11 +55,12 @@ construction, and the paper's monotonicity and feasibility results
 
 from __future__ import annotations
 
+import heapq
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro import parallel
 from repro.core.bounded_ufp import bounded_ufp
 from repro.core.dual_state import DualWeights
 from repro.core.pricing_engine import PathPricingEngine
@@ -110,44 +113,28 @@ def resolve_partition(
 # ---------------------------------------------------------------------- #
 # Intra-only fast path
 # ---------------------------------------------------------------------- #
-def _run_shard_to_exhaustion(
-    shard: RegionShard, epsilon: float, capacity_bound: float
-) -> tuple[list[tuple], int]:
-    """One shard's full greedy selection sequence, in global coordinates.
+def _shard_steps(shard: RegionShard, engine: PathPricingEngine) -> Iterator[tuple]:
+    """One shard's greedy selection sequence, in global coordinates.
 
-    Runs the standard engine loop with *no* budget rule (the coordinator
-    owns the global stopping rule and only truncates) and returns
-    ``(steps, dijkstra_calls)`` where each step is
-    ``(global_request_index, score, global_vertices, global_edge_ids,
-    budget_increment)``.
+    Runs the standard engine loop with *no* budget rule (the merge owns the
+    global stopping rule and only truncates) and computes each step only
+    when it is asked for.  A step is ``(score, global_request_index,
+    global_vertices, global_edge_ids, budget_increment)``, so steps order
+    as the global engine's ``(score, index)`` selection.
     """
-    if shard.graph is None or not shard.requests:
-        return [], 0
-    duals = DualWeights(
-        shard.graph.capacities, epsilon, capacity_bound=capacity_bound
-    )
-    engine = PathPricingEngine(shard.graph, shard.requests, duals)
-    steps: list[tuple] = []
+    duals = engine.duals
     while engine.num_pending:
         selection = engine.select()
         if selection is None:
-            break
+            return
         engine.commit(selection)
-        steps.append(
-            (
-                shard.request_indices[selection.index],
-                selection.score,
-                shard.to_global_vertices(selection.vertices),
-                shard.to_global_edges(selection.edge_ids),
-                duals.last_budget_increment,
-            )
+        yield (
+            selection.score,
+            shard.request_indices[selection.index],
+            shard.to_global_vertices(selection.vertices),
+            shard.to_global_edges(selection.edge_ids),
+            duals.last_budget_increment,
         )
-    return steps, engine.stats.dijkstra_calls
-
-
-def _solve_region_worker(region: int):
-    shards, epsilon, capacity_bound = parallel.worker_payload()
-    return _run_shard_to_exhaustion(shards[region], epsilon, capacity_bound)
 
 
 def _merge_intra(
@@ -155,7 +142,6 @@ def _merge_intra(
     epsilon: float,
     partition: GraphPartition,
     shards: list[RegionShard],
-    jobs: int | None,
     max_iterations: int | None,
     start: float,
 ) -> Allocation:
@@ -165,43 +151,33 @@ def _merge_intra(
     # c_e * 1/c_e = 1 there too).
     duals = DualWeights(instance.graph.capacities, epsilon)
     capacity_bound = duals.capacity_bound
-    results = parallel.pmap(
-        _solve_region_worker,
-        list(range(k)),
-        jobs=jobs,
-        payload=(shards, epsilon, capacity_bound),
-    )
-    sequences = [steps for steps, _calls in results]
-    sp_calls = sum(calls for _steps, calls in results)
+    live = [shard for shard in shards if shard.graph is not None and shard.requests]
+    engines = [
+        PathPricingEngine(
+            shard.graph,
+            shard.requests,
+            DualWeights(
+                shard.graph.capacities, epsilon, capacity_bound=capacity_bound
+            ),
+        )
+        for shard in live
+    ]
 
     budget = duals.budget
     limit = duals.budget_limit
-
-    heads = [0] * k
-    remaining = sum(len(seq) for seq in sequences)
     iteration_cap = (
         max_iterations if max_iterations is not None else instance.num_requests
     )
     routed: list[RoutedRequest] = []
-    iterations = 0
     stopped_by_budget = False
-    while remaining and iterations < iteration_cap:
-        if budget > limit:
-            stopped_by_budget = True
+    # heapq.merge pulls a stream's next step only when the step it last
+    # yielded from that stream is consumed, so breaking here leaves every
+    # shard at most one computed step past its last consumed one.
+    merged = heapq.merge(*map(_shard_steps, live, engines))
+    for _score, gidx, vertices, edge_ids, delta in merged:
+        if len(routed) >= iteration_cap or budget > limit:
+            stopped_by_budget = budget > limit
             break
-        candidates = []
-        for region in range(k):
-            position = heads[region]
-            sequence = sequences[region]
-            if position < len(sequence):
-                gidx, score = sequence[position][:2]
-                candidates.append((score, gidx, region))
-        # Global indices are distinct, so tuple order is the least
-        # (score, global request index) pair.
-        region = min(candidates)[2]
-        gidx, _score, vertices, edge_ids, delta = sequences[region][heads[region]]
-        heads[region] += 1
-        remaining -= 1
         budget += delta
         routed.append(
             RoutedRequest(
@@ -212,13 +188,10 @@ def _merge_intra(
                 copies=1,
             )
         )
-        iterations += 1
-    if remaining and not stopped_by_budget and budget > limit:
-        stopped_by_budget = True
 
     stats = RunStats(
-        iterations=iterations,
-        shortest_path_calls=sp_calls,
+        iterations=len(routed),
+        shortest_path_calls=sum(engine.stats.dijkstra_calls for engine in engines),
         stopped_by_budget=stopped_by_budget,
         wall_time_s=time.perf_counter() - start,
         extra={
@@ -262,10 +235,10 @@ def partitioned_bounded_ufp(
         partition; larger counts run :func:`bfs_partition` with seed 0) or a
         raw per-vertex label array.
     jobs:
-        Per-shard fan-out for the intra-only fast path, resolved by
-        :func:`repro.parallel.resolve_jobs` (``None`` consults
-        ``REPRO_JOBS``).  It applies to the fast path only: instances with
-        cross-region requests run the serial global solver.
+        Has no effect: the shards advance in lockstep in this process.  It
+        is kept only because the repository benchmark's ``isp_clearing``
+        workload passes ``jobs=1``, and goes once that workload stops
+        passing it.
 
     Notes
     -----
@@ -304,6 +277,4 @@ def partitioned_bounded_ufp(
         )
         return allocation
     shards = build_shards(instance, resolved, intra)
-    return _merge_intra(
-        instance, epsilon, resolved, shards, jobs, max_iterations, start
-    )
+    return _merge_intra(instance, epsilon, resolved, shards, max_iterations, start)

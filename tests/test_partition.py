@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import bounded_ufp
+from test_partition_fuzz import _assert_same_budget, _cut_disabled
+
+from repro.core import PathPricingEngine, bounded_ufp
 from repro.exceptions import InvalidInstanceError
 from repro.flows import Request, UFPInstance
 from repro.graphs import CapacitatedGraph
@@ -43,6 +45,27 @@ def _regions_graph(
     regions: int = 3, cores: int = 2, leaves: int = 1, seed: int = 7
 ) -> CapacitatedGraph:
     return multi_region_topology(regions, cores, leaves, 40.0, 20.0, 10.0, seed=seed)
+
+
+def _intra_requests(num_requests: int, seed: int) -> list[Request]:
+    """Requests between two access leaves of one region of a 3 x 3 x 2
+    composite (``_regions_graph(3, 3, 2)``)."""
+    rng = np.random.default_rng(seed)
+    block = 3 * (1 + 2)
+    requests = []
+    for _ in range(num_requests):
+        r = int(rng.integers(3))
+        leaves = np.arange(r * block + 3, (r + 1) * block)
+        u, v = rng.choice(leaves, size=2, replace=False)
+        requests.append(
+            Request(
+                int(u),
+                int(v),
+                demand=float(rng.uniform(0.2, 1.0)),
+                value=float(rng.uniform(0.5, 2.0)),
+            )
+        )
+    return requests
 
 
 # ---------------------------------------------------------------------- #
@@ -175,22 +198,7 @@ class TestPartitionedSolver:
     def test_multi_region_intra_only_matches_global(self):
         graph = _regions_graph(3, 3, 2, seed=5)
         part = multi_region_partition(graph, 3, 3, 2)
-        rng = np.random.default_rng(17)
-        block = 3 * (1 + 2)
-        requests = []
-        for _ in range(18):
-            r = int(rng.integers(3))
-            leaves = np.arange(r * block + 3, (r + 1) * block)
-            u, v = rng.choice(leaves, size=2, replace=False)
-            requests.append(
-                Request(
-                    int(u),
-                    int(v),
-                    demand=float(rng.uniform(0.2, 1.0)),
-                    value=float(rng.uniform(0.5, 2.0)),
-                )
-            )
-        instance = UFPInstance(graph, requests)
+        instance = UFPInstance(graph, _intra_requests(18, seed=17))
         expected = bounded_ufp(instance, 0.5)
         actual = partitioned_bounded_ufp(instance, 0.5, partition=part)
         _assert_same_allocation(actual, expected)
@@ -223,14 +231,60 @@ class TestPartitionedSolver:
         assert actual.stats.stopped_by_budget == expected.stats.stopped_by_budget
         assert actual.stats.extra["partition_cross_requests"] > 0
 
-    def test_jobs_do_not_change_the_answer(self, roomy_diamond_instance):
-        serial = partitioned_bounded_ufp(
-            roomy_diamond_instance, 0.5, partition=1, jobs=1
+    def test_merge_computes_at_most_one_step_past_the_consumed_ones(
+        self, monkeypatch
+    ):
+        graph = _regions_graph(3, 3, 2, seed=5)
+        part = multi_region_partition(graph, 3, 3, 2)
+        instance = UFPInstance(graph, _intra_requests(60, seed=17))
+        commits = []
+        commit = PathPricingEngine.commit
+
+        def counting_commit(engine, selection):
+            commits.append(selection.index)
+            commit(engine, selection)
+
+        monkeypatch.setattr(PathPricingEngine, "commit", counting_commit)
+        allocation = partitioned_bounded_ufp(instance, 0.5, partition=part)
+        # The premise: the budget stops the merge with requests left over.
+        assert allocation.stats.stopped_by_budget
+        assert len(allocation.routed) < instance.num_requests
+        # Each shard commits the steps the merge consumed, plus at most the
+        # one head the merge pulled and did not consume.
+        assert len(commits) <= len(allocation.routed) + part.num_regions
+
+    def _assert_matches_cut_disabled_global(self, instance, part):
+        expected = bounded_ufp(_cut_disabled(instance, part), 0.5)
+        actual = partitioned_bounded_ufp(instance, 0.5, partition=part)
+        _assert_same_allocation(actual, expected)
+        _assert_same_budget(actual, expected)
+        assert actual.stats.iterations == expected.stats.iterations
+        return actual
+
+    def test_no_requests_matches_cut_disabled_global(self):
+        graph = _regions_graph(3, 3, 2, seed=5)
+        part = multi_region_partition(graph, 3, 3, 2)
+        actual = self._assert_matches_cut_disabled_global(
+            UFPInstance(graph, []), part
         )
-        fanned = partitioned_bounded_ufp(
-            roomy_diamond_instance, 0.5, partition=1, jobs=2
+        assert actual.routed == []
+
+    def test_region_without_internal_edges_matches_cut_disabled_global(self):
+        # Region 1 is {2, 4}: every edge at 2 or 4 crosses the cut, so its
+        # shard has no graph and the request 2 -> 4 is unroutable there, as
+        # it is in the global run once the cut edges are disabled.
+        graph = CapacitatedGraph(
+            5,
+            [(0, 1, 10.0), (1, 3, 10.0), (1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0)],
+            directed=False,
         )
-        _assert_same_allocation(serial, fanned)
+        part = GraphPartition(graph, [0, 0, 1, 0, 1])
+        requests = [Request(0, 3, 1.0, 1.0), Request(2, 4, 1.0, 1.0)]
+        instance = UFPInstance(graph, requests)
+        shards = build_shards(instance, part, part.split_requests(requests)[0])
+        assert shards[1].graph is None and shards[1].request_indices == [1]
+        actual = self._assert_matches_cut_disabled_global(instance, part)
+        assert [r.request_index for r in actual.routed] == [0]
 
     def test_input_validation(self, roomy_diamond_instance):
         with pytest.raises(ValueError, match="epsilon"):

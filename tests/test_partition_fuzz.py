@@ -17,10 +17,12 @@ pinned here on seed corpora:
   partitioned solver returns the global ``bounded_ufp`` run itself.
 
 The 1-region corpus replays the shared pinned-seed instances of
-``test_differential_fuzz`` on loop trees and on C trees and at
-``jobs=1`` vs ``jobs=4``.  In the 1-region and cut-disabled tests every
-4th corpus seed also runs with ``max_iterations=3``, a cap the shard merge
-applies on its own; it binds on most of those seeds.
+``test_differential_fuzz`` on loop trees and on C trees.  In the 1-region
+and cut-disabled tests every 4th corpus seed also runs with
+``max_iterations=3``, a cap the shard merge applies on its own; it binds on
+most of those seeds.  Both tests also run every seed at ``max_iterations``
+0 and 1, where the merge stops before or right after its first step, with
+the budget already spent on some seeds.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ pytestmark = pytest.mark.fuzz
 #: Seeds for the multi-region corpora (derived from the shared corpus so
 #: the whole sweep remains pinned to one base seed).
 REGION_SEEDS = UFP_SEEDS[:12]
-#: Subset replayed on C trees and under process fan-out —
-#: enough to catch a divergence, cheap enough for every CI pass.
+#: Subset replayed on C trees — enough to catch a divergence, cheap
+#: enough for every CI pass.
 SMALL = UFP_SEEDS[:6]
 
 _R, _C, _L = 4, 3, 2  # regions x cores x leaves of the composite corpus
@@ -125,9 +127,10 @@ def _uses_cut(allocation, partition) -> bool:
     )
 
 
-def _cap(seed: int) -> int | None:
-    """``max_iterations=3`` on every 4th corpus seed, ``None`` otherwise."""
-    return 3 if UFP_SEEDS.index(seed) % 4 == 0 else None
+def _caps(seed: int) -> tuple[int | None, ...]:
+    """The ``max_iterations`` a differential runs ``seed`` at: 3 on every 4th
+    corpus seed and ``None`` on the others, then 0 and 1 on every seed."""
+    return (3 if UFP_SEEDS.index(seed) % 4 == 0 else None, 0, 1)
 
 
 def _assert_same_budget(actual, expected) -> None:
@@ -144,14 +147,14 @@ def _assert_same_budget(actual, expected) -> None:
 def test_single_region_matches_global(seed):
     instance = _ufp_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
-    cap = _cap(seed)
-    expected = bounded_ufp(instance, epsilon, max_iterations=cap)
-    actual = partitioned_bounded_ufp(
-        instance, epsilon, partition=1, max_iterations=cap
-    )
-    _assert_same_allocation(actual, expected)
-    _assert_same_budget(actual, expected)
-    assert actual.stats.iterations == expected.stats.iterations
+    for cap in _caps(seed):
+        expected = bounded_ufp(instance, epsilon, max_iterations=cap)
+        actual = partitioned_bounded_ufp(
+            instance, epsilon, partition=1, max_iterations=cap
+        )
+        _assert_same_allocation(actual, expected)
+        _assert_same_budget(actual, expected)
+        assert actual.stats.iterations == expected.stats.iterations
 
 
 @pytest.mark.parametrize("seed", SMALL)
@@ -168,16 +171,6 @@ def test_single_region_matches_global_scipy_backend(seed):
     _assert_same_budget(actual, expected)
 
 
-@pytest.mark.parametrize("seed", SMALL)
-def test_single_region_jobs_parity(seed):
-    instance = _ufp_instance(seed)
-    epsilon = [0.3, 0.5, 1.0][seed % 3]
-    serial = partitioned_bounded_ufp(instance, epsilon, partition=1, jobs=1)
-    fanned = partitioned_bounded_ufp(instance, epsilon, partition=1, jobs=4)
-    _assert_same_allocation(fanned, serial)
-    _assert_same_budget(fanned, serial)
-
-
 # ---------------------------------------------------------------------- #
 # Natural multi-region cut, intra-only workloads
 # ---------------------------------------------------------------------- #
@@ -192,18 +185,18 @@ SHORTCUT_SEEDS = {518363606}
 def test_multi_region_intra_only_matches_cut_disabled_global(seed):
     instance = _intra_instance(seed)
     epsilon = [0.3, 0.5, 1.0][seed % 3]
-    cap = _cap(seed)
     partition = _natural_partition(instance.graph)
-    expected = bounded_ufp(
-        _cut_disabled(instance, partition), epsilon, max_iterations=cap
-    )
-    actual = partitioned_bounded_ufp(
-        instance, epsilon, partition=partition, max_iterations=cap
-    )
-    _assert_same_allocation(actual, expected)
-    _assert_same_budget(actual, expected)
-    assert actual.stats.iterations == expected.stats.iterations
-    assert actual.stats.extra["partition_cross_requests"] == 0.0
+    for cap in _caps(seed):
+        expected = bounded_ufp(
+            _cut_disabled(instance, partition), epsilon, max_iterations=cap
+        )
+        actual = partitioned_bounded_ufp(
+            instance, epsilon, partition=partition, max_iterations=cap
+        )
+        _assert_same_allocation(actual, expected)
+        _assert_same_budget(actual, expected)
+        assert actual.stats.iterations == expected.stats.iterations
+        assert actual.stats.extra["partition_cross_requests"] == 0.0
 
 
 @pytest.mark.parametrize("seed", REGION_SEEDS)
@@ -236,21 +229,6 @@ def test_multi_region_intra_only_scipy_backend(seed):
         )
     _assert_same_allocation(actual, expected)
     _assert_same_budget(actual, expected)
-
-
-@pytest.mark.parametrize("seed", SMALL)
-def test_multi_region_jobs_parity(seed):
-    instance = _intra_instance(seed)
-    epsilon = [0.3, 0.5, 1.0][seed % 3]
-    partition = _natural_partition(instance.graph)
-    serial = partitioned_bounded_ufp(
-        instance, epsilon, partition=partition, jobs=1
-    )
-    fanned = partitioned_bounded_ufp(
-        instance, epsilon, partition=partition, jobs=4
-    )
-    _assert_same_allocation(fanned, serial)
-    _assert_same_budget(fanned, serial)
 
 
 # ---------------------------------------------------------------------- #
